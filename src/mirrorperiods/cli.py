@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import __version__, arith, deligne, periods, pfode
-from .hyperfun import working_precision
+from .hyperfun import PrecisionError, working_precision
 from .qseries import SeriesError
 
 TABULAR_COMMANDS = {"zeta", "fermat-count"}
@@ -46,6 +46,8 @@ class RunConfig:
             parser.error("--format must be json, tsv or text")
         if self.fmt == "tsv" and command not in TABULAR_COMMANDS:
             parser.error(f"tsv output is only available for {sorted(TABULAR_COMMANDS)}")
+        if command in ("deligne", "all") and not 40 <= self.digits <= deligne.MAX_DIGITS:
+            parser.error(f"{command} needs 40 <= --digits <= {deligne.MAX_DIGITS}")
 
     def to_dict(self) -> dict:
         return {"digits": self.digits, "order": self.order, "pmax": self.pmax,
@@ -157,7 +159,12 @@ def _run_fermat_count(cfg: RunConfig, primes: list[int]) -> list[dict]:
 
 
 def _run_deligne(cfg: RunConfig) -> list[dict]:
-    rep = deligne.report(cfg.digits)
+    # The digit range is validated up front, so these errors are failed
+    # computations, not bad input.
+    try:
+        rep = deligne.report(cfg.digits)
+    except (PrecisionError, deligne.ReconstructionError) as exc:
+        return [_entry("deligne", False, error=f"{type(exc).__name__}: {exc}")]
     entries = [_entry("deligne-summary", True, informational=True,
                       **{k: v for k, v in rep.items() if k != "checks"})]
     for chk in rep["checks"]:

@@ -60,7 +60,8 @@ class DelignePeriodSet:
 
     c_plus is real, c_minus purely imaginary; theta4_value is the underlying
     theta3^4(0, -i e^(-pi/2)) and crosscheck_residual the disagreement
-    between that value and varpi0(2)^2 from ODE continuation.
+    between that value and varpi0(2)^2 from ODE continuation, which passes
+    when it is at most crosscheck_tolerance.
     """
     c_plus: mpc
     c_minus: mpc
@@ -68,6 +69,11 @@ class DelignePeriodSet:
     c_plus_tate2: mpc
     theta4_value: mpc
     crosscheck_residual: mpf
+    crosscheck_tolerance: mpf
+
+    @property
+    def crosscheck_passed(self) -> bool:
+        return bool(self.crosscheck_residual <= self.crosscheck_tolerance)
 
 
 def _gamma_upper(s: int, x):
@@ -143,16 +149,14 @@ def deligne_periods(digits: int = DEFAULT_DIGITS) -> DelignePeriodSet:
 
     The underlying varpi0(2)^2 is computed both as the theta value and via
     ODE continuation to lambda = 2 along the canonical lower-detour path;
-    a disagreement beyond 10^-(digits-15) raises.
+    their disagreement is returned with its tolerance 10^-(digits-15), and
+    the caller decides what a failed cross-check means.
     """
     th4 = theta_quartic_point(digits)
     frame = pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, digits)
     with working_precision(digits):
         w0sq = frame.columns[0][0] ** 2
         mismatch = abs(w0sq - th4)
-        if mismatch > mpf(10) ** (-(digits - 15)):
-            raise PrecisionError(
-                f"theta vs continuation cross-check failed: {mp.nstr(mismatch, 5)}")
         c_minus = th4
         c_plus = mp.mpc(0, 1) * th4
         twopii = 2 * mp.pi * mp.mpc(0, 1)
@@ -163,6 +167,7 @@ def deligne_periods(digits: int = DEFAULT_DIGITS) -> DelignePeriodSet:
             c_plus_tate2=twopii ** 2 * c_plus,
             theta4_value=th4,
             crosscheck_residual=mismatch,
+            crosscheck_tolerance=mpf(10) ** (-(digits - 15)),
         )
 
 
@@ -255,8 +260,8 @@ def report(digits: int = DEFAULT_DIGITS) -> dict:
         checks.append({
             "name": "theta-vs-continuation",
             "residual": mp.nstr(periods.crosscheck_residual, 6),
-            "tolerance": mp.nstr(mpf(10) ** (-(digits - 15)), 3),
-            "passed": True,
+            "tolerance": mp.nstr(periods.crosscheck_tolerance, 3),
+            "passed": periods.crosscheck_passed,
         })
         return {
             "digits": digits,

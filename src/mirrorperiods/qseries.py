@@ -6,6 +6,19 @@ everything beyond is *unknown*, not zero.  Binary operations compute the
 tightest provable truncation, so identity checks downstream can assert exact
 zero residuals instead of small ones.
 
+The quadratic and cubic kernels (``*``, ``reciprocal``, ``compose`` and
+``revert``) never add or multiply ``Fraction``s, which would take a gcd per
+operation.  They work on integer numerators over one common denominator:
+each operand is scaled once by the lcm of its coefficient denominators, and
+the convolutions run on Python ints.  ``*`` and ``compose`` build the
+canonical ``Fraction``s once, at return.  The recurrences of ``reciprocal``
+and ``revert`` make one canonical ``Fraction`` per new coefficient and keep
+the terms found so far over the lcm of their reduced denominators, so the
+integers stay as small as the answer (1/varpi0 has 2-power denominators,
+lambda(q) integer coefficients) instead of growing with powers of the
+input's common denominator.  ``Fraction`` is canonical, so every result is
+identical to the schoolbook ``Fraction`` computation.
+
 The offset lives on the 1/24 grid, which is enough to carry the q^(1/24)
 prefactor of eta products and the q^(-1) prefactor of their reciprocals.
 General Puiseux series are deliberately out of scope.
@@ -14,7 +27,8 @@ General Puiseux series are deliberately out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -31,6 +45,30 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise SeriesError(f"coefficients must be exact rationals, got {type(x).__name__}")
+
+
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with coeffs[k] == nums[k] / den, den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _nonzero(nums: Sequence[int], stop: int) -> list[tuple[int, int]]:
+    """(index, value) of the nonzero entries of nums[:stop]."""
+    return [(j, c) for j, c in enumerate(nums[:stop]) if c]
+
+
+def _convolve_into(out: list[int], a: Sequence[int], b_nz: list[tuple[int, int]]) -> None:
+    """out[i + j] += a[i] * b[j] for every i + j < len(out); b given by _nonzero."""
+    n = len(out)
+    for i, ai in enumerate(a[:n]):
+        if not ai:
+            continue
+        room = n - i
+        for j, bj in b_nz:
+            if j >= room:
+                break
+            out[i + j] += ai * bj
 
 
 class RationalSeries:
@@ -206,16 +244,13 @@ class RationalSeries:
         order = min(self.order + vb, other.order + va)
         if order < 1:
             raise SeriesError("product truncation order fell below 1")
-        out = [Fraction(0)] * order
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            top = min(other.order, order - i)
-            for j in range(top):
-                bj = other.coeffs[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return RationalSeries(out, self.offset + other.offset, order)
+        a, da = _numerators(self.coeffs[:order])
+        b, db = _numerators(other.coeffs[:order])
+        out = [0] * order
+        _convolve_into(out, a, _nonzero(b, order))
+        den = da * db
+        return RationalSeries([Fraction(c, den) for c in out],
+                              self.offset + other.offset, order)
 
     __rmul__ = __mul__
 
@@ -223,16 +258,29 @@ class RationalSeries:
         """Multiplicative inverse; the shift-0 coefficient must be nonzero."""
         if self.order < 1 or self.coeffs[0] == 0:
             raise SeriesError("reciprocal of a series with zero leading coefficient")
-        a = self.coeffs
-        inv0 = Fraction(1) / a[0]
-        out = [inv0]
-        for k in range(1, self.order):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j]:
-                    s += a[j] * out[k - j]
-            out.append(-inv0 * s)
-        return RationalSeries(out, -self.offset, self.order)
+        # With a = A/d over integers and the known terms of 1/a held as O/e
+        # (e the lcm of their reduced denominators), the next term is
+        # -(sum_{j>=1} A_j O_{k-j}) / (A_0 e): one gcd per coefficient.
+        n = self.order
+        a, _ = _numerators(self.coeffs)
+        a0 = a[0]
+        tail = _nonzero(a, n)[1:]
+        out = [Fraction(1) / self.coeffs[0]]
+        num, e = [out[0].numerator], out[0].denominator
+        for k in range(1, n):
+            s = 0
+            for j, aj in tail:
+                if j > k:
+                    break
+                s += aj * num[k - j]
+            c = Fraction(-s, a0 * e)
+            out.append(c)
+            if e % c.denominator:
+                grow = c.denominator // gcd(e, c.denominator)
+                num = [x * grow for x in num]
+                e *= grow
+            num.append(c.numerator * (e // c.denominator))
+        return RationalSeries(out, -self.offset, n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -319,29 +367,30 @@ class RationalSeries:
         """self(inner(x)); inner must have zero constant term."""
         f, nf = self._integer_frame()
         g, ng = inner._integer_frame()
-        if ng < 1 or g[0] != 0:
-            raise SeriesError("composition requires inner constant term 0")
         vg = next((i for i, c in enumerate(g) if c), ng)
         if vg == 0:
             raise SeriesError("composition requires inner constant term 0")
-        order = min(vg * nf, ng) if vg < ng else ng
+        order = min(vg * nf, ng)
         if order < 1:
             raise SeriesError("composition truncation order fell below 1")
-        g = g[:order] + [Fraction(0)] * (order - len(g))
-        out = [Fraction(0)] * order
-        out[0] = f[nf - 1] if nf else Fraction(0)
-        for idx in range(nf - 2, -1, -1):
-            new = [Fraction(0)] * order
-            for i, oi in enumerate(out):
-                if not oi:
-                    continue
-                top = min(order - i, order)
-                for j in range(vg, top):
-                    if g[j]:
-                        new[i + j] += oi * g[j]
-            new[0] += f[idx]
-            out = new
-        return RationalSeries(out, 0, order)
+        # Only f_0 .. f_top reach the window: g^i has valuation i*vg.
+        top = min(nf - 1, (order - 1) // vg)
+        fn, df = _numerators(f[:top + 1])
+        gn, d = _numerators(g[:order])
+        g_nz = _nonzero(gn, order)
+        d_pow = [1]
+        for _ in range(top):
+            d_pow.append(d_pow[-1] * d)
+        # Horner on acc_i = df * d^(top-i) * sum_{j>=i} f_j g^(j-i), kept
+        # only to order - i*vg: later multiplication by g^i shifts it by i*vg.
+        acc = [fn[top]]
+        for i in range(top - 1, -1, -1):
+            new = [0] * (order - i * vg)
+            _convolve_into(new, acc, g_nz)
+            new[0] += fn[i] * d_pow[top - i]
+            acc = new
+        den = df * d_pow[top]
+        return RationalSeries([Fraction(c, den) for c in acc], 0, order)
 
     def revert(self) -> "RationalSeries":
         """Compositional inverse: returns b with self(b(x)) = x = b(self(x)).
@@ -356,28 +405,38 @@ class RationalSeries:
             raise SeriesError("reversion requires zero constant term")
         if a[1] == 0:
             raise SeriesError("reversion requires a nonzero linear coefficient")
-        b = [Fraction(0), Fraction(1) / a[1]]
-        # pw[j][m] = [x^m] b(x)^j for the columns m filled so far
-        zero = Fraction(0)
-        pw = [[zero] * n for _ in range(n)]
-        pw[0][0] = Fraction(1)
-        if n > 1:
-            pw[1][1] = b[1]
+        # With a = A/d over integers, pw[j][m] = [x^m] b(x)^j is held as
+        # p[j][m] / e^j and b_i as bn[i] / e, where e is the lcm of the reduced
+        # denominators of b_1 .. b_{k-1}; a new b_k that needs a larger e
+        # rescales the rows.  Then b_k = -(sum_j A_j e^(k-j) p[j][k]) / (A_1 e^k).
+        an, d = _numerators(a)
+        a_nz = [(j, aj) for j, aj in _nonzero(an, n) if j >= 2]
+        b = [Fraction(0), Fraction(d, an[1])]
+        e = b[1].denominator
+        bn = [0, b[1].numerator]
+        p = [[0] * n for _ in range(n)]
+        p[0][0] = 1
+        p[1][1] = bn[1]
         for k in range(2, n):
             for j in range(2, k + 1):
-                s = zero
-                row = pw[j - 1]
-                for i in range(1, k - j + 2):
-                    if b[i]:
-                        s += b[i] * row[k - i]
-                pw[j][k] = s
-            s = zero
-            for j in range(2, k + 1):
-                if a[j]:
-                    s += a[j] * pw[j][k]
-            bk = -s / a[1]
+                row = p[j - 1]
+                p[j][k] = sum(bn[i] * row[k - i] for i in range(1, k - j + 2) if bn[i])
+            e_pow = [1]
+            for _ in range(k):
+                e_pow.append(e_pow[-1] * e)
+            s = sum(aj * p[j][k] * e_pow[k - j] for j, aj in a_nz if j <= k)
+            bk = Fraction(-s, an[1] * e_pow[k])
             b.append(bk)
-            pw[1][k] = bk
+            if e % bk.denominator:
+                grow = bk.denominator // gcd(e, bk.denominator)
+                bn = [x * grow for x in bn]
+                scale = 1
+                for j in range(1, k + 1):
+                    scale *= grow
+                    p[j] = [x * scale for x in p[j]]
+                e *= grow
+            bn.append(bk.numerator * (e // bk.denominator))
+            p[1][k] = bn[k]
         return RationalSeries(b, 0, n)
 
 

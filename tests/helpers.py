@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from mirrorperiods.qseries import SeriesError
+
 
 def round_decimals(x, k: int) -> str:
     """x rounded to k decimals, as a plain decimal string (for comparing
@@ -59,3 +61,75 @@ def long_division_reciprocal(a: list, order: int) -> list:
                 s += a[j] * out[k - j]
         out.append(-s / a[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# schoolbook Fraction references for the RationalSeries kernels
+#
+# Each takes RationalSeries operands, reads only .coeffs/.offset/.order, and
+# returns (coefficients, offset, order), or raises SeriesError where the
+# kernel must refuse.  Every step is a plain Fraction operation.
+# ---------------------------------------------------------------------------
+
+
+def _valuation(coeffs: list) -> int:
+    return next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+
+
+def _absolute_frame(s) -> list:
+    """Coefficients indexed by absolute exponent; integer offset >= 0 only."""
+    if s.offset.denominator != 1 or s.offset < 0:
+        raise SeriesError("integer exponents >= 0 required")
+    return [Fraction(0)] * int(s.offset) + list(s.coeffs)
+
+
+def reference_mul(a, b):
+    order = min(a.order + _valuation(list(b.coeffs)), b.order + _valuation(list(a.coeffs)))
+    if order < 1:
+        raise SeriesError("product truncation order fell below 1")
+    return poly_mul_trunc(list(a.coeffs), list(b.coeffs), order), a.offset + b.offset, order
+
+
+def reference_reciprocal(a):
+    if a.order < 1 or a.coeffs[0] == 0:
+        raise SeriesError("reciprocal of a series with zero leading coefficient")
+    return long_division_reciprocal(list(a.coeffs), a.order), -a.offset, a.order
+
+
+def reference_compose(f, g):
+    """sum_i f_i g^i with the powers g^i built by repeated multiplication.
+
+    f known below x^nf leaves an error O(g^nf) = O(x^(vg*nf)); g known below
+    x^ng leaves O(x^ng); the result is known below the smaller of the two.
+    """
+    fc, gc = _absolute_frame(f), _absolute_frame(g)
+    vg = _valuation(gc)
+    if vg == 0:
+        raise SeriesError("composition requires inner constant term 0")
+    order = min(vg * len(fc), len(gc))
+    if order < 1:
+        raise SeriesError("composition truncation order fell below 1")
+    out = [Fraction(0)] * order
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for fi in fc:
+        out = [o + fi * p for o, p in zip(out, power)]
+        power = poly_mul_trunc(power, gc, order)
+    return out, Fraction(0), order
+
+
+def reference_revert(a):
+    """Fixed-point iteration b <- (x - sum_{j>=2} a_j b^j) / a_1; pass m
+    makes b_1 .. b_m exact, so len(frame) passes settle every coefficient."""
+    ac = _absolute_frame(a)
+    n = len(ac)
+    if n < 2 or ac[0] != 0 or ac[1] == 0:
+        raise SeriesError("reversion requires a_0 = 0 and a_1 != 0")
+    b = [Fraction(0)] * n
+    for _ in range(n):
+        rest = [Fraction(0)] * n
+        power = b
+        for j in range(2, n):
+            power = poly_mul_trunc(power, b, n)
+            rest = [r + ac[j] * p for r, p in zip(rest, power)]
+        b = [((1 if k == 1 else 0) - rest[k]) / ac[1] for k in range(n)]
+    return b, Fraction(0), n

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from mpmath import mp, mpf
 
-from mirrorperiods import cli
+from mirrorperiods import cli, deligne
+from mirrorperiods.hyperfun import PrecisionError, working_precision
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -132,3 +135,49 @@ def test_text_format(capsys):
     assert code == 0
     assert out.startswith("mirrorperiods 0.1.0")
     assert "overall: PASS" in out
+
+
+def test_deligne_reconstruction_error_is_a_failed_entry(monkeypatch, capsys):
+    def no_rational(digits):
+        raise deligne.ReconstructionError("no rational with denominator <= 1000000")
+
+    monkeypatch.setattr(deligne, "report", no_rational)
+    code, out = run_main(["deligne", "--digits", "40"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["overall_pass"] is False
+    assert rep["entries"] == [{"name": "deligne", "passed": False, "informational": False,
+                               "error": "ReconstructionError: no rational with "
+                                        "denominator <= 1000000"}]
+
+
+def test_deligne_precision_error_is_a_failed_entry(monkeypatch, capsys):
+    def mismatch(digits):
+        raise PrecisionError("theta vs continuation cross-check failed")
+
+    monkeypatch.setattr(deligne, "deligne_periods", mismatch)
+    code, out = run_main(["deligne", "--digits", "40", "--format", "text"], capsys)
+    assert code == 1
+    assert "[FAIL] deligne" in out and "overall: FAIL" in out
+
+
+def test_deligne_crosscheck_mismatch_exits_1(monkeypatch, capsys):
+    def off_frame(path, digits):
+        with working_precision(digits):
+            w0 = mp.sqrt(deligne.theta_quartic_point(digits)) * (1 + mpf(10) ** -20)
+        return SimpleNamespace(columns=((w0,),))
+
+    monkeypatch.setattr(deligne.pfode, "continue_legendre", off_frame)
+    code, out = run_main(["deligne", "--digits", "40"], capsys)
+    assert code == 1
+    entries = {e["name"]: e for e in json.loads(out)["entries"]}
+    assert entries["theta-vs-continuation"]["passed"] is False
+    assert entries["ratio1-is-16"]["passed"] and entries["ratio2-is-minus-64"]["passed"]
+
+
+@pytest.mark.parametrize("digits", ["35", "301"])
+def test_deligne_digit_range_is_a_usage_error(digits, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["deligne", "--digits", digits])
+    assert exc.value.code == 2
+    assert "--digits" in capsys.readouterr().err

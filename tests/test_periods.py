@@ -239,6 +239,14 @@ def test_theta_registry_exact(name):
     assert rep.exact and rep.passed and rep.residual == "0"
 
 
+def test_exact_registry_at_order_80():
+    # twice the default order of the quadratic transformations, every exact id
+    for name in ["QT1", "QT2", "QT3", "THETA-V", "THETA-24", "DLDTAU", "DELTA-LAMBDA", "BPS"]:
+        rep = periods.check_identity(name, 80)
+        assert rep.exact and rep.passed and rep.residual == "0", name
+        assert rep.where == "series order 80", name
+
+
 def test_delta_theta_numeric():
     rep = periods.check_identity("DELTA-THETA", None, digits=40)
     assert rep.passed and not rep.exact

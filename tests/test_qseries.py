@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_euler_power, long_division_reciprocal
+from helpers import (brute_euler_power, long_division_reciprocal, reference_compose,
+                     reference_mul, reference_reciprocal, reference_revert)
 from mirrorperiods.qseries import (RationalSeries, SeriesError, eta_product,
                                    euler_product)
 
@@ -212,15 +213,34 @@ def test_pow_rational_binomial():
 # properties (hypothesis)
 # ---------------------------------------------------------------------------
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+# Numerators and denominators are drawn separately, so coprime denominators
+# up to 60 meet in one series and its common denominator grows large; zeros
+# are drawn often, so the kernels' zero-skipping paths run.
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+coefficients = st.one_of(st.just(F(0)), rationals)
+grid_offsets = st.integers(-48, 48).map(lambda k: F(k, 24))
 
 
-def _series_strategy(order=6, offset_choices=(0,)):
-    return st.builds(
-        lambda coeffs, off: RationalSeries(coeffs, off, order),
-        st.lists(rationals, min_size=order, max_size=order),
-        st.sampled_from(offset_choices),
-    )
+@st.composite
+def _series_strategy(draw, orders=(1, 12), offsets=st.just(F(0)), leading_zeros=(0, 0)):
+    order = draw(st.integers(*orders))
+    zeros = min(draw(st.integers(*leading_zeros)), order)
+    body = draw(st.lists(coefficients, min_size=order - zeros, max_size=order - zeros))
+    return RationalSeries([F(0)] * zeros + body, draw(offsets), order)
+
+
+def _matches_reference(kernel, reference, *args):
+    """kernel(*args) equals the schoolbook reference in coefficients, order
+    and offset, or both refuse with SeriesError."""
+    try:
+        coeffs, offset, order = reference(*args)
+    except SeriesError:
+        with pytest.raises(SeriesError):
+            kernel(*args)
+        return
+    got = kernel(*args)
+    assert all(type(c) is F for c in got.coeffs)
+    assert (list(got.coeffs), got.offset, got.order) == (coeffs, offset, order)
 
 
 @given(a=_series_strategy(), b=_series_strategy(), c=_series_strategy())
@@ -233,17 +253,18 @@ def test_ring_axioms(a, b, c):
     assert ((a * (b + c)) - (a * b + a * c)).is_provably_zero()
 
 
-@given(tail=st.lists(rationals, min_size=4, max_size=4))
+@given(a1=rationals.filter(bool), tail=st.lists(rationals, min_size=0, max_size=10))
 @settings(max_examples=100, deadline=None)
-def test_revert_two_sided_inverse(tail):
-    a = RationalSeries([F(0), F(1)] + tail, 0, 6)
+def test_revert_two_sided_inverse(a1, tail):
+    n = 2 + len(tail)
+    a = RationalSeries([F(0), a1] + tail, 0, n)
     b = a.revert()
-    x = RationalSeries.identity(6)
+    x = RationalSeries.identity(n)
     assert (a.compose(b) - x).is_provably_zero()
     assert (b.compose(a) - x).is_provably_zero()
 
 
-@given(a=_series_strategy(), b=_series_strategy())
+@given(a=_series_strategy(leading_zeros=(0, 3)), b=_series_strategy(leading_zeros=(0, 3)))
 @settings(max_examples=40, deadline=None)
 def test_mul_respects_truncation_window(a, b):
     p = a * b
@@ -253,3 +274,62 @@ def test_mul_respects_truncation_window(a, b):
     direct = sum(a.coeffs[i] * b.coeffs[k - i]
                  for i in range(max(0, k - b.order + 1), min(k + 1, a.order)))
     assert p.coeffs[k] == direct
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator kernels against the schoolbook Fraction references
+# ---------------------------------------------------------------------------
+
+_mul_operands = _series_strategy(offsets=grid_offsets, leading_zeros=(0, 3))
+
+
+@given(a=_mul_operands, b=_mul_operands)
+@example(a=RationalSeries([0, 0, F(1, 59)], F(-23, 24), 3),
+         b=RationalSeries([F(7, 53), F(-1, 47)], F(1, 24), 2))
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_reference(a, b):
+    _matches_reference(RationalSeries.__mul__, reference_mul, a, b)
+
+
+@given(a=_series_strategy(offsets=grid_offsets, leading_zeros=(0, 1)))
+@example(a=RationalSeries([F(-59, 7), F(1, 53), 0, F(3, 43)], F(-1, 24), 4))
+@settings(max_examples=150, deadline=None)
+def test_reciprocal_matches_reference(a):
+    _matches_reference(RationalSeries.reciprocal, reference_reciprocal, a)
+
+
+@given(f=_series_strategy(orders=(0, 12), offsets=st.integers(0, 2)),
+       g=_series_strategy(orders=(0, 12), offsets=st.integers(0, 1), leading_zeros=(0, 3)))
+@example(f=RationalSeries((), 0, 0), g=RationalSeries([0, 1], 0, 2))       # order-0 outer
+@example(f=RationalSeries((), 0, 0), g=RationalSeries.zero(3, 1))         # ... and zero inner
+@example(f=RationalSeries((), 0, 5), g=RationalSeries([0, 0, 1], 0, 6))   # empty outer
+@example(f=RationalSeries([1, F(2, 59), F(-3, 7)], 0, 3),
+         g=RationalSeries([0, 0, F(5, 53), F(1, 2)], 1, 4))               # inner valuation 3
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_reference(f, g):
+    _matches_reference(RationalSeries.compose, reference_compose, f, g)
+
+
+@given(a=_series_strategy(orders=(1, 12), offsets=st.integers(0, 1)),
+       a1=rationals.filter(bool))
+@example(a=RationalSeries([0], 0, 1), a1=F(1))
+@settings(max_examples=100, deadline=None)
+def test_revert_matches_reference(a, a1):
+    # usually put a_0 = 0 and a_1 != 0 in place; the draws that keep other
+    # leading terms exercise the refusals
+    if a.offset == 0 and a.order >= 2 and a.coeffs[0] == 0:
+        a = RationalSeries([F(0), a1] + list(a.coeffs[2:]), 0, a.order)
+    _matches_reference(RationalSeries.revert, reference_revert, a)
+
+
+def test_kernels_at_paper_scale_match_reference():
+    # the real operands: lambda(q) by reversion of q(lambda), compositions
+    # with it, and the reciprocal of varpi0, whose denominators are 2-powers
+    from mirrorperiods.periods import q_of_lambda_series, varpi0_series
+    order = 24
+    q = q_of_lambda_series(order)
+    lam = q.revert()
+    _matches_reference(RationalSeries.revert, reference_revert, q)
+    _matches_reference(RationalSeries.compose, reference_compose, varpi0_series(order), lam)
+    _matches_reference(RationalSeries.reciprocal, reference_reciprocal, varpi0_series(order))
+    _matches_reference(RationalSeries.__mul__, reference_mul, lam, varpi0_series(order))
