@@ -1,0 +1,56 @@
+"""Layer micro-benchmarks for continuation and the Deligne stage (pytest-benchmark).
+
+Not collected by the tier-1 suite; run from the repository root with
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_periods.py --benchmark-json=run.json
+
+and fold one or two such files into a BENCH file with ``benchmarks/fold.py``.
+Everything runs at the paper's 120 digits, five rounds each:
+
+* ``test_continue_legendre_to_two``: the Legendre frame transported along the
+  canonical lower detour to lambda = 2, the most expensive object of a run;
+* ``test_deligne_stage``: what ``mirrorperiods deligne`` computes, that
+  transport followed by ``deligne.report`` on its frame;
+* ``test_deligne_report``: ``deligne.report`` alone, on a frame built before
+  timing starts (theta value, L-values, Fricke checks, ratio recovery).
+"""
+
+import pytest
+
+from mirrorperiods import deligne, pfode
+
+DIGITS = 120
+ROUNDS = 5
+
+
+def _frame_at_two():
+    return pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, DIGITS)
+
+
+def _deligne_stage():
+    return deligne.report(_frame_at_two(), DIGITS)
+
+
+def _assert_ratios(rep):
+    assert (rep["ratio1"], rep["ratio2"]) == ("16", "-64")
+    assert all(c["passed"] for c in rep["checks"])
+
+
+def test_continue_legendre_to_two(benchmark):
+    frame = benchmark.pedantic(_frame_at_two, rounds=ROUNDS, iterations=1)
+    assert frame.order == 2
+
+
+def test_deligne_stage(benchmark):
+    _assert_ratios(benchmark.pedantic(_deligne_stage, rounds=ROUNDS, iterations=1))
+
+
+@pytest.fixture(scope="module")
+def frame_at_two():
+    return _frame_at_two()
+
+
+def test_deligne_report(benchmark, frame_at_two):
+    rep = benchmark.pedantic(deligne.report, args=(frame_at_two, DIGITS),
+                             rounds=ROUNDS, iterations=1)
+    _assert_ratios(rep)

@@ -86,30 +86,6 @@ def ap_cubic(a2: int, a4: int, a6: int, p: int) -> int:
     return -s
 
 
-def count_points_legendre(lam, p: int) -> int:
-    """#E(F_p) = p + 1 - a_p for the Legendre fiber."""
-    return p + 1 - ap_legendre(lam, p)
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """A point count tagged with the variety it belongs to."""
-    p: int
-    variety: str  # "legendre", "minimal-model", "fermat-quartic"
-    count: int
-
-
-def count_points(variety: str, p: int, lam=None, bound: int = 101) -> CountResult:
-    """Projective point count of the requested variety over F_p."""
-    if variety == "legendre":
-        return CountResult(p, variety, count_points_legendre(lam, p))
-    if variety == "minimal-model":
-        return CountResult(p, variety, p + 1 - ap_cubic(0, -1, 0, p))
-    if variety == "fermat-quartic":
-        return CountResult(p, variety, fermat_quartic_count(p, bound))
-    raise ValueError(f"unknown variety {variety!r}")
-
-
 @lru_cache(maxsize=8)
 def eta6_coefficients(limit: int) -> tuple[int, ...]:
     """Coefficients c[n] of the full-nome expansion Q prod(1-Q^(4k))^6 for

@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import isqrt
 
 from mpmath import mp, mpf
 
@@ -27,6 +29,7 @@ TABULAR_COMMANDS = {"zeta", "fermat-count"}
 
 @dataclass
 class RunConfig:
+    """The options of one run, and the expensive objects its stages share."""
     digits: int = 120
     order: int = 40
     pmax: int = 500
@@ -42,8 +45,6 @@ class RunConfig:
             parser.error("--order must be >= 4")
         if self.pmax <= 0 or self.quartic_bound <= 0:
             parser.error("prime bounds must be positive")
-        if self.fmt not in ("json", "tsv", "text"):
-            parser.error("--format must be json, tsv or text")
         if self.fmt == "tsv" and command not in TABULAR_COMMANDS:
             parser.error(f"tsv output is only available for {sorted(TABULAR_COMMANDS)}")
         if command in ("deligne", "all") and not 40 <= self.digits <= deligne.MAX_DIGITS:
@@ -52,6 +53,12 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {"digits": self.digits, "order": self.order, "pmax": self.pmax,
                 "quartic_bound": self.quartic_bound, "format": self.fmt}
+
+    @cached_property
+    def frame_at_two(self) -> pfode.SolutionFrame:
+        """The Legendre frame transported to lambda = 2 along the canonical
+        path, computed on first use and shared by every stage of the run."""
+        return pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, self.digits)
 
 
 def _entry(name: str, passed: bool, informational: bool = False, **data) -> dict:
@@ -74,7 +81,7 @@ def _run_identities(cfg: RunConfig, ids=None) -> list[dict]:
     entries = []
     for name in (ids or periods.identity_ids()):
         t0 = time.perf_counter()
-        order = cfg.order if name in ("QT1", "QT2", "QT3", "SELFTEST-FAIL") else None
+        order = periods.identity_order(name, cfg.order)
         rep = periods.check_identity(name, order, digits=cfg.digits)
         e = _entry(name, rep.passed, rep.informational, **_report_extras(rep))
         if cfg.timings:
@@ -97,11 +104,9 @@ def _run_lambda_series(cfg: RunConfig, terms: int) -> list[dict]:
 
 def _run_mirror_map(cfg: RunConfig) -> list[dict]:
     entries = []
-    worst = mpf(0)
     with working_precision(cfg.digits):
         tol = mpf(10) ** (-(cfg.digits - 15))
         for lam, res in periods.mirror_map_residuals(cfg.digits):
-            worst = max(worst, res)
             entries.append(_entry(
                 "mirror-vs-period", bool(res < tol), informational=False,
                 point=str(lam), residual=mp.nstr(res, 6), tolerance=mp.nstr(tol, 3)))
@@ -120,7 +125,10 @@ def _run_continue(cfg: RunConfig, target: str, path_json: str | None) -> list[di
             lam = Fraction(target)
             expected = mp.mpc(-1, 1) / 2 if lam == 2 else None
             label = f"tau({target})"
-    tau = pfode.tau_at(lam, path=path, digits=cfg.digits)
+    if path is None and lam == 2:
+        tau = pfode.frame_tau(cfg.frame_at_two, cfg.digits)
+    else:
+        tau = pfode.tau_at(lam, path=path, digits=cfg.digits)
     with working_precision(cfg.digits):
         used = path if path is not None else pfode.default_path(lam, cfg.digits)
         e = {
@@ -159,11 +167,11 @@ def _run_fermat_count(cfg: RunConfig, primes: list[int]) -> list[dict]:
 
 
 def _run_deligne(cfg: RunConfig) -> list[dict]:
-    # The digit range is validated up front, so these errors are failed
-    # computations, not bad input.
+    # The digit range is validated up front, so these errors (the transport
+    # to lambda = 2 included) are failed computations, not bad input.
     try:
-        rep = deligne.report(cfg.digits)
-    except (PrecisionError, deligne.ReconstructionError) as exc:
+        rep = deligne.report(cfg.frame_at_two, cfg.digits)
+    except (PrecisionError, pfode.PathError, deligne.ReconstructionError) as exc:
         return [_entry("deligne", False, error=f"{type(exc).__name__}: {exc}")]
     entries = [_entry("deligne-summary", True, informational=True,
                       **{k: v for k, v in rep.items() if k != "checks"})]
@@ -228,6 +236,30 @@ def _to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonsingular_lambda(text: str) -> Fraction:
+    """--lambda: a rational at which the Legendre curve is smooth."""
+    try:
+        lam = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if lam in (0, 1):
+        raise argparse.ArgumentTypeError(f"the Legendre curve is singular at lambda = {lam}")
+    return lam
+
+
+def _prime_list(text: str) -> list[int]:
+    """--primes: a comma-separated list of primes."""
+    try:
+        primes = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    composite = [str(p) for p in primes
+                 if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))]
+    if composite:
+        raise argparse.ArgumentTypeError(f"not prime: {', '.join(composite)}")
+    return primes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorperiods",
@@ -261,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON waypoints [["re","im"],...] (decimal strings)')
     common(p)
     p = sub.add_parser("zeta", help="per-prime zeta records for a Legendre fiber")
-    p.add_argument("--lambda", dest="lam", default="2", help="rational lambda (e.g. 2 or 3/5)")
+    p.add_argument("--lambda", dest="lam", default="2", type=_nonsingular_lambda,
+                   help="rational lambda other than 0 and 1 (e.g. 2 or 3/5)")
     p.add_argument("--with-quartic-counts", action="store_true",
                    help="append N_p of the quartic surface for p within the count bound")
     common(p)
     p = sub.add_parser("fermat-count", help="exhaustive quartic-surface point counts")
-    p.add_argument("--primes", default="17,41,73,89,97")
+    p.add_argument("--primes", default="17,41,73,89,97", type=_prime_list,
+                   help="comma-separated primes")
     common(p)
     p = sub.add_parser("deligne", help="L-values, periods and the rational ratios")
     common(p)
@@ -289,9 +323,9 @@ def run_command(command: str, cfg: RunConfig, args) -> list[dict]:
     if command == "continue":
         return _run_continue(cfg, args.target, args.path)
     if command == "zeta":
-        return _run_zeta(cfg, Fraction(args.lam), args.with_quartic_counts)
+        return _run_zeta(cfg, args.lam, args.with_quartic_counts)
     if command == "fermat-count":
-        return _run_fermat_count(cfg, [int(p) for p in args.primes.split(",")])
+        return _run_fermat_count(cfg, args.primes)
     if command == "deligne":
         return _run_deligne(cfg)
     if command == "bps":

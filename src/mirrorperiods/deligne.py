@@ -21,6 +21,11 @@ with v = theta3^4(0, -i e^(-pi/2)) (purely imaginary, = varpi0(2)^2),
 
 and the ratios c_tate1/L1, c_tate2/L2 reconstruct to small rationals
 (16 and -64) by continued fractions with a hard denominator bound.
+
+The theta value is cross-checked against varpi0(2)^2 from the Legendre frame
+transported to lambda = 2.  This module never transports: callers run
+pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, digits) once and pass
+the frame to deligne_periods() or report().
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from . import arith, pfode
+from . import arith
 from .hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
                        theta_const, working_precision)
 
@@ -144,16 +149,16 @@ def theta_quartic_point(digits: int = DEFAULT_DIGITS) -> mpc:
         return theta_const(3, q0, digits) ** 4
 
 
-def deligne_periods(digits: int = DEFAULT_DIGITS) -> DelignePeriodSet:
+def deligne_periods(frame, digits: int = DEFAULT_DIGITS) -> DelignePeriodSet:
     """Periods of the base motive and its two critical twists.
 
-    The underlying varpi0(2)^2 is computed both as the theta value and via
-    ODE continuation to lambda = 2 along the canonical lower-detour path;
-    their disagreement is returned with its tolerance 10^-(digits-15), and
-    the caller decides what a failed cross-check means.
+    The underlying varpi0(2)^2 is computed both as the theta value and from
+    `frame`, the Legendre frame (varpi0, varpi1) transported to lambda = 2
+    along the canonical lower-detour path; their disagreement is returned
+    with its tolerance 10^-(digits-15), and the caller decides what a failed
+    cross-check means.
     """
     th4 = theta_quartic_point(digits)
-    frame = pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, digits)
     with working_precision(digits):
         w0sq = frame.columns[0][0] ** 2
         mismatch = abs(w0sq - th4)
@@ -209,16 +214,16 @@ def fricke_residual(y, digits: int = DEFAULT_DIGITS):
         return abs(lhs - rhs)
 
 
-def verify_ratios(digits: int = DEFAULT_DIGITS):
+def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
     """(r1, r2, report): the two Deligne ratios as exact rationals.
 
-    r1 = c^+(twist 1) / L(twist 1) and r2 = c^+(twist 2) / L(twist 2),
-    reconstructed by continued fractions with denominator bound 10^6 and
-    residual tolerance 10^-(digits-10).
+    r1 = c^+(twist 1) / L(twist 1) and r2 = c^+(twist 2) / L(twist 2), with
+    the twisted periods taken from `periods`, reconstructed by continued
+    fractions with denominator bound 10^6 and residual tolerance
+    10^-(digits-10).
     """
     if digits < 40:
         raise PrecisionError("ratio verification needs digits >= 40")
-    periods = deligne_periods(digits)
     l1 = lvalue(1, digits)
     l2 = lvalue(2, digits)
     with working_precision(digits):
@@ -241,9 +246,10 @@ def verify_ratios(digits: int = DEFAULT_DIGITS):
         return r1, r2, report
 
 
-def report(digits: int = DEFAULT_DIGITS) -> dict:
+def report(frame, digits: int = DEFAULT_DIGITS) -> dict:
     """The JSON-facing summary: theta value, L-values, twisted periods,
-    ratios, and the self-checks that gate them."""
+    ratios, and the self-checks that gate them; `frame` is the Legendre
+    frame transported to lambda = 2 (see deligne_periods)."""
     checks = []
     with working_precision(digits):
         for y in (Fraction(3, 10), Fraction(7, 10), Fraction(3, 2)):
@@ -254,8 +260,8 @@ def report(digits: int = DEFAULT_DIGITS) -> dict:
                 "tolerance": mp.nstr(mpf(10) ** (-(digits - 10)), 3),
                 "passed": bool(res < mpf(10) ** (-(digits - 10))),
             })
-    periods = deligne_periods(digits)
-    r1, r2, ratio_rep = verify_ratios(digits)
+    periods = deligne_periods(frame, digits)
+    r1, r2, ratio_rep = verify_ratios(periods, digits)
     with working_precision(digits):
         checks.append({
             "name": "theta-vs-continuation",

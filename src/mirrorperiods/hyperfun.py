@@ -12,8 +12,8 @@ Nome conventions, distinguished everywhere downstream:
     Q  = exp(2*pi*i*tau)   (full nome; eta products, modular forms)
 
 so Q = q**2.  Mixing them up is the classic trap in this corner of the
-literature; helpers `half_nome` / `full_nome` exist so callers never have to
-write the exponentials by hand.
+literature; the helper `half_nome` exists so callers never have to write the
+exponential by hand.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ def half_nome(tau, digits: int = DEFAULT_DIGITS):
     """q = exp(pi*i*tau)."""
     with working_precision(digits):
         return mp.exp(mp.pi * mp.mpc(0, 1) * mpc(tau))
-
-
-def full_nome(tau, digits: int = DEFAULT_DIGITS):
-    """Q = exp(2*pi*i*tau) = half_nome(tau)**2."""
-    with working_precision(digits):
-        return mp.exp(2 * mp.pi * mp.mpc(0, 1) * mpc(tau))
 
 
 # ---------------------------------------------------------------------------

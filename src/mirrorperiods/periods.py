@@ -487,22 +487,22 @@ def _z_pieces(n: int):
     return z, one
 
 
-def _qt1_residual(n: int) -> RationalSeries:
+def _qt1_residual(n: int):
     z, one = _z_pieces(n)
     lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), n)
     w = (z ** 2) * RationalSeries([-4, 4], 0, n).reciprocal()  # z^2/(4z-4)
     rhs = (one - z).pow_rational(Fraction(-1, 4)) * \
         hyp2f1_series(Fraction(1, 4), Fraction(1, 4), Fraction(1), n).compose(w)
-    return lhs - rhs
+    return (lhs - rhs,)
 
 
-def _qt2_residual(n: int) -> RationalSeries:
+def _qt2_residual(n: int):
     z, one = _z_pieces(n)
     w = z * RationalSeries([Fraction(-1, 4)], 0, n) * ((one - z) ** 2).reciprocal() * 16
     # w = -4z/(1-z)^2
     rhs = (one - z).pow_rational(Fraction(-1, 4)) * \
         hyp2f1_series(Fraction(1, 8), Fraction(3, 8), Fraction(1), n).compose(w)
-    return hyp2f1_series(Fraction(1, 4), Fraction(1, 4), Fraction(1), n) - rhs
+    return (hyp2f1_series(Fraction(1, 4), Fraction(1, 4), Fraction(1), n) - rhs,)
 
 
 def quad_transform_series(n: int) -> RationalSeries:
@@ -512,19 +512,18 @@ def quad_transform_series(n: int) -> RationalSeries:
     return z ** 2 * (one - z) * (half ** 4).reciprocal()
 
 
-def _qt3_residual(n: int) -> RationalSeries:
-    z, one = _z_pieces(n)
+def _qt3_residual(n: int, exponent: Fraction = Fraction(-1, 2)):
     half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, n)
     lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), n)
-    rhs = half.pow_rational(Fraction(-1, 2)) * \
+    rhs = half.pow_rational(exponent) * \
         hyp2f1_series(Fraction(1, 8), Fraction(3, 8), Fraction(1), n).compose(
             quad_transform_series(n))
-    return lhs - rhs
+    return (lhs - rhs,)
 
 
-def _theta_v_residual(n: int) -> RationalSeries:
+def _theta_v_residual(n: int):
     lam = lambda_q_series(n)
-    return varpi0_series(n).compose(lam) - theta3_qseries(n) ** 2
+    return (varpi0_series(n).compose(lam) - theta3_qseries(n) ** 2,)
 
 
 def _theta24_residuals(n: int):
@@ -536,25 +535,25 @@ def _theta24_residuals(n: int):
     return r2, r4
 
 
-def _dldtau_residual(n: int) -> RationalSeries:
+def _dldtau_residual(n: int):
     # (1/pi i) d lambda/d tau = q d lambda/dq since q = exp(pi i tau)
     lam = lambda_q_series(n)
     one = RationalSeries.one(n)
     w0sq = (varpi0_series(n) ** 2).compose(lam)
-    return lam.theta_derivative() - lam * (one - lam) * w0sq
+    return (lam.theta_derivative() - lam * (one - lam) * w0sq,)
 
 
-def _delta_lambda_residual(n: int) -> RationalSeries:
+def _delta_lambda_residual(n: int):
     lam = lambda_q_series(n)
     one = RationalSeries.one(n)
     pi0 = pi0_series(n).compose(lam)
     lam_minus_2 = lam - 2
     rhs = (lam ** 2) * (one - lam) ** 2 * (lam_minus_2 ** 6).reciprocal() \
         * pi0 ** 6 * Fraction(1, 4)
-    return delta_qseries(n) - rhs
+    return (delta_qseries(n) - rhs,)
 
 
-def _bps_residual(n: int) -> RationalSeries:
+def _bps_residual(n: int):
     # both sides as series in q; the counting function lives in Q = q^2
     nq = n // 2 + 2
     lhs = bps_series(nq).substitute_power(2)
@@ -563,7 +562,7 @@ def _bps_residual(n: int) -> RationalSeries:
     pi0 = pi0_series(n).compose(lam)
     den = ((lam ** 2) * (one - lam) ** 2 * pi0 ** 6).normalize()
     rhs = (lam - 2) ** 6 * den.reciprocal() * 4
-    return lhs - rhs
+    return (lhs - rhs,)
 
 
 def _numeric_report(name, where, residual, tol_exp, digits, info=None) -> IdentityReport:
@@ -601,67 +600,79 @@ W_PI_GRID = [(Fraction("0.05"), Fraction(0)), (Fraction(0), Fraction("0.1")),
              (Fraction("0.2"), Fraction("-0.1"))]
 
 
-def _w_pi_check(points, digits) -> IdentityReport:
+def _w_pi_grid(points, digits):
+    """(where, [(lam, DworkPeriods, PiTriple)]) on the points (W_PI_GRID by default)."""
     pts = points if points else W_PI_GRID
-    worst = mpf(0)
     with working_precision(digits):
         pts = [as_mpc(p) for p in pts]
-        for lam in pts:
-            qm = quad_map(lam, digits)
-            dw = dwork_periods(qm.psi, digits)
-            pt = pi_triple(lam, digits)
-            worst = max(worst, abs(dw.w0 - pt.pi0), abs(dw.w1 - pt.pi1))
+        values = [(lam, dwork_periods(quad_map(lam, digits).psi, digits),
+                   pi_triple(lam, digits)) for lam in pts]
     where = "lambda in {" + ", ".join(mp.nstr(p, 8) for p in pts) + "}"
+    return where, values
+
+
+def _w_pi_check(points, digits) -> IdentityReport:
+    where, values = _w_pi_grid(points, digits)
+    worst = mpf(0)
+    with working_precision(digits):
+        for _, dw, pt in values:
+            worst = max(worst, abs(dw.w0 - pt.pi0), abs(dw.w1 - pt.pi1))
     return _numeric_report("W-PI", where, worst, -(digits - 15), digits)
 
 
 def _w2_ratio_record(points, digits) -> IdentityReport:
     # The W0 = Pi0 and W1 = Pi1 matches say nothing about W2 vs Pi2; record
     # the observed ratio without asserting a value.
-    pts = points if points else W_PI_GRID
-    ratios = {}
+    where, values = _w_pi_grid(points, digits)
     with working_precision(digits):
-        pts = [as_mpc(p) for p in pts]
-        for lam in pts:
-            qm = quad_map(lam, digits)
-            dw = dwork_periods(qm.psi, digits)
-            pt = pi_triple(lam, digits)
-            ratios[mp.nstr(lam, 8)] = mp.nstr(dw.w2 / pt.pi2, 25)
-    where = "lambda in {" + ", ".join(mp.nstr(p, 8) for p in pts) + "}"
+        ratios = {mp.nstr(lam, 8): mp.nstr(dw.w2 / pt.pi2, 25) for lam, dw, pt in values}
     return IdentityReport("W2-RATIO", where, "0", "0", exact=False, passed=True,
                           informational=True, info={"w2_over_pi2": ratios})
 
 
-def _selftest_fail_residual(n: int) -> RationalSeries:
+def _selftest_fail_residual(n: int):
     # deliberately corrupted QT3 (wrong prefactor exponent); exists so the
     # CLI exit-code contract can be exercised end to end
-    z, one = _z_pieces(n)
-    half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, n)
-    lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), n)
-    rhs = half.pow_rational(Fraction(-1, 4)) * \
-        hyp2f1_series(Fraction(1, 8), Fraction(3, 8), Fraction(1), n).compose(
-            quad_transform_series(n))
-    return lhs - rhs
+    return _qt3_residual(n, Fraction(-1, 4))
 
 
-_EXACT_CHECKS = {
-    "QT1": (_qt1_residual, 40),
-    "QT2": (_qt2_residual, 40),
-    "QT3": (_qt3_residual, 40),
-    "THETA-V": (_theta_v_residual, 30),
-    "DLDTAU": (_dldtau_residual, 30),
-    "DELTA-LAMBDA": (_delta_lambda_residual, 30),
-    "BPS": (_bps_residual, 16),
-    "SELFTEST-FAIL": (_selftest_fail_residual, 12),
+# id -> (check, default order, whether `identities --order` sets the order),
+# in report order.  An exact id's check maps a padded order to the residual
+# series that must vanish; a numeric id (default order None) maps
+# (points, digits) straight to a report.
+_IDENTITIES = {
+    "QT1": (_qt1_residual, 40, True),
+    "QT2": (_qt2_residual, 40, True),
+    "QT3": (_qt3_residual, 40, True),
+    "THETA-V": (_theta_v_residual, 30, False),
+    "THETA-24": (_theta24_residuals, 30, False),
+    "DLDTAU": (_dldtau_residual, 30, False),
+    "DELTA-THETA": (_delta_theta_check, None, False),
+    "DELTA-LAMBDA": (_delta_lambda_residual, 30, False),
+    "BPS": (_bps_residual, 16, False),
+    "W-PI": (_w_pi_check, None, False),
+    "W2-RATIO": (_w2_ratio_record, None, False),
+    "SELFTEST-FAIL": (_selftest_fail_residual, 12, True),  # not in a full run
 }
 
 
-def identity_ids(include_selftest: bool = False) -> list[str]:
-    ids = ["QT1", "QT2", "QT3", "THETA-V", "THETA-24", "DLDTAU", "DELTA-THETA",
-           "DELTA-LAMBDA", "BPS", "W-PI", "W2-RATIO"]
-    if include_selftest:
-        ids.append("SELFTEST-FAIL")
-    return ids
+def _registered(identity: str) -> tuple:
+    try:
+        return _IDENTITIES[identity]
+    except KeyError:
+        raise KeyError(f"unknown identity id: {identity!r}") from None
+
+
+def identity_ids() -> list[str]:
+    """The ids a full run checks, in report order."""
+    return [name for name in _IDENTITIES if name != "SELFTEST-FAIL"]
+
+
+def identity_order(identity: str, run_order: int) -> Optional[int]:
+    """The order check_identity gets in a run at `run_order`: that order for
+    the ids registered to follow it, None (the id's own default) otherwise."""
+    _, _, follows = _registered(identity)
+    return run_order if follows else None
 
 
 def check_identity(identity: str, order_or_point=None,
@@ -673,19 +684,10 @@ def check_identity(identity: str, order_or_point=None,
     point or point list and report the max absolute residual against the
     identity's tolerance at the working precision.
     """
-    if identity in _EXACT_CHECKS:
-        fn, default_order = _EXACT_CHECKS[identity]
-        order = default_order if order_or_point is None else int(order_or_point)
-        if order < 1:
-            raise SeriesError("identity order must be >= 1")
-        return _exact_report(identity, order, fn(order + _PAD))
-    if identity == "THETA-24":
-        order = 30 if order_or_point is None else int(order_or_point)
-        return _exact_report(identity, order, *_theta24_residuals(order + _PAD))
-    if identity == "DELTA-THETA":
-        return _delta_theta_check(order_or_point, digits)
-    if identity == "W-PI":
-        return _w_pi_check(order_or_point, digits)
-    if identity == "W2-RATIO":
-        return _w2_ratio_record(order_or_point, digits)
-    raise KeyError(f"unknown identity id: {identity!r}")
+    check, default_order, _ = _registered(identity)
+    if default_order is None:
+        return check(order_or_point, digits)
+    order = default_order if order_or_point is None else int(order_or_point)
+    if order < 1:
+        raise SeriesError("identity order must be >= 1")
+    return _exact_report(identity, order, *check(order + _PAD))

@@ -100,11 +100,6 @@ def _pgcd(a, b) -> Poly:
     return _pscale(a, Fraction(1) / a[-1])  # monic
 
 
-def _plcm(a, b) -> Poly:
-    g = _pgcd(a, b)
-    return _pmul(_pdivmod(a, g)[0], b)
-
-
 def _pcontent_normalize(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     """Clear denominators and divide by the integer content across all polys."""
     from math import gcd, lcm
@@ -414,11 +409,6 @@ def _normalize_waypoint(w):
     return w
 
 
-def _realize_waypoint(w) -> mpc:
-    """Waypoint to mpc at the current working precision."""
-    return as_mpc(w)
-
-
 @dataclass(frozen=True)
 class ContinuationPath:
     """Polygonal path in the complex plane with a clearance requirement."""
@@ -564,7 +554,7 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     with working_precision(digits):
         sing = op.singular_points(digits)
         clr = mpf(path.clearance)
-        waypoints = [_realize_waypoint(w) for w in path.waypoints]
+        waypoints = [as_mpc(w) for w in path.waypoints]
         for a, b in zip(waypoints, waypoints[1:]):
             for s in sing:
                 if _segment_min_distance(a, b, s) < clr * (1 - mpf(10) ** -12):
@@ -635,7 +625,7 @@ def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath:
     """Straight path from the canonical base, with the lambda = 2 special case
     routed through the canonical lower detour."""
     with working_precision(digits):
-        t = _realize_waypoint(_normalize_waypoint(target))
+        t = as_mpc(_normalize_waypoint(target))
         if abs(t - 2) < mpf(10) ** -25:
             return CANONICAL_PATH_TO_TWO
         return ContinuationPath((CANONICAL_BASE, target))
@@ -643,24 +633,29 @@ def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath:
 
 def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
     with working_precision(digits):
-        base = _realize_waypoint(path.waypoints[0])
+        base = as_mpc(path.waypoints[0])
     frame = legendre_frame(base, digits)
     return continue_solution(legendre_operator(), path, frame, digits)
+
+
+def frame_tau(frame: SolutionFrame, digits: int = DEFAULT_DIGITS):
+    """tau = varpi1/varpi0 read off a transported Legendre frame."""
+    with working_precision(digits):
+        return frame.columns[1][0] / frame.columns[0][0]
 
 
 def tau_at(lambda_target, path: ContinuationPath | None = None,
            digits: int = DEFAULT_DIGITS):
     """tau = varpi1/varpi0 at the target after continuation along the path."""
     with working_precision(digits):
-        target = _realize_waypoint(_normalize_waypoint(lambda_target))
+        target = as_mpc(_normalize_waypoint(lambda_target))
         if path is None and abs(target) <= mpf("0.5") and target != 0:
             # inside the series disk the path degenerates to the point itself
             jet = periods.legendre_jet(target, digits)
             return jet.varpi1 / jet.varpi0
         if path is None:
             path = default_path(target, digits)
-        end = _realize_waypoint(path.waypoints[-1])
+        end = as_mpc(path.waypoints[-1])
         if abs(end - target) > mpf(10) ** (-digits + 5) * max(mpf(1), abs(target)):
             raise PathError("path does not end at the requested target")
-        frame = continue_legendre(path, digits)
-        return frame.columns[1][0] / frame.columns[0][0]
+        return frame_tau(continue_legendre(path, digits), digits)

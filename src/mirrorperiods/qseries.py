@@ -316,19 +316,6 @@ class RationalSeries:
         out = [(self.offset + k) * c for k, c in enumerate(self.coeffs)]
         return RationalSeries(out, self.offset, self.order)
 
-    def integrate(self) -> "RationalSeries":
-        """Antiderivative with zero constant; exponent -1 must not occur."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            e = self.offset + k
-            if e == -1:
-                if c:
-                    raise SeriesError("cannot integrate an x^-1 term")
-                out.append(Fraction(0))
-            else:
-                out.append(c / (e + 1))
-        return RationalSeries(out, self.offset + 1, self.order)
-
     # -- transcendental / compositional ------------------------------------
 
     def exp(self) -> "RationalSeries":
@@ -441,11 +428,6 @@ class RationalSeries:
 
 
 # -- generators -------------------------------------------------------------
-
-
-def geometric_series(order: int) -> RationalSeries:
-    """1/(1-x) truncated at the given order."""
-    return RationalSeries([Fraction(1)] * order, 0, order)
 
 
 def euler_product(m: int, order: int) -> RationalSeries:

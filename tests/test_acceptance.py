@@ -108,7 +108,8 @@ def deligne_at_120():
     t0 = time.perf_counter()
     state["l1"] = deligne.lvalue(1, 120)
     state["l2"] = deligne.lvalue(2, 120)
-    state["periods"] = deligne.deligne_periods(120)
+    frame = pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 120)
+    state["periods"] = deligne.deligne_periods(frame, 120)
     state["seconds"] = time.perf_counter() - t0
     return state
 

@@ -216,14 +216,3 @@ def test_zeta_table_ordered_and_good_only():
     ps = [r.p for r in tab]
     assert ps == sorted(ps)
     assert 2 not in ps and 3 not in ps  # 2 always bad; 3 divides the denominator
-
-
-def test_count_points_dispatch():
-    r = arith.count_points("legendre", 5, lam=2)
-    assert r.count == 5 + 1 - arith.ap_legendre(2, 5) == 8
-    assert arith.count_points("minimal-model", 5).count == 8
-    assert arith.count_points("fermat-quartic", 17).count == 600
-    assert all(arith.count_points(v, 13, lam=2).count >= 0
-               for v in ("legendre", "minimal-model", "fermat-quartic"))
-    with pytest.raises(ValueError):
-        arith.count_points("abelian-surface", 5)

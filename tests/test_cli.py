@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpf
 
-from mirrorperiods import cli, deligne
+from mirrorperiods import cli, deligne, pfode
 from mirrorperiods.hyperfun import PrecisionError, working_precision
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -138,7 +138,7 @@ def test_text_format(capsys):
 
 
 def test_deligne_reconstruction_error_is_a_failed_entry(monkeypatch, capsys):
-    def no_rational(digits):
+    def no_rational(frame, digits):
         raise deligne.ReconstructionError("no rational with denominator <= 1000000")
 
     monkeypatch.setattr(deligne, "report", no_rational)
@@ -152,7 +152,7 @@ def test_deligne_reconstruction_error_is_a_failed_entry(monkeypatch, capsys):
 
 
 def test_deligne_precision_error_is_a_failed_entry(monkeypatch, capsys):
-    def mismatch(digits):
+    def mismatch(frame, digits):
         raise PrecisionError("theta vs continuation cross-check failed")
 
     monkeypatch.setattr(deligne, "deligne_periods", mismatch)
@@ -167,7 +167,7 @@ def test_deligne_crosscheck_mismatch_exits_1(monkeypatch, capsys):
             w0 = mp.sqrt(deligne.theta_quartic_point(digits)) * (1 + mpf(10) ** -20)
         return SimpleNamespace(columns=((w0,),))
 
-    monkeypatch.setattr(deligne.pfode, "continue_legendre", off_frame)
+    monkeypatch.setattr(cli.pfode, "continue_legendre", off_frame)
     code, out = run_main(["deligne", "--digits", "40"], capsys)
     assert code == 1
     entries = {e["name"]: e for e in json.loads(out)["entries"]}
@@ -181,3 +181,58 @@ def test_deligne_digit_range_is_a_usage_error(digits, capsys):
         cli.main(["deligne", "--digits", digits])
     assert exc.value.code == 2
     assert "--digits" in capsys.readouterr().err
+
+
+def test_deligne_transport_failure_is_a_failed_entry(monkeypatch, capsys):
+    def no_frame(path, digits):
+        raise pfode.PathError("Taylor step failed to reach target accuracy")
+
+    monkeypatch.setattr(cli.pfode, "continue_legendre", no_frame)
+    code, out = run_main(["deligne", "--digits", "40"], capsys)
+    assert code == 1
+    assert json.loads(out)["entries"] == [
+        {"name": "deligne", "passed": False, "informational": False,
+         "error": "PathError: Taylor step failed to reach target accuracy"}]
+
+
+def test_one_transport_to_two_per_run(monkeypatch, tmp_path):
+    calls = []
+    transport = pfode.continue_legendre
+
+    def counted(path, digits):
+        calls.append(path)
+        return transport(path, digits)
+
+    monkeypatch.setattr(pfode, "continue_legendre", counted)
+
+    def run(*argv):
+        calls.clear()
+        out = tmp_path / "report.json"
+        code = cli.main([*argv, "--digits", "40", "--output", str(out)])
+        return code, len(calls), json.loads(out.read_text())["entries"]
+
+    code, transports, battery = run("all")
+    assert code == 0 and transports == 2  # lambda = 2 and lambda = 2 sqrt 2 - 2
+    code, transports, cont = run("continue", "--target", "2")
+    assert code == 0 and transports == 1
+    assert [e for e in battery if e["name"] == "tau(2)"] == cont
+    code, transports, dl = run("deligne")
+    assert code == 0 and transports == 1
+    start = [e["name"] for e in battery].index("deligne-summary")
+    assert battery[start:start + len(dl)] == dl
+
+
+@pytest.mark.parametrize("lam", ["0", "1", "2/2"])
+def test_singular_lambda_is_a_usage_error(lam, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zeta", "--lambda", lam])
+    assert exc.value.code == 2
+    assert "singular at lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("primes", ["9", "0", "17,1", "-5"])
+def test_non_prime_is_a_usage_error(primes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fermat-count", "--primes", primes])
+    assert exc.value.code == 2
+    assert "not prime" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 import mirrorperiods.arith as arith
 import mirrorperiods.deligne as deligne
+import mirrorperiods.pfode as pfode
 from helpers import round_decimals
 from mirrorperiods.hyperfun import working_precision
 
@@ -13,6 +14,11 @@ REF_L2 = "0.8593982272525466034362619724763196497376070564774"
 REF_THETA4 = "1.3932039296856768591842462603253682426574812175156"
 
 DIGITS = 60
+
+
+def periods_at(digits):
+    frame = pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, digits)
+    return deligne.deligne_periods(frame, digits)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +64,7 @@ def test_theta_quartic_point_digits():
 
 
 def test_deligne_period_structure():
-    ps = deligne.deligne_periods(DIGITS)
+    ps = periods_at(DIGITS)
     with working_precision(DIGITS):
         tol = mpf(10) ** (-(DIGITS - 10))
         # c+ real and positive, c- purely imaginary
@@ -73,15 +79,15 @@ def test_deligne_period_structure():
 
 
 def test_ratios_reconstruct(fricke_verified):
-    r1, r2, rep = deligne.verify_ratios(DIGITS)
+    r1, r2, rep = deligne.verify_ratios(periods_at(DIGITS), DIGITS)
     assert r1 == F(16) and r2 == F(-64)
     assert r1.denominator == 1 and r2.denominator == 1
     assert rep["ratio1"] == "16" and rep["ratio2"] == "-64"
 
 
 def test_ratios_stable_under_digit_doubling(fricke_verified):
-    r1a, r2a, _ = deligne.verify_ratios(40)
-    r1b, r2b, _ = deligne.verify_ratios(80)
+    r1a, r2a, _ = deligne.verify_ratios(periods_at(40), 40)
+    r1b, r2b, _ = deligne.verify_ratios(periods_at(80), 80)
     assert (r1a, r2a) == (r1b, r2b) == (F(16), F(-64))
 
 
@@ -106,7 +112,7 @@ def test_smooth_sum_direction_of_convergence():
 
 
 def test_report_shape():
-    rep = deligne.report(45)
+    rep = deligne.report(pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 45), 45)
     assert set(rep) == {"digits", "theta4_value", "L1", "L2", "c_plus_tate1",
                         "c_plus_tate2", "ratio1", "ratio2", "checks"}
     assert rep["ratio1"] == "16" and rep["ratio2"] == "-64"

@@ -7,9 +7,8 @@ from mpmath import mp, mpc, mpf
 
 from helpers import round_decimals
 from mirrorperiods.hyperfun import (GUARD_DIGITS, PrecisionError, eta_value,
-                                    full_nome, half_nome, harmonic_sums,
-                                    hyp2f1, hyp2f1_series, theta_const,
-                                    working_precision)
+                                    harmonic_sums, hyp2f1, hyp2f1_series,
+                                    theta_const, working_precision)
 
 DIGITS = 60
 
@@ -172,12 +171,6 @@ def test_eta_at_i_vs_theta_product():
 def test_eta_requires_upper_half_plane():
     with pytest.raises(PrecisionError):
         eta_value(mpc(1, -1), digits=40)
-
-
-def test_nome_conventions():
-    with working_precision(40):
-        tau = mp.mpc("0.3", "1.1")
-        assert abs(full_nome(tau, 40) - half_nome(tau, 40) ** 2) < mpf(10) ** -40
 
 
 # ---------------------------------------------------------------------------
