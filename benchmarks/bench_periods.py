@@ -1,14 +1,21 @@
-"""Layer micro-benchmarks for continuation and the Deligne stage (pytest-benchmark).
+"""Layer micro-benchmarks for periods, continuation and the Deligne stage (pytest-benchmark).
 
 Not collected by the tier-1 suite; run from the repository root with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_periods.py --benchmark-json=run.json
 
 and fold one or two such files into a BENCH file with ``benchmarks/fold.py``.
-Everything runs at the paper's 120 digits, five rounds each:
+Everything runs at the paper's 120 digits unless named otherwise, five
+rounds each:
 
 * ``test_continue_legendre_to_two``: the Legendre frame transported along the
   canonical lower detour to lambda = 2, the most expensive object of a run;
+* ``test_continue_legendre_to_two_200``: the same transport at 200 digits,
+  the precision of the benchmark's ``high-precision`` workload;
+* ``test_legendre_jet`` and ``test_dwork_periods``: the two series sides of
+  the mirror-map check at the grid point lambda = 0.3 (``dwork_periods`` at
+  its psi), twenty rounds each after one warm-up round that fills the
+  coefficient caches;
 * ``test_deligne_stage``: what ``mirrorperiods deligne`` computes, that
   transport followed by ``deligne.report`` on its frame;
 * ``test_deligne_report``: ``deligne.report`` alone, on a frame built before
@@ -17,10 +24,12 @@ Everything runs at the paper's 120 digits, five rounds each:
 
 import pytest
 
-from mirrorperiods import deligne, pfode
+from mirrorperiods import deligne, periods, pfode
 
 DIGITS = 120
 ROUNDS = 5
+SERIES_ROUNDS = 20
+GRID_POINT = periods.MIRROR_GRID[3]  # lambda = 0.3, the largest |lambda| on the grid
 
 
 def _frame_at_two():
@@ -39,6 +48,26 @@ def _assert_ratios(rep):
 def test_continue_legendre_to_two(benchmark):
     frame = benchmark.pedantic(_frame_at_two, rounds=ROUNDS, iterations=1)
     assert frame.order == 2
+
+
+def test_continue_legendre_to_two_200(benchmark):
+    frame = benchmark.pedantic(pfode.continue_legendre,
+                               args=(pfode.CANONICAL_PATH_TO_TWO, 200),
+                               rounds=ROUNDS, iterations=1)
+    assert frame.order == 2
+
+
+def test_legendre_jet(benchmark):
+    jet = benchmark.pedantic(periods.legendre_jet, args=(GRID_POINT, DIGITS),
+                             rounds=SERIES_ROUNDS, iterations=1, warmup_rounds=1)
+    assert jet.varpi0 != 0
+
+
+def test_dwork_periods(benchmark):
+    psi = periods.quad_map(GRID_POINT, DIGITS).psi
+    dw = benchmark.pedantic(periods.dwork_periods, args=(psi, DIGITS),
+                            rounds=SERIES_ROUNDS, iterations=1, warmup_rounds=1)
+    assert dw.tau.imag > 0
 
 
 def test_deligne_stage(benchmark):

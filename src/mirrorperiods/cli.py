@@ -154,6 +154,9 @@ def _run_zeta(cfg: RunConfig, lam: Fraction, with_counts: bool = False) -> list[
         entries.append(_entry(f"p={rec.p}", ok,
                               informational=(rec.p % 4 == 3 and lam == 2),
                               **extra))
+    if not entries:
+        # every prime below pmax is bad for this fiber: nothing was checked
+        return [_entry("no-good-primes", False, **{"lambda": str(lam), "pmax": cfg.pmax})]
     return entries
 
 

@@ -10,7 +10,10 @@ coefficients.  Three things happen here:
   against a reference operator;
 * high-precision transport of a fundamental solution system along polygonal
   complex paths, by repeated local Taylor expansion with step size half the
-  distance to the nearest singularity.
+  distance to the nearest singularity.  Each step runs the Taylor recurrence
+  once for all columns on fixed-point Python integers (the scheme of mpmath's
+  hypsum; van der Hoeven, "Fast evaluation of holonomic functions", TCS 210,
+  1999); mpmath only sets up the step and reads off the result.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -36,6 +39,10 @@ Poly = tuple  # tuple[Fraction, ...], low degree first
 
 class PathError(ValueError):
     """Raised when a continuation path violates clearance or fails to converge."""
+
+
+# Bits carried beyond the working precision by the fixed-point Taylor kernel.
+GUARD_BITS = 80
 
 
 # ---------------------------------------------------------------------------
@@ -499,44 +506,100 @@ def _segment_min_distance(a, b, p) -> mpf:
     return abs(a + t * ab - p)
 
 
-def _taylor_transport(shifted, r, inits, h, nterms):
-    """One Taylor step: from r initial derivatives at the expansion point,
-    return (values and derivatives at offset h, tail estimate)."""
-    c = [inits[k] / mp.factorial(k) for k in range(r)]
-    flat = []
+def _to_fixed(x: mpf, shift: int) -> int:
+    """x * 2^shift truncated to an int; x must be finite."""
+    sign, man, exp, _ = x._mpf_
+    e = exp + shift
+    v = man << e if e >= 0 else man >> -e
+    return -v if sign else v
+
+
+def _taylor_transport(shifted, columns, h, nterms):
+    """One Taylor step for every column at once, on fixed-point integers.
+
+    shifted[k] holds the Taylor coefficients p_kj of the k-th operator
+    coefficient at the expansion point, and columns[i] = (y_i, ..., y_i^(r-1))
+    there.  With u = h t the step ends at t = 1, and the scaled terms
+    b_n = c_n h^n of y = sum c_n u^n obey
+
+        (m+r)_r b_(m+r) = sum_(s<r) A_s(m) b_(m+s),
+        A_s(m) = -sum_k p_(k,k-s) h^(r-s) (m+s)_k / p_r0,
+
+    with (i)_k the falling factorial.  The normalized coefficients are
+    (re, im) ints scaled by 2^P and every b_n an int pair scaled by 2^(P-E),
+    where P is the working precision plus GUARD_BITS (more for a short step,
+    whose derivatives are divided by powers of h) and 2^E bounds the largest
+    entry of the input frame.  A_s(m) is formed once per m and shared by
+    all columns.  Returns (columns at offset h, tail), where tail is
+    max |b_n| over the last 6 terms of every column.
+    """
+    if not all(mp.isfinite(v) for col in columns for v in col):
+        raise PathError("non-finite value in the frame")
+    r = len(shifted) - 1
+    lead = shifted[r][0]
+    hpow = [mpc(1)]
+    for _ in range(max(len(p) for p in shifted) + r):
+        hpow.append(hpow[-1] * h)
+    prec = mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
+    frame_mag = max((mp.mag(v) for col in columns for v in col if v), default=0)
+    shift = prec - frame_mag
+    fall = [[1] * (r + 1) for _ in range(nterms)]
+    for i in range(nterms):
+        row = fall[i]
+        for k in range(1, r + 1):
+            row[k] = row[k - 1] * (i - k + 1)
+    groups = {}
     for k, pk in enumerate(shifted):
         for j, pkj in enumerate(pk):
             if pkj != 0 and not (k == r and j == 0):
-                flat.append((k, j, pkj))
-    lead = shifted[r][0]
+                q = -pkj * hpow[j - k + r] / lead
+                groups.setdefault(k - j, []).append(
+                    (k, _to_fixed(q.real, prec), _to_fixed(q.imag, prec)))
+    cols = []
+    for col in columns:
+        bre, bim = [], []
+        for k in range(r):
+            b = col[k] * hpow[k] / mp.factorial(k)
+            bre.append(_to_fixed(b.real, shift))
+            bim.append(_to_fixed(b.imag, shift))
+        cols.append((bre, bim))
     for m in range(nterms - r):
-        acc = mpc(0)
-        for k, j, pkj in flat:
-            idx = m - j + k
-            if 0 <= idx < m + r:
-                ff = mpf(1)
-                for d in range(k):
-                    ff *= idx - d
-                acc += pkj * ff * c[idx]
-        ffr = mpf(1)
-        for d in range(r):
-            ffr *= m + r - d
-        c.append(-acc / (lead * ffr))
+        coefs = []
+        for s, terms in groups.items():
+            i = m + s
+            if i < 0:
+                continue
+            ff = fall[i]
+            are = aim = 0
+            for k, qre, qim in terms:
+                f = ff[k]
+                are += qre * f
+                aim += qim * f
+            coefs.append((i, are, aim))
+        div = fall[m + r][r]
+        for bre, bim in cols:
+            xre = xim = 0
+            for i, are, aim in coefs:
+                yre, yim = bre[i], bim[i]
+                xre += are * yre - aim * yim
+                xim += are * yim + aim * yre
+            bre.append((xre >> prec) // div)
+            bim.append((xim >> prec) // div)
+    unit = frame_mag - prec
     out = []
-    for d in range(r):
-        # sum_n c_n * n!/(n-d)! * h^(n-d) by Horner
-        acc = mpc(0)
-        for n in range(len(c) - 1, d - 1, -1):
-            ff = mpf(1)
-            for i in range(d):
-                ff *= n - i
-            acc = acc * h + c[n] * ff
-        out.append(acc)
-    ah = abs(h)
-    tail = mpf(0)
-    for n in range(max(len(c) - 6, 0), len(c)):
-        tail = max(tail, abs(c[n]) * ah ** n)
-    return out, tail
+    for bre, bim in cols:
+        vals = []
+        for d in range(r):
+            sre = sim = 0
+            for n in range(d, nterms):
+                f = fall[n][d]
+                sre += bre[n] * f
+                sim += bim[n] * f
+            vals.append(mpc(mpf((sre, unit)), mpf((sim, unit))) / hpow[d])
+        out.append(tuple(vals))
+    worst = max(bre[n] ** 2 + bim[n] ** 2 for bre, bim in cols
+                for n in range(max(nterms - 6, 0), nterms))
+    return out, mp.ldexp(mp.sqrt(worst), unit)
 
 
 def continue_solution(op: FuchsianOperator, path: ContinuationPath,
@@ -546,10 +609,19 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
 
     Step size is `step_factor` times the distance to the nearest singular
     point (default one half), and the working term count targets a per-step
-    truncation below 10^-(digits+10); the actual tail of each step is
-    estimated from the trailing terms and accumulated into the returned
-    frame's error estimate.  Error estimates are heuristic; precision
-    doubling is the intended cross-check.
+    truncation below 10^-(digits+10).  Each step advances all columns
+    together through one Taylor recurrence on fixed-point integers
+    (`_taylor_transport`): the step is rescaled to end at t = 1, the
+    operator's normalized coefficients and the scaled terms c_n h^n are
+    Python ints carrying GUARD_BITS (80) bits beyond the working precision,
+    relative to the largest entry of the frame, and only the shifted
+    operator, the final sums and the division by h^d run in mpmath.
+
+    The tail of a step is the largest |c_n h^n| among its last 6 terms.
+    That is a heuristic, not a bound: a step whose tail exceeds
+    10^-(digits+10) times the frame's scale is redone with 1.5 times the
+    terms, and the accepted tails are summed into the returned frame's
+    error estimate.  Precision doubling is the intended cross-check.
     """
     with working_precision(digits):
         sing = op.singular_points(digits)
@@ -563,7 +635,6 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
                         f"clearance {path.clearance} of singular point {mp.nstr(s, 8)}")
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
             raise PathError("initial frame is not anchored at the first waypoint")
-        r = op.order
         eps = mpf(10) ** (-(digits + 10))
         base_terms = int(mp.ceil((digits + GUARD_DIGITS + 10) * mp.log(10) /
                                  mp.log(1 / mpf(step_factor)))) + 16
@@ -582,12 +653,7 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
                 shifted = [_shift_poly(p, z) for p in op.coeff_polys]
                 nterms = base_terms
                 for attempt in range(6):
-                    new_cols = []
-                    tail_worst = mpf(0)
-                    for col in cols:
-                        vals, tail = _taylor_transport(shifted, r, col, h, nterms)
-                        new_cols.append(tuple(vals))
-                        tail_worst = max(tail_worst, tail)
+                    new_cols, tail_worst = _taylor_transport(shifted, cols, h, nterms)
                     scale = max(max(abs(v) for v in col) for col in new_cols)
                     if tail_worst <= eps * max(mpf(1), scale):
                         break

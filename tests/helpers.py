@@ -3,7 +3,7 @@ implementations used to cross-check the package's own routines."""
 
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from mirrorperiods.qseries import SeriesError
 
@@ -133,3 +133,49 @@ def reference_revert(a):
             rest = [r + ac[j] * p for r, p in zip(rest, power)]
         b = [((1 if k == 1 else 0) - rest[k]) / ac[1] for k in range(n)]
     return b, Fraction(0), n
+
+
+# ---------------------------------------------------------------------------
+# mpmath reference for the fixed-point Taylor kernel
+# ---------------------------------------------------------------------------
+
+
+def reference_taylor_transport(shifted, r, inits, h, nterms):
+    """One Taylor step for one column, every operation in mpc: from r
+    initial derivatives at the expansion point, return (values and
+    derivatives at offset h, max |c_n| |h|^n over the last 6 terms)."""
+    c = [inits[k] / mp.factorial(k) for k in range(r)]
+    flat = []
+    for k, pk in enumerate(shifted):
+        for j, pkj in enumerate(pk):
+            if pkj != 0 and not (k == r and j == 0):
+                flat.append((k, j, pkj))
+    lead = shifted[r][0]
+    for m in range(nterms - r):
+        acc = mpc(0)
+        for k, j, pkj in flat:
+            idx = m - j + k
+            if 0 <= idx < m + r:
+                ff = mpf(1)
+                for d in range(k):
+                    ff *= idx - d
+                acc += pkj * ff * c[idx]
+        ffr = mpf(1)
+        for d in range(r):
+            ffr *= m + r - d
+        c.append(-acc / (lead * ffr))
+    out = []
+    for d in range(r):
+        # sum_n c_n * n!/(n-d)! * h^(n-d) by Horner
+        acc = mpc(0)
+        for n in range(len(c) - 1, d - 1, -1):
+            ff = mpf(1)
+            for i in range(d):
+                ff *= n - i
+            acc = acc * h + c[n] * ff
+        out.append(acc)
+    ah = abs(h)
+    tail = mpf(0)
+    for n in range(max(len(c) - 6, 0), len(c)):
+        tail = max(tail, abs(c[n]) * ah ** n)
+    return out, tail

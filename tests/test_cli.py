@@ -45,6 +45,16 @@ def test_zeta_tsv_row(capsys):
     assert row5 == ["5", "-2", "-6", "True", "True"]
 
 
+def test_zeta_without_good_primes_fails(capsys):
+    # 2 and 3 are both bad primes for lambda = 1/3, so nothing is checked
+    code, out = run_main(["zeta", "--lambda", "1/3", "--pmax", "4"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["overall_pass"] is False
+    assert rep["entries"] == [{"name": "no-good-primes", "passed": False,
+                               "informational": False, "lambda": "1/3", "pmax": 4}]
+
+
 def test_identities_small_order(capsys):
     code, out = run_main(["identities", "--ids", "QT1,THETA-V", "--order", "12",
                           "--digits", "40"], capsys)

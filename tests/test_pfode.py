@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from helpers import reference_taylor_transport
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
-from mirrorperiods.hyperfun import hyp2f1_series, theta_const, working_precision
+from mirrorperiods.hyperfun import as_mpc, hyp2f1_series, theta_const, working_precision
 from mirrorperiods.qseries import RationalSeries
 
 DIGITS = 50
@@ -103,8 +104,7 @@ def test_symmetric_square_numeric_annihilation():
         nt = 64
         basis = []
         for init in ((mpc(1), mpc(0)), (mpc(0), mpc(1))):
-            vals, _ = pfode._taylor_transport(shifted, 2, init, mpc(0), nt)
-            # regenerate full Taylor data by running the recurrence directly
+            # Taylor data from running the recurrence directly
             c = list(init)
             flat = [(k, j, pkj) for k, pk in enumerate(shifted)
                     for j, pkj in enumerate(pk)
@@ -201,6 +201,56 @@ def test_wronskian_invariant_along_path():
         assert abs(c0 - c1) < mpf(10) ** (-(DIGITS - 10))
 
 
+# Taylor steps as continue_solution takes them: half the distance d to the
+# nearest singular point, from an expansion point z, in a direction given as
+# a complex number.  (1, 0.1, ...) rows sit exactly at the 0.1 clearance.
+KERNEL_STEPS = [
+    ("legendre", (F(1, 10), F(-3, 5)), (1, 0)),
+    ("legendre", (F(1, 10), F(-6, 5)), (19, 12)),
+    ("legendre", (F(1), F(-1, 10)), (1, 1)),
+    ("pullback", (F(3, 10), F(0)), (1, 0)),
+    ("pullback", (F(3, 2), F(-1, 2)), (1, 2)),
+    ("pullback", (F(2), F(1, 10)), (-1, 3)),
+]
+KERNEL_COLUMNS = ((mpc(1, "0.5"), mpc("-0.25", 2)), (mpc(0, -3), mpc("1.5", 0)))
+
+
+def _kernel_step(name, z, direction, digits):
+    op = pfode.legendre_operator() if name == "legendre" else pfode.pullback_sq_operator()
+    z = as_mpc(z)
+    d = min(abs(z - s) for s in op.singular_points(digits))
+    u = mpc(*direction)
+    h = u / abs(u) * d / 2
+    shifted = [pfode._shift_poly(p, z) for p in op.coeff_polys]
+    nterms = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
+    return shifted, h, nterms
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("name, z, direction", KERNEL_STEPS)
+def test_taylor_kernel_matches_reference(name, z, direction, digits):
+    with working_precision(digits):
+        shifted, h, nterms = _kernel_step(name, z, direction, digits)
+        cols = [tuple(mpc(v) for v in col) for col in KERNEL_COLUMNS]
+        new_cols, tail = pfode._taylor_transport(shifted, cols, h, nterms)
+        ref = [reference_taylor_transport(shifted, 2, col, h, nterms) for col in cols]
+        ref_tail = max(t for _, t in ref)
+        scale = max(abs(v) for vals, _ in ref for v in vals)
+        dev = max(abs(a - b) for new, (vals, _) in zip(new_cols, ref)
+                  for a, b in zip(new, vals))
+        assert dev < mpf(10) ** -digits * scale
+        assert ref_tail / 2 <= tail <= 2 * ref_tail
+
+
+def test_precision_doubling_to_two_at_200_digits():
+    lo = pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 200)
+    hi = pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 400)
+    with working_precision(400):
+        dev = max(abs(a - b) for ca, cb in zip(lo.columns, hi.columns)
+                  for a, b in zip(ca, cb))
+        assert dev < mpf(10) ** -190
+
+
 def test_tau_at_quartic_point():
     tau = pfode.tau_at(2, digits=DIGITS)
     with working_precision(DIGITS):
@@ -246,6 +296,28 @@ def test_clearance_violation_raises():
     with pytest.raises(pfode.PathError):
         pfode.continue_solution(pfode.legendre_operator(), bad,
                                 pfode.legendre_frame(F(1, 20), 40), 40)
+
+
+def test_short_last_step_keeps_derivatives():
+    # the derivatives of a step are divided by h, so a step of 1e-45 needs
+    # the kernel's extra guard bits to keep them at full precision
+    end = F(1, 10) + F(1, 10 ** 45)
+    path = pfode.ContinuationPath((F(1, 10), end))
+    start = pfode.legendre_frame(F(1, 10), DIGITS)
+    moved = pfode.continue_solution(pfode.legendre_operator(), path, start, DIGITS)
+    series = pfode.legendre_frame(end, DIGITS)
+    with working_precision(DIGITS):
+        dev = max(abs(a - b) for ca, cb in zip(moved.columns, series.columns)
+                  for a, b in zip(ca, cb))
+        assert dev < mpf(10) ** -DIGITS
+
+
+def test_non_finite_frame_raises():
+    with working_precision(40):
+        frame = pfode.SolutionFrame(as_mpc(F(1, 10)), ((mpc(1), mpc(0)), (mpc(0), mp.inf)))
+    path = pfode.ContinuationPath((F(1, 10), F(1, 5)))
+    with pytest.raises(pfode.PathError):
+        pfode.continue_solution(pfode.legendre_operator(), path, frame, 40)
 
 
 def test_path_needs_two_waypoints():
