@@ -14,8 +14,11 @@ rounds each:
   the precision of the benchmark's ``high-precision`` workload;
 * ``test_legendre_jet`` and ``test_dwork_periods``: the two series sides of
   the mirror-map check at the grid point lambda = 0.3 (``dwork_periods`` at
-  its psi), twenty rounds each after one warm-up round that fills the
-  coefficient caches;
+  its psi), twenty rounds each after one untimed warm-up round;
+* ``test_legendre_jet_200`` and ``test_dwork_periods_200``: the same at 200
+  digits, the precision of the ``high-precision`` workload;
+* ``test_lvalue_termwise[1]`` and ``test_lvalue_termwise[2]``: the L-values
+  L1 and L2 by termwise incomplete-gamma integration (``deligne.lvalue``);
 * ``test_deligne_stage``: what ``mirrorperiods deligne`` computes, that
   transport followed by ``deligne.report`` on its frame;
 * ``test_deligne_report``: ``deligne.report`` alone, on a frame built before
@@ -57,17 +60,40 @@ def test_continue_legendre_to_two_200(benchmark):
     assert frame.order == 2
 
 
-def test_legendre_jet(benchmark):
-    jet = benchmark.pedantic(periods.legendre_jet, args=(GRID_POINT, DIGITS),
+def _bench_legendre_jet(benchmark, digits):
+    jet = benchmark.pedantic(periods.legendre_jet, args=(GRID_POINT, digits),
                              rounds=SERIES_ROUNDS, iterations=1, warmup_rounds=1)
     assert jet.varpi0 != 0
 
 
-def test_dwork_periods(benchmark):
-    psi = periods.quad_map(GRID_POINT, DIGITS).psi
-    dw = benchmark.pedantic(periods.dwork_periods, args=(psi, DIGITS),
+def _bench_dwork_periods(benchmark, digits):
+    psi = periods.quad_map(GRID_POINT, digits).psi
+    dw = benchmark.pedantic(periods.dwork_periods, args=(psi, digits),
                             rounds=SERIES_ROUNDS, iterations=1, warmup_rounds=1)
     assert dw.tau.imag > 0
+
+
+def test_legendre_jet(benchmark):
+    _bench_legendre_jet(benchmark, DIGITS)
+
+
+def test_legendre_jet_200(benchmark):
+    _bench_legendre_jet(benchmark, 200)
+
+
+def test_dwork_periods(benchmark):
+    _bench_dwork_periods(benchmark, DIGITS)
+
+
+def test_dwork_periods_200(benchmark):
+    _bench_dwork_periods(benchmark, 200)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_lvalue_termwise(benchmark, s):
+    res = benchmark.pedantic(deligne.lvalue, args=(s, DIGITS),
+                             rounds=ROUNDS, iterations=1)
+    assert res.value > 0
 
 
 def test_deligne_stage(benchmark):

@@ -263,6 +263,17 @@ def _prime_list(text: str) -> list[int]:
     return primes
 
 
+def _positive_int(text: str) -> int:
+    """--terms: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorperiods",
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", default=None, help="comma-separated identity ids")
     common(p)
     p = sub.add_parser("lambda-series", help="lambda(tau) q-expansion coefficients")
-    p.add_argument("--terms", type=int, default=6)
+    p.add_argument("--terms", type=_positive_int, default=6)
     common(p)
     p = sub.add_parser("mirror-map", help="W1/W0 vs varpi1/varpi0 on the grid")
     common(p)
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deligne", help="L-values, periods and the rational ratios")
     common(p)
     p = sub.add_parser("bps", help="1/Delta expansion and its lambda-side identity")
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_positive_int, default=10)
     common(p)
     p = sub.add_parser("all", help="the full verification battery")
     common(p)

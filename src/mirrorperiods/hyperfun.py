@@ -29,6 +29,9 @@ from .qseries import RationalSeries
 DEFAULT_DIGITS = 120
 MIN_DIGITS = 30
 GUARD_DIGITS = 15
+# Bits the fixed-point kernels (periods' series, pfode's Taylor steps) carry
+# beyond the working precision.
+GUARD_BITS = 80
 
 Number = Union[int, float, Fraction, mpf, mpc]
 
@@ -70,6 +73,19 @@ def as_mpc(x) -> mpc:
     if isinstance(x, str):
         return as_mpc(Fraction(x))
     return mpc(x)
+
+
+def _to_fixed(x: mpf, shift: int) -> int:
+    """x * 2^shift truncated to an int; x must be finite."""
+    sign, man, exp, _ = x._mpf_
+    e = exp + shift
+    v = man << e if e >= 0 else man >> -e
+    return -v if sign else v
+
+
+def _from_fixed(re: int, im: int, shift: int) -> mpc:
+    """(re + i im) / 2^shift, rounded to the working precision."""
+    return mpc(mpf((re, -shift)), mpf((im, -shift)))
 
 
 def half_nome(tau, digits: int = DEFAULT_DIGITS):

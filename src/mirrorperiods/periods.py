@@ -18,6 +18,12 @@ identifies the two worlds: W0 = (1-lam/2) varpi0^2, W1 = (1-lam/2) varpi0
 varpi1, so the quotient W1/W0 is the Legendre period ratio tau.  Everything
 checkable is registered behind check_identity() and reported as an
 IdentityReport.
+
+Both numeric series (legendre_jet, dwork_periods) run their term
+recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
+(80) bits beyond the working precision, in the style of mpmath's hypsum;
+mpmath only converts the argument in and combines the sums with log and pi.
+The term counts are those of `_series_terms` (plus 10 for the Dwork side).
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from typing import NamedTuple, Optional
 from mpmath import mp, mpc, mpf
 
 from . import hyperfun
-from .hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
-                       half_nome, harmonic_sums, hyp2f1_series, theta_const,
-                       working_precision)
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed,
+                       _to_fixed, as_mpc, eta_value, half_nome, harmonic_sums,
+                       hyp2f1_series, theta_const, working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
 _PAD = 8  # extra exact-series slots so residuals stay provable at the asked order
@@ -198,42 +204,24 @@ def _series_terms(absx, digits: int) -> int:
     return max(n + 10, 12)
 
 
-def _varpi0_coeff_floats(nterms: int):
-    out = [mpf(1)]
-    c = mpf(1)
-    for k in range(1, nterms):
-        c *= mpf((2 * k - 1) ** 2) / mpf((2 * k) ** 2)
-        out.append(c)
-    return out
-
-
-def _h_coeff_floats(nterms: int):
-    # same recurrence as h_series, run in floats; all terms positive so the
-    # recursion has no cancellation
-    c = _varpi0_coeff_floats(nterms + 1)
-    g = [mpf(0)]
-    for m in range(nterms - 1):
-        r_m = (2 * m + 1) * c[m] - 2 * (m + 1) * c[m + 1]
-        g.append((mpf(2 * m + 1) ** 2 / 4 * g[m] + r_m) / mpf(m + 1) ** 2)
-    return g
-
-
-def _horner(coeffs, x):
-    acc = mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _horner_deriv(coeffs, x):
-    acc = mpc(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x + k * coeffs[k]
-    return acc
-
-
 def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
-    """(varpi0, varpi0', varpi1, varpi1') at lam, for seeding continuation."""
+    """(varpi0, varpi0', varpi1, varpi1') at lam, for seeding continuation.
+
+    Sums the varpi0 and h series over the first `_series_terms` coefficients
+    on fixed-point Python integers: every value is an (re, im) int pair
+    scaled by 2^P, P = mp.prec + GUARD_BITS.  The terms carried are
+    d_m = c_m lam^(m-1) and e_m = h_m lam^(m-1), m >= 1, with c and h the
+    varpi0 and h coefficients; since R_m = c_m (2m+1)/(2(m+1)) in the
+    h_series recurrence,
+
+        d_(m+1) = lam d_m (2m+1)^2 / (4(m+1)^2),
+        e_(m+1) = lam (2m+1) ((2m+1)(m+1) e_m + 2 d_m) / (4(m+1)^3),
+
+    so the derivatives are sum m d_m and sum m e_m, and the values
+    1 + lam sum d_m and lam sum e_m need no division by lam (which would
+    cost |log2 lam| bits of the fixed-point sums).  mpmath converts lam in
+    and applies the log/pi combination to the four sums.
+    """
     with working_precision(digits):
         lam = as_mpc(lam)
         if lam == 0:
@@ -241,12 +229,34 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
         if abs(lam) > mpf("0.9"):
             raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
         n = _series_terms(abs(lam), digits)
-        c0 = _varpi0_coeff_floats(n)
-        gh = _h_coeff_floats(n)
-        w0 = _horner(c0, lam)
-        dw0 = _horner_deriv(c0, lam)
-        hval = _horner(gh, lam)
-        dh = _horner_deriv(gh, lam)
+        prec = mp.prec + GUARD_BITS
+        lre, lim = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec)
+        dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
+        ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
+        sdre = sdim = sddre = sddim = sere = seim = sdere = sdeim = 0
+        for m in range(1, n):
+            sdre += dre
+            sdim += dim
+            sddre += m * dre
+            sddim += m * dim
+            sere += ere
+            seim += eim
+            sdere += m * ere
+            sdeim += m * eim
+            k, m1 = 2 * m + 1, m + 1
+            den = 4 * m1 * m1
+            xre = (lre * dre - lim * dim) >> prec
+            xim = (lre * dim + lim * dre) >> prec
+            yre = (lre * ere - lim * eim) >> prec
+            yim = (lre * eim + lim * ere) >> prec
+            ere = (k * m1 * yre + 2 * xre) * k // (den * m1)
+            eim = (k * m1 * yim + 2 * xim) * k // (den * m1)
+            dre = xre * k * k // den
+            dim = xim * k * k // den
+        w0 = 1 + lam * _from_fixed(sdre, sdim, prec)
+        dw0 = _from_fixed(sddre, sddim, prec)
+        hval = lam * _from_fixed(sere, seim, prec)
+        dh = _from_fixed(sdere, sdeim, prec)
         pii = mp.pi * mp.mpc(0, 1)
         lg = mp.log(lam) - mp.log(mpf(16))
         w1 = (w0 * lg + hval) / pii
@@ -309,6 +319,13 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
     Polygamma brackets enter as harmonic sums: Psi(4n+1)-Psi(n+1) = H_4n-H_n
     and Psi'(4n+1) - Psi'(n+1)/4 = pi^2/8 - H2_4n + H2_n/4.  Convergence is
     governed by |t| = |psi|^-4; we require |t| <= 1/1.2.
+
+    The `_series_terms` + 10 terms are summed on fixed-point Python
+    integers scaled by 2^P, P = mp.prec + GUARD_BITS: the terms
+    T_n = a_n u^n, u = (4 psi)^-4, as (re, im) int pairs advanced by
+    T_(n+1) = T_n u (4n+1)(4n+2)(4n+3)(4n+4)/(n+1)^4, the four harmonic
+    sums as real ints, and pi^2/8 as one fixed-point constant times
+    sum T_n.  mpmath converts u in and applies the log(4 psi) combination.
     """
     with working_precision(digits):
         psi = as_mpc(psi)
@@ -319,30 +336,38 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
         u = (4 * psi) ** -4
         log4psi = mp.log(4 * psi)
         nterms = _series_terms(at, digits) + 10
-        pi2_8 = mp.pi ** 2 / 8
-        w0 = mpc(0)
-        s1 = mpc(0)
-        s2 = mpc(0)
-        an = 1
-        up = mpc(1)
-        h4 = mpf(0)   # H_{4n}
-        h1 = mpf(0)   # H_n
-        h4_2 = mpf(0)  # H2_{4n}
-        h1_2 = mpf(0)  # H2_n
+        prec = mp.prec + GUARD_BITS
+        one = 1 << prec
+        with mp.workprec(prec):
+            pi2_8 = _to_fixed(mp.pi ** 2 / 8, prec)
+        ure, uim = _to_fixed(u.real, prec), _to_fixed(u.imag, prec)
+        tre, tim = one, 0
+        w0re = w0im = s1re = s1im = s2re = s2im = 0
+        h4 = h1 = h4_2 = h1_2 = 0  # H_4n, H_n, H2_4n, H2_n
         for n in range(nterms):
             if n:
                 for j in range(4 * n - 3, 4 * n + 1):
-                    h4 += mpf(1) / j
-                    h4_2 += mpf(1) / (j * j)
-                h1 += mpf(1) / n
-                h1_2 += mpf(1) / (n * n)
+                    h4 += one // j
+                    h4_2 += one // (j * j)
+                h1 += one // n
+                h1_2 += one // (n * n)
             b = h4 - h1
-            a_up = mpf(an) * up
-            w0 += a_up
-            s1 += a_up * b
-            s2 += a_up * (b * b + pi2_8 - h4_2 + h1_2 / 4)
-            an = an * (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4) // (n + 1) ** 4
-            up *= u
+            c = ((b * b) >> prec) - h4_2 + (h1_2 >> 2)
+            w0re += tre
+            w0im += tim
+            s1re += (tre * b) >> prec
+            s1im += (tim * b) >> prec
+            s2re += (tre * c) >> prec
+            s2im += (tim * c) >> prec
+            f = (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4)
+            g = (n + 1) ** 4
+            tre, tim = (((ure * tre - uim * tim) >> prec) * f // g,
+                        ((ure * tim + uim * tre) >> prec) * f // g)
+        s2re += (pi2_8 * w0re) >> prec
+        s2im += (pi2_8 * w0im) >> prec
+        w0 = _from_fixed(w0re, w0im, prec)
+        s1 = _from_fixed(s1re, s1im, prec)
+        s2 = _from_fixed(s2re, s2im, prec)
         twopii = 2 * mp.pi * mp.mpc(0, 1)
         w1 = (-4 * w0 * log4psi + 4 * s1) / twopii
         w2 = (16 * w0 * log4psi ** 2 - 32 * s1 * log4psi + 16 * s2) / twopii ** 2

@@ -13,7 +13,9 @@ coefficients.  Three things happen here:
   distance to the nearest singularity.  Each step runs the Taylor recurrence
   once for all columns on fixed-point Python integers (the scheme of mpmath's
   hypsum; van der Hoeven, "Fast evaluation of holonomic functions", TCS 210,
-  1999); mpmath only sets up the step and reads off the result.
+  1999); mpmath only sets up the step and reads off the result.  The
+  conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
+  shared with the period series of `periods`.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -30,8 +32,8 @@ from typing import Sequence
 from mpmath import mp, mpc, mpf
 
 from . import periods
-from .hyperfun import (DEFAULT_DIGITS, GUARD_DIGITS, as_mpc,
-                       working_precision)
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
+                       _to_fixed, as_mpc, working_precision)
 from .qseries import RationalSeries, SeriesError
 
 Poly = tuple  # tuple[Fraction, ...], low degree first
@@ -39,10 +41,6 @@ Poly = tuple  # tuple[Fraction, ...], low degree first
 
 class PathError(ValueError):
     """Raised when a continuation path violates clearance or fails to converge."""
-
-
-# Bits carried beyond the working precision by the fixed-point Taylor kernel.
-GUARD_BITS = 80
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +504,6 @@ def _segment_min_distance(a, b, p) -> mpf:
     return abs(a + t * ab - p)
 
 
-def _to_fixed(x: mpf, shift: int) -> int:
-    """x * 2^shift truncated to an int; x must be finite."""
-    sign, man, exp, _ = x._mpf_
-    e = exp + shift
-    v = man << e if e >= 0 else man >> -e
-    return -v if sign else v
-
-
 def _taylor_transport(shifted, columns, h, nterms):
     """One Taylor step for every column at once, on fixed-point integers.
 
@@ -595,7 +585,7 @@ def _taylor_transport(shifted, columns, h, nterms):
                 f = fall[n][d]
                 sre += bre[n] * f
                 sim += bim[n] * f
-            vals.append(mpc(mpf((sre, unit)), mpf((sim, unit))) / hpow[d])
+            vals.append(_from_fixed(sre, sim, -unit) / hpow[d])
         out.append(tuple(vals))
     worst = max(bre[n] ** 2 + bim[n] ** 2 for bre, bim in cols
                 for n in range(max(nterms - 6, 0), nterms))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
+from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
+from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms
 from mirrorperiods.qseries import SeriesError
 
 
@@ -179,3 +181,111 @@ def reference_taylor_transport(shifted, r, inits, h, nterms):
     for n in range(max(len(c) - 6, 0), len(c)):
         tail = max(tail, abs(c[n]) * ah ** n)
     return out, tail
+
+
+# ---------------------------------------------------------------------------
+# mpmath references for the fixed-point period series
+#
+# The term-by-term mpf/mpc summations that periods.legendre_jet and
+# periods.dwork_periods replaced, with the same term counts and
+# preconditions; they return the same tuples.
+# ---------------------------------------------------------------------------
+
+
+def _varpi0_coeff_floats(nterms: int):
+    out = [mpf(1)]
+    c = mpf(1)
+    for k in range(1, nterms):
+        c *= mpf((2 * k - 1) ** 2) / mpf((2 * k) ** 2)
+        out.append(c)
+    return out
+
+
+def _h_coeff_floats(nterms: int):
+    # same recurrence as periods.h_series, run in floats; all terms positive
+    # so the recursion has no cancellation
+    c = _varpi0_coeff_floats(nterms + 1)
+    g = [mpf(0)]
+    for m in range(nterms - 1):
+        r_m = (2 * m + 1) * c[m] - 2 * (m + 1) * c[m + 1]
+        g.append((mpf(2 * m + 1) ** 2 / 4 * g[m] + r_m) / mpf(m + 1) ** 2)
+    return g
+
+
+def _horner(coeffs, x):
+    acc = mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _horner_deriv(coeffs, x):
+    acc = mpc(0)
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * x + k * coeffs[k]
+    return acc
+
+
+def reference_legendre_jet(lam, digits: int):
+    """(varpi0, varpi0', varpi1, varpi1') at lam by Horner over mpf
+    coefficient tables."""
+    with working_precision(digits):
+        lam = as_mpc(lam)
+        if lam == 0:
+            raise PrecisionError("legendre periods are singular at lambda = 0")
+        if abs(lam) > mpf("0.9"):
+            raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
+        n = _series_terms(abs(lam), digits)
+        c0 = _varpi0_coeff_floats(n)
+        gh = _h_coeff_floats(n)
+        w0 = _horner(c0, lam)
+        dw0 = _horner_deriv(c0, lam)
+        hval = _horner(gh, lam)
+        dh = _horner_deriv(gh, lam)
+        pii = mp.pi * mp.mpc(0, 1)
+        lg = mp.log(lam) - mp.log(mpf(16))
+        w1 = (w0 * lg + hval) / pii
+        dw1 = (dw0 * lg + w0 / lam + dh) / pii
+        return LegendreJet(w0, dw0, w1, dw1)
+
+
+def reference_dwork_periods(psi, digits: int):
+    """W0, W1, W2 and tau at psi, summing the u-series term by term in mpc
+    with the harmonic sums in mpf."""
+    with working_precision(digits):
+        psi = as_mpc(psi)
+        t = psi ** -4
+        at = abs(t)
+        if at > 1 / mpf("1.2"):
+            raise PrecisionError("dwork series requires |psi^4| >= 1.2")
+        u = (4 * psi) ** -4
+        log4psi = mp.log(4 * psi)
+        nterms = _series_terms(at, digits) + 10
+        pi2_8 = mp.pi ** 2 / 8
+        w0 = mpc(0)
+        s1 = mpc(0)
+        s2 = mpc(0)
+        an = 1
+        up = mpc(1)
+        h4 = mpf(0)   # H_{4n}
+        h1 = mpf(0)   # H_n
+        h4_2 = mpf(0)  # H2_{4n}
+        h1_2 = mpf(0)  # H2_n
+        for n in range(nterms):
+            if n:
+                for j in range(4 * n - 3, 4 * n + 1):
+                    h4 += mpf(1) / j
+                    h4_2 += mpf(1) / (j * j)
+                h1 += mpf(1) / n
+                h1_2 += mpf(1) / (n * n)
+            b = h4 - h1
+            a_up = mpf(an) * up
+            w0 += a_up
+            s1 += a_up * b
+            s2 += a_up * (b * b + pi2_8 - h4_2 + h1_2 / 4)
+            an = an * (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4) // (n + 1) ** 4
+            up *= u
+        twopii = 2 * mp.pi * mp.mpc(0, 1)
+        w1 = (-4 * w0 * log4psi + 4 * s1) / twopii
+        w2 = (16 * w0 * log4psi ** 2 - 32 * s1 * log4psi + 16 * s2) / twopii ** 2
+        return DworkPeriods(psi, t, w0, w1, w2, w1 / w0)

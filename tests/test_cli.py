@@ -246,3 +246,12 @@ def test_non_prime_is_a_usage_error(primes, capsys):
         cli.main(["fermat-count", "--primes", primes])
     assert exc.value.code == 2
     assert "not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lambda-series", "bps"])
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_nonpositive_terms_is_a_usage_error(command, terms, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--terms", terms])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
-from helpers import agm
+from helpers import agm, reference_dwork_periods, reference_legendre_jet
 from mirrorperiods.hyperfun import PrecisionError, working_precision
 from mirrorperiods.qseries import RationalSeries
 
@@ -182,6 +182,57 @@ def test_dwork_tau_equals_legendre_tau_at_psi_5():
     lp = periods.legendre_periods(lam, DIGITS)
     with working_precision(DIGITS):
         assert abs(dw.tau - lp.tau) < mpf(10) ** (-DIGITS + 15)
+
+
+# The fixed-point series kernels against the mpmath references: every grid
+# point of the mirror-map and W-PI checks, tiny |lambda| on and off the real
+# axis, |lambda| near the 0.9 limit, and psi from huge to near the |psi^4|
+# >= 1.2 limit.  The tolerance 10^-(digits+12) leaves 3 of the working
+# precision's 15 guard digits: the kernels may lose no more than the
+# references' own rounding, and without their guard bits they lose up to 9.
+JET_POINTS = periods.MIRROR_GRID + periods.W_PI_GRID + [
+    (F(1, 10 ** 8), F(0)), (F(0), F(1, 10 ** 30)),
+    (F(9, 10), F(0)), (F(-63, 100), F(63, 100))]
+# psi given directly, or as the psi of a grid lambda under quad_map
+DWORK_POINTS = [("lambda", lam) for lam in periods.MIRROR_GRID + periods.W_PI_GRID] + [
+    ("psi", (F(10 ** 6), F(0))), ("psi", (F(105, 100), F(0))), ("psi", (F(3, 4), F(3, 4)))]
+
+
+def _assert_relative(new, ref, digits):
+    with working_precision(digits):
+        for a, b in zip(new, ref):
+            assert abs(a - b) <= mpf(10) ** -(digits + 12) * abs(b)
+
+
+@pytest.mark.parametrize("digits", [40, 200])
+@pytest.mark.parametrize("lam", JET_POINTS)
+def test_legendre_jet_matches_reference(lam, digits):
+    _assert_relative(periods.legendre_jet(lam, digits),
+                     reference_legendre_jet(lam, digits), digits)
+
+
+@pytest.mark.parametrize("digits", [40, 200])
+@pytest.mark.parametrize("kind, point", DWORK_POINTS)
+def test_dwork_periods_matches_reference(kind, point, digits):
+    psi = periods.quad_map(point, digits).psi if kind == "lambda" else point
+    _assert_relative(periods.dwork_periods(psi, digits),
+                     reference_dwork_periods(psi, digits), digits)
+
+
+def _assert_doubling(lo, hi):
+    with working_precision(400):
+        for a, b in zip(lo, hi):
+            assert abs(a - b) < mpf(10) ** -190 * abs(b)
+
+
+def test_legendre_jet_precision_doubling():
+    lam = (F(-63, 100), F(63, 100))
+    _assert_doubling(periods.legendre_jet(lam, 200), periods.legendre_jet(lam, 400))
+
+
+def test_dwork_periods_precision_doubling():
+    psi = (F(3, 4), F(3, 4))
+    _assert_doubling(periods.dwork_periods(psi, 200), periods.dwork_periods(psi, 400))
 
 
 def test_dwork_divergence_region_rejected():
