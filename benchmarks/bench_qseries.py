@@ -73,5 +73,5 @@ def test_lambda_q_series_70(benchmark):
 
 
 def test_eta6_coefficients_2000(benchmark):
-    out = benchmark(arith.eta6_coefficients.__wrapped__, 2000)
+    out = benchmark(arith.eta6_coefficients, 2000)
     assert out[:6] == (0, 1, 0, 0, 0, -6)

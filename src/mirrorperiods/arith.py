@@ -3,12 +3,15 @@
 Three counting routines feed the zeta records:
 
 * a_p of the Legendre fiber y^2 = x(x-1)(x-lam) via the quadratic-character
-  sum, with a square table per prime (no modular exponentiation needed at
-  this scale);
-* b_p, the p-th coefficient of the weight-3 level-16 newform, read off the
-  full-nome expansion Q prod(1-Q^(4n))^6 (zero unless p = 1 mod 4);
-* N_p of the quartic surface x0^4+x1^4+x2^4+x3^4 = 0 in P^3 by exhaustive
-  enumeration of the four standard affine charts.
+  sum, written as sum chi(x) chi(x-1) chi(x-lam) and evaluated with p-bit
+  masks of the squares and non-squares mod p (rotations and popcounts);
+* b_p, the p-th coefficient of the weight-3 level-16 newform
+  eta(4 tau)^6 = Q prod(1-Q^(4n))^6 (zero unless p = 1 mod 4), from the
+  square of Jacobi's identity for eta^3: an integer double sum over pairs
+  of odd numbers;
+* N_p of the quartic surface x0^4+x1^4+x2^4+x3^4 = 0 in P^3 by enumeration
+  of the four standard affine charts, grouping coordinates by their fourth
+  power.
 
 At lam = 2 the transcendental K3 factor is the symmetric square of the
 elliptic one: b_p = a_p^2 - 2p.  That match is recorded per prime; it fails
@@ -21,10 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
-
-from .qseries import eta_product
 
 
 class BadReductionError(ValueError):
@@ -42,13 +42,8 @@ def primes_below(bound: int) -> list[int]:
     return out
 
 
-def _quadratic_character_table(p: int) -> list[int]:
-    """chi[x] for the quadratic character mod p, chi[0] = 0."""
-    chi = [-1] * p
-    chi[0] = 0
-    for y in range(1, p):
-        chi[y * y % p] = 1
-    return chi
+# byte 0/1 -> ASCII digit, so a 0/1 bytearray reads as one binary int
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def ap_legendre(lam, p: int) -> int:
@@ -58,6 +53,12 @@ def ap_legendre(lam, p: int) -> int:
     up as #E(F_p) = p + 1 - a_p with the point at infinity included.
     Requires p odd and lam != 0, 1 mod p (and p not dividing lam's
     denominator).
+
+    chi is completely multiplicative, so each term is chi(x) chi(x-1)
+    chi(x-l).  The nonzero squares and non-squares mod p are two p-bit masks
+    (bit x for the residue x); x -> x-1 and x -> x-l are rotations of those
+    masks, and the sum is a difference of popcounts of the positions where
+    the three signs multiply to +1 and to -1.
     """
     lam = Fraction(lam)
     if p == 2:
@@ -67,43 +68,57 @@ def ap_legendre(lam, p: int) -> int:
     l = lam.numerator * pow(lam.denominator, -1, p) % p
     if l in (0, 1):
         raise BadReductionError(f"lambda = {l} mod {p} is bad reduction")
-    chi = _quadratic_character_table(p)
-    s = 0
-    for x in range(p):
-        s += chi[x * (x - 1) % p * (x - l) % p]
-    return -s
+    squares = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        squares[y * y % p] = 1
+    full = (1 << p) - 1
+    sq = int(squares[::-1].translate(_BINARY_DIGITS), 2)
+    non = full ^ sq ^ 1  # bit 0 is the residue 0, where chi vanishes
+
+    def shift(mask: int, k: int) -> int:
+        """Bit x of the result is bit (x - k) mod p of mask."""
+        return ((mask << k) | (mask >> (p - k))) & full
+
+    sq1, non1 = shift(sq, 1), shift(non, 1)
+    sql, nonl = shift(sq, l), shift(non, l)
+    even = (sq & sq1) | (non & non1)  # chi(x) chi(x-1) = +1
+    odd = (sq & non1) | (non & sq1)  # chi(x) chi(x-1) = -1
+    pos = (even & sql) | (odd & nonl)
+    neg = (even & nonl) | (odd & sql)
+    return neg.bit_count() - pos.bit_count()
 
 
-def ap_cubic(a2: int, a4: int, a6: int, p: int) -> int:
-    """Trace of Frobenius of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_p (p odd,
-    smooth reduction assumed); used for the minimal model y^2 = x^3 - x."""
-    if p == 2:
-        raise BadReductionError("p = 2 not supported by the character sum")
-    chi = _quadratic_character_table(p)
-    s = 0
-    for x in range(p):
-        s += chi[(x * x % p * x + a2 * x * x + a4 * x + a6) % p]
-    return -s
-
-
-@lru_cache(maxsize=8)
 def eta6_coefficients(limit: int) -> tuple[int, ...]:
     """Coefficients c[n] of the full-nome expansion Q prod(1-Q^(4k))^6 for
-    n <= limit; c[n] is the n-th newform coefficient (b_n for prime n)."""
-    series = eta_product(4, 6, limit)
+    n <= limit; c[n] is the n-th newform coefficient (b_n for prime n).
+
+    Jacobi's identity eta^3 = sum_(a odd > 0) (-1)^((a-1)/2) a q^(a^2/8)
+    makes eta(4 tau)^3 = sum (-1)^((a-1)/2) a Q^(a^2/2), so eta(4 tau)^6 is
+    the double sum over odd a, b of (-1)^((a-1)/2 + (b-1)/2) a b
+    Q^((a^2+b^2)/2): about pi limit / 8 integer terms.
+    """
     out = [0] * (limit + 1)
-    for k, c in enumerate(series.coeffs):
-        n = 1 + k
-        if n <= limit:
-            out[n] = int(c)
+    signed = []  # (a^2, (-1)^((a-1)/2) a) for odd a with (a^2 + 1)/2 <= limit
+    a = 1
+    while a * a + 1 <= 2 * limit:
+        signed.append((a * a, a if a % 4 == 1 else -a))
+        a += 2
+    for a2, sa in signed:
+        for b2, sb in signed:
+            n = (a2 + b2) // 2
+            if n > limit:
+                break
+            out[n] += sa * sb
     return tuple(out)
 
 
 def bp_eta(p: int, coefficients: Optional[Sequence[int]] = None) -> int:
     """b_p: coefficient of Q^p in the weight-3 newform expansion.
 
-    Every exponent in Q prod(1-Q^(4n))^6 is 1 mod 4, so b_p = 0 whenever
-    p != 1 mod 4.  Pass a cached coefficient table for bulk queries.
+    Every exponent (a^2 + b^2)/2 of the Jacobi double sum for eta(4 tau)^6
+    (a, b odd) is 1 mod 4, so b_p = 0 whenever p != 1 mod 4.  Otherwise b_p
+    is read off `coefficients`, an `eta6_coefficients` table reaching p, or
+    off a table built to p here; pass one table for bulk queries.
     """
     if p % 2 == 0:
         raise BadReductionError("b_p is defined here for odd primes only")
@@ -114,30 +129,35 @@ def bp_eta(p: int, coefficients: Optional[Sequence[int]] = None) -> int:
 
 
 def fermat_quartic_count(p: int, bound: int = 101) -> int:
-    """Points of x0^4 + x1^4 + x2^4 + x3^4 = 0 in P^3(F_p), by exhaustive
-    enumeration of the affine charts x0=1; x0=0,x1=1; x0=x1=0,x2=1;
-    x0=x1=x2=0,x3=1 (a partition of P^3, so the counts just add).
+    """Points of x0^4 + x1^4 + x2^4 + x3^4 = 0 in P^3(F_p), by enumeration
+    of the affine charts x0=1; x0=0,x1=1; x0=x1=0,x2=1; x0=x1=x2=0,x3=1 (a
+    partition of P^3, so the counts just add).
 
-    O(p^3); refuses p beyond `bound` to keep runtimes predictable.
+    Each chart's count depends on the coordinates only through their fourth
+    powers, so x is grouped by v = x^4: with cnt[v] = #{x : x^4 = v}, the
+    chart x0 = 1 has sum over fourth powers v1, v2 of cnt[v1] cnt[v2]
+    cnt[-(1+v1+v2)] points.  There are (p-1)/gcd(4, p-1) + 1 fourth powers,
+    so that is about p^2/16 steps for p = 1 mod 4.  Refuses p beyond `bound`
+    to keep runtimes predictable.
     """
     if p == 2:
         raise BadReductionError("p = 2 is a bad prime for the quartic surface")
     if p > bound:
         raise ValueError(f"p = {p} exceeds the enumeration bound {bound}")
-    pow4 = [pow(x, 4, p) for x in range(p)]
+    cnt = [0] * p
+    for x in range(p):
+        cnt[pow(x, 4, p)] += 1
+    support = [(v, c) for v, c in enumerate(cnt) if c]
     total = 0
-    # chart x0 = 1: count x3 with x3^4 = -(1 + x1^4 + x2^4) for each (x1, x2)
-    for x1 in range(p):
-        s1 = 1 + pow4[x1]
-        for x2 in range(p):
-            need = (-(s1 + pow4[x2])) % p
-            total += pow4.count(need)
+    # chart x0 = 1: x3^4 = -(1 + x1^4 + x2^4)
+    for v1, c1 in support:
+        for v2, c2 in support:
+            total += c1 * c2 * cnt[-(1 + v1 + v2) % p]
     # chart x0 = 0, x1 = 1
-    for x2 in range(p):
-        need = (-(1 + pow4[x2])) % p
-        total += pow4.count(need)
+    for v2, c2 in support:
+        total += c2 * cnt[-(1 + v2) % p]
     # chart x0 = x1 = 0, x2 = 1
-    total += pow4.count((-1) % p)
+    total += cnt[-1 % p]
     # chart x0 = x1 = x2 = 0, x3 = 1: 1 = 0 has no solutions
     return total
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +39,8 @@ class RunConfig:
     output: str | None = None
     timings: bool = False
 
-    def validate(self, parser: argparse.ArgumentParser, command: str):
+    def validate(self, parser: argparse.ArgumentParser, command: str,
+                 primes: Sequence[int] = ()):
         if self.digits < 30:
             parser.error("--digits must be >= 30")
         if self.order < 4:
@@ -49,6 +51,10 @@ class RunConfig:
             parser.error(f"tsv output is only available for {sorted(TABULAR_COMMANDS)}")
         if command in ("deligne", "all") and not 40 <= self.digits <= deligne.MAX_DIGITS:
             parser.error(f"{command} needs 40 <= --digits <= {deligne.MAX_DIGITS}")
+        beyond = [str(p) for p in primes if p > self.quartic_bound]
+        if beyond:
+            parser.error(f"--primes: p = {', '.join(beyond)} beyond "
+                         f"--quartic-bound {self.quartic_bound}")
 
     def to_dict(self) -> dict:
         return {"digits": self.digits, "order": self.order, "pmax": self.pmax,
@@ -260,6 +266,8 @@ def _prime_list(text: str) -> list[int]:
                  if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))]
     if composite:
         raise argparse.ArgumentTypeError(f"not prime: {', '.join(composite)}")
+    if 2 in primes:
+        raise argparse.ArgumentTypeError("p = 2 is a bad prime for the quartic surface")
     return primes
 
 
@@ -355,7 +363,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(digits=args.digits, order=args.order, pmax=args.pmax,
                     quartic_bound=args.quartic_bound, fmt=args.fmt,
                     output=args.output, timings=args.timings)
-    cfg.validate(parser, args.command)
+    cfg.validate(parser, args.command, getattr(args, "primes", ()))
     t0 = time.perf_counter()
     try:
         entries = run_command(args.command, cfg, args)

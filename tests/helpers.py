@@ -2,9 +2,11 @@
 implementations used to cross-check the package's own routines."""
 
 from fractions import Fraction
+from math import comb, isqrt
 
 from mpmath import mp, mpc, mpf
 
+from mirrorperiods.arith import BadReductionError
 from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
 from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms
 from mirrorperiods.qseries import SeriesError
@@ -289,3 +291,99 @@ def reference_dwork_periods(psi, digits: int):
         w1 = (-4 * w0 * log4psi + 4 * s1) / twopii
         w2 = (16 * w0 * log4psi ** 2 - 32 * s1 * log4psi + 16 * s2) / twopii ** 2
         return DworkPeriods(psi, t, w0, w1, w2, w1 / w0)
+
+
+# ---------------------------------------------------------------------------
+# Plain-loop references for the arithmetic kernels
+#
+# The character-table and triple-loop counts that arith.ap_legendre and
+# arith.fermat_quartic_count replaced, with the same preconditions, plus
+# the cubic-model trace used to cross-check lambda = 2 against y^2 = x^3 - x.
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_character_table(p: int) -> list[int]:
+    """chi[x] for the quadratic character mod p, chi[0] = 0."""
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, p):
+        chi[y * y % p] = 1
+    return chi
+
+
+def reference_ap_legendre(lam, p: int) -> int:
+    """-sum_x chi(x(x-1)(x-lam)) by one character-table lookup per x."""
+    lam = Fraction(lam)
+    if p == 2:
+        raise BadReductionError("p = 2 is always bad for the Legendre model")
+    if lam.denominator % p == 0:
+        raise BadReductionError(f"lambda has a pole mod {p}")
+    l = lam.numerator * pow(lam.denominator, -1, p) % p
+    if l in (0, 1):
+        raise BadReductionError(f"lambda = {l} mod {p} is bad reduction")
+    chi = _quadratic_character_table(p)
+    s = 0
+    for x in range(p):
+        s += chi[x * (x - 1) % p * (x - l) % p]
+    return -s
+
+
+def ap_cubic(a2: int, a4: int, a6: int, p: int) -> int:
+    """Trace of Frobenius of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_p (p odd,
+    smooth reduction assumed); used for the minimal model y^2 = x^3 - x."""
+    if p == 2:
+        raise BadReductionError("p = 2 not supported by the character sum")
+    chi = _quadratic_character_table(p)
+    s = 0
+    for x in range(p):
+        s += chi[(x * x % p * x + a2 * x * x + a4 * x + a6) % p]
+    return -s
+
+
+def reference_fermat_quartic_count(p: int) -> int:
+    """Points of x0^4 + x1^4 + x2^4 + x3^4 = 0 in P^3(F_p) by the four
+    affine charts, looping over every (x1, x2) of the chart x0 = 1."""
+    pow4 = [pow(x, 4, p) for x in range(p)]
+    total = 0
+    for x1 in range(p):
+        s1 = 1 + pow4[x1]
+        for x2 in range(p):
+            total += pow4.count(-(s1 + pow4[x2]) % p)
+    for x2 in range(p):
+        total += pow4.count(-(1 + pow4[x2]) % p)
+    return total + pow4.count(-1 % p)
+
+
+def hasse_ap_legendre(lam, p: int) -> int:
+    """a_p of y^2 = x(x-1)(x-lam) from the Hasse invariant: the truncated
+    period series gives a_p = (-1)^m sum_(k<=m) C(m,k)^2 lam^k (mod p),
+    m = (p-1)/2, and |a_p| <= 2 sqrt(p) < p/2 (p >= 17) picks the lift."""
+    if p < 17:
+        raise ValueError("the Weil bound fixes the lift only for p >= 17")
+    lam = Fraction(lam)
+    l = lam.numerator * pow(lam.denominator, -1, p) % p
+    m = (p - 1) // 2
+    s = sum(comb(m, k) ** 2 * pow(l, k, p) for k in range(m + 1))
+    r = (-1) ** m * s % p
+    return r - p if r > p // 2 else r
+
+
+def cornacchia_bp(p: int) -> int:
+    """b_p of eta(4 tau)^6 by CM: solve p = x^2 + 4y^2 by Cornacchia's
+    algorithm, then b_p = 2(x^2 - 4y^2) (x is odd); zero unless p = 1 mod 4."""
+    if p % 4 != 1:
+        return 0
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    r = 2 * pow(c, (p - 1) // 4, p) % p  # r^2 = -4 mod p
+    if r < p // 2:
+        r = p - r
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    y2, rem = divmod(p - b * b, 4)
+    y = isqrt(y2)
+    if rem or y * y != y2:
+        raise ArithmeticError(f"{p} is not x^2 + 4y^2")
+    return 2 * (b * b - 4 * y2)

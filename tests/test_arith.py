@@ -5,7 +5,15 @@ import pytest
 from mpmath import mp, mpf
 
 import mirrorperiods.arith as arith
-from helpers import brute_euler_power
+from helpers import (ap_cubic, brute_euler_power, cornacchia_bp, hasse_ap_legendre,
+                     reference_ap_legendre, reference_fermat_quartic_count)
+from mirrorperiods.qseries import eta_product
+
+SAMPLE_LAMBDAS = (F(2), F(-7, 13), F(3, 5))
+
+
+def _odd_primes_below(bound):
+    return [p for p in arith.primes_below(bound) if p > 2]
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +66,50 @@ def test_ap_minimal_model_matches_legendre_below_500():
     for p in arith.primes_below(500):
         if p == 2:
             continue
-        assert arith.ap_legendre(2, p) == arith.ap_cubic(0, -1, 0, p)
+        assert arith.ap_legendre(2, p) == ap_cubic(0, -1, 0, p)
 
 
 def test_ap_vanishes_for_p_3_mod_4():
     for p in arith.primes_below(500):
         if p > 2 and p % 4 == 3:
             assert arith.ap_legendre(2, p) == 0
+
+
+def test_ap_matches_character_table_every_lambda_below_200():
+    for p in _odd_primes_below(200):
+        for l in range(2, p):
+            assert arith.ap_legendre(l, p) == reference_ap_legendre(l, p), (l, p)
+
+
+@pytest.mark.parametrize("lam", SAMPLE_LAMBDAS, ids=str)
+def test_ap_matches_character_table_below_2000(lam):
+    checked = 0
+    for p in _odd_primes_below(2000):
+        try:
+            expected = reference_ap_legendre(lam, p)
+        except arith.BadReductionError:
+            with pytest.raises(arith.BadReductionError):
+                arith.ap_legendre(lam, p)
+            continue
+        assert arith.ap_legendre(lam, p) == expected, p
+        checked += 1
+    assert checked > 290
+
+
+@pytest.mark.parametrize("lam", SAMPLE_LAMBDAS, ids=str)
+def test_ap_matches_hasse_invariant(lam):
+    # independent of any point count: the truncated period series mod p
+    checked = 0
+    for p in _odd_primes_below(800):
+        if p < 17:
+            continue
+        try:
+            ap = arith.ap_legendre(lam, p)
+        except arith.BadReductionError:
+            continue
+        assert ap == hasse_ap_legendre(lam, p), p
+        checked += 1
+    assert checked > 130
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +134,28 @@ def test_bp_vanishes_off_1_mod_4():
 def test_bp_rejects_even():
     with pytest.raises(arith.BadReductionError):
         arith.bp_eta(2)
+
+
+def test_eta6_table_matches_euler_product():
+    # Q prod(1-Q^(4n))^6 expanded by the exact series kernels, to Q^2000
+    series = eta_product(4, 6, 2000)
+    expected = [0] * 2001
+    for k, c in enumerate(series.coeffs):
+        if 1 + k <= 2000:
+            expected[1 + k] = int(c)
+    assert arith.eta6_coefficients(2000) == tuple(expected)
+
+
+def test_eta6_table_matches_cm_values_below_5000():
+    table = arith.eta6_coefficients(5000)
+    for p in _odd_primes_below(5000):
+        assert table[p] == cornacchia_bp(p), p
+
+
+def test_eta6_table_short_limits():
+    assert arith.eta6_coefficients(0) == (0,)
+    assert arith.eta6_coefficients(1) == (0, 1)
+    assert arith.eta6_coefficients(5) == (0, 1, 0, 0, 0, -6)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +184,11 @@ def test_fermat_count_p3_recorded_without_prediction():
 def test_fermat_count_bound():
     with pytest.raises(ValueError):
         arith.fermat_quartic_count(103, bound=101)
+
+
+@pytest.mark.parametrize("p", _odd_primes_below(102) + [113, 137, 193, 233, 241])
+def test_fermat_count_matches_triple_loop(p):
+    assert arith.fermat_quartic_count(p, bound=241) == reference_fermat_quartic_count(p)
 
 
 # ---------------------------------------------------------------------------

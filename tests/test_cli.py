@@ -120,6 +120,10 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
     r = run_subprocess(["deligne", "--format", "tsv"])
     assert r.returncode == 2
+    for argv in (["fermat-count", "--primes", "2"], ["fermat-count", "--primes", "103"]):
+        r = run_subprocess(argv)
+        assert r.returncode == 2
+        assert r.stderr.startswith("usage:") and "Traceback" not in r.stderr
 
 
 def test_byte_stable_reports():
@@ -246,6 +250,25 @@ def test_non_prime_is_a_usage_error(primes, capsys):
         cli.main(["fermat-count", "--primes", primes])
     assert exc.value.code == 2
     assert "not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--primes", "2"], "p = 2 is a bad prime"),
+    (["--primes", "17,2"], "p = 2 is a bad prime"),
+    (["--primes", "103"], "p = 103 beyond --quartic-bound 101"),
+    (["--primes", "17,241", "--quartic-bound", "200"], "p = 241 beyond --quartic-bound 200"),
+])
+def test_uncountable_prime_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fermat-count", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_prime_at_quartic_bound_is_counted(capsys):
+    code, out = run_main(["fermat-count", "--primes", "103", "--quartic-bound", "103"], capsys)
+    assert code == 0
+    assert json.loads(out)["entries"][0]["count"] == 10816
 
 
 @pytest.mark.parametrize("command", ["lambda-series", "bps"])
