@@ -162,27 +162,6 @@ def fermat_quartic_count(p: int, bound: int = 101) -> int:
     return total
 
 
-def chi16(n: int) -> int:
-    """The Dirichlet character mod 16 with chi(5) = 1, chi(15) = -1.
-
-    (Z/16Z)^x is generated by 15 and 5 (orders 2 and 4); the two printed
-    generator values pin the character uniquely, and they force chi(5)'s
-    order to divide 4 with chi(5) = 1, so chi factors through {+-1}.
-    """
-    n %= 16
-    if n % 2 == 0:
-        return 0
-    # decompose n = (-1)^a * 5^b mod 16
-    for a in (0, 1):
-        m = (n * pow(15, a, 16)) % 16
-        x = 1
-        for b in range(4):
-            if x == m:
-                return (-1) ** a  # chi(5) = 1 kills the 5-part
-            x = x * 5 % 16
-    raise ArithmeticError(f"{n} not generated by 15 and 5 mod 16")
-
-
 @dataclass(frozen=True)
 class ZetaRecord:
     """Per-prime zeta data for a Legendre fiber and the quartic surface.

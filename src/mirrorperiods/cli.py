@@ -1,10 +1,17 @@
 """Command-line front end: deterministic JSON/TSV verification reports.
 
-Every command recomputes from scratch and emits a machine-readable report;
-identical configuration and version produce byte-identical output (timing
-data is only included behind --timings, which deliberately breaks that).
-Exit code 0 means every non-informational entry passed, 1 means some check
-failed, 2 means a usage error.
+One runner produces every report.  COMMANDS maps each subcommand to
+run(cfg, args) -> entries: `args` holds the subcommand's own options, `cfg`
+(RunConfig) the shared ones and the objects a run computes once.  `all` is
+ALL, a tuple of subcommand argv selections, each parsed by the same parser,
+so the battery gets every subcommand's own defaults and validation.
+
+Exit codes: 0 every non-informational entry passed, 1 some check failed,
+2 bad input.  Input is checked before anything runs (argparse and
+RunConfig.validate, with the typed command's usage line).  After that, a
+computation error in a selection is one FAIL entry named after it.
+Identical configuration and version produce byte-identical output;
+--timings adds wall-clock data and deliberately breaks that.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +32,12 @@ from .hyperfun import PrecisionError, working_precision
 from .qseries import SeriesError
 
 TABULAR_COMMANDS = {"zeta", "fermat-count"}
+# the `all` battery, in report order
+ALL = (("identities",), ("lambda-series",), ("mirror-map",), ("continue",),
+       ("continue", "--target", "2sqrt2-2"), ("zeta",), ("fermat-count",),
+       ("deligne",), ("bps",))
+# failed computations: each ends its selection as one FAIL entry
+COMPUTATION_ERRORS = (PrecisionError, pfode.PathError, SeriesError, ArithmeticError)
 
 
 @dataclass
@@ -39,19 +51,19 @@ class RunConfig:
     output: str | None = None
     timings: bool = False
 
-    def validate(self, parser: argparse.ArgumentParser, command: str,
-                 primes: Sequence[int] = ()):
+    def validate(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
+        """Reject, through parser.error, a run of the selection `args`."""
         if self.digits < 30:
             parser.error("--digits must be >= 30")
         if self.order < 4:
             parser.error("--order must be >= 4")
         if self.pmax <= 0 or self.quartic_bound <= 0:
             parser.error("prime bounds must be positive")
-        if self.fmt == "tsv" and command not in TABULAR_COMMANDS:
+        if self.fmt == "tsv" and args.command not in TABULAR_COMMANDS:
             parser.error(f"tsv output is only available for {sorted(TABULAR_COMMANDS)}")
-        if command in ("deligne", "all") and not 40 <= self.digits <= deligne.MAX_DIGITS:
-            parser.error(f"{command} needs 40 <= --digits <= {deligne.MAX_DIGITS}")
-        beyond = [str(p) for p in primes if p > self.quartic_bound]
+        if args.command == "deligne" and not 40 <= self.digits <= deligne.MAX_DIGITS:
+            parser.error(f"deligne needs 40 <= --digits <= {deligne.MAX_DIGITS}")
+        beyond = [str(p) for p in getattr(args, "primes", ()) if p > self.quartic_bound]
         if beyond:
             parser.error(f"--primes: p = {', '.join(beyond)} beyond "
                          f"--quartic-bound {self.quartic_bound}")
@@ -73,32 +85,38 @@ def _entry(name: str, passed: bool, informational: bool = False, **data) -> dict
     return out
 
 
-def _report_extras(rep) -> dict:
-    return {k: v for k, v in rep.to_dict().items()
-            if k not in ("identity", "passed", "informational")}
+def _judge(residual, tolerance) -> tuple[bool, dict]:
+    """The one numeric pass rule, residual <= tolerance, and the entry
+    fields that report it."""
+    return residual <= tolerance, {"residual": mp.nstr(residual, 6),
+                                   "tolerance": mp.nstr(tolerance, 3)}
+
+
+def _identity_entry(rep: periods.IdentityReport) -> dict:
+    data = rep.to_dict()
+    return _entry(data.pop("identity"), data.pop("passed"), data.pop("informational"), **data)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a list of entries
+# command handlers: run(cfg, args) -> list of entries
 # ---------------------------------------------------------------------------
 
 
-def _run_identities(cfg: RunConfig, ids=None) -> list[dict]:
+def _run_identities(cfg: RunConfig, args) -> list[dict]:
     entries = []
-    for name in (ids or periods.identity_ids()):
+    for name in args.ids or periods.identity_ids():
         t0 = time.perf_counter()
         order = periods.identity_order(name, cfg.order)
-        rep = periods.check_identity(name, order, digits=cfg.digits)
-        e = _entry(name, rep.passed, rep.informational, **_report_extras(rep))
+        e = _identity_entry(periods.check_identity(name, order, digits=cfg.digits))
         if cfg.timings:
             e["seconds"] = round(time.perf_counter() - t0, 3)
         entries.append(e)
     return entries
 
 
-def _run_lambda_series(cfg: RunConfig, terms: int) -> list[dict]:
-    series = periods.lambda_q_series(terms + 1)
-    coeffs = [series.coefficient(k) for k in range(1, terms + 1)]
+def _run_lambda_series(cfg: RunConfig, args) -> list[dict]:
+    series = periods.lambda_q_series(args.terms + 1)
+    coeffs = [series.coefficient(k) for k in range(1, args.terms + 1)]
     all_divisible = all(c.denominator == 1 and int(c) % 16 == 0 for c in coeffs)
     return [
         _entry("lambda-q-coefficients", True, informational=True,
@@ -108,21 +126,19 @@ def _run_lambda_series(cfg: RunConfig, terms: int) -> list[dict]:
     ]
 
 
-def _run_mirror_map(cfg: RunConfig) -> list[dict]:
+def _run_mirror_map(cfg: RunConfig, args) -> list[dict]:
     entries = []
     with working_precision(cfg.digits):
         tol = mpf(10) ** (-(cfg.digits - 15))
-        for lam, res in periods.mirror_map_residuals(cfg.digits):
-            entries.append(_entry(
-                "mirror-vs-period", bool(res < tol), informational=False,
-                point=str(lam), residual=mp.nstr(res, 6), tolerance=mp.nstr(tol, 3)))
+    for lam, res in periods.mirror_map_residuals(cfg.digits):
+        passed, judged = _judge(res, tol)
+        entries.append(_entry("mirror-vs-period", passed, point=str(lam), **judged))
     return entries
 
 
-def _run_continue(cfg: RunConfig, target: str, path_json: str | None) -> list[dict]:
-    path = pfode.ContinuationPath.from_json(path_json) if path_json else None
+def _run_continue(cfg: RunConfig, args) -> list[dict]:
+    target, path = args.target, args.path
     with working_precision(cfg.digits):
-        tol = mpf(10) ** -30
         if target == "2sqrt2-2":
             lam = 2 * mp.sqrt(2) - 2
             expected = mp.mpc(0, 1) / mp.sqrt(2)
@@ -137,25 +153,22 @@ def _run_continue(cfg: RunConfig, target: str, path_json: str | None) -> list[di
         tau = pfode.tau_at(lam, path=path, digits=cfg.digits)
     with working_precision(cfg.digits):
         used = path if path is not None else pfode.default_path(lam, cfg.digits)
-        e = {
-            "tau": mp.nstr(tau, cfg.digits),
-            "path": used.to_json(),
-            "im_positive": bool(tau.imag > 0),
-        }
-        if expected is not None:
-            res = abs(tau - expected)
-            return [_entry(label, bool(res < tol and tau.imag > 0),
-                           expected=mp.nstr(expected, 30),
-                           residual=mp.nstr(res, 6), tolerance=mp.nstr(tol, 3), **e)]
-        return [_entry(label, bool(tau.imag > 0), informational=False, **e)]
+        e = {"tau": mp.nstr(tau, cfg.digits), "path": used.to_json(),
+             "im_positive": bool(tau.imag > 0)}
+        if expected is None:
+            return [_entry(label, tau.imag > 0, **e)]
+        passed, judged = _judge(abs(tau - expected), mpf(10) ** -30)
+        return [_entry(label, passed and tau.imag > 0,
+                       expected=mp.nstr(expected, 30), **judged, **e)]
 
 
-def _run_zeta(cfg: RunConfig, lam: Fraction, with_counts: bool = False) -> list[dict]:
+def _run_zeta(cfg: RunConfig, args) -> list[dict]:
+    lam = args.lam
     entries = []
     for rec in arith.zeta_table(lam, cfg.pmax):
         ok = rec.weil_ok and (rec.sym2_match is not False or rec.p % 4 == 3)
         extra = rec.to_dict()
-        if with_counts and lam == 2 and rec.p <= cfg.quartic_bound:
+        if args.with_quartic_counts and lam == 2 and rec.p <= cfg.quartic_bound:
             extra["n_p_fermat"] = arith.fermat_quartic_count(rec.p, cfg.quartic_bound)
         entries.append(_entry(f"p={rec.p}", ok,
                               informational=(rec.p % 4 == 3 and lam == 2),
@@ -166,55 +179,41 @@ def _run_zeta(cfg: RunConfig, lam: Fraction, with_counts: bool = False) -> list[
     return entries
 
 
-def _run_fermat_count(cfg: RunConfig, primes: list[int]) -> list[dict]:
+def _run_fermat_count(cfg: RunConfig, args) -> list[dict]:
     entries = []
-    for p in primes:
+    for p in args.primes:
         chk = arith.fermat_decomposition_check(p, cfg.quartic_bound)
         passed = chk["match"] is not False
         entries.append(_entry(f"p={p}", passed, informational=chk["match"] is None, **chk))
     return entries
 
 
-def _run_deligne(cfg: RunConfig) -> list[dict]:
-    # The digit range is validated up front, so these errors (the transport
-    # to lambda = 2 included) are failed computations, not bad input.
-    try:
-        rep = deligne.report(cfg.frame_at_two, cfg.digits)
-    except (PrecisionError, pfode.PathError, deligne.ReconstructionError) as exc:
-        return [_entry("deligne", False, error=f"{type(exc).__name__}: {exc}")]
-    entries = [_entry("deligne-summary", True, informational=True,
-                      **{k: v for k, v in rep.items() if k != "checks"})]
-    for chk in rep["checks"]:
-        entries.append(_entry(chk["name"], chk["passed"],
-                              residual=chk["residual"], tolerance=chk["tolerance"]))
-    entries.append(_entry("ratio1-is-16", rep["ratio1"] == "16", value=rep["ratio1"]))
-    entries.append(_entry("ratio2-is-minus-64", rep["ratio2"] == "-64", value=rep["ratio2"]))
+def _run_deligne(cfg: RunConfig, args) -> list[dict]:
+    rep = deligne.report(cfg.frame_at_two, cfg.digits)
+    entries = [_entry("deligne-summary", True, informational=True, **rep["summary"])]
+    for name, res, tol in rep["checks"]:
+        passed, judged = _judge(res, tol)
+        entries.append(_entry(name, passed, **judged))
+    ratio1, ratio2 = rep["ratios"]
+    entries.append(_entry("ratio1-is-16", ratio1 == 16, value=str(ratio1)))
+    entries.append(_entry("ratio2-is-minus-64", ratio2 == -64, value=str(ratio2)))
     return entries
 
 
-def _run_bps(cfg: RunConfig, terms: int) -> list[dict]:
-    series = periods.bps_series(terms)
+def _run_bps(cfg: RunConfig, args) -> list[dict]:
+    series = periods.bps_series(args.terms)
     coeffs = [str(c) for c in series.coeffs]
-    rep = periods.check_identity("BPS", min(terms, 16), digits=cfg.digits)
+    rep = periods.check_identity("BPS", min(args.terms, 16), digits=cfg.digits)
     return [
         _entry("bps-coefficients", True, informational=True,
                offset=str(series.offset), coefficients=coeffs),
-        _entry("BPS", rep.passed, **_report_extras(rep)),
+        _identity_entry(rep),
     ]
 
 
-def _run_all(cfg: RunConfig) -> list[dict]:
-    entries = []
-    entries += _run_identities(cfg)
-    entries += _run_lambda_series(cfg, 6)
-    entries += _run_mirror_map(cfg)
-    entries += _run_continue(cfg, "2", None)
-    entries += _run_continue(cfg, "2sqrt2-2", None)
-    entries += _run_zeta(cfg, Fraction(2))
-    entries += _run_fermat_count(cfg, [17, 41, 73, 89, 97])
-    entries += _run_deligne(cfg)
-    entries += _run_bps(cfg, 10)
-    return entries
+COMMANDS = {"identities": _run_identities, "lambda-series": _run_lambda_series,
+            "mirror-map": _run_mirror_map, "continue": _run_continue, "zeta": _run_zeta,
+            "fermat-count": _run_fermat_count, "deligne": _run_deligne, "bps": _run_bps}
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,31 @@ def _nonsingular_lambda(text: str) -> Fraction:
     return lam
 
 
+def _target(text: str) -> str:
+    """--target: a --lambda value, or the literal 2sqrt2-2."""
+    if text != "2sqrt2-2":
+        _nonsingular_lambda(text)
+    return text
+
+
+def _path(text: str) -> pfode.ContinuationPath:
+    """--path: a JSON list of at least two [re, im] waypoints."""
+    try:
+        return pfode.ContinuationPath.from_json(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a JSON list of at least two [re, im] pairs: {text!r}") from None
+
+
+def _identity_list(text: str) -> list[str]:
+    """--ids: comma-separated registered identity ids."""
+    ids = text.split(",")
+    unknown = [repr(i) for i in ids if i not in periods.IDENTITIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown identity id: {', '.join(unknown)}")
+    return ids
+
+
 def _prime_list(text: str) -> list[int]:
     """--primes: a comma-separated list of primes."""
     try:
@@ -289,7 +313,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p = sub.add_parser("identities", help="run the exact/numeric identity registry")
+    p.add_argument("--ids", type=_identity_list, default=None,
+                   help="comma-separated identity ids")
+    p = sub.add_parser("lambda-series", help="lambda(tau) q-expansion coefficients")
+    p.add_argument("--terms", type=_positive_int, default=6)
+    sub.add_parser("mirror-map", help="W1/W0 vs varpi1/varpi0 on the grid")
+    p = sub.add_parser("continue", help="analytic continuation of tau to a target")
+    p.add_argument("--target", type=_target, default="2",
+                   help="decimal lambda target, or the literal 2sqrt2-2")
+    p.add_argument("--path", type=_path, default=None,
+                   help='JSON waypoints [["re","im"],...] (decimal strings)')
+    p = sub.add_parser("zeta", help="per-prime zeta records for a Legendre fiber")
+    p.add_argument("--lambda", dest="lam", default="2", type=_nonsingular_lambda,
+                   help="rational lambda other than 0 and 1 (e.g. 2 or 3/5)")
+    p.add_argument("--with-quartic-counts", action="store_true",
+                   help="append N_p of the quartic surface for p within the count bound")
+    p = sub.add_parser("fermat-count", help="exhaustive quartic-surface point counts")
+    p.add_argument("--primes", default="17,41,73,89,97", type=_prime_list,
+                   help="comma-separated primes")
+    sub.add_parser("deligne", help="L-values, periods and the rational ratios")
+    p = sub.add_parser("bps", help="1/Delta expansion and its lambda-side identity")
+    p.add_argument("--terms", type=_positive_int, default=10)
+    sub.add_parser("all", help="the full verification battery")
+
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)  # validation errors show this usage line
         p.add_argument("--digits", type=int, default=120)
         p.add_argument("--order", type=int, default=40)
         p.add_argument("--pmax", type=int, default=500)
@@ -299,62 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock data (breaks byte-stability)")
-
-    p = sub.add_parser("identities", help="run the exact/numeric identity registry")
-    p.add_argument("--ids", default=None, help="comma-separated identity ids")
-    common(p)
-    p = sub.add_parser("lambda-series", help="lambda(tau) q-expansion coefficients")
-    p.add_argument("--terms", type=_positive_int, default=6)
-    common(p)
-    p = sub.add_parser("mirror-map", help="W1/W0 vs varpi1/varpi0 on the grid")
-    common(p)
-    p = sub.add_parser("continue", help="analytic continuation of tau to a target")
-    p.add_argument("--target", default="2",
-                   help="decimal lambda target, or the literal 2sqrt2-2")
-    p.add_argument("--path", default=None,
-                   help='JSON waypoints [["re","im"],...] (decimal strings)')
-    common(p)
-    p = sub.add_parser("zeta", help="per-prime zeta records for a Legendre fiber")
-    p.add_argument("--lambda", dest="lam", default="2", type=_nonsingular_lambda,
-                   help="rational lambda other than 0 and 1 (e.g. 2 or 3/5)")
-    p.add_argument("--with-quartic-counts", action="store_true",
-                   help="append N_p of the quartic surface for p within the count bound")
-    common(p)
-    p = sub.add_parser("fermat-count", help="exhaustive quartic-surface point counts")
-    p.add_argument("--primes", default="17,41,73,89,97", type=_prime_list,
-                   help="comma-separated primes")
-    common(p)
-    p = sub.add_parser("deligne", help="L-values, periods and the rational ratios")
-    common(p)
-    p = sub.add_parser("bps", help="1/Delta expansion and its lambda-side identity")
-    p.add_argument("--terms", type=_positive_int, default=10)
-    common(p)
-    p = sub.add_parser("all", help="the full verification battery")
-    common(p)
     return parser
-
-
-def run_command(command: str, cfg: RunConfig, args) -> list[dict]:
-    if command == "identities":
-        ids = args.ids.split(",") if args.ids else None
-        return _run_identities(cfg, ids)
-    if command == "lambda-series":
-        return _run_lambda_series(cfg, args.terms)
-    if command == "mirror-map":
-        return _run_mirror_map(cfg)
-    if command == "continue":
-        return _run_continue(cfg, args.target, args.path)
-    if command == "zeta":
-        return _run_zeta(cfg, args.lam, args.with_quartic_counts)
-    if command == "fermat-count":
-        return _run_fermat_count(cfg, args.primes)
-    if command == "deligne":
-        return _run_deligne(cfg)
-    if command == "bps":
-        return _run_bps(cfg, args.terms)
-    if command == "all":
-        return _run_all(cfg)
-    raise ValueError(f"unhandled command {command}")
 
 
 def main(argv=None) -> int:
@@ -363,12 +357,17 @@ def main(argv=None) -> int:
     cfg = RunConfig(digits=args.digits, order=args.order, pmax=args.pmax,
                     quartic_bound=args.quartic_bound, fmt=args.fmt,
                     output=args.output, timings=args.timings)
-    cfg.validate(parser, args.command, getattr(args, "primes", ()))
+    selections = ([(" ".join(sel), parser.parse_args(sel)) for sel in ALL]
+                  if args.command == "all" else [(args.command, args)])
+    for _, sel in selections:
+        cfg.validate(args.subparser, sel)
     t0 = time.perf_counter()
-    try:
-        entries = run_command(args.command, cfg, args)
-    except (KeyError, SeriesError, ValueError, ZeroDivisionError) as exc:
-        parser.exit(2, f"error: {exc}\n")
+    entries = []
+    for name, sel in selections:
+        try:
+            entries += COMMANDS[sel.command](cfg, sel)
+        except COMPUTATION_ERRORS as exc:
+            entries.append(_entry(name, False, error=f"{type(exc).__name__}: {exc}"))
     overall = all(e["passed"] for e in entries if not e.get("informational"))
     report = {
         "tool": "mirrorperiods",

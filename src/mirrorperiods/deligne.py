@@ -76,10 +76,6 @@ class DelignePeriodSet:
     crosscheck_residual: mpf
     crosscheck_tolerance: mpf
 
-    @property
-    def crosscheck_passed(self) -> bool:
-        return bool(self.crosscheck_residual <= self.crosscheck_tolerance)
-
 
 def _gamma_upper(s: int, x):
     """Gamma(s, x) for s in {1, 2}: e^-x and (1+x) e^-x."""
@@ -247,29 +243,22 @@ def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
 
 
 def report(frame, digits: int = DEFAULT_DIGITS) -> dict:
-    """The JSON-facing summary: theta value, L-values, twisted periods,
-    ratios, and the self-checks that gate them; `frame` is the Legendre
-    frame transported to lambda = 2 (see deligne_periods)."""
-    checks = []
+    """The Deligne stage as raw values: `summary` (theta value, L-values,
+    twisted periods and ratios as decimal strings), `checks` (the
+    (name, residual, tolerance) self-checks that gate them, each passing
+    when residual <= tolerance) and `ratios` (the two recovered Fractions);
+    `frame` is the Legendre frame transported to lambda = 2 (see
+    deligne_periods)."""
     with working_precision(digits):
-        for y in (Fraction(3, 10), Fraction(7, 10), Fraction(3, 2)):
-            res = fricke_residual(y, digits)
-            checks.append({
-                "name": f"fricke-eta6-y={y}",
-                "residual": mp.nstr(res, 6),
-                "tolerance": mp.nstr(mpf(10) ** (-(digits - 10)), 3),
-                "passed": bool(res < mpf(10) ** (-(digits - 10))),
-            })
+        tol = mpf(10) ** (-(digits - 10))
+        checks = [(f"fricke-eta6-y={y}", fricke_residual(y, digits), tol)
+                  for y in (Fraction(3, 10), Fraction(7, 10), Fraction(3, 2))]
     periods = deligne_periods(frame, digits)
     r1, r2, ratio_rep = verify_ratios(periods, digits)
+    checks.append(("theta-vs-continuation", periods.crosscheck_residual,
+                   periods.crosscheck_tolerance))
     with working_precision(digits):
-        checks.append({
-            "name": "theta-vs-continuation",
-            "residual": mp.nstr(periods.crosscheck_residual, 6),
-            "tolerance": mp.nstr(periods.crosscheck_tolerance, 3),
-            "passed": periods.crosscheck_passed,
-        })
-        return {
+        summary = {
             "digits": digits,
             "theta4_value": mp.nstr(periods.theta4_value, digits),
             "L1": ratio_rep["L1"],
@@ -278,5 +267,5 @@ def report(frame, digits: int = DEFAULT_DIGITS) -> dict:
             "c_plus_tate2": mp.nstr(periods.c_plus_tate2, digits),
             "ratio1": str(r1),
             "ratio2": str(r2),
-            "checks": checks,
         }
+    return {"summary": summary, "checks": checks, "ratios": (r1, r2)}

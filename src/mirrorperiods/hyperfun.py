@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Union
 
 from mpmath import mp, mpc, mpf
 
@@ -32,8 +31,6 @@ GUARD_DIGITS = 15
 # Bits the fixed-point kernels (periods' series, pfode's Taylor steps) carry
 # beyond the working precision.
 GUARD_BITS = 80
-
-Number = Union[int, float, Fraction, mpf, mpc]
 
 
 class PrecisionError(ValueError):
@@ -47,15 +44,6 @@ def working_precision(digits: int):
         raise PrecisionError(f"digits must be >= {MIN_DIGITS}, got {digits}")
     with mp.workdps(digits + GUARD_DIGITS):
         yield
-
-
-def to_mp(x: Number):
-    """Exact conversion of rationals/ints to the current working precision."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    if isinstance(x, int):
-        return mpf(x)
-    return x
 
 
 def as_mpc(x) -> mpc:
@@ -95,7 +83,7 @@ def half_nome(tau, digits: int = DEFAULT_DIGITS):
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric function, direct series on |z| <= 0.9
+# Gauss hypergeometric function: exact Taylor coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -110,44 +98,6 @@ def hyp2f1_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> Rational
         t *= (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
         coeffs.append(t)
     return RationalSeries(coeffs, 0, order)
-
-
-def hyp2f1(a, b, c, z, digits: int = DEFAULT_DIGITS):
-    """2F1(a,b;c;z) by direct summation, |z| <= 0.9.
-
-    The truncation error is controlled by a geometric bound: the term ratio
-    (a+n)(b+n)/((c+n)(1+n)) * z has modulus <= |z| whenever a+b <= c+1 and
-    a*b <= c (true for every parameter triple in scope), so the tail after
-    term T_n is at most |T_n| * |z| / (1-|z|).  Points outside the disk go
-    through pfode.continue_solution instead.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if c.denominator == 1 and c <= 0:
-        raise PrecisionError("2F1 undefined for nonpositive integer c")
-    with working_precision(digits):
-        z = mpc(z)
-        if z == 0:
-            return mpc(1)
-        az = abs(z)
-        if az > mpf("0.9") + mpf(10) ** -10:  # slack for binary-decimal boundary noise
-            raise PrecisionError(
-                f"|z| = {mp.nstr(az, 8)} > 0.9; use pfode.continue_solution beyond the disk")
-        if not (a > 0 and b > 0 and c > 0 and a + b <= c + 1 and a * b <= c):
-            raise PrecisionError(
-                "parameters outside the range covered by the geometric tail bound")
-        eps = mpf(10) ** (-(digits + 10))
-        total = mpc(0)
-        term = mpc(1)
-        n = 0
-        geo = az / (1 - az)
-        while True:
-            total += term
-            if abs(term) * geo < eps * max(mpf(1), abs(total)):
-                return total
-            term *= to_mp(a + n) * to_mp(b + n) / (to_mp(c + n) * (n + 1)) * z
-            n += 1
-            if n > 200 * (digits + 10):
-                raise PrecisionError("2F1 series failed to converge within budget")
 
 
 # ---------------------------------------------------------------------------

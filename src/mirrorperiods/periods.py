@@ -291,28 +291,6 @@ def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
         return QuadMapResult(t, psi)
 
 
-def lambda_from_t(t, digits: int = DEFAULT_DIGITS):
-    """Small-lambda branch of the quartic relation: lam = sqrt(t)(1 + O(sqrt t)).
-
-    Newton iteration seeded at the principal sqrt; intended for |t| well
-    inside the unit disk where the branch is single-valued.
-    """
-    with working_precision(digits):
-        t = as_mpc(t)
-        lam = mp.sqrt(t)
-        target = mpf(10) ** (-(digits + 5))
-        for _ in range(digits + 50):
-            one = mpf(1)
-            f = lam ** 2 * (one - lam) / (one - lam / 2) ** 4 - t
-            df = (2 * lam * (one - lam) * (one - lam / 2) - lam ** 2 * (one - lam / 2)
-                  + 2 * lam ** 2 * (one - lam)) / (one - lam / 2) ** 5
-            step = f / df
-            lam -= step
-            if abs(step) <= target * max(one, abs(lam)):
-                return lam
-        raise PrecisionError("lambda_from_t failed to converge")
-
-
 def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
     """W0, W1, W2 from their series near psi = infinity; tau = W1/W0.
 
@@ -606,11 +584,10 @@ def _numeric_report(name, where, residual, tol_exp, digits, info=None) -> Identi
 DELTA_THETA_POINTS = [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(3, 2))]
 
 
-def _delta_theta_check(points, digits) -> IdentityReport:
-    pts = points if points else DELTA_THETA_POINTS
+def _delta_theta_check(digits) -> IdentityReport:
     worst = mpf(0)
     with working_precision(digits):
-        pts = [as_mpc(p) for p in pts]
+        pts = [as_mpc(p) for p in DELTA_THETA_POINTS]
         for tau in pts:
             q = half_nome(tau, digits)
             lhs = eta_value(tau, digits) ** 24
@@ -625,19 +602,20 @@ W_PI_GRID = [(Fraction("0.05"), Fraction(0)), (Fraction(0), Fraction("0.1")),
              (Fraction("0.2"), Fraction("-0.1"))]
 
 
-def _w_pi_grid(points, digits):
-    """(where, [(lam, DworkPeriods, PiTriple)]) on the points (W_PI_GRID by default)."""
-    pts = points if points else W_PI_GRID
+@lru_cache(maxsize=1)
+def _w_pi_grid(digits):
+    """(where, ((lam, DworkPeriods, PiTriple), ...)) on W_PI_GRID, evaluated
+    once per digits for both W-PI and W2-RATIO."""
     with working_precision(digits):
-        pts = [as_mpc(p) for p in pts]
-        values = [(lam, dwork_periods(quad_map(lam, digits).psi, digits),
-                   pi_triple(lam, digits)) for lam in pts]
+        pts = [as_mpc(p) for p in W_PI_GRID]
+        values = tuple((lam, dwork_periods(quad_map(lam, digits).psi, digits),
+                        pi_triple(lam, digits)) for lam in pts)
     where = "lambda in {" + ", ".join(mp.nstr(p, 8) for p in pts) + "}"
     return where, values
 
 
-def _w_pi_check(points, digits) -> IdentityReport:
-    where, values = _w_pi_grid(points, digits)
+def _w_pi_check(digits) -> IdentityReport:
+    where, values = _w_pi_grid(digits)
     worst = mpf(0)
     with working_precision(digits):
         for _, dw, pt in values:
@@ -645,10 +623,10 @@ def _w_pi_check(points, digits) -> IdentityReport:
     return _numeric_report("W-PI", where, worst, -(digits - 15), digits)
 
 
-def _w2_ratio_record(points, digits) -> IdentityReport:
+def _w2_ratio_record(digits) -> IdentityReport:
     # The W0 = Pi0 and W1 = Pi1 matches say nothing about W2 vs Pi2; record
     # the observed ratio without asserting a value.
-    where, values = _w_pi_grid(points, digits)
+    where, values = _w_pi_grid(digits)
     with working_precision(digits):
         ratios = {mp.nstr(lam, 8): mp.nstr(dw.w2 / pt.pi2, 25) for lam, dw, pt in values}
     return IdentityReport("W2-RATIO", where, "0", "0", exact=False, passed=True,
@@ -663,9 +641,9 @@ def _selftest_fail_residual(n: int):
 
 # id -> (check, default order, whether `identities --order` sets the order),
 # in report order.  An exact id's check maps a padded order to the residual
-# series that must vanish; a numeric id (default order None) maps
-# (points, digits) straight to a report.
-_IDENTITIES = {
+# series that must vanish; a numeric id (default order None) maps the
+# working digits straight to a report.
+IDENTITIES = {
     "QT1": (_qt1_residual, 40, True),
     "QT2": (_qt2_residual, 40, True),
     "QT3": (_qt3_residual, 40, True),
@@ -683,14 +661,14 @@ _IDENTITIES = {
 
 def _registered(identity: str) -> tuple:
     try:
-        return _IDENTITIES[identity]
+        return IDENTITIES[identity]
     except KeyError:
         raise KeyError(f"unknown identity id: {identity!r}") from None
 
 
 def identity_ids() -> list[str]:
     """The ids a full run checks, in report order."""
-    return [name for name in _IDENTITIES if name != "SELFTEST-FAIL"]
+    return [name for name in IDENTITIES if name != "SELFTEST-FAIL"]
 
 
 def identity_order(identity: str, run_order: int) -> Optional[int]:
@@ -700,19 +678,19 @@ def identity_order(identity: str, run_order: int) -> Optional[int]:
     return run_order if follows else None
 
 
-def check_identity(identity: str, order_or_point=None,
+def check_identity(identity: str, order=None,
                    digits: int = DEFAULT_DIGITS) -> IdentityReport:
     """Run one registered identity check and report the residual.
 
-    Exact rational-series identities take an integer truncation order and
-    report literal zero residuals; numeric identities take an evaluation
-    point or point list and report the max absolute residual against the
-    identity's tolerance at the working precision.
+    Exact rational-series identities take an integer truncation order (None
+    for the id's own) and report literal zero residuals; numeric identities
+    ignore `order` and report the max absolute residual on their fixed
+    points against the identity's tolerance at the working precision.
     """
     check, default_order, _ = _registered(identity)
     if default_order is None:
-        return check(order_or_point, digits)
-    order = default_order if order_or_point is None else int(order_or_point)
+        return check(digits)
+    order = default_order if order is None else int(order)
     if order < 1:
         raise SeriesError("identity order must be >= 1")
     return _exact_report(identity, order, *check(order + _PAD))

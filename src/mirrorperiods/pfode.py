@@ -249,28 +249,6 @@ class FuchsianOperator:
             return acc
         raise SeriesError(f"cannot apply operator to {type(sol).__name__}")
 
-    def apply_numeric(self, taylor, point, digits: int = DEFAULT_DIGITS):
-        """Residual Taylor coefficients of L[y] at an ordinary point, given
-        the Taylor coefficients of y there."""
-        with working_precision(digits):
-            shifted = [_shift_poly(p, mpc(point)) for p in self.coeff_polys]
-            r = self.order
-            maxdeg = max((len(p) for p in shifted), default=1) - 1
-            nout = max(len(taylor) - r - maxdeg, 0)
-            out = []
-            for m in range(nout):
-                acc = mpc(0)
-                for k, pk in enumerate(shifted):
-                    for j, pkj in enumerate(pk):
-                        idx = m - j + k
-                        if 0 <= idx < len(taylor) and pkj != 0:
-                            ff = mpf(1)
-                            for d in range(k):
-                                ff *= idx - d
-                            acc += pkj * ff * taylor[idx]
-                out.append(acc)
-            return out
-
 
 def _theta_power_polys(order: int) -> list[Poly]:
     """theta^k = sum_j S(k,j) x^j D^j via Stirling numbers of the second kind."""

@@ -7,8 +7,9 @@ from math import comb, isqrt
 from mpmath import mp, mpc, mpf
 
 from mirrorperiods.arith import BadReductionError
-from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
+from mirrorperiods.hyperfun import DEFAULT_DIGITS, PrecisionError, as_mpc, working_precision
 from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms
+from mirrorperiods.pfode import _shift_poly
 from mirrorperiods.qseries import SeriesError
 
 
@@ -387,3 +388,102 @@ def cornacchia_bp(p: int) -> int:
     if rem or y * y != y2:
         raise ArithmeticError(f"{p} is not x^2 + 4y^2")
     return 2 * (b * b - 4 * y2)
+
+
+# ---------------------------------------------------------------------------
+# Numeric oracles that used to live in the package
+#
+# Direct 2F1 summation, the small-lambda inverse of the quadratic map and
+# the numeric residual of an operator on Taylor data: no command or check
+# needs them, so only the tests keep them.
+# ---------------------------------------------------------------------------
+
+
+def to_mp(x):
+    """Exact conversion of rationals/ints to the current working precision."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / mpf(x.denominator)
+    if isinstance(x, int):
+        return mpf(x)
+    return x
+
+
+def hyp2f1(a, b, c, z, digits: int = DEFAULT_DIGITS):
+    """2F1(a,b;c;z) by direct summation, |z| <= 0.9.
+
+    The truncation error is controlled by a geometric bound: the term ratio
+    (a+n)(b+n)/((c+n)(1+n)) * z has modulus <= |z| whenever a+b <= c+1 and
+    a*b <= c (true for every parameter triple in scope), so the tail after
+    term T_n is at most |T_n| * |z| / (1-|z|).
+    """
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if c.denominator == 1 and c <= 0:
+        raise PrecisionError("2F1 undefined for nonpositive integer c")
+    with working_precision(digits):
+        z = mpc(z)
+        if z == 0:
+            return mpc(1)
+        az = abs(z)
+        if az > mpf("0.9") + mpf(10) ** -10:  # slack for binary-decimal boundary noise
+            raise PrecisionError(f"|z| = {mp.nstr(az, 8)} > 0.9")
+        if not (a > 0 and b > 0 and c > 0 and a + b <= c + 1 and a * b <= c):
+            raise PrecisionError(
+                "parameters outside the range covered by the geometric tail bound")
+        eps = mpf(10) ** (-(digits + 10))
+        total = mpc(0)
+        term = mpc(1)
+        n = 0
+        geo = az / (1 - az)
+        while True:
+            total += term
+            if abs(term) * geo < eps * max(mpf(1), abs(total)):
+                return total
+            term *= to_mp(a + n) * to_mp(b + n) / (to_mp(c + n) * (n + 1)) * z
+            n += 1
+            if n > 200 * (digits + 10):
+                raise PrecisionError("2F1 series failed to converge within budget")
+
+
+def lambda_from_t(t, digits: int = DEFAULT_DIGITS):
+    """Small-lambda branch of the quartic relation: lam = sqrt(t)(1 + O(sqrt t)).
+
+    Newton iteration seeded at the principal sqrt; intended for |t| well
+    inside the unit disk where the branch is single-valued.
+    """
+    with working_precision(digits):
+        t = as_mpc(t)
+        lam = mp.sqrt(t)
+        target = mpf(10) ** (-(digits + 5))
+        for _ in range(digits + 50):
+            one = mpf(1)
+            f = lam ** 2 * (one - lam) / (one - lam / 2) ** 4 - t
+            df = (2 * lam * (one - lam) * (one - lam / 2) - lam ** 2 * (one - lam / 2)
+                  + 2 * lam ** 2 * (one - lam)) / (one - lam / 2) ** 5
+            step = f / df
+            lam -= step
+            if abs(step) <= target * max(one, abs(lam)):
+                return lam
+        raise PrecisionError("lambda_from_t failed to converge")
+
+
+def apply_numeric(op, taylor, point, digits: int = DEFAULT_DIGITS):
+    """Residual Taylor coefficients of op[y] at an ordinary point, given
+    the Taylor coefficients of y there."""
+    with working_precision(digits):
+        shifted = [_shift_poly(p, mpc(point)) for p in op.coeff_polys]
+        r = op.order
+        maxdeg = max((len(p) for p in shifted), default=1) - 1
+        nout = max(len(taylor) - r - maxdeg, 0)
+        out = []
+        for m in range(nout):
+            acc = mpc(0)
+            for k, pk in enumerate(shifted):
+                for j, pkj in enumerate(pk):
+                    idx = m - j + k
+                    if 0 <= idx < len(taylor) and pkj != 0:
+                        ff = mpf(1)
+                        for d in range(k):
+                            ff *= idx - d
+                        acc += pkj * ff * taylor[idx]
+            out.append(acc)
+        return out

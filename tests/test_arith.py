@@ -192,30 +192,6 @@ def test_fermat_count_matches_triple_loop(p):
 
 
 # ---------------------------------------------------------------------------
-# chi16
-# ---------------------------------------------------------------------------
-
-
-def test_chi16_printed_generators():
-    assert arith.chi16(5) == 1
-    assert arith.chi16(15) == -1
-
-
-def test_chi16_derived_value():
-    # 3 = 15 * 13 mod 16 and 13 = 5^3 mod 16
-    assert arith.chi16(3) == arith.chi16(15) * arith.chi16(5) ** 3 == -1
-
-
-def test_chi16_even_and_multiplicative():
-    assert arith.chi16(4) == 0 and arith.chi16(0) == 0
-    for a in range(1, 16, 2):
-        for b in range(1, 16, 2):
-            assert arith.chi16(a * b) == arith.chi16(a) * arith.chi16(b)
-    for n in range(40):
-        assert arith.chi16(n) == arith.chi16(n + 16)
-
-
-# ---------------------------------------------------------------------------
 # zeta records
 # ---------------------------------------------------------------------------
 

@@ -8,10 +8,11 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpf
 
-from mirrorperiods import cli, deligne, pfode
+from mirrorperiods import cli, deligne, periods, pfode
 from mirrorperiods.hyperfun import PrecisionError, working_precision
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_main(argv, capsys):
@@ -120,10 +121,14 @@ def test_usage_errors_exit_2():
     assert r.returncode == 2
     r = run_subprocess(["deligne", "--format", "tsv"])
     assert r.returncode == 2
-    for argv in (["fermat-count", "--primes", "2"], ["fermat-count", "--primes", "103"]):
+    for argv in (["fermat-count", "--primes", "2"], ["fermat-count", "--primes", "103"],
+                 ["identities", "--ids", "NOPE"], ["continue", "--target", "abc"],
+                 ["continue", "--target", "1"], ["continue", "--path", "[1"],
+                 ["deligne", "--digits", "35"]):
         r = run_subprocess(argv)
         assert r.returncode == 2
-        assert r.stderr.startswith("usage:") and "Traceback" not in r.stderr
+        assert r.stderr.startswith(f"usage: mirrorperiods {argv[0]}")
+        assert "Traceback" not in r.stderr
 
 
 def test_byte_stable_reports():
@@ -194,7 +199,8 @@ def test_deligne_digit_range_is_a_usage_error(digits, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["deligne", "--digits", digits])
     assert exc.value.code == 2
-    assert "--digits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mirrorperiods deligne") and "--digits" in err
 
 
 def test_deligne_transport_failure_is_a_failed_entry(monkeypatch, capsys):
@@ -262,7 +268,8 @@ def test_uncountable_prime_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fermat-count", *argv])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mirrorperiods fermat-count") and message in err
 
 
 def test_prime_at_quartic_bound_is_counted(capsys):
@@ -278,3 +285,105 @@ def test_nonpositive_terms_is_a_usage_error(command, terms, capsys):
         cli.main([command, "--terms", terms])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["identities", "--ids", "NOPE"], "unknown identity id: 'NOPE'"),
+    (["identities", "--ids", "QT1,"], "unknown identity id: ''"),
+    (["continue", "--target", "abc"], "not a rational number: 'abc'"),
+    (["continue", "--target", "1"], "singular at lambda = 1"),
+    (["continue", "--path", "[1"], "at least two [re, im] pairs"),
+    (["continue", "--path", '[["0.1","0"]]'], "at least two [re, im] pairs"),
+    (["continue", "--path", '[["0.1","0","1"],["2","0"]]'], "at least two [re, im] pairs"),
+    (["continue", "--path", '[["0.1","x"],["2","0"]]'], "at least two [re, im] pairs"),
+    (["all", "--digits", "35"], "deligne needs 40 <= --digits <= 300"),
+    (["all", "--quartic-bound", "50"], "p = 73, 89, 97 beyond --quartic-bound 50"),
+])
+def test_bad_input_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mirrorperiods {argv[0]}") and message in err
+
+
+def test_default_report_is_unchanged(capsys):
+    # tests/data/all_default.json is the default report as committed; any
+    # byte of difference is a change to what `mirrorperiods all` claims
+    code, out = run_main(["all"], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / "all_default.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def battery_and_parts(tmp_path_factory):
+    """`all --digits 40`, and each of its selections run on its own."""
+    out = tmp_path_factory.mktemp("parts") / "report.json"
+
+    def run(argv):
+        code = cli.main([*argv, "--digits", "40", "--output", str(out)])
+        return code, json.loads(out.read_text())["entries"]
+
+    return run(["all"]), [run(sel) for sel in cli.ALL]
+
+
+@pytest.mark.parametrize("index", range(len(cli.ALL)), ids=[" ".join(s) for s in cli.ALL])
+def test_subcommand_is_its_slice_of_all(index, battery_and_parts):
+    (code, battery), parts = battery_and_parts
+    assert code == 0 and sum(len(entries) for _, entries in parts) == len(battery)
+    start = sum(len(entries) for _, entries in parts[:index])
+    part_code, entries = parts[index]
+    assert part_code == 0 and entries
+    assert battery[start:start + len(entries)] == entries
+
+
+def test_computation_errors_are_failed_entries(monkeypatch, capsys):
+    def no_precision(digits):
+        raise PrecisionError("series needs more terms")
+
+    def no_path(lam, path=None, digits=None):
+        raise pfode.PathError("step size underflow near a singular point")
+
+    monkeypatch.setattr(periods, "mirror_map_residuals", no_precision)
+    monkeypatch.setattr(pfode, "tau_at", no_path)
+    code, out = run_main(["mirror-map", "--digits", "40"], capsys)
+    assert code == 1
+    assert json.loads(out)["entries"] == [
+        {"name": "mirror-map", "passed": False, "informational": False,
+         "error": "PrecisionError: series needs more terms"}]
+    code, out = run_main(["continue", "--target", "2sqrt2-2", "--digits", "40"], capsys)
+    assert code == 1
+    assert json.loads(out)["entries"] == [
+        {"name": "continue", "passed": False, "informational": False,
+         "error": "PathError: step size underflow near a singular point"}]
+    # in the battery each failure ends its own selection and the rest still run
+    code, out = run_main(["all", "--digits", "40"], capsys)
+    assert code == 1
+    entries = json.loads(out)["entries"]
+    assert [e["name"] for e in entries if not e["passed"]] == [
+        "mirror-map", "continue --target 2sqrt2-2"]
+    assert {"tau(2)", "deligne-summary", "BPS"} <= {e["name"] for e in entries}
+
+
+def test_transport_refusal_is_a_failed_entry(capsys):
+    # the default path to lambda = 3 runs through the singular point 1
+    code, out = run_main(["continue", "--target", "3", "--digits", "40"], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert entry["name"] == "continue" and entry["passed"] is False
+    assert entry["error"].startswith("PathError: path segment")
+
+
+def test_w_pi_grid_is_evaluated_once(monkeypatch, capsys):
+    calls = []
+    dwork = periods.dwork_periods
+
+    def counted(psi, digits):
+        calls.append(psi)
+        return dwork(psi, digits)
+
+    monkeypatch.setattr(periods, "dwork_periods", counted)
+    periods._w_pi_grid.cache_clear()
+    code, _ = run_main(["identities", "--ids", "W-PI,W2-RATIO", "--digits", "40"], capsys)
+    assert code == 0
+    assert len(calls) == len(periods.W_PI_GRID) == 3

@@ -113,7 +113,12 @@ def test_smooth_sum_direction_of_convergence():
 
 def test_report_shape():
     rep = deligne.report(pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 45), 45)
-    assert set(rep) == {"digits", "theta4_value", "L1", "L2", "c_plus_tate1",
-                        "c_plus_tate2", "ratio1", "ratio2", "checks"}
-    assert rep["ratio1"] == "16" and rep["ratio2"] == "-64"
-    assert all(c["passed"] for c in rep["checks"])
+    assert set(rep) == {"summary", "checks", "ratios"}
+    assert list(rep["summary"]) == ["digits", "theta4_value", "L1", "L2", "c_plus_tate1",
+                                    "c_plus_tate2", "ratio1", "ratio2"]
+    assert rep["ratios"] == (16, -64)
+    assert rep["summary"]["ratio1"] == "16" and rep["summary"]["ratio2"] == "-64"
+    assert [name for name, _, _ in rep["checks"]] == [
+        "fricke-eta6-y=3/10", "fricke-eta6-y=7/10", "fricke-eta6-y=3/2",
+        "theta-vs-continuation"]
+    assert all(res <= tol for _, res, tol in rep["checks"])

