@@ -8,16 +8,18 @@ and fold one or two such files into a BENCH file with ``benchmarks/fold.py``.
 Operands are the paper's own series at orders 40 and 80: q(lambda) for
 reversion, varpi0 composed with lambda(q) as in THETA-V, the reciprocal of
 varpi0 (2-power denominators) and of the Euler product to the 24th (integers),
-and varpi0 times lambda(q).  They are built before timing starts; only the
+varpi0 times lambda(q), exp(h/varpi0) as in q(lambda), and the (1-z)^(-1/4)
+prefactor of QT1 and QT2.  They are built before timing starts; only the
 kernel call is timed.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from mirrorperiods import arith, periods
-from mirrorperiods.qseries import euler_product
+from mirrorperiods.qseries import RationalSeries, euler_product
 
 ORDERS = (40, 80)
 
@@ -29,6 +31,8 @@ def _operands(order: int) -> dict:
         "varpi0": periods.varpi0_series(order),
         "lambda_q": periods.lambda_q_series(order),
         "euler24": euler_product(1, order) ** 24,
+        "h_over_varpi0": periods.h_series(order) * periods.varpi0_series(order).reciprocal(),
+        "one_minus_z": RationalSeries.one(order) - RationalSeries.identity(order),
     }
 
 
@@ -63,6 +67,18 @@ def test_reciprocal(benchmark, order, operand):
 def test_revert(benchmark, order):
     out = benchmark(_operands(order)["q_of_lambda"].revert)
     assert out.coefficient(1) == 16
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_exp(benchmark, order):
+    out = benchmark(_operands(order)["h_over_varpi0"].exp)
+    assert out.coefficient(2) == Fraction(21, 64)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_pow_rational(benchmark, order):
+    out = benchmark(_operands(order)["one_minus_z"].pow_rational, Fraction(-1, 4))
+    assert out.coefficient(3) == Fraction(15, 128)
 
 
 def test_lambda_q_series_70(benchmark):

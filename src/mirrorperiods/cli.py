@@ -67,6 +67,11 @@ class RunConfig:
         if beyond:
             parser.error(f"--primes: p = {', '.join(beyond)} beyond "
                          f"--quartic-bound {self.quartic_bound}")
+        path, target = getattr(args, "path", None), getattr(args, "target", None)
+        if path is not None and target != "2sqrt2-2":
+            end = path.waypoints[-1]
+            if end != (Fraction(target), 0):
+                parser.error(f"--path ends at [{end[0]}, {end[1]}], not at --target {target}")
 
     def to_dict(self) -> dict:
         return {"digits": self.digits, "order": self.order, "pmax": self.pmax,
@@ -221,6 +226,14 @@ COMMANDS = {"identities": _run_identities, "lambda-series": _run_lambda_series,
 # ---------------------------------------------------------------------------
 
 
+def _reason(entry: dict) -> str:
+    """Why an entry without a residual failed: its error, else its data."""
+    if "error" in entry:
+        return entry["error"]
+    return " ".join(f"{k}={v}" for k, v in entry.items()
+                    if k not in ("name", "passed", "informational"))
+
+
 def _to_tsv(command: str, entries: list[dict]) -> str:
     if command == "zeta":
         cols = ["p", "a_p", "b_p", "sym2_match", "weil_ok"]
@@ -230,6 +243,9 @@ def _to_tsv(command: str, entries: list[dict]) -> str:
         cols = ["p", "count", "predicted", "match"]
     lines = ["\t".join(cols)]
     for e in entries:
+        if "p" not in e:  # no row to fill: one comment line with the reason
+            lines.append(f"# {e['name']}: {_reason(e)}")
+            continue
         lines.append("\t".join("" if e.get(c) is None else str(e.get(c)) for c in cols))
     return "\n".join(lines) + "\n"
 
@@ -238,7 +254,9 @@ def _to_text(report: dict) -> str:
     lines = [f"{report['tool']} {report['version']} — {report['command']}"]
     for e in report["entries"]:
         flag = "info" if e.get("informational") else ("PASS" if e["passed"] else "FAIL")
-        detail = e.get("residual", e.get("tau", e.get("value", "")))
+        detail = e.get("residual", e.get("tau", e.get("value")))
+        if detail is None:
+            detail = "" if e["passed"] else _reason(e)
         lines.append(f"  [{flag}] {e['name']} {detail}")
     lines.append(f"overall: {'PASS' if report['overall_pass'] else 'FAIL'}")
     return "\n".join(lines) + "\n"

@@ -96,6 +96,20 @@ def lambda_q_series(order: int) -> RationalSeries:
 
 
 @lru_cache(maxsize=None)
+def varpi0_q_series(order: int) -> RationalSeries:
+    """varpi0(lambda(q)) = 1 + 4q + 4q^2 + 4q^4 + 8q^5 + ... as an exact q-series.
+
+    The one composition with lambda(q) per order.  THETA-V, THETA-24,
+    DLDTAU, DELTA-LAMBDA and BPS build every q-side period from it: varpi0^2
+    as its square and Pi0 = (1 - lambda/2) varpi0^2 as that times
+    1 - lambda(q)/2.  Composition with a valuation-1 series is a ring map
+    that keeps the truncation order, so these equal the compositions of
+    varpi0^2 and Pi0 coefficient for coefficient.
+    """
+    return varpi0_series(order).compose(lambda_q_series(order))
+
+
+@lru_cache(maxsize=None)
 def pi0_series(order: int) -> RationalSeries:
     """Pi0(lam) = (1 - lam/2) * varpi0(lam)^2 as an exact lambda-series."""
     half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, order)
@@ -525,13 +539,12 @@ def _qt3_residual(n: int, exponent: Fraction = Fraction(-1, 2)):
 
 
 def _theta_v_residual(n: int):
-    lam = lambda_q_series(n)
-    return (varpi0_series(n).compose(lam) - theta3_qseries(n) ** 2,)
+    return (varpi0_q_series(n) - theta3_qseries(n) ** 2,)
 
 
 def _theta24_residuals(n: int):
     lam = lambda_q_series(n)
-    w0sq = (varpi0_series(n) ** 2).compose(lam)
+    w0sq = varpi0_q_series(n) ** 2
     one = RationalSeries.one(n)
     r2 = lam * w0sq - theta2_pow4_qseries(n)
     r4 = (one - lam) * w0sq - theta4_qseries(n) ** 4
@@ -542,14 +555,19 @@ def _dldtau_residual(n: int):
     # (1/pi i) d lambda/d tau = q d lambda/dq since q = exp(pi i tau)
     lam = lambda_q_series(n)
     one = RationalSeries.one(n)
-    w0sq = (varpi0_series(n) ** 2).compose(lam)
+    w0sq = varpi0_q_series(n) ** 2
     return (lam.theta_derivative() - lam * (one - lam) * w0sq,)
+
+
+def _pi0_q(n: int) -> RationalSeries:
+    """Pi0(lambda(q)) = (1 - lambda/2) varpi0(lambda(q))^2."""
+    return (1 - lambda_q_series(n) * Fraction(1, 2)) * varpi0_q_series(n) ** 2
 
 
 def _delta_lambda_residual(n: int):
     lam = lambda_q_series(n)
     one = RationalSeries.one(n)
-    pi0 = pi0_series(n).compose(lam)
+    pi0 = _pi0_q(n)
     lam_minus_2 = lam - 2
     rhs = (lam ** 2) * (one - lam) ** 2 * (lam_minus_2 ** 6).reciprocal() \
         * pi0 ** 6 * Fraction(1, 4)
@@ -562,7 +580,7 @@ def _bps_residual(n: int):
     lhs = bps_series(nq).substitute_power(2)
     lam = lambda_q_series(n)
     one = RationalSeries.one(n)
-    pi0 = pi0_series(n).compose(lam)
+    pi0 = _pi0_q(n)
     den = ((lam ** 2) * (one - lam) ** 2 * pi0 ** 6).normalize()
     rhs = (lam - 2) ** 6 * den.reciprocal() * 4
     return (lhs - rhs,)

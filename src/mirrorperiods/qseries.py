@@ -6,18 +6,19 @@ everything beyond is *unknown*, not zero.  Binary operations compute the
 tightest provable truncation, so identity checks downstream can assert exact
 zero residuals instead of small ones.
 
-The quadratic and cubic kernels (``*``, ``reciprocal``, ``compose`` and
-``revert``) never add or multiply ``Fraction``s, which would take a gcd per
-operation.  They work on integer numerators over one common denominator:
-each operand is scaled once by the lcm of its coefficient denominators, and
-the convolutions run on Python ints.  ``*`` and ``compose`` build the
-canonical ``Fraction``s once, at return.  The recurrences of ``reciprocal``
-and ``revert`` make one canonical ``Fraction`` per new coefficient and keep
-the terms found so far over the lcm of their reduced denominators, so the
-integers stay as small as the answer (1/varpi0 has 2-power denominators,
-lambda(q) integer coefficients) instead of growing with powers of the
-input's common denominator.  ``Fraction`` is canonical, so every result is
-identical to the schoolbook ``Fraction`` computation.
+The quadratic and cubic kernels (``*``, ``reciprocal``, ``exp``, ``log``,
+``compose`` and ``revert``) never add or multiply ``Fraction``s, which would
+take a gcd per operation.  They work on integer numerators over one common
+denominator: each operand is scaled once by the lcm of its coefficient
+denominators, and the convolutions run on Python ints.  ``*`` and
+``compose`` build the canonical ``Fraction``s once, at return.  The
+recurrences of ``reciprocal``, ``exp``, ``log`` and ``revert`` make one
+canonical ``Fraction`` per new coefficient and keep the terms found so far
+over the lcm of their reduced denominators, so the integers stay as small as
+the answer (1/varpi0 has 2-power denominators, lambda(q) integer
+coefficients) instead of growing with powers of the input's common
+denominator.  ``Fraction`` is canonical, so every result is identical to the
+schoolbook ``Fraction`` computation; ``pow_rational`` is ``exp(r log)``.
 
 The offset lives on the 1/24 grid, which is enough to carry the q^(1/24)
 prefactor of eta products and the q^(-1) prefactor of their reciprocals.
@@ -51,6 +52,18 @@ def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """(nums, den) with coeffs[k] == nums[k] / den, den the lcm of the denominators."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _push(num: list[int], e: int, c: Fraction) -> int:
+    """Append c to the numerators num over e and return the new common
+    denominator: e grows to lcm(e, c.denominator), rescaling num, only when
+    c needs it."""
+    if e % c.denominator:
+        grow = c.denominator // gcd(e, c.denominator)
+        num[:] = [x * grow for x in num]
+        e *= grow
+    num.append(c.numerator * (e // c.denominator))
+    return e
 
 
 def _nonzero(nums: Sequence[int], stop: int) -> list[tuple[int, int]]:
@@ -275,11 +288,7 @@ class RationalSeries:
                 s += aj * num[k - j]
             c = Fraction(-s, a0 * e)
             out.append(c)
-            if e % c.denominator:
-                grow = c.denominator // gcd(e, c.denominator)
-                num = [x * grow for x in num]
-                e *= grow
-            num.append(c.numerator * (e // c.denominator))
+            e = _push(num, e, c)
         return RationalSeries(out, -self.offset, n)
 
     def __truediv__(self, other):
@@ -323,13 +332,22 @@ class RationalSeries:
         a, n = self._integer_frame()
         if n < 1 or a[0] != 0:
             raise SeriesError("exp requires a zero constant term")
-        out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        # With a = A/d over integers and E_0 .. E_(k-1) held as num/e, the
+        # recurrence k E_k = sum_j j a_j E_(k-j) gives
+        # E_k = (sum_j j A_j num[k-j]) / (k d e).
+        an, d = _numerators(a)
+        ja = [(j, j * aj) for j, aj in _nonzero(an, n)]
+        out = [Fraction(1)]
+        num, e = [1], 1
         for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j]:
-                    s += j * a[j] * out[k - j]
-            out[k] = s / k
+            s = 0
+            for j, jaj in ja:
+                if j > k:
+                    break
+                s += jaj * num[k - j]
+            c = Fraction(s, k * d * e)
+            out.append(c)
+            e = _push(num, e, c)
         return RationalSeries(out, 0, n)
 
     def log(self) -> "RationalSeries":
@@ -337,13 +355,22 @@ class RationalSeries:
         a, n = self._integer_frame()
         if n < 1 or a[0] != 1:
             raise SeriesError("log requires constant term 1")
-        out = [Fraction(0)] * n
+        # With a = A/d over integers and L_1 .. L_(k-1) held as num/e, the
+        # recurrence k L_k = k a_k - sum_(j<k) (k-j) L_(k-j) a_j gives
+        # L_k = (k A_k e - sum_j (k-j) A_j num[k-j]) / (k d e).
+        an, d = _numerators(a)
+        tail = _nonzero(an, n)[1:]
+        out = [Fraction(0)]
+        num, e = [0], 1
         for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k):
-                if out[j] and a[k - j]:
-                    s += j * out[j] * a[k - j]
-            out[k] = a[k] - s / k
+            s = k * an[k] * e
+            for j, aj in tail:
+                if j >= k:
+                    break
+                s -= (k - j) * aj * num[k - j]
+            c = Fraction(s, k * d * e)
+            out.append(c)
+            e = _push(num, e, c)
         return RationalSeries(out, 0, n)
 
     def pow_rational(self, r: Scalar) -> "RationalSeries":

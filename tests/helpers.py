@@ -140,6 +140,38 @@ def reference_revert(a):
     return b, Fraction(0), n
 
 
+def reference_exp(a):
+    """k E_k = sum_(1<=j<=k) j a_j E_(k-j), every step a Fraction operation."""
+    ac = _absolute_frame(a)
+    n = len(ac)
+    if n < 1 or ac[0] != 0:
+        raise SeriesError("exp requires a zero constant term")
+    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        s = Fraction(0)
+        for j in range(1, k + 1):
+            if ac[j]:
+                s += j * ac[j] * out[k - j]
+        out[k] = s / k
+    return out, Fraction(0), n
+
+
+def reference_log(a):
+    """L_k = a_k - (1/k) sum_(1<=j<k) j L_j a_(k-j), every step a Fraction operation."""
+    ac = _absolute_frame(a)
+    n = len(ac)
+    if n < 1 or ac[0] != 1:
+        raise SeriesError("log requires constant term 1")
+    out = [Fraction(0)] * n
+    for k in range(1, n):
+        s = Fraction(0)
+        for j in range(1, k):
+            if out[j] and ac[k - j]:
+                s += j * out[j] * ac[k - j]
+        out[k] = ac[k] - s / k
+    return out, Fraction(0), n
+
+
 # ---------------------------------------------------------------------------
 # mpmath reference for the fixed-point Taylor kernel
 # ---------------------------------------------------------------------------

@@ -124,6 +124,7 @@ def test_usage_errors_exit_2():
     for argv in (["fermat-count", "--primes", "2"], ["fermat-count", "--primes", "103"],
                  ["identities", "--ids", "NOPE"], ["continue", "--target", "abc"],
                  ["continue", "--target", "1"], ["continue", "--path", "[1"],
+                 ["continue", "--target", "2", "--path", '[["0.1","0"],["0.5","0"]]'],
                  ["deligne", "--digits", "35"]):
         r = run_subprocess(argv)
         assert r.returncode == 2
@@ -296,6 +297,10 @@ def test_nonpositive_terms_is_a_usage_error(command, terms, capsys):
     (["continue", "--path", '[["0.1","0"]]'], "at least two [re, im] pairs"),
     (["continue", "--path", '[["0.1","0","1"],["2","0"]]'], "at least two [re, im] pairs"),
     (["continue", "--path", '[["0.1","x"],["2","0"]]'], "at least two [re, im] pairs"),
+    (["continue", "--target", "2", "--path", '[["0.1","0"],["0.5","0"]]'],
+     "--path ends at [1/2, 0], not at --target 2"),
+    (["continue", "--target", "1/2", "--path", '[["0.1","0"],["0.5","0.1"]]'],
+     "--path ends at [1/2, 1/10], not at --target 1/2"),
     (["all", "--digits", "35"], "deligne needs 40 <= --digits <= 300"),
     (["all", "--quartic-bound", "50"], "p = 73, 89, 97 beyond --quartic-bound 50"),
 ])
@@ -363,6 +368,47 @@ def test_computation_errors_are_failed_entries(monkeypatch, capsys):
     assert [e["name"] for e in entries if not e["passed"]] == [
         "mirror-map", "continue --target 2sqrt2-2"]
     assert {"tau(2)", "deligne-summary", "BPS"} <= {e["name"] for e in entries}
+
+
+def test_path_ending_at_target_is_accepted(capsys):
+    # the check is exact on the parsed waypoints: 0.5 and 1/2 are one point
+    code, out = run_main(["continue", "--target", "1/2", "--path", '[["0.1","0"],["0.5","0"]]',
+                          "--digits", "40"], capsys)
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    assert entry["name"] == "tau(1/2)" and entry["passed"] is True
+
+
+def test_failure_reasons_in_text_and_tsv(monkeypatch, capsys):
+    code, out = run_main(["continue", "--target", "3", "--digits", "40", "--format", "text"],
+                         capsys)
+    assert code == 1
+    line = next(s for s in out.splitlines() if "[FAIL]" in s)
+    assert line.startswith("  [FAIL] continue PathError: path segment")
+    code, out = run_main(["zeta", "--lambda", "1/3", "--pmax", "4", "--format", "tsv"], capsys)
+    assert code == 1
+    assert out == "p\ta_p\tb_p\tsym2_match\tweil_ok\n# no-good-primes: lambda=1/3 pmax=4\n"
+    code, out = run_main(["zeta", "--lambda", "1/3", "--pmax", "4", "--format", "text"], capsys)
+    assert code == 1
+    assert "  [FAIL] no-good-primes lambda=1/3 pmax=4\n" in out
+
+    def no_count(p, bound):
+        raise ArithmeticError("count overflow")
+
+    monkeypatch.setattr(cli.arith, "fermat_decomposition_check", no_count)
+    code, out = run_main(["fermat-count", "--primes", "17", "--format", "tsv"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["p\tcount\tpredicted\tmatch",
+                                "# fermat-count: ArithmeticError: count overflow"]
+
+
+@pytest.mark.parametrize("order", [60, 80])
+def test_identities_report_at_high_order_is_unchanged(order, capsys):
+    # tests/data/identities_order<n>.json is the full identity report at that
+    # --order; the exact kernels must reproduce it byte for byte
+    code, out = run_main(["identities", "--order", str(order)], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / f"identities_order{order}.json").read_bytes()
 
 
 def test_transport_refusal_is_a_failed_entry(capsys):

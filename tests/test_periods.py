@@ -103,6 +103,36 @@ def test_pi0_of_lambda_q_matches_theta_side():
     assert (lhs - rhs).is_provably_zero()
 
 
+@pytest.mark.parametrize("n", [9, 24, 38, 68])
+def test_q_side_periods_equal_their_compositions(n):
+    # composing with lambda(q) commutes with squaring and with the factor
+    # 1 - lambda/2: same coefficients, same truncation order
+    lam = periods.lambda_q_series(n)
+    w0sq = periods.varpi0_q_series(n) ** 2
+    pi0 = periods._pi0_q(n)
+    for mine, old in ((periods.varpi0_q_series(n), periods.varpi0_series(n).compose(lam)),
+                      (w0sq, (periods.varpi0_series(n) ** 2).compose(lam)),
+                      (pi0, periods.pi0_series(n).compose(lam))):
+        assert (mine.coeffs, mine.offset, mine.order) == (old.coeffs, old.offset, old.order)
+
+
+def test_one_lambda_composition_per_order(monkeypatch):
+    # THETA-V, THETA-24, DLDTAU and DELTA-LAMBDA run at 30 + 8 and BPS at
+    # 16 + 8: two orders, so two compositions with lambda(q) in all
+    calls = []
+    compose = RationalSeries.compose
+
+    def counted(self, inner):
+        calls.append(inner.order)
+        return compose(self, inner)
+
+    monkeypatch.setattr(RationalSeries, "compose", counted)
+    periods.varpi0_q_series.cache_clear()
+    for name in ("THETA-V", "THETA-24", "DLDTAU", "DELTA-LAMBDA", "BPS"):
+        assert periods.check_identity(name).passed
+    assert sorted(calls) == [25, 39]  # lambda(q) is known one term beyond its order
+
+
 def test_bps_series_expansion():
     s = periods.bps_series(5)
     assert s.offset == -1

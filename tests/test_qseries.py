@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_euler_power, long_division_reciprocal, reference_compose,
-                     reference_mul, reference_reciprocal, reference_revert)
+                     reference_exp, reference_log, reference_mul, reference_reciprocal,
+                     reference_revert)
 from mirrorperiods.qseries import (RationalSeries, SeriesError, eta_product,
                                    euler_product)
 
@@ -320,6 +321,49 @@ def test_revert_matches_reference(a, a1):
     if a.offset == 0 and a.order >= 2 and a.coeffs[0] == 0:
         a = RationalSeries([F(0), a1] + list(a.coeffs[2:]), 0, a.order)
     _matches_reference(RationalSeries.revert, reference_revert, a)
+
+
+@given(a=_series_strategy(orders=(1, 12), offsets=st.integers(0, 2), leading_zeros=(0, 3)),
+       keep_constant=st.sampled_from([False, False, False, True]))
+@example(a=RationalSeries([0, F(1, 59), 0, F(-7, 53), F(3, 43)], 0, 5), keep_constant=False)
+@example(a=RationalSeries([F(1, 2)], 0, 1), keep_constant=True)           # refused
+@example(a=RationalSeries([F(1, 2)], F(1, 2), 1), keep_constant=True)     # refused
+@settings(max_examples=150, deadline=None)
+def test_exp_matches_reference(a, keep_constant):
+    # usually put a_0 = 0 in place; the draws that keep it exercise the refusal
+    if not keep_constant and a.offset == 0:
+        a = RationalSeries([F(0)] + list(a.coeffs[1:]), 0, a.order)
+    _matches_reference(RationalSeries.exp, reference_exp, a)
+
+
+@given(a=_series_strategy(orders=(1, 12), offsets=st.integers(0, 1)),
+       keep_constant=st.sampled_from([False, False, False, True]))
+@example(a=RationalSeries([1, F(-1, 59), 0, 0, F(7, 53), F(-3, 43)], 0, 6), keep_constant=True)
+@example(a=RationalSeries([F(2, 3), 1], 0, 2), keep_constant=True)       # refused
+@settings(max_examples=150, deadline=None)
+def test_log_matches_reference(a, keep_constant):
+    # usually put a_0 = 1 in place; the draws that keep it exercise the refusal
+    if not keep_constant and a.offset == 0:
+        a = RationalSeries([F(1)] + list(a.coeffs[1:]), 0, a.order)
+    _matches_reference(RationalSeries.log, reference_log, a)
+
+
+def _reference_pow_rational(a, r):
+    coeffs, offset, order = reference_log(a)
+    return reference_exp(RationalSeries([c * r for c in coeffs], offset, order))
+
+
+def test_exp_log_at_paper_scale_match_reference():
+    # exp(h/varpi0) as in q(lambda) at order 81, and the (1 - z)^(-1/4) and
+    # (1 - z/2)^(-1/2) prefactors of QT1-QT3 at order 61
+    from mirrorperiods.periods import h_series, varpi0_series
+    ratio = h_series(81) * varpi0_series(81).reciprocal()
+    _matches_reference(RationalSeries.exp, reference_exp, ratio)
+    z, one = RationalSeries.identity(61), RationalSeries.one(61)
+    for base, r in ((one - z, F(-1, 4)), (one - z * F(1, 2), F(-1, 2))):
+        _matches_reference(RationalSeries.log, reference_log, base)
+        _matches_reference(lambda s: s.pow_rational(r),
+                           lambda s: _reference_pow_rational(s, r), base)
 
 
 def test_kernels_at_paper_scale_match_reference():
