@@ -297,12 +297,12 @@ def test_nonpositive_terms_is_a_usage_error(command, terms, capsys):
     (["continue", "--path", '[["0.1","0"]]'], "at least two [re, im] pairs"),
     (["continue", "--path", '[["0.1","0","1"],["2","0"]]'], "at least two [re, im] pairs"),
     (["continue", "--path", '[["0.1","x"],["2","0"]]'], "at least two [re, im] pairs"),
+    (["all", "--digits", "35"], "deligne needs 40 <= --digits <= 300"),
+    (["all", "--quartic-bound", "50"], "p = 73, 89, 97 beyond --quartic-bound 50"),
     (["continue", "--target", "2", "--path", '[["0.1","0"],["0.5","0"]]'],
      "--path ends at [1/2, 0], not at --target 2"),
     (["continue", "--target", "1/2", "--path", '[["0.1","0"],["0.5","0.1"]]'],
      "--path ends at [1/2, 1/10], not at --target 1/2"),
-    (["all", "--digits", "35"], "deligne needs 40 <= --digits <= 300"),
-    (["all", "--quartic-bound", "50"], "p = 73, 89, 97 beyond --quartic-bound 50"),
 ])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
