@@ -12,6 +12,10 @@ rounds each:
   canonical lower detour to lambda = 2, the most expensive object of a run;
 * ``test_continue_legendre_to_two_200``: the same transport at 200 digits,
   the precision of the benchmark's ``high-precision`` workload;
+* ``test_continue_detour_200``: the Legendre frame transported at 200 digits
+  along a fixed rational path from lambda = 0.1 to 0.5 - 0.9i, where
+  |lambda| > 0.9 puts the series out of reach, like the seeded detours of
+  ``high-precision``;
 * ``test_legendre_jet`` and ``test_dwork_periods``: the two series sides of
   the mirror-map check at the grid point lambda = 0.3 (``dwork_periods`` at
   its psi), twenty rounds each after one untimed warm-up round;
@@ -25,6 +29,8 @@ rounds each:
   timing starts (theta value, L-values, Fricke checks, ratio recovery).
 """
 
+from fractions import Fraction
+
 import pytest
 
 from mirrorperiods import deligne, periods, pfode
@@ -33,6 +39,8 @@ DIGITS = 120
 ROUNDS = 5
 SERIES_ROUNDS = 20
 GRID_POINT = periods.MIRROR_GRID[3]  # lambda = 0.3, the largest |lambda| on the grid
+DETOUR = pfode.ContinuationPath(((Fraction(1, 10), Fraction(0)),
+                                 (Fraction(1, 2), Fraction(-9, 10))))
 
 
 def _frame_at_two():
@@ -56,6 +64,12 @@ def test_continue_legendre_to_two(benchmark):
 def test_continue_legendre_to_two_200(benchmark):
     frame = benchmark.pedantic(pfode.continue_legendre,
                                args=(pfode.CANONICAL_PATH_TO_TWO, 200),
+                               rounds=ROUNDS, iterations=1)
+    assert frame.order == 2
+
+
+def test_continue_detour_200(benchmark):
+    frame = benchmark.pedantic(pfode.continue_legendre, args=(DETOUR, 200),
                                rounds=ROUNDS, iterations=1)
     assert frame.order == 2
 

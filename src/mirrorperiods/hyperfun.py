@@ -63,6 +63,16 @@ def as_mpc(x) -> mpc:
     return mpc(x)
 
 
+def exact_pair(x):
+    """(re, im) Fractions for an exact input (int, Fraction, decimal string,
+    or an (re, im) pair of those); None for mpmath, float and complex
+    values, which carry their own rounding."""
+    parts = x if isinstance(x, tuple) else (x, 0)
+    if all(isinstance(p, (int, Fraction, str)) for p in parts):
+        return Fraction(parts[0]), Fraction(parts[1])
+    return None
+
+
 def _to_fixed(x: mpf, shift: int) -> int:
     """x * 2^shift truncated to an int; x must be finite."""
     sign, man, exp, _ = x._mpf_

@@ -23,6 +23,8 @@ Both numeric series (legendre_jet, dwork_periods) run their term
 recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
 (80) bits beyond the working precision, in the style of mpmath's hypsum;
 mpmath only converts the argument in and combines the sums with log and pi.
+legendre_jet multiplies by an exact lambda's integer numerator and divides
+by its denominator along with the term ratio's.
 The term counts are those of `_series_terms` (plus 10 for the Dwork side).
 """
 
@@ -30,15 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+from math import lcm
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpc, mpf
 
 from . import hyperfun
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed,
-                       _to_fixed, as_mpc, eta_value, half_nome, harmonic_sums,
-                       hyp2f1_series, theta_const, working_precision)
+                       _to_fixed, as_mpc, eta_value, exact_pair, half_nome,
+                       harmonic_sums, hyp2f1_series, theta_const, working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
 _PAD = 8  # extra exact-series slots so residuals stay provable at the asked order
@@ -78,33 +81,72 @@ def h_series(order: int) -> RationalSeries:
     return RationalSeries(g, 0, order)
 
 
-@lru_cache(maxsize=None)
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _largest_table(build):
+    """Cache for an exact series whose entries at a lower order are the
+    truncations of those at a higher one: it keeps only the largest table
+    built and answers a lower order by truncating it, so a run builds each
+    such series once if it asks for its largest order first.  `order` must
+    be >= 1; `cache_info()` and `cache_clear()` work as for lru_cache.
+    """
+    built, table = 0, None  # the largest order asked so far and its series
+    hits = misses = 0
+
+    @wraps(build)
+    def cached(order: int) -> RationalSeries:
+        nonlocal built, table, hits, misses
+        if order < 1:
+            raise SeriesError(f"{build.__name__} requires order >= 1")
+        if order <= built:
+            hits += 1
+            return table.truncate(table.order - (built - order))
+        misses += 1
+        built, table = order, build(order)
+        return table
+
+    def cache_clear():
+        nonlocal built, table, hits, misses
+        built, table, hits, misses = 0, None, 0, 0
+
+    cached.cache_info = lambda: CacheInfo(hits, misses, 1, int(table is not None))
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_largest_table
 def q_of_lambda_series(order: int) -> RationalSeries:
-    """q(lam) = (lam/16) * exp(h(lam)/varpi0(lam)), exactly in rationals."""
+    """q(lam) = (lam/16) * exp(h(lam)/varpi0(lam)), exactly in rationals;
+    known to lam^order."""
     w0 = varpi0_series(order)
     h = h_series(order)
     e = (h * w0.reciprocal()).exp()
     return (e * Fraction(1, 16)).shifted(1)
 
 
-@lru_cache(maxsize=None)
+@_largest_table
 def lambda_q_series(order: int) -> RationalSeries:
-    """lambda(tau) as a series in q = exp(pi*i*tau): 16q - 128q^2 + 704q^3 - ..."""
-    if order < 1:
-        raise SeriesError("lambda_q_series requires order >= 1")
+    """lambda(tau) as a series in q = exp(pi*i*tau): 16q - 128q^2 + 704q^3 - ...,
+    known to q^order."""
     return q_of_lambda_series(order + 1).revert().truncate(order + 1)
 
 
-@lru_cache(maxsize=None)
+@_largest_table
 def varpi0_q_series(order: int) -> RationalSeries:
     """varpi0(lambda(q)) = 1 + 4q + 4q^2 + 4q^4 + 8q^5 + ... as an exact q-series.
 
-    The one composition with lambda(q) per order.  THETA-V, THETA-24,
-    DLDTAU, DELTA-LAMBDA and BPS build every q-side period from it: varpi0^2
-    as its square and Pi0 = (1 - lambda/2) varpi0^2 as that times
-    1 - lambda(q)/2.  Composition with a valuation-1 series is a ring map
-    that keeps the truncation order, so these equal the compositions of
-    varpi0^2 and Pi0 coefficient for coefficient.
+    The one composition with lambda(q) per run: a lower order is the
+    truncation of the largest one built.  THETA-V, THETA-24, DLDTAU,
+    DELTA-LAMBDA and BPS build every q-side period from it: varpi0^2 as its
+    square and Pi0 = (1 - lambda/2) varpi0^2 as that times 1 - lambda(q)/2.
+    Composition with a valuation-1 series is a ring map that keeps the
+    truncation order, so these equal the compositions of varpi0^2 and Pi0
+    coefficient for coefficient.
     """
     return varpi0_series(order).compose(lambda_q_series(order))
 
@@ -222,8 +264,8 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     """(varpi0, varpi0', varpi1, varpi1') at lam, for seeding continuation.
 
     Sums the varpi0 and h series over the first `_series_terms` coefficients
-    on fixed-point Python integers: every value is an (re, im) int pair
-    scaled by 2^P, P = mp.prec + GUARD_BITS.  The terms carried are
+    on Python integers: every term and sum is an (re, im) int pair scaled by
+    2^P, P = mp.prec + GUARD_BITS.  The terms carried are
     d_m = c_m lam^(m-1) and e_m = h_m lam^(m-1), m >= 1, with c and h the
     varpi0 and h coefficients; since R_m = c_m (2m+1)/(2(m+1)) in the
     h_series recurrence,
@@ -233,9 +275,14 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
 
     so the derivatives are sum m d_m and sum m e_m, and the values
     1 + lam sum d_m and lam sum e_m need no division by lam (which would
-    cost |log2 lam| bits of the fixed-point sums).  mpmath converts lam in
-    and applies the log/pi combination to the four sums.
+    cost |log2 lam| bits of the fixed-point sums).  An exact lam (Fraction,
+    int, decimal string or a pair of those) enters as a Gaussian integer
+    over its denominator, which joins the small divisor 4(m+1)^2, so each
+    term costs O(P) bit operations; any other lam as a 2^P fixed-point pair
+    multiplied in and shifted back.  mpmath converts lam in and applies the
+    log/pi combination to the four sums.
     """
+    exact = exact_pair(lam)
     with working_precision(digits):
         lam = as_mpc(lam)
         if lam == 0:
@@ -244,7 +291,11 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
         n = _series_terms(abs(lam), digits)
         prec = mp.prec + GUARD_BITS
-        lre, lim = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec)
+        if exact is None:
+            lre, lim, ldiv, shift = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec), 1, prec
+        else:
+            ldiv = lcm(exact[0].denominator, exact[1].denominator)
+            lre, lim, shift = int(exact[0] * ldiv), int(exact[1] * ldiv), 0
         dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
         ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
         sdre = sdim = sddre = sddim = sere = seim = sdere = sdeim = 0
@@ -258,11 +309,11 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             sdere += m * ere
             sdeim += m * eim
             k, m1 = 2 * m + 1, m + 1
-            den = 4 * m1 * m1
-            xre = (lre * dre - lim * dim) >> prec
-            xim = (lre * dim + lim * dre) >> prec
-            yre = (lre * ere - lim * eim) >> prec
-            yim = (lre * eim + lim * ere) >> prec
+            den = 4 * m1 * m1 * ldiv
+            xre = (lre * dre - lim * dim) >> shift
+            xim = (lre * dim + lim * dre) >> shift
+            yre = (lre * ere - lim * eim) >> shift
+            yim = (lre * eim + lim * ere) >> shift
             ere = (k * m1 * yre + 2 * xre) * k // (den * m1)
             eim = (k * m1 * yim + 2 * xim) * k // (den * m1)
             dre = xre * k * k // den

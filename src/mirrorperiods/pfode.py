@@ -11,10 +11,18 @@ coefficients.  Three things happen here:
 * high-precision transport of a fundamental solution system along polygonal
   complex paths, by repeated local Taylor expansion with step size half the
   distance to the nearest singularity.  Each step runs the Taylor recurrence
-  once for all columns on fixed-point Python integers (the scheme of mpmath's
-  hypsum; van der Hoeven, "Fast evaluation of holonomic functions", TCS 210,
-  1999); mpmath only sets up the step and reads off the result.  The
-  conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
+  once for all columns on Python integers (the scheme of mpmath's hypsum;
+  van der Hoeven, "Fast evaluation of holonomic functions", TCS 210, 1999);
+  mpmath only sets up the step and reads off the result.  The recurrence
+  coefficients are Gaussian integers over one positive divisor with one
+  binary shift.  On a segment between exact waypoints every expansion point
+  and step is an exact Gaussian rational (the step in the segment's
+  parameter is rounded down to STEP_BITS significant binary digits), so the
+  coefficients are exact small integers and a term costs O(P) bit
+  operations instead of a P-bit product -- the rational-parameter case of
+  hypsum (Mezzarobba, arXiv:1607.01967).  At an inexact point (such as
+  2 sqrt 2 - 2) they are 2^P fixed-point values with divisor 1 and shift P.
+  The conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
   shared with the period series of `periods`.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
@@ -27,6 +35,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from mpmath import mp, mpc, mpf
@@ -37,6 +47,11 @@ from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
 from .qseries import RationalSeries, SeriesError
 
 Poly = tuple  # tuple[Fraction, ...], low degree first
+
+# Significant binary digits kept in the parameter step dt of a segment
+# between exact waypoints (see _steps): few enough that the exact expansion
+# points and steps keep small denominators.
+STEP_BITS = 5
 
 
 class PathError(ValueError):
@@ -107,7 +122,6 @@ def _pgcd(a, b) -> Poly:
 
 def _pcontent_normalize(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     """Clear denominators and divide by the integer content across all polys."""
-    from math import gcd, lcm
     den = 1
     for p in polys:
         for c in p:
@@ -482,92 +496,211 @@ def _segment_min_distance(a, b, p) -> mpf:
     return abs(a + t * ab - p)
 
 
-def _taylor_transport(shifted, columns, h, nterms):
-    """One Taylor step for every column at once, on fixed-point integers.
+def _step_precision(r: int, h) -> int:
+    """Working bits P of a Taylor step: the working precision plus
+    GUARD_BITS, and (r-1) log2(1/|h|) more for a short step, whose
+    derivatives are divided by powers of h."""
+    return mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
 
-    shifted[k] holds the Taylor coefficients p_kj of the k-th operator
-    coefficient at the expansion point, and columns[i] = (y_i, ..., y_i^(r-1))
-    there.  With u = h t the step ends at t = 1, and the scaled terms
-    b_n = c_n h^n of y = sum c_n u^n obey
+
+def _gmul(a, b):
+    """Product of two Gaussian rationals given as (re, im) Fraction pairs."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _shift_poly_exact(poly: Poly, z) -> list:
+    """Coefficients of p(z0 + u) as (re, im) Fraction pairs, exactly, for a
+    Gaussian rational z0 = (re, im)."""
+    c = [(Fraction(p), Fraction(0)) for p in poly]
+    n = len(c)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            zc = _gmul(z, c[j + 1])
+            c[j] = (c[j][0] + zc[0], c[j][1] + zc[1])
+    return c
+
+
+def _recurrence(op: FuchsianOperator, z, h):
+    """The normalized recurrence coefficients of one Taylor step from z by
+    h, as _taylor_transport takes them: (groups, divisor, shift), where
+    groups[s] lists (k, re, im) and (re + i im) / (divisor 2^shift) is the
+    coefficient q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0.
+
+    At an exact point z with an exact step h (Fraction pairs) every q is an
+    exact Gaussian rational, computed with 1/p_r0 = conj(p_r0)/|p_r0|^2;
+    the divisor is their least common denominator and the shift 0, so the
+    (re, im) are small Gaussian integers.  Otherwise (mpc z and h, as at
+    2 sqrt 2 - 2) each q is computed in mpmath and rounded to a fixed-point
+    pair scaled by 2^P, P the step's working bits, with divisor 1 and
+    shift P.
+    """
+    r = op.order
+    coeffs = {}
+    if isinstance(z, tuple) and isinstance(h, tuple):
+        shifted = [_shift_poly_exact(p, z) for p in op.coeff_polys]
+        lead = shifted[r][0]
+        norm = lead[0] * lead[0] + lead[1] * lead[1]
+        inv = (-lead[0] / norm, lead[1] / norm)  # -1/p_r0
+        hpow = [(Fraction(1), Fraction(0))]
+        for _ in range(max(len(p) for p in shifted) + r):
+            hpow.append(_gmul(hpow[-1], h))
+        for k, pk in enumerate(shifted):
+            for j, pkj in enumerate(pk):
+                if any(pkj) and not (k == r and j == 0):
+                    coeffs[k, j] = _gmul(_gmul(pkj, hpow[j - k + r]), inv)
+        divisor = lcm(*(c.denominator for q in coeffs.values() for c in q))
+        shift = 0
+        coeffs = {kj: (int(re * divisor), int(im * divisor))
+                  for kj, (re, im) in coeffs.items()}
+    else:
+        shifted = [_shift_poly(p, z) for p in op.coeff_polys]
+        lead = shifted[r][0]
+        hpow = [mpc(1)]
+        for _ in range(max(len(p) for p in shifted) + r):
+            hpow.append(hpow[-1] * h)
+        divisor, shift = 1, _step_precision(r, h)
+        for k, pk in enumerate(shifted):
+            for j, pkj in enumerate(pk):
+                if pkj != 0 and not (k == r and j == 0):
+                    q = -pkj * hpow[j - k + r] / lead
+                    coeffs[k, j] = (_to_fixed(q.real, shift), _to_fixed(q.imag, shift))
+    groups = {}
+    for (k, j), (qre, qim) in coeffs.items():
+        groups.setdefault(k - j, []).append((k, qre, qim))
+    return groups, divisor, shift
+
+
+def _taylor_transport(recurrence, columns, h, nterms):
+    """One Taylor step for every column at once, on Python integers.
+
+    columns[i] = (y_i, ..., y_i^(r-1)) at the expansion point.  With u = h t
+    the step ends at t = 1, and the scaled terms b_n = c_n h^n of
+    y = sum c_n u^n obey
 
         (m+r)_r b_(m+r) = sum_(s<r) A_s(m) b_(m+s),
-        A_s(m) = -sum_k p_(k,k-s) h^(r-s) (m+s)_k / p_r0,
+        A_s(m) = sum_k q_(k,s) (m+s)_k,   q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0,
 
-    with (i)_k the falling factorial.  The normalized coefficients are
-    (re, im) ints scaled by 2^P and every b_n an int pair scaled by 2^(P-E),
-    where P is the working precision plus GUARD_BITS (more for a short step,
-    whose derivatives are divided by powers of h) and 2^E bounds the largest
-    entry of the input frame.  A_s(m) is formed once per m and shared by
-    all columns.  Returns (columns at offset h, tail), where tail is
-    max |b_n| over the last 6 terms of every column.
+    with p_kj the Taylor coefficients of the k-th operator coefficient at
+    the expansion point and (i)_k the falling factorial.  `recurrence` is
+    (groups, divisor, shift) from _recurrence: groups[s] lists the
+    (k, re, im) with q_(k,s) = (re + i im) / (divisor 2^shift), so A_s(m)
+    is a Gaussian integer formed once per m and shared by all columns, and
+    each new term is one product sum shifted right by `shift` and floored
+    by divisor (m+r)_r.  At an exact point the divisor is a small integer
+    and the shift 0, so a term costs O(P) bit operations rather than a
+    P-bit product.  Every b_n is an int pair scaled by 2^(P-E), where P is
+    the step's working bits (_step_precision) and 2^E bounds the largest
+    entry of the input frame.  Returns (columns at offset h, tail), where
+    tail is max |b_n| over the last 6 terms of every column.
     """
     if not all(mp.isfinite(v) for col in columns for v in col):
         raise PathError("non-finite value in the frame")
-    r = len(shifted) - 1
-    lead = shifted[r][0]
+    groups, divisor, shift = recurrence
+    r = len(columns[0])
+    if isinstance(h, tuple):
+        h = as_mpc(h)
     hpow = [mpc(1)]
-    for _ in range(max(len(p) for p in shifted) + r):
+    for _ in range(r):
         hpow.append(hpow[-1] * h)
-    prec = mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
+    prec = _step_precision(r, h)
     frame_mag = max((mp.mag(v) for col in columns for v in col if v), default=0)
-    shift = prec - frame_mag
+    scale = prec - frame_mag
     fall = [[1] * (r + 1) for _ in range(nterms)]
     for i in range(nterms):
         row = fall[i]
         for k in range(1, r + 1):
             row[k] = row[k - 1] * (i - k + 1)
-    groups = {}
-    for k, pk in enumerate(shifted):
-        for j, pkj in enumerate(pk):
-            if pkj != 0 and not (k == r and j == 0):
-                q = -pkj * hpow[j - k + r] / lead
-                groups.setdefault(k - j, []).append(
-                    (k, _to_fixed(q.real, prec), _to_fixed(q.imag, prec)))
     cols = []
     for col in columns:
         bre, bim = [], []
         for k in range(r):
             b = col[k] * hpow[k] / mp.factorial(k)
-            bre.append(_to_fixed(b.real, shift))
-            bim.append(_to_fixed(b.imag, shift))
+            bre.append(_to_fixed(b.real, scale))
+            bim.append(_to_fixed(b.imag, scale))
         cols.append((bre, bim))
+    dense = []  # (s, [q_(k,s).re for k <= r], [q_(k,s).im for k <= r])
+    for s, terms in groups.items():
+        qre, qim = [0] * (r + 1), [0] * (r + 1)
+        for k, re, im in terms:
+            qre[k], qim[k] = re, im
+        dense.append((s, qre, qim))
     for m in range(nterms - r):
-        coefs = []
-        for s, terms in groups.items():
-            i = m + s
-            if i < 0:
-                continue
-            ff = fall[i]
-            are = aim = 0
-            for k, qre, qim in terms:
-                f = ff[k]
-                are += qre * f
-                aim += qim * f
-            coefs.append((i, are, aim))
-        div = fall[m + r][r]
+        coefs = [(m + s, sum(map(mul, qre, fall[m + s])), sum(map(mul, qim, fall[m + s])))
+                 for s, qre, qim in dense if m + s >= 0]
+        div = divisor * fall[m + r][r]
         for bre, bim in cols:
             xre = xim = 0
             for i, are, aim in coefs:
                 yre, yim = bre[i], bim[i]
                 xre += are * yre - aim * yim
                 xim += are * yim + aim * yre
-            bre.append((xre >> prec) // div)
-            bim.append((xim >> prec) // div)
+            bre.append((xre >> shift) // div)
+            bim.append((xim >> shift) // div)
     unit = frame_mag - prec
+    weights = [[fall[n][d] for n in range(d, nterms)] for d in range(r)]
     out = []
     for bre, bim in cols:
-        vals = []
-        for d in range(r):
-            sre = sim = 0
-            for n in range(d, nterms):
-                f = fall[n][d]
-                sre += bre[n] * f
-                sim += bim[n] * f
-            vals.append(_from_fixed(sre, sim, -unit) / hpow[d])
-        out.append(tuple(vals))
+        out.append(tuple(_from_fixed(sum(map(mul, bre[d:], weights[d])),
+                                     sum(map(mul, bim[d:], weights[d])), -unit) / hpow[d]
+                         for d in range(r)))
     worst = max(bre[n] ** 2 + bim[n] ** 2 for bre, bim in cols
                 for n in range(max(nterms - 6, 0), nterms))
     return out, mp.ldexp(mp.sqrt(worst), unit)
+
+
+def _dyadic(x: mpf, bits: int | None = None) -> Fraction:
+    """A nonnegative mpf as an exact binary fraction, cut down to its
+    leading `bits` significant bits when given (so never above x)."""
+    _, man, exp, bc = x._mpf_
+    if bits is not None and bc > bits:
+        man >>= bc - bits
+        exp += bc - bits
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _steps(waypoints, sing, digits: int, step_factor: float):
+    """The Taylor steps (z, h) along a polygon, segment by segment.
+
+    A step from z goes `step_factor` times the distance d from z to the
+    nearest singular point, or to the segment's end if that is nearer.  On
+    a segment [a, w] with exact ends (Fraction pairs) z = a + t (w - a) and
+    h = dt (w - a) with t and dt exact: dt is that reach in units of
+    |w - a|, cut down to its leading STEP_BITS binary digits, or the rest
+    1 - t of the segment, so z and h are exact Gaussian rationals and no
+    step is longer than the full reach.  On any other segment z and h are
+    mpc and the step is the full reach.
+    """
+    for a, w in zip(waypoints, waypoints[1:]):
+        if isinstance(a, tuple) and isinstance(w, tuple):
+            delta = (w[0] - a[0], w[1] - a[1])
+            if delta == (0, 0):
+                continue
+            length = abs(as_mpc(delta))
+            t = Fraction(0)
+            while t < 1:
+                z = (a[0] + t * delta[0], a[1] + t * delta[1])
+                rest = 1 - t
+                if sing:
+                    d = min(abs(as_mpc(z) - s) for s in sing)
+                    reach = d * mpf(step_factor) / length
+                    if rest > _dyadic(reach):
+                        rest = _dyadic(reach, STEP_BITS)
+                if as_mpc(rest).real * length < mpf(10) ** (-digits):
+                    raise PathError("step size underflow near a singular point")
+                yield z, (rest * delta[0], rest * delta[1])
+                t += rest
+            continue
+        z, w = as_mpc(a), as_mpc(w)
+        while abs(w - z) > 0:
+            d = min(abs(z - s) for s in sing) if sing else abs(w - z)
+            remaining = abs(w - z)
+            last = remaining <= d * mpf(step_factor)
+            step = remaining if last else d * mpf(step_factor)
+            if step < mpf(10) ** (-digits):
+                raise PathError("step size underflow near a singular point")
+            h = (w - z) if last else (w - z) / remaining * step
+            yield z, h
+            z = w if last else z + h
 
 
 def continue_solution(op: FuchsianOperator, path: ContinuationPath,
@@ -577,13 +710,20 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
 
     Step size is `step_factor` times the distance to the nearest singular
     point (default one half), and the working term count targets a per-step
-    truncation below 10^-(digits+10).  Each step advances all columns
-    together through one Taylor recurrence on fixed-point integers
-    (`_taylor_transport`): the step is rescaled to end at t = 1, the
-    operator's normalized coefficients and the scaled terms c_n h^n are
-    Python ints carrying GUARD_BITS (80) bits beyond the working precision,
-    relative to the largest entry of the frame, and only the shifted
-    operator, the final sums and the division by h^d run in mpmath.
+    truncation below 10^-(digits+10).  On a segment between exact waypoints
+    (Fraction pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON) every
+    expansion point z = a + t (w - a) and step h = dt (w - a) is an exact
+    Gaussian rational: dt is that step in units of |w - a| rounded down to
+    STEP_BITS significant binary digits (see _steps), so no step is longer.
+    Each step advances all columns together through one Taylor recurrence
+    on Python integers (`_taylor_transport`): the step is rescaled to end
+    at t = 1, the scaled terms c_n h^n are ints carrying GUARD_BITS (80)
+    bits beyond the working precision, relative to the largest entry of
+    the frame, and the operator's normalized coefficients are Gaussian
+    integers over one divisor with one binary shift (_recurrence): exact
+    and small at an exact point, 2^P fixed-point values at an inexact one
+    (such as 2 sqrt 2 - 2).  Only the final sums and the division by h^d
+    run in mpmath.
 
     The tail of a step is the largest |c_n h^n| among its last 6 terms.
     That is a heuristic, not a bound: a step whose tail exceeds
@@ -608,35 +748,26 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
                                  mp.log(1 / mpf(step_factor)))) + 16
         cols = [tuple(col) for col in initial.columns]
         err = mpf(initial.error_estimate)
-        z = waypoints[0]
-        for w in waypoints[1:]:
-            while abs(w - z) > 0:
-                d = min(abs(z - s) for s in sing) if sing else abs(w - z)
-                remaining = abs(w - z)
-                last = remaining <= d * mpf(step_factor)
-                step = remaining if last else d * mpf(step_factor)
-                if step < mpf(10) ** (-digits):
-                    raise PathError("step size underflow near a singular point")
-                h = (w - z) if last else (w - z) / remaining * step
-                shifted = [_shift_poly(p, z) for p in op.coeff_polys]
-                nterms = base_terms
-                for attempt in range(6):
-                    new_cols, tail_worst = _taylor_transport(shifted, cols, h, nterms)
-                    scale = max(max(abs(v) for v in col) for col in new_cols)
-                    if tail_worst <= eps * max(mpf(1), scale):
-                        break
-                    nterms = int(nterms * 1.5)
-                else:
-                    raise PathError("Taylor step failed to reach target accuracy")
-                cols = new_cols
-                err += tail_worst
-                z = w if last else z + h
-        return SolutionFrame(z, tuple(cols), err)
+        for z, h in _steps(path.waypoints, sing, digits, step_factor):
+            recurrence = _recurrence(op, z, h)
+            nterms = base_terms
+            for attempt in range(6):
+                new_cols, tail_worst = _taylor_transport(recurrence, cols, h, nterms)
+                scale = max(max(abs(v) for v in col) for col in new_cols)
+                if tail_worst <= eps * max(mpf(1), scale):
+                    break
+                nterms = int(nterms * 1.5)
+            else:
+                raise PathError("Taylor step failed to reach target accuracy")
+            cols = new_cols
+            err += tail_worst
+        return SolutionFrame(waypoints[-1], tuple(cols), err)
 
 
 def legendre_frame(base, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
     """Fundamental frame (varpi0, varpi1) of the Legendre operator at a base
-    point inside the series disk."""
+    point inside the series disk; an exact base (a waypoint's Fraction pair)
+    reaches legendre_jet exactly."""
     jet = periods.legendre_jet(base, digits)
     with working_precision(digits):
         return SolutionFrame(as_mpc(base), ((jet.varpi0, jet.dvarpi0),
@@ -666,9 +797,7 @@ def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath:
 
 
 def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
-    with working_precision(digits):
-        base = as_mpc(path.waypoints[0])
-    frame = legendre_frame(base, digits)
+    frame = legendre_frame(path.waypoints[0], digits)
     return continue_solution(legendre_operator(), path, frame, digits)
 
 
@@ -682,10 +811,11 @@ def tau_at(lambda_target, path: ContinuationPath | None = None,
            digits: int = DEFAULT_DIGITS):
     """tau = varpi1/varpi0 at the target after continuation along the path."""
     with working_precision(digits):
-        target = as_mpc(_normalize_waypoint(lambda_target))
+        exact = _normalize_waypoint(lambda_target)
+        target = as_mpc(exact)
         if path is None and abs(target) <= mpf("0.5") and target != 0:
             # inside the series disk the path degenerates to the point itself
-            jet = periods.legendre_jet(target, digits)
+            jet = periods.legendre_jet(exact, digits)
             return jet.varpi1 / jet.varpi0
         if path is None:
             path = default_path(target, digits)

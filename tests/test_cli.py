@@ -320,6 +320,17 @@ def test_default_report_is_unchanged(capsys):
     assert out.encode("utf-8") == (DATA / "all_default.json").read_bytes()
 
 
+def test_all_builds_each_lambda_series_once(capsys):
+    # identities asks for lambda(q) at its largest order first; lambda-series
+    # and bps then truncate that table instead of building their own
+    tables = [periods.q_of_lambda_series, periods.lambda_q_series, periods.varpi0_q_series]
+    for table in tables:
+        table.cache_clear()
+    code, _ = run_main(["all"], capsys)
+    assert code == 0
+    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+
+
 @pytest.fixture(scope="module")
 def battery_and_parts(tmp_path_factory):
     """`all --digits 40`, and each of its selections run on its own."""

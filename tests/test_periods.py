@@ -7,8 +7,8 @@ from mpmath import mp, mpc, mpf
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, lambda_from_t, reference_dwork_periods,
                      reference_legendre_jet)
-from mirrorperiods.hyperfun import PrecisionError, working_precision
-from mirrorperiods.qseries import RationalSeries
+from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
+from mirrorperiods.qseries import RationalSeries, SeriesError
 
 DIGITS = 50
 
@@ -118,7 +118,7 @@ def test_q_side_periods_equal_their_compositions(n):
 
 def test_one_lambda_composition_per_order(monkeypatch):
     # THETA-V, THETA-24, DLDTAU and DELTA-LAMBDA run at 30 + 8 and BPS at
-    # 16 + 8: two orders, so two compositions with lambda(q) in all
+    # 16 + 8: BPS truncates the order-38 composition, so one in all
     calls = []
     compose = RationalSeries.compose
 
@@ -130,7 +130,26 @@ def test_one_lambda_composition_per_order(monkeypatch):
     periods.varpi0_q_series.cache_clear()
     for name in ("THETA-V", "THETA-24", "DLDTAU", "DELTA-LAMBDA", "BPS"):
         assert periods.check_identity(name).passed
-    assert sorted(calls) == [25, 39]  # lambda(q) is known one term beyond its order
+    assert calls == [39]  # lambda(q) is known one term beyond its order
+
+
+LARGEST_TABLES = ("q_of_lambda_series", "lambda_q_series", "varpi0_q_series")
+
+
+@pytest.mark.parametrize("name", LARGEST_TABLES)
+def test_lower_order_is_a_truncation_of_the_largest_table(name):
+    # a lower order is answered from the largest table, and is the series a
+    # fresh build at that order gives: same coefficients, offset and order
+    series = getattr(periods, name)
+    series.cache_clear()
+    series(30)
+    low = series(12)
+    assert series.cache_info()[:2] == (1, 1)
+    series.cache_clear()
+    fresh = series(12)
+    assert (low.coeffs, low.offset, low.order) == (fresh.coeffs, fresh.offset, fresh.order)
+    with pytest.raises(SeriesError):
+        series(0)
 
 
 def test_bps_series_expansion():
@@ -239,6 +258,17 @@ def _assert_relative(new, ref, digits):
 def test_legendre_jet_matches_reference(lam, digits):
     _assert_relative(periods.legendre_jet(lam, digits),
                      reference_legendre_jet(lam, digits), digits)
+
+
+@pytest.mark.parametrize("digits", [40, 200])
+@pytest.mark.parametrize("lam", JET_POINTS)
+def test_legendre_jet_at_exact_lambda_matches_mpc(lam, digits):
+    # an exact lambda enters as a Gaussian integer over its denominator, an
+    # mpc one as 2^P fixed-point values: the same jet either way
+    with working_precision(digits):
+        rounded = as_mpc(lam)
+    _assert_relative(periods.legendre_jet(lam, digits),
+                     periods.legendre_jet(rounded, digits), digits)
 
 
 @pytest.mark.parametrize("digits", [40, 200])

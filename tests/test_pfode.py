@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import apply_numeric, reference_taylor_transport
 from mpmath import mp, mpc, mpf
 
@@ -10,6 +14,7 @@ from mirrorperiods.hyperfun import as_mpc, hyp2f1_series, theta_const, working_p
 from mirrorperiods.qseries import RationalSeries
 
 DIGITS = 50
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +220,126 @@ KERNEL_STEPS = [
 KERNEL_COLUMNS = ((mpc(1, "0.5"), mpc("-0.25", 2)), (mpc(0, -3), mpc("1.5", 0)))
 
 
-def _kernel_step(name, z, direction, digits):
+def _kernel_step(name, z, direction, digits, exact):
+    """(recurrence, h, shifted, mpc h, nterms) for one step from z.  The
+    exact step is the one on a segment between exact waypoints: half the
+    reach cut to STEP_BITS binary digits, an exact Gaussian rational.  The
+    other has |h| = d/2 exactly, an irrational step at the mpc point z."""
     op = pfode.legendre_operator() if name == "legendre" else pfode.pullback_sq_operator()
-    z = as_mpc(z)
-    d = min(abs(z - s) for s in op.singular_points(digits))
+    zm = as_mpc(z)
+    d = min(abs(zm - s) for s in op.singular_points(digits))
     u = mpc(*direction)
-    h = u / abs(u) * d / 2
-    shifted = [pfode._shift_poly(p, z) for p in op.coeff_polys]
+    if exact:
+        dt = pfode._dyadic(d / 2 / abs(u), pfode.STEP_BITS)
+        h = (dt * direction[0], dt * direction[1])
+        recurrence = pfode._recurrence(op, z, h)
+    else:
+        h = u / abs(u) * d / 2
+        recurrence = pfode._recurrence(op, zm, h)
+    shifted = [pfode._shift_poly(p, zm) for p in op.coeff_polys]
     nterms = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
-    return shifted, h, nterms
+    return recurrence, h, shifted, as_mpc(h), nterms
+
+
+def _kernel_deviation(recurrence, cols, h, ref, nterms):
+    """Largest deviation of the kernel's step from the reference, and its tail."""
+    new_cols, tail = pfode._taylor_transport(recurrence, cols, h, nterms)
+    dev = max(abs(a - b) for new, (vals, _) in zip(new_cols, ref)
+              for a, b in zip(new, vals))
+    return dev, tail
 
 
 @pytest.mark.parametrize("digits", [50, 200])
 @pytest.mark.parametrize("name, z, direction", KERNEL_STEPS)
 def test_taylor_kernel_matches_reference(name, z, direction, digits):
+    # both coefficient forms: exact small integers over a divisor (exact step)
+    # and 2^P fixed-point values (irrational step)
     with working_precision(digits):
-        shifted, h, nterms = _kernel_step(name, z, direction, digits)
         cols = [tuple(mpc(v) for v in col) for col in KERNEL_COLUMNS]
-        new_cols, tail = pfode._taylor_transport(shifted, cols, h, nterms)
-        ref = [reference_taylor_transport(shifted, 2, col, h, nterms) for col in cols]
-        ref_tail = max(t for _, t in ref)
-        scale = max(abs(v) for vals, _ in ref for v in vals)
-        dev = max(abs(a - b) for new, (vals, _) in zip(new_cols, ref)
-                  for a, b in zip(new, vals))
-        assert dev < mpf(10) ** -digits * scale
-        assert ref_tail / 2 <= tail <= 2 * ref_tail
+        for exact in (True, False):
+            recurrence, h, shifted, hm, nterms = _kernel_step(name, z, direction, digits, exact)
+            assert (recurrence[2] == 0) == exact
+            ref = [reference_taylor_transport(shifted, 2, col, hm, nterms) for col in cols]
+            ref_tail = max(t for _, t in ref)
+            scale = max(abs(v) for vals, _ in ref for v in vals)
+            dev, tail = _kernel_deviation(recurrence, cols, h, ref, nterms)
+            assert dev < mpf(10) ** -digits * scale
+            assert ref_tail / 2 <= tail <= 2 * ref_tail
+            if not exact:
+                continue
+            # mutation check: one unit more in any integer coefficient, or in
+            # the divisor, must fail the same comparison
+            groups, divisor, shift = recurrence
+            mutants = [(groups, divisor + 1, shift)]
+            for s, terms in groups.items():
+                for t, (k, qre, qim) in enumerate(terms):
+                    for bumped in ((k, qre + 1, qim), (k, qre, qim + 1)):
+                        mutant = dict(groups)
+                        mutant[s] = terms[:t] + [bumped] + terms[t + 1:]
+                        mutants.append((mutant, divisor, shift))
+            for mutant in mutants:
+                dev, _ = _kernel_deviation(mutant, cols, h, ref, nterms)
+                assert dev >= mpf(10) ** -digits * scale
+
+
+def _walk_clear(points, clearance=0.1):
+    # a float pre-check with a margin; the transport checks exactly
+    for a, b in zip(points, points[1:]):
+        a, b = complex(*map(float, a)), complex(*map(float, b))
+        for s in (0, 1):
+            ab = b - a
+            t = 0.0 if ab == 0 else max(0.0, min(1.0, ((s - a) * ab.conjugate()).real / abs(ab) ** 2))
+            if abs(a + t * ab - s) < clearance * 1.05:
+                return False
+    return True
+
+
+_coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+_rational_walk = st.tuples(
+    st.sampled_from([(F(1, 10), F(0)), (F(1, 4), F(-1, 4)), (F(-1, 2), F(1, 5)),
+                     (F(3, 5), F(1, 2))]),
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=3),
+).map(lambda bw: (bw[0],) + tuple(bw[1])).filter(_walk_clear)
+
+
+@given(points=_rational_walk)
+@settings(max_examples=6, deadline=None)
+def test_rational_walk_steps_and_frame(points):
+    op = pfode.legendre_operator()
+    path = pfode.ContinuationPath(points)
+    with working_precision(40):
+        sing = op.singular_points(40)
+        steps = list(pfode._steps(path.waypoints, sing, 40, 0.5))
+        # the steps chain exactly from the first waypoint to the last
+        z = path.waypoints[0]
+        for zi, h in steps:
+            assert zi == z
+            z = (z[0] + h[0], z[1] + h[1])
+        assert z == path.waypoints[-1]
+        for zi, h in steps:
+            # zi and zi + h lie on one segment [a, w]: zi = a + t (w - a),
+            # 0 <= t <= t + dt <= 1, all exact
+            on = False
+            for a, w in zip(path.waypoints, path.waypoints[1:]):
+                dx, dy = w[0] - a[0], w[1] - a[1]
+                n2 = dx * dx + dy * dy
+                if n2 == 0:
+                    continue
+                rx, ry = zi[0] - a[0], zi[1] - a[1]
+                t = (rx * dx + ry * dy) / n2
+                dt = (h[0] * dx + h[1] * dy) / n2
+                if rx * dy == ry * dx and h[0] * dy == h[1] * dx and 0 <= t < t + dt <= 1:
+                    on = True
+            assert on
+            d = min(abs(as_mpc(zi) - s) for s in sing)
+            assert abs(as_mpc(h)) <= d / 2 * (1 + mpf(10) ** -30)
+    frames = [pfode.continue_solution(op, path, pfode.legendre_frame(points[0], digits), digits)
+              for digits in (40, 80)]
+    with working_precision(80):
+        scale = max(mpf(1), max(abs(v) for col in frames[1].columns for v in col))
+        dev = max(abs(a - b) for ca, cb in zip(frames[0].columns, frames[1].columns)
+                  for a, b in zip(ca, cb))
+        assert dev < mpf(10) ** -35 * scale
 
 
 def test_precision_doubling_to_two_at_200_digits():
@@ -256,6 +356,24 @@ def test_tau_at_quartic_point():
     with working_precision(DIGITS):
         assert abs(tau - mp.mpc(-1, 1) / 2) < mpf(10) ** -30
         assert tau.imag > 0
+
+
+def _mpf_bits(x):
+    sign, man, exp, _ = x._mpf_
+    return [hex(-int(man) if sign else int(man)), exp]
+
+
+@pytest.mark.parametrize("digits", [40, 200])
+def test_psi_one_point_frame_is_bit_identical(digits):
+    # the segment to 2 sqrt 2 - 2 has an inexact end, so its steps keep the
+    # 2^P fixed-point coefficients: frame and tau are bit for bit the
+    # committed ones (computed before exact steps existed)
+    want = json.loads((DATA / "frame_2sqrt2m2.json").read_text())["frames"][str(digits)]
+    with working_precision(digits):
+        lam = 2 * mp.sqrt(2) - 2
+    frame = pfode.continue_legendre(pfode.default_path(lam, digits), digits)
+    values = [v for col in frame.columns for v in col] + [pfode.tau_at(lam, digits=digits)]
+    assert [_mpf_bits(x) for v in values for x in (v.real, v.imag)] == want
 
 
 def test_tau_at_psi_one_point():
