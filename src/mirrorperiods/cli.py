@@ -152,13 +152,14 @@ def _run_continue(cfg: RunConfig, args) -> list[dict]:
             lam = Fraction(target)
             expected = mp.mpc(-1, 1) / 2 if lam == 2 else None
             label = f"tau({target})"
-    if path is None and lam == 2:
+    if path is None:
+        path = pfode.default_path(lam, cfg.digits)  # None: the series at lam
+    if path is pfode.CANONICAL_PATH_TO_TWO:
         tau = pfode.frame_tau(cfg.frame_at_two, cfg.digits)
     else:
         tau = pfode.tau_at(lam, path=path, digits=cfg.digits)
     with working_precision(cfg.digits):
-        used = path if path is not None else pfode.default_path(lam, cfg.digits)
-        e = {"tau": mp.nstr(tau, cfg.digits), "path": used.to_json(),
+        e = {"tau": mp.nstr(tau, cfg.digits), "path": None if path is None else path.to_json(),
              "im_positive": bool(tau.imag > 0)}
         if expected is None:
             return [_entry(label, tau.imag > 0, **e)]

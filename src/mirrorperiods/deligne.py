@@ -39,7 +39,11 @@ from . import arith
 from .hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
                        theta_const, working_precision)
 
-MAX_DIGITS = 300  # coefficient tables and quadrature are sized for this
+# Largest working precision lvalue (and so the deligne stage) accepts; its
+# termwise sum takes about 500 eta-product coefficients there.
+MAX_DIGITS = 300
+# Largest denominator rationalize tries before it gives up.
+MAX_DENOMINATOR = 10 ** 6
 
 
 class ReconstructionError(ArithmeticError):
@@ -50,13 +54,7 @@ class ReconstructionError(ArithmeticError):
 class LValueResult:
     s: int
     value: mpf
-    method: str
     error_estimate: mpf
-
-    def to_dict(self) -> dict:
-        return {"s": self.s, "value": mp.nstr(self.value, mp.dps),
-                "method": self.method,
-                "error_estimate": mp.nstr(self.error_estimate, 3)}
 
 
 @dataclass(frozen=True)
@@ -105,37 +103,17 @@ def _lambda_termwise(s: int, digits: int):
     return total, tail
 
 
-def _lambda_quadrature(s: int, digits: int):
-    """Lambda(s) by adaptive quadrature of the eta product itself (oracle
-    route; shares only the split substitution with the termwise method)."""
-    def upper(z):
-        return eta_value(4j * z, digits) ** 6 * z ** (s - 1)
-
-    def lower(u):
-        return 64 * mpf(16) ** (-s) * eta_value(4j * u, digits) ** 6 * u ** (2 - s)
-
-    quarter = mpf(1) / 4
-    val = mp.quad(upper, [quarter, 1, 3, mp.inf]) + \
-        mp.quad(lower, [quarter, 1, 3, mp.inf])
-    return val.real, mpf(10) ** (-mp.dps + 6)
-
-
-def lvalue(s: int, digits: int = DEFAULT_DIGITS, method: str = "termwise") -> LValueResult:
+def lvalue(s: int, digits: int = DEFAULT_DIGITS) -> LValueResult:
     """L of the critical Tate twists: s=1 gives 2 pi Lambda(1), s=2 gives
-    (2 pi)^2 Lambda(2)."""
+    (2 pi)^2 Lambda(2), by the termwise sum."""
     if s not in (1, 2):
         raise ValueError("critical twists are s = 1 and s = 2 only")
     if digits > MAX_DIGITS:
         raise PrecisionError(f"digits capped at {MAX_DIGITS}")
     with working_precision(digits):
-        if method == "termwise":
-            lam, err = _lambda_termwise(s, digits)
-        elif method == "quadrature":
-            lam, err = _lambda_quadrature(s, digits)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        lam, err = _lambda_termwise(s, digits)
         scale = (2 * mp.pi) ** s
-        return LValueResult(s, scale * lam.real, method, scale * err)
+        return LValueResult(s, scale * lam.real, scale * err)
 
 
 def theta_quartic_point(digits: int = DEFAULT_DIGITS) -> mpc:
@@ -172,10 +150,10 @@ def deligne_periods(frame, digits: int = DEFAULT_DIGITS) -> DelignePeriodSet:
         )
 
 
-def rationalize(x, max_denominator: int = 10 ** 6, tol=None) -> Fraction:
+def rationalize(x, tol=None) -> Fraction:
     """Continued-fraction reconstruction of a small rational from an mpf.
 
-    Fails loudly if no convergent with denominator <= max_denominator lands
+    Fails loudly if no convergent with denominator <= MAX_DENOMINATOR lands
     within tol; a period ratio that is not a small rational is a computation
     bug, not a refutation.
     """
@@ -189,9 +167,9 @@ def rationalize(x, max_denominator: int = 10 ** 6, tol=None) -> Fraction:
         a = int(mp.floor(y))
         h2, h1 = h1, a * h1 + h2
         k2, k1 = k1, a * k1 + k2
-        if k1 > max_denominator:
+        if k1 > MAX_DENOMINATOR:
             raise ReconstructionError(
-                f"no rational with denominator <= {max_denominator} within {mp.nstr(tol, 3)}")
+                f"no rational with denominator <= {MAX_DENOMINATOR} within {mp.nstr(tol, 3)}")
         if abs(x - mpf(h1) / k1) < tol:
             return Fraction(h1, k1)
         frac = y - a
@@ -215,7 +193,7 @@ def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
 
     r1 = c^+(twist 1) / L(twist 1) and r2 = c^+(twist 2) / L(twist 2), with
     the twisted periods taken from `periods`, reconstructed by continued
-    fractions with denominator bound 10^6 and residual tolerance
+    fractions with denominator bound MAX_DENOMINATOR and residual tolerance
     10^-(digits-10).
     """
     if digits < 40:

@@ -178,9 +178,6 @@ def eta_value(tau, digits: int = DEFAULT_DIGITS):
 # Harmonic sums standing in for polygamma brackets
 # ---------------------------------------------------------------------------
 
-_H: list[Fraction] = [Fraction(0)]
-_H2: list[Fraction] = [Fraction(0)]
-
 
 def harmonic_sums(n: int) -> tuple[Fraction, Fraction]:
     """(H_n, H_n^(2)) as exact rationals.
@@ -192,8 +189,8 @@ def harmonic_sums(n: int) -> tuple[Fraction, Fraction]:
     """
     if n < 0:
         raise ValueError("harmonic_sums requires n >= 0")
-    while len(_H) <= n:
-        k = len(_H)
-        _H.append(_H[k - 1] + Fraction(1, k))
-        _H2.append(_H2[k - 1] + Fraction(1, k * k))
-    return _H[n], _H2[n]
+    h = h2 = Fraction(0)
+    for k in range(1, n + 1):
+        h += Fraction(1, k)
+        h2 += Fraction(1, k * k)
+    return h, h2

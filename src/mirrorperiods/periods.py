@@ -52,13 +52,11 @@ _PAD = 8  # extra exact-series slots so residuals stay provable at the asked ord
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def varpi0_series(order: int) -> RationalSeries:
     """2F1(1/2,1/2;1;lam) = 1 + lam/4 + 9 lam^2/64 + ..."""
     return hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), order)
 
 
-@lru_cache(maxsize=None)
 def h_series(order: int) -> RationalSeries:
     """Log-companion series h(lam) = lam/2 + 21 lam^2/64 + 185 lam^3/768 + ...
 
@@ -119,7 +117,6 @@ def _largest_table(build):
     return cached
 
 
-@_largest_table
 def q_of_lambda_series(order: int) -> RationalSeries:
     """q(lam) = (lam/16) * exp(h(lam)/varpi0(lam)), exactly in rationals;
     known to lam^order."""
@@ -151,14 +148,12 @@ def varpi0_q_series(order: int) -> RationalSeries:
     return varpi0_series(order).compose(lambda_q_series(order))
 
 
-@lru_cache(maxsize=None)
 def pi0_series(order: int) -> RationalSeries:
     """Pi0(lam) = (1 - lam/2) * varpi0(lam)^2 as an exact lambda-series."""
     half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, order)
     return half * varpi0_series(order) ** 2
 
 
-@lru_cache(maxsize=None)
 def bps_series(order: int) -> RationalSeries:
     """Q^(-1) sum chi(Hilb^n) Q^n = 1/eta^24 as a series in Q = exp(2*pi*i*tau)."""
     if order < 1:
@@ -166,7 +161,6 @@ def bps_series(order: int) -> RationalSeries:
     return eta_product(1, 24, order).reciprocal()
 
 
-@lru_cache(maxsize=None)
 def theta3_qseries(order: int) -> RationalSeries:
     """theta3(0,q) = 1 + 2q + 2q^4 + 2q^9 + ... as an exact q-series."""
     coeffs = [Fraction(0)] * order
@@ -178,7 +172,6 @@ def theta3_qseries(order: int) -> RationalSeries:
     return RationalSeries(coeffs, 0, order)
 
 
-@lru_cache(maxsize=None)
 def theta4_qseries(order: int) -> RationalSeries:
     """theta4(0,q) = 1 - 2q + 2q^4 - 2q^9 + ... as an exact q-series."""
     coeffs = [Fraction(0)] * order
@@ -190,7 +183,6 @@ def theta4_qseries(order: int) -> RationalSeries:
     return RationalSeries(coeffs, 0, order)
 
 
-@lru_cache(maxsize=None)
 def theta2_pow4_qseries(order: int) -> RationalSeries:
     """theta2(0,q)^4 = 16 q (sum_n q^(n(n+1)))^4; offset 1, exact."""
     coeffs = [Fraction(0)] * order
@@ -202,7 +194,6 @@ def theta2_pow4_qseries(order: int) -> RationalSeries:
     return (s ** 4 * 16).shifted(1)
 
 
-@lru_cache(maxsize=None)
 def delta_qseries(order: int) -> RationalSeries:
     """Delta = eta(tau)^24 written in the half nome: q^2 prod(1-q^(2n))^24."""
     return eta_product(2, 24, order)
@@ -637,7 +628,7 @@ def _bps_residual(n: int):
     return (lhs - rhs,)
 
 
-def _numeric_report(name, where, residual, tol_exp, digits, info=None) -> IdentityReport:
+def _numeric_report(name, where, residual, tol_exp) -> IdentityReport:
     tol = mpf(10) ** tol_exp
     return IdentityReport(
         identity=name,
@@ -646,7 +637,6 @@ def _numeric_report(name, where, residual, tol_exp, digits, info=None) -> Identi
         tolerance=mp.nstr(tol, 3),
         exact=False,
         passed=bool(residual <= tol),
-        info=info,
     )
 
 
@@ -664,7 +654,7 @@ def _delta_theta_check(digits) -> IdentityReport:
                                   * theta_const(4, q, digits)) ** 8
             worst = max(worst, abs(lhs - rhs))
     where = "tau in {" + ", ".join(mp.nstr(p, 8) for p in pts) + "}"
-    return _numeric_report("DELTA-THETA", where, worst, -(digits - 20), digits)
+    return _numeric_report("DELTA-THETA", where, worst, -(digits - 20))
 
 
 W_PI_GRID = [(Fraction("0.05"), Fraction(0)), (Fraction(0), Fraction("0.1")),
@@ -673,14 +663,15 @@ W_PI_GRID = [(Fraction("0.05"), Fraction(0)), (Fraction(0), Fraction("0.1")),
 
 @lru_cache(maxsize=1)
 def _w_pi_grid(digits):
-    """(where, ((lam, DworkPeriods, PiTriple), ...)) on W_PI_GRID, evaluated
-    once per digits for both W-PI and W2-RATIO."""
+    """(where, ((label, DworkPeriods, PiTriple), ...)) on W_PI_GRID,
+    evaluated once per digits for both W-PI and W2-RATIO.  The exact points
+    reach quad_map and pi_triple as they are (so legendre_jet takes its
+    exact-lambda path); the labels are formatted from mpc copies."""
     with working_precision(digits):
-        pts = [as_mpc(p) for p in W_PI_GRID]
-        values = tuple((lam, dwork_periods(quad_map(lam, digits).psi, digits),
-                        pi_triple(lam, digits)) for lam in pts)
-    where = "lambda in {" + ", ".join(mp.nstr(p, 8) for p in pts) + "}"
-    return where, values
+        labels = [mp.nstr(as_mpc(lam), 8) for lam in W_PI_GRID]
+    values = tuple((label, dwork_periods(quad_map(lam, digits).psi, digits),
+                    pi_triple(lam, digits)) for label, lam in zip(labels, W_PI_GRID))
+    return "lambda in {" + ", ".join(labels) + "}", values
 
 
 def _w_pi_check(digits) -> IdentityReport:
@@ -689,7 +680,7 @@ def _w_pi_check(digits) -> IdentityReport:
     with working_precision(digits):
         for _, dw, pt in values:
             worst = max(worst, abs(dw.w0 - pt.pi0), abs(dw.w1 - pt.pi1))
-    return _numeric_report("W-PI", where, worst, -(digits - 15), digits)
+    return _numeric_report("W-PI", where, worst, -(digits - 15))
 
 
 def _w2_ratio_record(digits) -> IdentityReport:
@@ -697,7 +688,7 @@ def _w2_ratio_record(digits) -> IdentityReport:
     # the observed ratio without asserting a value.
     where, values = _w_pi_grid(digits)
     with working_precision(digits):
-        ratios = {mp.nstr(lam, 8): mp.nstr(dw.w2 / pt.pi2, 25) for lam, dw, pt in values}
+        ratios = {label: mp.nstr(dw.w2 / pt.pi2, 25) for label, dw, pt in values}
     return IdentityReport("W2-RATIO", where, "0", "0", exact=False, passed=True,
                           informational=True, info={"w2_over_pi2": ratios})
 

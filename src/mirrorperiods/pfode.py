@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -52,6 +51,11 @@ Poly = tuple  # tuple[Fraction, ...], low degree first
 # between exact waypoints (see _steps): few enough that the exact expansion
 # points and steps keep small denominators.
 STEP_BITS = 5
+# A Taylor step goes at most this fraction of the distance to the nearest
+# singular point.
+STEP_FACTOR = 0.5
+# Least distance a continuation path keeps from every singular point.
+CLEARANCE = 0.1
 
 
 class PathError(ValueError):
@@ -312,7 +316,6 @@ def _hypergeometric_theta_operator(local_exponents: Sequence[Fraction], order: i
     return FuchsianOperator(tuple(polys), var)
 
 
-@lru_cache(maxsize=None)
 def k3_operator() -> FuchsianOperator:
     """Order-3 annihilator of the quartic-family periods in t = psi^-4:
     theta^3 - t(theta+1/4)(theta+1/2)(theta+3/4)."""
@@ -320,14 +323,12 @@ def k3_operator() -> FuchsianOperator:
         [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)], 3, "t")
 
 
-@lru_cache(maxsize=None)
 def k3_sq_operator() -> FuchsianOperator:
     """Order-2 operator whose symmetric square is the order-3 one:
     theta^2 - t(theta+1/8)(theta+3/8)."""
     return _hypergeometric_theta_operator([Fraction(1, 8), Fraction(3, 8)], 2, "t")
 
 
-@lru_cache(maxsize=None)
 def legendre_operator() -> FuchsianOperator:
     """lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating varpi0 and varpi1."""
     return FuchsianOperator((
@@ -337,7 +338,6 @@ def legendre_operator() -> FuchsianOperator:
     ), "lambda")
 
 
-@lru_cache(maxsize=None)
 def pullback_sq_operator() -> FuchsianOperator:
     """Pullback of the order-2 operator to the lambda line:
     lam(1-lam)(2-lam)^2 D^2 + (2-lam)(2-4lam+lam^2) D - (3/4) lam,
@@ -408,10 +408,10 @@ def _normalize_waypoint(w):
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Polygonal path in the complex plane with a clearance requirement."""
+    """Polygonal path in the complex plane; continuation requires it to keep
+    CLEARANCE from every singular point."""
 
     waypoints: tuple
-    clearance: float = 0.1
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
@@ -420,12 +420,12 @@ class ContinuationPath:
                            tuple(_normalize_waypoint(w) for w in self.waypoints))
 
     @classmethod
-    def from_json(cls, text: str, clearance: float = 0.1) -> "ContinuationPath":
+    def from_json(cls, text: str) -> "ContinuationPath":
         """Waypoints as a JSON list of [re, im] pairs of decimal strings,
         parsed exactly."""
         data = json.loads(text)
         pts = [(Fraction(str(re)), Fraction(str(im))) for re, im in data]
-        return cls(tuple(pts), clearance)
+        return cls(tuple(pts))
 
     def to_json(self) -> str:
         def fmt(x):
@@ -658,10 +658,10 @@ def _dyadic(x: mpf, bits: int | None = None) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _steps(waypoints, sing, digits: int, step_factor: float):
+def _steps(waypoints, sing, digits: int):
     """The Taylor steps (z, h) along a polygon, segment by segment.
 
-    A step from z goes `step_factor` times the distance d from z to the
+    A step from z goes STEP_FACTOR times the distance d from z to the
     nearest singular point, or to the segment's end if that is nearer.  On
     a segment [a, w] with exact ends (Fraction pairs) z = a + t (w - a) and
     h = dt (w - a) with t and dt exact: dt is that reach in units of
@@ -682,7 +682,7 @@ def _steps(waypoints, sing, digits: int, step_factor: float):
                 rest = 1 - t
                 if sing:
                     d = min(abs(as_mpc(z) - s) for s in sing)
-                    reach = d * mpf(step_factor) / length
+                    reach = d * mpf(STEP_FACTOR) / length
                     if rest > _dyadic(reach):
                         rest = _dyadic(reach, STEP_BITS)
                 if as_mpc(rest).real * length < mpf(10) ** (-digits):
@@ -694,8 +694,8 @@ def _steps(waypoints, sing, digits: int, step_factor: float):
         while abs(w - z) > 0:
             d = min(abs(z - s) for s in sing) if sing else abs(w - z)
             remaining = abs(w - z)
-            last = remaining <= d * mpf(step_factor)
-            step = remaining if last else d * mpf(step_factor)
+            last = remaining <= d * mpf(STEP_FACTOR)
+            step = remaining if last else d * mpf(STEP_FACTOR)
             if step < mpf(10) ** (-digits):
                 raise PathError("step size underflow near a singular point")
             h = (w - z) if last else (w - z) / remaining * step
@@ -704,12 +704,11 @@ def _steps(waypoints, sing, digits: int, step_factor: float):
 
 
 def continue_solution(op: FuchsianOperator, path: ContinuationPath,
-                      initial: SolutionFrame, digits: int = DEFAULT_DIGITS,
-                      step_factor: float = 0.5) -> SolutionFrame:
+                      initial: SolutionFrame, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
     """Transport a fundamental system along the path by local Taylor steps.
 
-    Step size is `step_factor` times the distance to the nearest singular
-    point (default one half), and the working term count targets a per-step
+    Step size is STEP_FACTOR (one half) times the distance to the nearest
+    singular point, and the working term count targets a per-step
     truncation below 10^-(digits+10).  On a segment between exact waypoints
     (Fraction pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON) every
     expansion point z = a + t (w - a) and step h = dt (w - a) is an exact
@@ -733,22 +732,22 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     """
     with working_precision(digits):
         sing = op.singular_points(digits)
-        clr = mpf(path.clearance)
+        clr = mpf(CLEARANCE)
         waypoints = [as_mpc(w) for w in path.waypoints]
         for a, b in zip(waypoints, waypoints[1:]):
             for s in sing:
                 if _segment_min_distance(a, b, s) < clr * (1 - mpf(10) ** -12):
                     raise PathError(
                         f"path segment [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}] passes within "
-                        f"clearance {path.clearance} of singular point {mp.nstr(s, 8)}")
+                        f"clearance {CLEARANCE} of singular point {mp.nstr(s, 8)}")
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
             raise PathError("initial frame is not anchored at the first waypoint")
         eps = mpf(10) ** (-(digits + 10))
         base_terms = int(mp.ceil((digits + GUARD_DIGITS + 10) * mp.log(10) /
-                                 mp.log(1 / mpf(step_factor)))) + 16
+                                 mp.log(1 / mpf(STEP_FACTOR)))) + 16
         cols = [tuple(col) for col in initial.columns]
         err = mpf(initial.error_estimate)
-        for z, h in _steps(path.waypoints, sing, digits, step_factor):
+        for z, h in _steps(path.waypoints, sing, digits):
             recurrence = _recurrence(op, z, h)
             nterms = base_terms
             for attempt in range(6):
@@ -786,11 +785,15 @@ CANONICAL_PATH_TO_TWO = ContinuationPath((
 ))
 
 
-def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath:
-    """Straight path from the canonical base, with the lambda = 2 special case
-    routed through the canonical lower detour."""
+def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath | None:
+    """The route tau_at takes to `target` when given no path: None inside
+    the series disk 0 < |target| <= 1/2, where legendre_jet evaluates at
+    the target itself; the canonical lower detour for lambda = 2; else the
+    straight path from the canonical base."""
     with working_precision(digits):
         t = as_mpc(_normalize_waypoint(target))
+        if 0 < abs(t) <= mpf("0.5"):
+            return None
         if abs(t - 2) < mpf(10) ** -25:
             return CANONICAL_PATH_TO_TWO
         return ContinuationPath((CANONICAL_BASE, target))
@@ -809,16 +812,17 @@ def frame_tau(frame: SolutionFrame, digits: int = DEFAULT_DIGITS):
 
 def tau_at(lambda_target, path: ContinuationPath | None = None,
            digits: int = DEFAULT_DIGITS):
-    """tau = varpi1/varpi0 at the target after continuation along the path."""
+    """tau = varpi1/varpi0 at the target after continuation along the path,
+    by default along default_path(lambda_target), or from the series there
+    when that is None."""
     with working_precision(digits):
         exact = _normalize_waypoint(lambda_target)
         target = as_mpc(exact)
-        if path is None and abs(target) <= mpf("0.5") and target != 0:
-            # inside the series disk the path degenerates to the point itself
+        if path is None:
+            path = default_path(exact, digits)
+        if path is None:
             jet = periods.legendre_jet(exact, digits)
             return jet.varpi1 / jet.varpi0
-        if path is None:
-            path = default_path(target, digits)
         end = as_mpc(path.waypoints[-1])
         if abs(end - target) > mpf(10) ** (-digits + 5) * max(mpf(1), abs(target)):
             raise PathError("path does not end at the requested target")

@@ -7,7 +7,8 @@ from math import comb, isqrt
 from mpmath import mp, mpc, mpf
 
 from mirrorperiods.arith import BadReductionError
-from mirrorperiods.hyperfun import DEFAULT_DIGITS, PrecisionError, as_mpc, working_precision
+from mirrorperiods.hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
+                                   working_precision)
 from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms
 from mirrorperiods.pfode import _shift_poly
 from mirrorperiods.qseries import SeriesError
@@ -425,9 +426,9 @@ def cornacchia_bp(p: int) -> int:
 # ---------------------------------------------------------------------------
 # Numeric oracles that used to live in the package
 #
-# Direct 2F1 summation, the small-lambda inverse of the quadratic map and
-# the numeric residual of an operator on Taylor data: no command or check
-# needs them, so only the tests keep them.
+# Direct 2F1 summation, the small-lambda inverse of the quadratic map, the
+# numeric residual of an operator on Taylor data and the L-values by
+# quadrature: no command or check needs them, so only the tests keep them.
 # ---------------------------------------------------------------------------
 
 
@@ -519,3 +520,20 @@ def apply_numeric(op, taylor, point, digits: int = DEFAULT_DIGITS):
                         acc += pkj * ff * taylor[idx]
             out.append(acc)
         return out
+
+
+def quadrature_lvalue(s: int, digits: int):
+    """(2 pi)^s Lambda(s), the L-value deligne.lvalue sums termwise, by
+    adaptive quadrature of the eta product itself: the two routes share
+    only the split of the Mellin integral at z = 1/4."""
+    with working_precision(digits):
+        def upper(z):
+            return eta_value(4j * z, digits) ** 6 * z ** (s - 1)
+
+        def lower(u):
+            return 64 * mpf(16) ** (-s) * eta_value(4j * u, digits) ** 6 * u ** (2 - s)
+
+        quarter = mpf(1) / 4
+        val = mp.quad(upper, [quarter, 1, 3, mp.inf]) + \
+            mp.quad(lower, [quarter, 1, 3, mp.inf])
+        return (2 * mp.pi) ** s * val.real

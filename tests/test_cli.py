@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
 
-from mirrorperiods import cli, deligne, periods, pfode
-from mirrorperiods.hyperfun import PrecisionError, working_precision
+from mirrorperiods import cli, deligne, hyperfun, periods, pfode
+from mirrorperiods.hyperfun import PrecisionError, exact_pair, working_precision
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -80,6 +81,24 @@ def test_continue_command(capsys):
     entry = rep["entries"][0]
     assert entry["passed"] and entry["im_positive"]
     assert entry["expected"].startswith("(-0.5")
+
+
+def test_continue_reports_the_route_it_takes(capsys):
+    # inside the series disk tau comes from the series at the target and no
+    # path is walked, so the entry's path is null; outside it the entry
+    # names the path tau_at walks
+    code, out = run_main(["continue", "--target=-1/3", "--digits", "40"], capsys)
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    assert entry["path"] is None
+    series = periods.legendre_periods(Fraction(-1, 3), 40)
+    with working_precision(40):
+        assert entry["tau"] == mp.nstr(series.tau, 40)
+    code, out = run_main(["continue", "--target", "3/5", "--digits", "40"], capsys)
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    assert entry["path"] == pfode.default_path(Fraction(3, 5), 40).to_json() \
+        == '[["0.1", "0.0"], ["0.6", "0.0"]]'
 
 
 def test_continue_with_explicit_path(capsys):
@@ -320,15 +339,37 @@ def test_default_report_is_unchanged(capsys):
     assert out.encode("utf-8") == (DATA / "all_default.json").read_bytes()
 
 
-def test_all_builds_each_lambda_series_once(capsys):
+def test_all_builds_each_lambda_series_once(monkeypatch, capsys):
     # identities asks for lambda(q) at its largest order first; lambda-series
-    # and bps then truncate that table instead of building their own
-    tables = [periods.q_of_lambda_series, periods.lambda_q_series, periods.varpi0_q_series]
+    # and bps then truncate that table instead of building their own, so
+    # q(lambda), which keeps no table, is built once
+    builds = []
+    build = periods.q_of_lambda_series
+    monkeypatch.setattr(periods, "q_of_lambda_series",
+                        lambda order: builds.append(order) or build(order))
+    tables = [periods.lambda_q_series, periods.varpi0_q_series]
     for table in tables:
         table.cache_clear()
     code, _ = run_main(["all"], capsys)
     assert code == 0
-    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+    assert len(builds) == 1
+    assert [table.cache_info().misses for table in tables] == [1, 1]
+
+
+def test_all_keeps_only_the_tables_it_reuses(capsys):
+    # after one `all` the cached objects of periods and pfode are exactly the
+    # three the run asks for again, and hyperfun keeps no module-level table
+    shared = {"lambda_q_series", "varpi0_q_series", "_w_pi_grid"}
+    for name in shared:
+        getattr(periods, name).cache_clear()
+    code, _ = run_main(["all"], capsys)
+    assert code == 0
+    cached = {name: obj.cache_info() for module in (periods, pfode)
+              for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+    assert set(cached) == shared
+    assert all(info.hits >= 1 for info in cached.values())
+    assert not [name for name, obj in vars(hyperfun).items()
+                if isinstance(obj, (list, dict, set)) and not name.startswith("__")]
 
 
 @pytest.fixture(scope="module")
@@ -432,15 +473,23 @@ def test_transport_refusal_is_a_failed_entry(capsys):
 
 
 def test_w_pi_grid_is_evaluated_once(monkeypatch, capsys):
-    calls = []
-    dwork = periods.dwork_periods
+    # once for W-PI and W2-RATIO together, and every Legendre jet of the grid
+    # gets its exact point
+    calls, jets = [], []
+    dwork, jet = periods.dwork_periods, periods.legendre_jet
 
     def counted(psi, digits):
         calls.append(psi)
         return dwork(psi, digits)
 
+    def counted_jet(lam, digits):
+        jets.append(lam)
+        return jet(lam, digits)
+
     monkeypatch.setattr(periods, "dwork_periods", counted)
+    monkeypatch.setattr(periods, "legendre_jet", counted_jet)
     periods._w_pi_grid.cache_clear()
     code, _ = run_main(["identities", "--ids", "W-PI,W2-RATIO", "--digits", "40"], capsys)
     assert code == 0
     assert len(calls) == len(periods.W_PI_GRID) == 3
+    assert len(jets) == 3 and all(exact_pair(lam) is not None for lam in jets)

@@ -136,18 +136,33 @@ def test_one_lambda_composition_per_order(monkeypatch):
 LARGEST_TABLES = ("q_of_lambda_series", "lambda_q_series", "varpi0_q_series")
 
 
+def _clear_largest_tables():
+    periods.lambda_q_series.cache_clear()
+    periods.varpi0_q_series.cache_clear()
+
+
 @pytest.mark.parametrize("name", LARGEST_TABLES)
-def test_lower_order_is_a_truncation_of_the_largest_table(name):
-    # a lower order is answered from the largest table, and is the series a
-    # fresh build at that order gives: same coefficients, offset and order
+def test_lower_order_is_a_truncation_of_the_largest_table(name, monkeypatch):
+    # a lower order is the truncation of a higher one, and is the series a
+    # fresh build at that order gives: same coefficients, offset and order.
+    # lambda(q) and varpi0(lambda(q)) answer it from their largest table, so
+    # q(lambda), which keeps no table, is built once for both orders
+    builds = []
+    build = periods.q_of_lambda_series
+    monkeypatch.setattr(periods, "q_of_lambda_series",
+                        lambda order: builds.append(order) or build(order))
     series = getattr(periods, name)
-    series.cache_clear()
-    series(30)
+    _clear_largest_tables()
+    high = series(30)
     low = series(12)
-    assert series.cache_info()[:2] == (1, 1)
-    series.cache_clear()
+    assert builds == ([30, 12] if name == "q_of_lambda_series" else [31])
+    if hasattr(series, "cache_info"):
+        assert series.cache_info()[:2] == (1, 1)
+    cut = high.truncate(high.order - 18)
+    _clear_largest_tables()
     fresh = series(12)
-    assert (low.coeffs, low.offset, low.order) == (fresh.coeffs, fresh.offset, fresh.order)
+    for other in (cut, fresh):
+        assert (low.coeffs, low.offset, low.order) == (other.coeffs, other.offset, other.order)
     with pytest.raises(SeriesError):
         series(0)
 

@@ -309,7 +309,7 @@ def test_rational_walk_steps_and_frame(points):
     path = pfode.ContinuationPath(points)
     with working_precision(40):
         sing = op.singular_points(40)
-        steps = list(pfode._steps(path.waypoints, sing, 40, 0.5))
+        steps = list(pfode._steps(path.waypoints, sing, 40))
         # the steps chain exactly from the first waypoint to the last
         z = path.waypoints[0]
         for zi, h in steps:
