@@ -5,13 +5,13 @@ at lambda = 2, and the rational L-value ratios of the quartic surface."""
 __version__ = "0.1.0"
 
 from .qseries import RationalSeries, SeriesError, eta_product
-from .hyperfun import (DEFAULT_DIGITS, PrecisionError, eta_value, harmonic_sums,
-                       hyp2f1_series, theta_const, working_precision)
+from .hyperfun import (DEFAULT_DIGITS, PrecisionError, eta_value, hyp2f1_series,
+                       theta_const, working_precision)
 from .periods import (DworkPeriods, IdentityReport, LegendrePeriods, PiTriple,
                       check_identity, dwork_periods, h_series, identity_ids,
                       lambda_q_series, legendre_periods, pi_triple, quad_map)
-from .pfode import (ContinuationPath, FuchsianOperator, LogSeries, PathError,
-                    SolutionFrame, continue_solution, symmetric_square, tau_at)
+from .pfode import (ContinuationPath, FuchsianOperator, PathError, SolutionFrame,
+                    continue_solution, tau_at)
 from .arith import (BadReductionError, ZetaRecord, ap_legendre, bp_eta,
                     fermat_quartic_count, zeta_record, zeta_table)
 from .deligne import (DelignePeriodSet, LValueResult, ReconstructionError,

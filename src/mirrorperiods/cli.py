@@ -137,7 +137,8 @@ def _run_mirror_map(cfg: RunConfig, args) -> list[dict]:
         tol = mpf(10) ** (-(cfg.digits - 15))
     for lam, res in periods.mirror_map_residuals(cfg.digits):
         passed, judged = _judge(res, tol)
-        entries.append(_entry("mirror-vs-period", passed, point=str(lam), **judged))
+        entries.append(_entry("mirror-vs-period", passed,
+                              point=pfode.waypoint_strings(lam), **judged))
     return entries
 
 

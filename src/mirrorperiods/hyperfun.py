@@ -173,24 +173,3 @@ def eta_value(tau, digits: int = DEFAULT_DIGITS):
             raise PrecisionError("eta truncation bound not met")
         return mp.exp(mp.pi * mp.mpc(0, 1) * tau / 12) * prod
 
-
-# ---------------------------------------------------------------------------
-# Harmonic sums standing in for polygamma brackets
-# ---------------------------------------------------------------------------
-
-
-def harmonic_sums(n: int) -> tuple[Fraction, Fraction]:
-    """(H_n, H_n^(2)) as exact rationals.
-
-    These realize the polygamma combinations of the period series without any
-    transcendental evaluation: Psi(n+1) - Psi(1) = H_n and
-    Psi'(n+1) = pi^2/6 - H_n^(2), so Psi(4n+1) - Psi(n+1) = H_4n - H_n and the
-    Euler-Mascheroni constant never appears.
-    """
-    if n < 0:
-        raise ValueError("harmonic_sums requires n >= 0")
-    h = h2 = Fraction(0)
-    for k in range(1, n + 1):
-        h += Fraction(1, k)
-        h2 += Fraction(1, k * k)
-    return h, h2

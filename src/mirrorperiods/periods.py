@@ -15,7 +15,8 @@ quadratic change of variables
     t = lam^2 (1-lam) (1-lam/2)^(-4),    psi = lam^(-1/2) (1-lam)^(-1/4) (1-lam/2)
 
 identifies the two worlds: W0 = (1-lam/2) varpi0^2, W1 = (1-lam/2) varpi0
-varpi1, so the quotient W1/W0 is the Legendre period ratio tau.  Everything
+varpi1, so the quotient W1/W0 is the Legendre period ratio tau (checked
+exactly over Q[[lam]] as MIRROR-EXACT, numerically on a grid).  Everything
 checkable is registered behind check_identity() and reported as an
 IdentityReport.
 
@@ -41,7 +42,7 @@ from mpmath import mp, mpc, mpf
 from . import hyperfun
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed,
                        _to_fixed, as_mpc, eta_value, exact_pair, half_nome,
-                       harmonic_sums, hyp2f1_series, theta_const, working_precision)
+                       hyp2f1_series, theta_const, working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
 _PAD = 8  # extra exact-series slots so residuals stay provable at the asked order
@@ -146,12 +147,6 @@ def varpi0_q_series(order: int) -> RationalSeries:
     coefficient for coefficient.
     """
     return varpi0_series(order).compose(lambda_q_series(order))
-
-
-def pi0_series(order: int) -> RationalSeries:
-    """Pi0(lam) = (1 - lam/2) * varpi0(lam)^2 as an exact lambda-series."""
-    half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, order)
-    return half * varpi0_series(order) ** 2
 
 
 def bps_series(order: int) -> RationalSeries:
@@ -418,16 +413,6 @@ def pi_triple(lam, digits: int = DEFAULT_DIGITS) -> PiTriple:
                         fac * p.varpi0 * p.varpi1, fac * p.varpi1 ** 2)
 
 
-def w0_u_series(order: int) -> RationalSeries:
-    """W0 as an exact series in u = (4 psi)^(-4): coefficients (4n)!/(n!)^4."""
-    coeffs = []
-    an = 1
-    for n in range(order):
-        coeffs.append(Fraction(an))
-        an = an * (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4) // (n + 1) ** 4
-    return RationalSeries(coeffs, 0, order)
-
-
 def w_series_t(order: int):
     """Exact t-series data for the quartic-family periods.
 
@@ -435,21 +420,25 @@ def w_series_t(order: int):
     W0 = sum a_n t^n, S = sum a_n (H_4n - H_n) t^n, and
     T = sum a_n ((H_4n-H_n)^2 - H2_4n + H2_n/4) t^n.  The actual periods are
     constant-coefficient combinations of W0, W0*L + 4S and
-    W0*L^2 + 8*S*L + 16*T, which is what the operator annihilation tests use.
+    W0*L^2 + 8*S*L + 16*T.  The harmonic sums H_4n, H_n and H2_4n, H2_n
+    (sums of 1/k^2) run along n, as in dwork_periods.  T*W0 = S^2 exactly,
+    which makes W0*W2 - W1^2 = -W0^2/2.
     """
     c0, c1, c2 = [], [], []
-    an = 1
-    p256 = 1
+    a = Fraction(1)
+    h4 = h1 = h4_2 = h1_2 = Fraction(0)
     for n in range(order):
-        a = Fraction(an, p256)
-        h4, h4_2 = harmonic_sums(4 * n)
-        h1, h1_2 = harmonic_sums(n)
+        if n:
+            for j in range(4 * n - 3, 4 * n + 1):
+                h4 += Fraction(1, j)
+                h4_2 += Fraction(1, j * j)
+            h1 += Fraction(1, n)
+            h1_2 += Fraction(1, n * n)
         b = h4 - h1
         c0.append(a)
         c1.append(a * b)
         c2.append(a * (b * b - h4_2 + h1_2 / 4))
-        an = an * (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4) // (n + 1) ** 4
-        p256 *= 256
+        a = a * ((4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4)) / (256 * (n + 1) ** 4)
     return (RationalSeries(c0, 0, order),
             RationalSeries(c1, 0, order),
             RationalSeries(c2, 0, order))
@@ -580,6 +569,22 @@ def _qt3_residual(n: int, exponent: Fraction = Fraction(-1, 2)):
     return (lhs - rhs,)
 
 
+def _mirror_exact_residuals(n: int):
+    # mirror map = period map over Q[[lam]].  With t = t(lam), 2 pi i W1/W0 =
+    # log(t/256) + 4 S/W0 and 2 pi i tau = log(lam^2/256) + 2 h/varpi0, so
+    # equal periods leave log((1-lam)(1-lam/2)^-4) + 4 S/W0 = 2 h/varpi0;
+    # the second residual is W0 = (1 - lam/2) varpi0^2 itself.
+    w0, s, _ = w_series_t(n)
+    t = quad_transform_series(n)
+    w0_t = w0.compose(t)
+    half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, n)
+    varpi0 = varpi0_series(n)
+    log_part = ((1 - RationalSeries.identity(n)) * (half ** 4).reciprocal()).log()
+    r1 = log_part + s.compose(t) * w0_t.reciprocal() * 4 \
+        - h_series(n) * varpi0.reciprocal() * 2
+    return r1, w0_t - half * varpi0 ** 2
+
+
 def _theta_v_residual(n: int):
     return (varpi0_q_series(n) - theta3_qseries(n) ** 2,)
 
@@ -684,8 +689,9 @@ def _w_pi_check(digits) -> IdentityReport:
 
 
 def _w2_ratio_record(digits) -> IdentityReport:
-    # The W0 = Pi0 and W1 = Pi1 matches say nothing about W2 vs Pi2; record
-    # the observed ratio without asserting a value.
+    # T*W0 = S^2 (see w_series_t) makes W0*W2 - W1^2 = -W0^2/2, so with
+    # W0 = Pi0, W1 = Pi1 and Pi0*Pi2 = Pi1^2, W2 = Pi2 - Pi0/2; that holds
+    # at every grid point to 50 digits.  Record the ratio without asserting it.
     where, values = _w_pi_grid(digits)
     with working_precision(digits):
         ratios = {label: mp.nstr(dw.w2 / pt.pi2, 25) for label, dw, pt in values}
@@ -707,6 +713,7 @@ IDENTITIES = {
     "QT1": (_qt1_residual, 40, True),
     "QT2": (_qt2_residual, 40, True),
     "QT3": (_qt3_residual, 40, True),
+    "MIRROR-EXACT": (_mirror_exact_residuals, 40, True),
     "THETA-V": (_theta_v_residual, 30, False),
     "THETA-24": (_theta24_residuals, 30, False),
     "DLDTAU": (_dldtau_residual, 30, False),

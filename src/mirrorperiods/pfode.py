@@ -1,29 +1,23 @@
-"""Fuchsian operators, symmetric squares, and Taylor-method continuation.
+"""The Legendre operator and Taylor-method continuation.
 
 Operators are stored in d/dx form with exact rational polynomial
-coefficients.  Three things happen here:
-
-* exact annihilation checks: apply an operator to a RationalSeries, or to a
-  polynomial in log(x) with series coefficients (the local solutions at a
-  regular singular point), and get the residual back exactly;
-* symmetric squares of order-2 operators, with proportionality testing
-  against a reference operator;
-* high-precision transport of a fundamental solution system along polygonal
-  complex paths, by repeated local Taylor expansion with step size half the
-  distance to the nearest singularity.  Each step runs the Taylor recurrence
-  once for all columns on Python integers (the scheme of mpmath's hypsum;
-  van der Hoeven, "Fast evaluation of holonomic functions", TCS 210, 1999);
-  mpmath only sets up the step and reads off the result.  The recurrence
-  coefficients are Gaussian integers over one positive divisor with one
-  binary shift.  On a segment between exact waypoints every expansion point
-  and step is an exact Gaussian rational (the step in the segment's
-  parameter is rounded down to STEP_BITS significant binary digits), so the
-  coefficients are exact small integers and a term costs O(P) bit
-  operations instead of a P-bit product -- the rational-parameter case of
-  hypsum (Mezzarobba, arXiv:1607.01967).  At an inexact point (such as
-  2 sqrt 2 - 2) they are 2^P fixed-point values with divisor 1 and shift P.
-  The conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
-  shared with the period series of `periods`.
+coefficients; their finite singular points are the roots of the leading
+coefficient.  A fundamental solution system is transported along polygonal
+complex paths by repeated local Taylor expansion with step size half the
+distance to the nearest singularity.  Each step runs the Taylor recurrence
+once for all columns on Python integers (the scheme of mpmath's hypsum;
+van der Hoeven, "Fast evaluation of holonomic functions", TCS 210, 1999);
+mpmath only sets up the step and reads off the result.  The recurrence
+coefficients are Gaussian integers over one positive divisor with one
+binary shift.  On a segment between exact waypoints every expansion point
+and step is an exact Gaussian rational (the step in the segment's
+parameter is rounded down to STEP_BITS significant binary digits), so the
+coefficients are exact small integers and a term costs O(P) bit
+operations instead of a P-bit product -- the rational-parameter case of
+hypsum (Mezzarobba, arXiv:1607.01967).  At an inexact point (such as
+2 sqrt 2 - 2) they are 2^P fixed-point values with divisor 1 and shift P.
+The conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
+shared with the period series of `periods`.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -34,16 +28,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
-from typing import Sequence
 
 from mpmath import mp, mpc, mpf
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
                        _to_fixed, as_mpc, working_precision)
-from .qseries import RationalSeries, SeriesError
+from .qseries import SeriesError
 
 Poly = tuple  # tuple[Fraction, ...], low degree first
 
@@ -74,26 +67,8 @@ def _ptrim(p) -> Poly:
     return tuple(p)
 
 
-def _padd(a, b) -> Poly:
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
 def _pscale(a, c) -> Poly:
     return _ptrim([ai * c for ai in a])
-
-
-def _pmul(a, b) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _ptrim(out)
 
 
 def _pderiv(a) -> Poly:
@@ -124,82 +99,6 @@ def _pgcd(a, b) -> Poly:
     return _pscale(a, Fraction(1) / a[-1])  # monic
 
 
-def _pcontent_normalize(polys: Sequence[Poly]) -> tuple[Poly, ...]:
-    """Clear denominators and divide by the integer content across all polys."""
-    den = 1
-    for p in polys:
-        for c in p:
-            den = lcm(den, c.denominator)
-    ints = [[int(c * den) for c in p] for p in polys]
-    g = 0
-    for p in ints:
-        for c in p:
-            g = gcd(g, c)
-    g = g or 1
-    lead = next((p[-1] for p in reversed(ints) if p), 1)
-    sign = -1 if lead < 0 else 1
-    return tuple(_ptrim([Fraction(c * sign, g) for c in p]) for p in ints)
-
-
-def _poly_times_series(poly: Poly, s: RationalSeries) -> RationalSeries:
-    out = None
-    for j, c in enumerate(poly):
-        if not c:
-            continue
-        term = (s * c).shifted(j)
-        out = term if out is None else out + term
-    if out is None:
-        return RationalSeries.zero(s.order, s.offset)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Series with log powers: local solutions at a regular singular point
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogSeries:
-    """sum_k parts[k] * log(x)**k with RationalSeries parts."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise SeriesError("LogSeries needs at least one part")
-
-    def derivative(self) -> "LogSeries":
-        parts = list(self.parts)
-        out = []
-        for k, f in enumerate(parts):
-            d = f.derivative()
-            if k + 1 < len(parts):
-                d = d + (parts[k + 1] * (k + 1)).shifted(-1)
-            out.append(d)
-        return LogSeries(tuple(out))
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        n = max(len(self.parts), len(other.parts))
-        out = []
-        for k in range(n):
-            if k < len(self.parts) and k < len(other.parts):
-                out.append(self.parts[k] + other.parts[k])
-            elif k < len(self.parts):
-                out.append(self.parts[k])
-            else:
-                out.append(other.parts[k])
-        return LogSeries(tuple(out))
-
-    def poly_mul(self, poly: Poly) -> "LogSeries":
-        return LogSeries(tuple(_poly_times_series(poly, f) for f in self.parts))
-
-    def is_provably_zero(self) -> bool:
-        return all(f.is_provably_zero() for f in self.parts)
-
-    def max_abs_coefficient(self) -> Fraction:
-        return max(f.max_abs_coefficient() for f in self.parts)
-
-
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
@@ -210,7 +109,6 @@ class FuchsianOperator:
     """sum_k coeff_polys[k](x) * (d/dx)^k with exact rational polynomials."""
 
     coeff_polys: tuple
-    var: str = "x"
 
     def __post_init__(self):
         object.__setattr__(self, "coeff_polys",
@@ -241,93 +139,6 @@ class FuchsianOperator:
                     out.append(mpc(r))
             return out
 
-    def apply(self, sol):
-        """Residual of the operator on a RationalSeries or LogSeries, exactly."""
-        if isinstance(sol, RationalSeries):
-            acc = None
-            d = sol
-            for k, poly in enumerate(self.coeff_polys):
-                if k:
-                    d = d.derivative()
-                if not poly:
-                    continue
-                term = _poly_times_series(poly, d)
-                acc = term if acc is None else acc + term
-            return acc
-        if isinstance(sol, LogSeries):
-            acc = None
-            d = sol
-            for k, poly in enumerate(self.coeff_polys):
-                if k:
-                    d = d.derivative()
-                if not poly:
-                    continue
-                term = d.poly_mul(poly)
-                acc = term if acc is None else acc + term
-            return acc
-        raise SeriesError(f"cannot apply operator to {type(sol).__name__}")
-
-
-def _theta_power_polys(order: int) -> list[Poly]:
-    """theta^k = sum_j S(k,j) x^j D^j via Stirling numbers of the second kind."""
-    rows = [[Fraction(1)]]
-    for k in range(1, order + 1):
-        prev = rows[-1]
-        cur = [Fraction(0)] * (k + 1)
-        for j, c in enumerate(prev):
-            cur[j] += j * c
-            cur[j + 1] += c if j + 1 <= k else 0
-        rows.append(cur)
-    return rows
-
-
-def _theta_poly_to_dform(theta_coeffs: Sequence[Fraction], tshift: int) -> list[Poly]:
-    """x^tshift * P(theta) as d/dx-form polynomial coefficients."""
-    order = len(theta_coeffs) - 1
-    stirling = _theta_power_polys(order)
-    out: list[list[Fraction]] = [[] for _ in range(order + 1)]
-    for k, ck in enumerate(theta_coeffs):
-        if not ck:
-            continue
-        for j, s in enumerate(stirling[k]):
-            if not s:
-                continue
-            # contributes ck * s * x^(j + tshift) D^j
-            deg = j + tshift
-            while len(out[j]) <= deg:
-                out[j].append(Fraction(0))
-            out[j][deg] += ck * s
-    return [tuple(p) for p in out]
-
-
-def _hypergeometric_theta_operator(local_exponents: Sequence[Fraction], order: int,
-                                   var: str) -> FuchsianOperator:
-    """theta^order - x * prod(theta + a_i) in d/dx form."""
-    lead = _theta_poly_to_dform([Fraction(0)] * order + [Fraction(1)], 0)
-    prod = [Fraction(1)]
-    for a in local_exponents:
-        prod = list(_padd(_pscale(prod, Fraction(a)), (Fraction(0),) + tuple(prod)))
-    tail = _theta_poly_to_dform(prod, 1)
-    polys = []
-    for k in range(order + 1):
-        a = lead[k] if k < len(lead) else ()
-        b = tail[k] if k < len(tail) else ()
-        polys.append(_padd(a, _pscale(b, Fraction(-1))))
-    return FuchsianOperator(tuple(polys), var)
-
-
-def k3_operator() -> FuchsianOperator:
-    """Order-3 annihilator of the quartic-family periods in t = psi^-4:
-    theta^3 - t(theta+1/4)(theta+1/2)(theta+3/4)."""
-    return _hypergeometric_theta_operator(
-        [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)], 3, "t")
-
-
-def k3_sq_operator() -> FuchsianOperator:
-    """Order-2 operator whose symmetric square is the order-3 one:
-    theta^2 - t(theta+1/8)(theta+3/8)."""
-    return _hypergeometric_theta_operator([Fraction(1, 8), Fraction(3, 8)], 2, "t")
-
 
 def legendre_operator() -> FuchsianOperator:
     """lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating varpi0 and varpi1."""
@@ -335,54 +146,7 @@ def legendre_operator() -> FuchsianOperator:
         (Fraction(-1, 4),),
         (Fraction(1), Fraction(-2)),
         (Fraction(0), Fraction(1), Fraction(-1)),
-    ), "lambda")
-
-
-def pullback_sq_operator() -> FuchsianOperator:
-    """Pullback of the order-2 operator to the lambda line:
-    lam(1-lam)(2-lam)^2 D^2 + (2-lam)(2-4lam+lam^2) D - (3/4) lam,
-    with regular singularities at 0, 1, 2, infinity."""
-    lead = _pmul(_pmul((Fraction(0), Fraction(1)), (Fraction(1), Fraction(-1))),
-                 _pmul((Fraction(2), Fraction(-1)), (Fraction(2), Fraction(-1))))
-    mid = _pmul((Fraction(2), Fraction(-1)),
-                (Fraction(2), Fraction(-4), Fraction(1)))
-    return FuchsianOperator(((Fraction(0), Fraction(-3, 4)), mid, lead), "lambda")
-
-
-def symmetric_square(op: FuchsianOperator) -> FuchsianOperator:
-    """Order-3 operator annihilating products of solution pairs of an
-    order-2 operator.
-
-    With the monic form y'' + a y' + b y = 0, products u = y z satisfy
-    u''' + 3a u'' + (2a^2 + a' + 4b) u' + (4ab + 2b') u = 0.  Coefficients
-    are cleared to integer-content-normalized polynomials.
-    """
-    if op.order != 2:
-        raise SeriesError("symmetric_square expects an order-2 operator")
-    p0, p1, p2 = op.coeff_polys
-    # with a = p1/p2 and b = p0/p2, multiply everything through by p2^2
-    d_of = lambda n: _padd(_pmul(_pderiv(n), p2), _pscale(_pmul(n, _pderiv(p2)), Fraction(-1)))
-    c3 = _pmul(p2, p2)
-    c2 = _pscale(_pmul(p1, p2), Fraction(3))
-    c1 = _padd(_padd(_pscale(_pmul(p1, p1), Fraction(2)), d_of(p1)),
-               _pscale(_pmul(p0, p2), Fraction(4)))
-    c0 = _padd(_pscale(_pmul(p1, p0), Fraction(4)), _pscale(d_of(p0), Fraction(2)))
-    polys = _pcontent_normalize([c0, c1, c2, c3])
-    return FuchsianOperator(tuple(polys), op.var)
-
-
-def proportionality_factor(a: FuchsianOperator, b: FuchsianOperator):
-    """If a = (rational function) * b, return that factor as (num, den)
-    polynomials; otherwise None."""
-    if a.order != b.order:
-        return None
-    num, den = a.coeff_polys[-1], b.coeff_polys[-1]
-    g = _pgcd(num, den)
-    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-    for pa, pb in zip(a.coeff_polys, b.coeff_polys):
-        if _ptrim(_padd(_pmul(pa, den), _pscale(_pmul(pb, num), Fraction(-1)))):
-            return None
-    return num, den
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +192,21 @@ class ContinuationPath:
         return cls(tuple(pts))
 
     def to_json(self) -> str:
-        def fmt(x):
-            if isinstance(x, Fraction):
-                f = float(x)
-                return str(x) if Fraction(str(f)) != x else str(f)
-            return mp.nstr(x, 30)
-        out = []
-        for w in self.waypoints:
-            if isinstance(w, tuple):
-                out.append([fmt(w[0]), fmt(w[1])])
-            else:
-                out.append([mp.nstr(w.real, 30), mp.nstr(w.imag, 30)])
-        return json.dumps(out)
+        return json.dumps([waypoint_strings(w) for w in self.waypoints])
+
+
+def waypoint_strings(w) -> list:
+    """A waypoint as the [re, im] decimal strings of ContinuationPath.to_json:
+    an exact coordinate as its float repr when that is exact, else as p/q;
+    an mpmath one to 30 digits."""
+    def fmt(x):
+        if isinstance(x, Fraction):
+            f = float(x)
+            return str(x) if Fraction(str(f)) != x else str(f)
+        return mp.nstr(x, 30)
+    if isinstance(w, tuple):
+        return [fmt(w[0]), fmt(w[1])]
+    return [fmt(w.real), fmt(w.imag)]
 
 
 @dataclass(frozen=True)
@@ -453,24 +220,6 @@ class SolutionFrame:
     point: mpc
     columns: tuple
     error_estimate: mpf = mpf(0)
-
-    @property
-    def order(self) -> int:
-        return len(self.columns[0])
-
-    def wronskian(self):
-        cols = self.columns
-        n = len(cols)
-        if n == 1:
-            return cols[0][0]
-        if n == 2:
-            return cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
-        if n == 3:
-            m = [[cols[j][i] for j in range(3)] for i in range(3)]
-            return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        raise SeriesError("wronskian implemented for order <= 3")
 
 
 def _shift_poly(poly: Poly, z0):

@@ -9,9 +9,9 @@ from mpmath import mp, mpc, mpf
 from mirrorperiods.arith import BadReductionError
 from mirrorperiods.hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
                                    working_precision)
-from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms
-from mirrorperiods.pfode import _shift_poly
-from mirrorperiods.qseries import SeriesError
+from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms, varpi0_series
+from mirrorperiods.pfode import FuchsianOperator
+from mirrorperiods.qseries import RationalSeries, SeriesError
 
 
 def round_decimals(x, k: int) -> str:
@@ -499,29 +499,6 @@ def lambda_from_t(t, digits: int = DEFAULT_DIGITS):
         raise PrecisionError("lambda_from_t failed to converge")
 
 
-def apply_numeric(op, taylor, point, digits: int = DEFAULT_DIGITS):
-    """Residual Taylor coefficients of op[y] at an ordinary point, given
-    the Taylor coefficients of y there."""
-    with working_precision(digits):
-        shifted = [_shift_poly(p, mpc(point)) for p in op.coeff_polys]
-        r = op.order
-        maxdeg = max((len(p) for p in shifted), default=1) - 1
-        nout = max(len(taylor) - r - maxdeg, 0)
-        out = []
-        for m in range(nout):
-            acc = mpc(0)
-            for k, pk in enumerate(shifted):
-                for j, pkj in enumerate(pk):
-                    idx = m - j + k
-                    if 0 <= idx < len(taylor) and pkj != 0:
-                        ff = mpf(1)
-                        for d in range(k):
-                            ff *= idx - d
-                        acc += pkj * ff * taylor[idx]
-            out.append(acc)
-        return out
-
-
 def quadrature_lvalue(s: int, digits: int):
     """(2 pi)^s Lambda(s), the L-value deligne.lvalue sums termwise, by
     adaptive quadrature of the eta product itself: the two routes share
@@ -537,3 +514,22 @@ def quadrature_lvalue(s: int, digits: int):
         val = mp.quad(upper, [quarter, 1, 3, mp.inf]) + \
             mp.quad(lower, [quarter, 1, 3, mp.inf])
         return (2 * mp.pi) ** s * val.real
+
+
+def pi0_series(order: int) -> RationalSeries:
+    """Pi0(lam) = (1 - lam/2) * varpi0(lam)^2 as an exact lambda-series: the
+    oracle for periods._pi0_q, which builds Pi0(lambda(q)) from the one
+    varpi0(lambda(q)) table instead of composing this series."""
+    half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, order)
+    return half * varpi0_series(order) ** 2
+
+
+# A second operator for the continuation kernel and singular_points tests:
+# lam(1-lam)(2-lam)^2 D^2 + (2-lam)(2-4lam+lam^2) D - (3/4) lam, the order-2
+# operator of 2F1(1/8, 3/8; 1; t) pulled back along t(lam), with regular
+# singular points 0, 1, 2 and infinity.
+PULLBACK_OPERATOR = FuchsianOperator((
+    (0, Fraction(-3, 4)),
+    (4, -10, 6, -1),
+    (0, 4, -8, 5, -1),
+))

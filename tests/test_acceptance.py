@@ -49,8 +49,8 @@ def test_c02_quartic_period_series():
     with criterion("C2", "pi0(t) and W0 series coefficients", 1.0):
         pi0 = hyp2f1_series(F(1, 8), F(3, 8), F(1), 4)
         assert list(pi0.coeffs) == [F(1), F(3, 64), F(297, 16384), F(10659, 1048576)]
-        w0 = periods.w0_u_series(3)
-        assert list(w0.coeffs) == [F(1), F(24), F(2520)]
+        w0 = periods.w_series_t(3)[0]
+        assert [c * 256 ** n for n, c in enumerate(w0.coeffs)] == [F(1), F(24), F(2520)]
 
 
 def test_c03_quadratic_transformations_order_40():
@@ -61,8 +61,10 @@ def test_c03_quadratic_transformations_order_40():
 
 
 def test_c04_mirror_map_equals_period_map():
-    with criterion("C4", "|W1/W0 - varpi1/varpi0| < 1e-100 on 20 grid points "
-                   "at 120 digits", 60.0):
+    with criterion("C4", "mirror map = period map exactly to order 40, and "
+                   "|W1/W0 - varpi1/varpi0| < 1e-100 on 20 grid points at 120 digits", 60.0):
+        rep = periods.check_identity("MIRROR-EXACT", 40)
+        assert rep.exact and rep.passed and rep.residual == "0", rep
         results = periods.mirror_map_residuals(digits=120)
         assert len(results) == 20
         with working_precision(120):
@@ -153,7 +155,7 @@ def test_c09_arithmetic_suite():
 
 
 def test_c10_property_suites():
-    with criterion("C10", "ring axioms, reversion, ODE annihilation, loop "
+    with criterion("C10", "ring axioms, reversion, mirror map = period map, loop "
                    "transport and monodromy", 300.0):
         rng = random.Random(2024)
 
@@ -178,23 +180,11 @@ def test_c10_property_suites():
             assert (s.compose(r) - x).is_provably_zero()
             assert (r.compose(s) - x).is_provably_zero()
 
-        # ODE annihilation, all exact
-        d3 = pfode.k3_operator()
-        w0, s1, t2 = periods.w_series_t(21)
-        assert d3.apply(w0).is_provably_zero()
-        assert d3.apply(pfode.LogSeries((s1 * 4, w0))).is_provably_zero()
-        assert d3.apply(pfode.LogSeries((t2 * 16, s1 * 8, w0))).is_provably_zero()
-        leg = pfode.legendre_operator()
-        assert leg.apply(periods.varpi0_series(21)).is_provably_zero()
-        d3l = pfode.symmetric_square(pfode.pullback_sq_operator())
-        n = 21
-        half = RationalSeries([F(1), F(-1, 2)], 0, n)
-        v0, h = periods.varpi0_series(n), periods.h_series(n)
-        s0 = periods.pi0_series(n)
-        assert d3l.apply(s0).is_provably_zero()
-        assert d3l.apply(pfode.LogSeries((half * v0 * h, s0))).is_provably_zero()
-        assert d3l.apply(
-            pfode.LogSeries((half * h * h, half * v0 * h * 2, s0))).is_provably_zero()
+        # mirror map = period map, and T W0 = S^2, all exact
+        rep = periods.check_identity("MIRROR-EXACT", 40)
+        assert rep.exact and rep.passed and rep.residual == "0", rep
+        w0, s1, t2 = periods.w_series_t(40)
+        assert (t2 * w0 - s1 * s1).is_provably_zero()
 
         # contractible loop transport is the identity
         digits = 50

@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 
 from mirrorperiods import cli, deligne, hyperfun, periods, pfode
 from mirrorperiods.hyperfun import PrecisionError, exact_pair, working_precision
+from mirrorperiods.qseries import RationalSeries
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -72,6 +73,43 @@ def test_forced_failure_exit_code(capsys):
     assert code == 1
     rep = json.loads(out)
     assert rep["overall_pass"] is False
+
+
+def test_mirror_exact_follows_order(capsys):
+    code, out = run_main(["identities", "--ids", "MIRROR-EXACT", "--order", "20"], capsys)
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    assert entry["where"] == "series order 20" and entry["residual"] == "0"
+
+
+def _mirror_mutant(k, inverse):
+    """MIRROR-EXACT's residuals with k in place of the 4 in front of S/W0,
+    and with (1 - lam/2)^-1 in place of (1 - lam/2) in front of varpi0^2
+    when `inverse`."""
+    def residuals(n):
+        r1, r2 = periods._mirror_exact_residuals(n)
+        w0, s, _ = periods.w_series_t(n)
+        t = periods.quad_transform_series(n)
+        half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, n)
+        r1 = r1 + s.compose(t) * w0.compose(t).reciprocal() * (k - 4)
+        if inverse:
+            r2 = r2 + (half - half.reciprocal()) * periods.varpi0_series(n) ** 2
+        return r1, r2
+    return residuals
+
+
+@pytest.mark.parametrize("k, inverse", [(3, False), (5, False), (4, True)],
+                         ids=["3-S/W0", "5-S/W0", "inverse-half"])
+def test_mirror_exact_mutants_fail(k, inverse, monkeypatch, capsys):
+    mutant = _mirror_mutant(k, inverse)
+    r1, r2 = mutant(48)
+    assert r1.is_provably_zero() == (k == 4) and r2.is_provably_zero() == (not inverse)
+    monkeypatch.setitem(periods.IDENTITIES, "MIRROR-EXACT", (mutant, 40, True))
+    code, out = run_main(["identities", "--ids", "MIRROR-EXACT", "--digits", "40"], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert entry["passed"] is False and entry["residual"] != "0"
+    assert entry["where"] == "series order 40"
 
 
 def test_continue_command(capsys):

@@ -5,10 +5,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from helpers import hyp2f1, round_decimals
-from mirrorperiods.hyperfun import (GUARD_DIGITS, PrecisionError, eta_value,
-                                    harmonic_sums, hyp2f1_series, theta_const,
-                                    working_precision)
+from helpers import hyp2f1, round_decimals, to_mp
+from mirrorperiods import periods
+from mirrorperiods.hyperfun import (GUARD_DIGITS, PrecisionError, eta_value, hyp2f1_series,
+                                    theta_const, working_precision)
 
 DIGITS = 60
 
@@ -174,34 +174,39 @@ def test_eta_requires_upper_half_plane():
 
 
 # ---------------------------------------------------------------------------
-# harmonic sums
+# harmonic sums: the polygamma brackets of periods.w_series_t
 # ---------------------------------------------------------------------------
 
 
+def _brackets(order: int) -> list:
+    """(H_4n - H_n, -H2_4n + H2_n/4) for n < order, as w_series_t carries
+    them: its S and T coefficients over its W0 coefficients."""
+    w0, s, t = periods.w_series_t(order)
+    return [(sn / wn, tn / wn - (sn / wn) ** 2)
+            for wn, sn, tn in zip(w0.coeffs, s.coeffs, t.coeffs)]
+
+
 def test_harmonic_small_values():
-    assert harmonic_sums(0) == (F(0), F(0))
-    assert harmonic_sums(1) == (F(1), F(1))
-    assert harmonic_sums(4) == (F(25, 12), F(205, 144))
+    # H_1 = 1, H_4 = 25/12, H2_1 = 1, H2_4 = 205/144
+    assert _brackets(2) == [(0, 0), (F(25, 12) - 1, F(-205, 144) + F(1, 4))]
 
 
 def test_polygamma_bracket_oracle():
     # Psi(4n+1) - Psi(n+1) == H_4n - H_n against mpmath's digamma
     with mp.workdps(60):
-        for n in range(21):
-            h4, _ = harmonic_sums(4 * n)
-            h1, _ = harmonic_sums(n)
-            mine = mpf(((h4 - h1)).numerator) / (h4 - h1).denominator if h4 != h1 else mpf(0)
+        for n, (b, _) in enumerate(_brackets(21)):
             ref = mpmath.digamma(4 * n + 1) - mpmath.digamma(n + 1)
-            assert abs(mine - ref) < mpf(10) ** -50
+            assert abs(to_mp(b) - ref) < mpf(10) ** -50
 
 
 def test_trigamma_identity():
-    # Psi'(n+1) = pi^2/6 - H2_n against mpmath's polygamma
+    # Psi'(n+1) = pi^2/6 - H2_n, so -H2_4n + H2_n/4 is
+    # Psi'(4n+1) - Psi'(n+1)/4 - pi^2/8, against mpmath's polygamma
+    brackets = _brackets(18)
     with mp.workdps(60):
         for n in (0, 1, 5, 17):
-            _, h2 = harmonic_sums(n)
-            mine = mp.pi ** 2 / 6 - mpf(h2.numerator) / h2.denominator
-            assert abs(mine - mpmath.polygamma(1, n + 1)) < mpf(10) ** -50
+            ref = mpmath.polygamma(1, 4 * n + 1) - mpmath.polygamma(1, n + 1) / 4 - mp.pi ** 2 / 8
+            assert abs(to_mp(brackets[n][1]) - ref) < mpf(10) ** -50
 
 
 def test_min_digits_enforced():

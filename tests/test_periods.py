@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
-from helpers import (agm, hyp2f1, lambda_from_t, reference_dwork_periods,
+from helpers import (agm, hyp2f1, lambda_from_t, pi0_series, reference_dwork_periods,
                      reference_legendre_jet)
 from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
@@ -86,18 +86,19 @@ def test_lambda_q_composed_with_q_of_lambda_is_identity():
 
 
 def test_w0_u_series_leading_terms():
-    w = periods.w0_u_series(3)
-    assert list(w.coeffs) == [1, 24, 2520]
+    # W0 in u = t/256 has the coefficients (4n)!/(n!)^4
+    w0 = periods.w_series_t(3)[0]
+    assert [c * 256 ** n for n, c in enumerate(w0.coeffs)] == [1, 24, 2520]
 
 
 def test_pi0_series_constant_term():
-    assert periods.pi0_series(6).coefficient(0) == 1
+    assert periods._pi0_q(6).coefficient(0) == 1
 
 
 def test_pi0_of_lambda_q_matches_theta_side():
     n = 20
     lam = periods.lambda_q_series(n)
-    lhs = periods.pi0_series(n).compose(lam)
+    lhs = pi0_series(n).compose(lam)
     one = RationalSeries.one(n)
     rhs = (one - lam * F(1, 2)) * periods.theta3_qseries(n) ** 4
     assert (lhs - rhs).is_provably_zero()
@@ -112,7 +113,7 @@ def test_q_side_periods_equal_their_compositions(n):
     pi0 = periods._pi0_q(n)
     for mine, old in ((periods.varpi0_q_series(n), periods.varpi0_series(n).compose(lam)),
                       (w0sq, (periods.varpi0_series(n) ** 2).compose(lam)),
-                      (pi0, periods.pi0_series(n).compose(lam))):
+                      (pi0, pi0_series(n).compose(lam))):
         assert (mine.coeffs, mine.offset, mine.order) == (old.coeffs, old.offset, old.order)
 
 
@@ -330,7 +331,7 @@ def test_pi_product_structure_as_series():
     half = RationalSeries([F(1), F(-1, 2)], 0, n)
     w0 = periods.varpi0_series(n)
     h = periods.h_series(n)
-    s0 = periods.pi0_series(n)
+    s0 = pi0_series(n)
     assert (s0 * (half * h * h) - (half * w0 * h) ** 2).is_provably_zero()
     assert (s0 * (half * w0 * h) * 2 - 2 * (half * w0 * h) * s0).is_provably_zero()
 
@@ -367,7 +368,8 @@ def test_theta_registry_exact(name):
 
 def test_exact_registry_at_order_80():
     # twice the default order of the quadratic transformations, every exact id
-    for name in ["QT1", "QT2", "QT3", "THETA-V", "THETA-24", "DLDTAU", "DELTA-LAMBDA", "BPS"]:
+    for name in ["QT1", "QT2", "QT3", "MIRROR-EXACT", "THETA-V", "THETA-24", "DLDTAU",
+                 "DELTA-LAMBDA", "BPS"]:
         rep = periods.check_identity(name, 80)
         assert rep.exact and rep.passed and rep.residual == "0", name
         assert rep.where == "series order 80", name

@@ -5,134 +5,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import apply_numeric, reference_taylor_transport
+from helpers import PULLBACK_OPERATOR, reference_taylor_transport
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
-from mirrorperiods.hyperfun import as_mpc, hyp2f1_series, theta_const, working_precision
-from mirrorperiods.qseries import RationalSeries
+from mirrorperiods.hyperfun import as_mpc, theta_const, working_precision
 
 DIGITS = 50
 DATA = Path(__file__).resolve().parent / "data"
-
-
-# ---------------------------------------------------------------------------
-# exact annihilation
-# ---------------------------------------------------------------------------
-
-
-def test_operator_on_zero_series():
-    res = pfode.legendre_operator().apply(RationalSeries.zero(10))
-    assert res.is_provably_zero()
-
-
-def test_legendre_annihilates_varpi0():
-    res = pfode.legendre_operator().apply(periods.varpi0_series(25))
-    assert res.is_provably_zero()
-
-
-def test_legendre_annihilates_log_solution():
-    sol = pfode.LogSeries((periods.h_series(25), periods.varpi0_series(25)))
-    res = pfode.legendre_operator().apply(sol)
-    assert res.is_provably_zero()
-
-
-def test_k3_operator_annihilates_w_series():
-    d3 = pfode.k3_operator()
-    w0, s, t = periods.w_series_t(22)
-    assert d3.apply(w0).is_provably_zero()
-    # W1-type: W0 log t + 4S; W2-type: W0 log^2 t + 8S log t + 16T
-    assert d3.apply(pfode.LogSeries((s * 4, w0))).is_provably_zero()
-    assert d3.apply(pfode.LogSeries((t * 16, s * 8, w0))).is_provably_zero()
-
-
-def test_k3_sq_operator_annihilates_pi0_of_t():
-    d2 = pfode.k3_sq_operator()
-    pi0 = hyp2f1_series(F(1, 8), F(3, 8), F(1), 25)
-    assert d2.apply(pi0).is_provably_zero()
-
-
-def test_pullback_symmetric_square_annihilates_pi_solutions():
-    d3l = pfode.symmetric_square(pfode.pullback_sq_operator())
-    n = 22
-    half = RationalSeries([F(1), F(-1, 2)], 0, n)
-    w0 = periods.varpi0_series(n)
-    h = periods.h_series(n)
-    s0 = periods.pi0_series(n)
-    s1 = pfode.LogSeries((half * w0 * h, s0))
-    s2 = pfode.LogSeries((half * h * h, half * w0 * h * 2, s0))
-    assert d3l.apply(s0).is_provably_zero()
-    assert d3l.apply(s1).is_provably_zero()
-    assert d3l.apply(s2).is_provably_zero()
-
-
-def test_apply_rejects_unknown_payload():
-    with pytest.raises(Exception):
-        pfode.legendre_operator().apply("not a series")
-
-
-# ---------------------------------------------------------------------------
-# symmetric square
-# ---------------------------------------------------------------------------
-
-
-def test_symmetric_square_of_plain_second_derivative():
-    op = pfode.FuchsianOperator(((), (), (F(1),)))
-    sq = pfode.symmetric_square(op)
-    assert sq.coeff_polys == ((), (), (), (F(1),))
-
-
-def test_symmetric_square_proportional_to_k3_operator():
-    sq = pfode.symmetric_square(pfode.k3_sq_operator())
-    fac = pfode.proportionality_factor(pfode.k3_operator(), sq)
-    assert fac is not None
-    num, den = fac
-    # factor is a nontrivial rational function, reported exactly
-    assert len(den) >= 2
-
-
-def test_symmetric_square_requires_order_two():
-    with pytest.raises(Exception):
-        pfode.symmetric_square(pfode.k3_operator())
-
-
-def test_symmetric_square_numeric_annihilation():
-    # numerically built solution basis of the pullback operator; products
-    # must be killed by its symmetric square
-    d2 = pfode.pullback_sq_operator()
-    d3 = pfode.symmetric_square(d2)
-    digits = 50
-    with working_precision(digits):
-        z0 = mpf(3) / 10
-        shifted = [pfode._shift_poly(p, mpc(z0)) for p in d2.coeff_polys]
-        nt = 64
-        basis = []
-        for init in ((mpc(1), mpc(0)), (mpc(0), mpc(1))):
-            # Taylor data from running the recurrence directly
-            c = list(init)
-            flat = [(k, j, pkj) for k, pk in enumerate(shifted)
-                    for j, pkj in enumerate(pk)
-                    if pkj != 0 and not (k == 2 and j == 0)]
-            lead = shifted[2][0]
-            for m in range(nt - 2):
-                acc = mpc(0)
-                for k, j, pkj in flat:
-                    idx = m - j + k
-                    if 0 <= idx < m + 2:
-                        ff = mpf(1)
-                        for d in range(k):
-                            ff *= idx - d
-                        acc += pkj * ff * c[idx]
-                c.append(-acc / (lead * (m + 2) * (m + 1)))
-            basis.append(c)
-        worst = mpf(0)
-        for a in basis:
-            for b in basis:
-                prod = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(nt)]
-                res = apply_numeric(d3, prod, z0, digits)
-                worst = max(worst, max(abs(r) for r in res[:16]))
-        assert worst < mpf(10) ** (-(digits - 20))
 
 
 def test_singular_points():
@@ -140,7 +21,7 @@ def test_singular_points():
         legendre = sorted(s.real for s in pfode.legendre_operator().singular_points(40))
         assert len(legendre) == 2
         assert abs(legendre[0]) < mpf(10) ** -25 and abs(legendre[1] - 1) < mpf(10) ** -25
-        pullback = sorted(s.real for s in pfode.pullback_sq_operator().singular_points(40))
+        pullback = sorted(s.real for s in PULLBACK_OPERATOR.singular_points(40))
         assert len(pullback) == 3
         assert abs(pullback[2] - 2) < mpf(10) ** -25
 
@@ -199,10 +80,14 @@ def test_wronskian_invariant_along_path():
     start = pfode.legendre_frame(F(1, 10), DIGITS)
     end = pfode.continue_solution(pfode.legendre_operator(),
                                   pfode.CANONICAL_PATH_TO_TWO, start, DIGITS)
+    def wronskian(frame):
+        (y0, dy0), (y1, dy1) = frame.columns
+        return y0 * dy1 - y1 * dy0
+
     with working_precision(DIGITS):
         lam0, lam1 = mpf(1) / 10, mpf(2)
-        c0 = start.wronskian() * lam0 * (1 - lam0)
-        c1 = end.wronskian() * lam1 * (1 - lam1)
+        c0 = wronskian(start) * lam0 * (1 - lam0)
+        c1 = wronskian(end) * lam1 * (1 - lam1)
         assert abs(c0 - c1) < mpf(10) ** (-(DIGITS - 10))
 
 
@@ -225,7 +110,7 @@ def _kernel_step(name, z, direction, digits, exact):
     exact step is the one on a segment between exact waypoints: half the
     reach cut to STEP_BITS binary digits, an exact Gaussian rational.  The
     other has |h| = d/2 exactly, an irrational step at the mpc point z."""
-    op = pfode.legendre_operator() if name == "legendre" else pfode.pullback_sq_operator()
+    op = pfode.legendre_operator() if name == "legendre" else PULLBACK_OPERATOR
     zm = as_mpc(z)
     d = min(abs(zm - s) for s in op.singular_points(digits))
     u = mpc(*direction)
