@@ -1,10 +1,12 @@
 """Command-line front end: deterministic JSON/TSV verification reports.
 
 One runner produces every report.  COMMANDS maps each subcommand to
-run(cfg, args) -> entries: `args` holds the subcommand's own options, `cfg`
-(RunConfig) the shared ones and the objects a run computes once.  `all` is
-ALL, a tuple of subcommand argv selections, each parsed by the same parser,
-so the battery gets every subcommand's own defaults and validation.
+run(cfg, args) -> list of periods.Entry: `args` holds the subcommand's own
+options, `cfg` (RunConfig) the shared ones and the objects a run computes
+once.  Numeric checks pass by the one rule periods.judged applies.  `all`
+is ALL, a tuple of subcommand argv selections, each parsed by the same
+parser, so the battery gets every subcommand's own defaults and validation.
+main serializes the collected entries once, through Entry.to_dict.
 
 Exit codes: 0 every non-informational entry passed, 1 some check failed,
 2 bad input.  Input is checked before anything runs (argparse and
@@ -20,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -28,7 +30,8 @@ from math import isqrt
 from mpmath import mp, mpf
 
 from . import __version__, arith, deligne, periods, pfode
-from .hyperfun import PrecisionError, working_precision
+from .hyperfun import PrecisionError, waypoint_strings, working_precision
+from .periods import Entry, judged
 from .qseries import SeriesError
 
 TABULAR_COMMANDS = {"zeta", "fermat-count"}
@@ -84,65 +87,42 @@ class RunConfig:
         return pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, self.digits)
 
 
-def _entry(name: str, passed: bool, informational: bool = False, **data) -> dict:
-    out = {"name": name, "passed": bool(passed), "informational": informational}
-    out.update(data)
-    return out
-
-
-def _judge(residual, tolerance) -> tuple[bool, dict]:
-    """The one numeric pass rule, residual <= tolerance, and the entry
-    fields that report it."""
-    return residual <= tolerance, {"residual": mp.nstr(residual, 6),
-                                   "tolerance": mp.nstr(tolerance, 3)}
-
-
-def _identity_entry(rep: periods.IdentityReport) -> dict:
-    data = rep.to_dict()
-    return _entry(data.pop("identity"), data.pop("passed"), data.pop("informational"), **data)
-
-
 # ---------------------------------------------------------------------------
-# command handlers: run(cfg, args) -> list of entries
+# command handlers: run(cfg, args) -> list of Entry
 # ---------------------------------------------------------------------------
 
 
-def _run_identities(cfg: RunConfig, args) -> list[dict]:
+def _run_identities(cfg: RunConfig, args) -> list[Entry]:
     entries = []
     for name in args.ids or periods.identity_ids():
         t0 = time.perf_counter()
         order = periods.identity_order(name, cfg.order)
-        e = _identity_entry(periods.check_identity(name, order, digits=cfg.digits))
+        e = periods.check_identity(name, order, digits=cfg.digits)
         if cfg.timings:
-            e["seconds"] = round(time.perf_counter() - t0, 3)
+            e = replace(e, data={**e.data, "seconds": round(time.perf_counter() - t0, 3)})
         entries.append(e)
     return entries
 
 
-def _run_lambda_series(cfg: RunConfig, args) -> list[dict]:
+def _run_lambda_series(cfg: RunConfig, args) -> list[Entry]:
     series = periods.lambda_q_series(args.terms + 1)
     coeffs = [series.coefficient(k) for k in range(1, args.terms + 1)]
     all_divisible = all(c.denominator == 1 and int(c) % 16 == 0 for c in coeffs)
     return [
-        _entry("lambda-q-coefficients", True, informational=True,
-               coefficients=[str(c) for c in coeffs]),
-        _entry("coefficients-divisible-by-16", all_divisible,
-               statement="every lambda(tau) coefficient is an integer multiple of 16"),
+        Entry("lambda-q-coefficients", True, True, data={"coefficients": [str(c) for c in coeffs]}),
+        Entry("coefficients-divisible-by-16", all_divisible, data={
+            "statement": "every lambda(tau) coefficient is an integer multiple of 16"}),
     ]
 
 
-def _run_mirror_map(cfg: RunConfig, args) -> list[dict]:
-    entries = []
+def _run_mirror_map(cfg: RunConfig, args) -> list[Entry]:
     with working_precision(cfg.digits):
         tol = mpf(10) ** (-(cfg.digits - 15))
-    for lam, res in periods.mirror_map_residuals(cfg.digits):
-        passed, judged = _judge(res, tol)
-        entries.append(_entry("mirror-vs-period", passed,
-                              point=pfode.waypoint_strings(lam), **judged))
-    return entries
+    return [judged("mirror-vs-period", res, tol, data={"point": waypoint_strings(lam)})
+            for lam, res in periods.mirror_map_residuals(cfg.digits)]
 
 
-def _run_continue(cfg: RunConfig, args) -> list[dict]:
+def _run_continue(cfg: RunConfig, args) -> list[Entry]:
     target, path = args.target, args.path
     with working_precision(cfg.digits):
         if target == "2sqrt2-2":
@@ -160,16 +140,18 @@ def _run_continue(cfg: RunConfig, args) -> list[dict]:
     else:
         tau = pfode.tau_at(lam, path=path, digits=cfg.digits)
     with working_precision(cfg.digits):
-        e = {"tau": mp.nstr(tau, cfg.digits), "path": None if path is None else path.to_json(),
-             "im_positive": bool(tau.imag > 0)}
+        im_positive = bool(tau.imag > 0)
+        e = {"tau": mp.nstr(tau, cfg.digits),
+             "path": None if path is None else [waypoint_strings(w) for w in path.waypoints],
+             "im_positive": im_positive}
         if expected is None:
-            return [_entry(label, tau.imag > 0, **e)]
-        passed, judged = _judge(abs(tau - expected), mpf(10) ** -30)
-        return [_entry(label, passed and tau.imag > 0,
-                       expected=mp.nstr(expected, 30), **judged, **e)]
+            return [Entry(label, im_positive, data=e)]
+        entry = judged(label, abs(tau - expected), mpf(10) ** -30,
+                       data={"expected": mp.nstr(expected, 30), **e})
+        return [replace(entry, passed=entry.passed and im_positive)]
 
 
-def _run_zeta(cfg: RunConfig, args) -> list[dict]:
+def _run_zeta(cfg: RunConfig, args) -> list[Entry]:
     lam = args.lam
     entries = []
     for rec in arith.zeta_table(lam, cfg.pmax):
@@ -177,44 +159,31 @@ def _run_zeta(cfg: RunConfig, args) -> list[dict]:
         extra = rec.to_dict()
         if args.with_quartic_counts and lam == 2 and rec.p <= cfg.quartic_bound:
             extra["n_p_fermat"] = arith.fermat_quartic_count(rec.p, cfg.quartic_bound)
-        entries.append(_entry(f"p={rec.p}", ok,
-                              informational=(rec.p % 4 == 3 and lam == 2),
-                              **extra))
+        entries.append(Entry(f"p={rec.p}", ok, rec.p % 4 == 3 and lam == 2, data=extra))
     if not entries:
         # every prime below pmax is bad for this fiber: nothing was checked
-        return [_entry("no-good-primes", False, **{"lambda": str(lam), "pmax": cfg.pmax})]
+        return [Entry("no-good-primes", False, data={"lambda": str(lam), "pmax": cfg.pmax})]
     return entries
 
 
-def _run_fermat_count(cfg: RunConfig, args) -> list[dict]:
+def _run_fermat_count(cfg: RunConfig, args) -> list[Entry]:
     entries = []
     for p in args.primes:
         chk = arith.fermat_decomposition_check(p, cfg.quartic_bound)
-        passed = chk["match"] is not False
-        entries.append(_entry(f"p={p}", passed, informational=chk["match"] is None, **chk))
+        entries.append(Entry(f"p={p}", chk["match"] is not False, chk["match"] is None, data=chk))
     return entries
 
 
-def _run_deligne(cfg: RunConfig, args) -> list[dict]:
-    rep = deligne.report(cfg.frame_at_two, cfg.digits)
-    entries = [_entry("deligne-summary", True, informational=True, **rep["summary"])]
-    for name, res, tol in rep["checks"]:
-        passed, judged = _judge(res, tol)
-        entries.append(_entry(name, passed, **judged))
-    ratio1, ratio2 = rep["ratios"]
-    entries.append(_entry("ratio1-is-16", ratio1 == 16, value=str(ratio1)))
-    entries.append(_entry("ratio2-is-minus-64", ratio2 == -64, value=str(ratio2)))
-    return entries
+def _run_deligne(cfg: RunConfig, args) -> list[Entry]:
+    return deligne.report(cfg.frame_at_two, cfg.digits)
 
 
-def _run_bps(cfg: RunConfig, args) -> list[dict]:
+def _run_bps(cfg: RunConfig, args) -> list[Entry]:
     series = periods.bps_series(args.terms)
-    coeffs = [str(c) for c in series.coeffs]
-    rep = periods.check_identity("BPS", min(args.terms, 16), digits=cfg.digits)
     return [
-        _entry("bps-coefficients", True, informational=True,
-               offset=str(series.offset), coefficients=coeffs),
-        _identity_entry(rep),
+        Entry("bps-coefficients", True, True, data={
+            "offset": str(series.offset), "coefficients": [str(c) for c in series.coeffs]}),
+        periods.check_identity("BPS", min(args.terms, 16), digits=cfg.digits),
     ]
 
 
@@ -387,8 +356,9 @@ def main(argv=None) -> int:
         try:
             entries += COMMANDS[sel.command](cfg, sel)
         except COMPUTATION_ERRORS as exc:
-            entries.append(_entry(name, False, error=f"{type(exc).__name__}: {exc}"))
-    overall = all(e["passed"] for e in entries if not e.get("informational"))
+            entries.append(Entry(name, False, data={"error": f"{type(exc).__name__}: {exc}"}))
+    overall = all(e.passed for e in entries if not e.informational)
+    entries = [e.to_dict() for e in entries]
     report = {
         "tool": "mirrorperiods",
         "version": __version__,

@@ -25,7 +25,9 @@ and the ratios c_tate1/L1, c_tate2/L2 reconstruct to small rationals
 The theta value is cross-checked against varpi0(2)^2 from the Legendre frame
 transported to lambda = 2.  This module never transports: callers run
 pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, digits) once and pass
-the frame to deligne_periods() or report().
+the frame to deligne_periods() or report().  report() returns the stage's
+report entries as periods.Entry records, its self-checks judged by
+periods.judged like every other numeric check.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from mpmath import mp, mpc, mpf
 from . import arith
 from .hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
                        theta_const, working_precision)
+from .periods import Entry, judged
 
 # Largest working precision lvalue (and so the deligne stage) accepts; its
 # termwise sum takes about 500 eta-product coefficients there.
@@ -189,7 +192,8 @@ def fricke_residual(y, digits: int = DEFAULT_DIGITS):
 
 
 def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
-    """(r1, r2, report): the two Deligne ratios as exact rationals.
+    """(r1, r2, L1, L2): the two Deligne ratios as exact rationals, and the
+    two L-values they divide.
 
     r1 = c^+(twist 1) / L(twist 1) and r2 = c^+(twist 2) / L(twist 2), with
     the twisted periods taken from `periods`, reconstructed by continued
@@ -208,42 +212,34 @@ def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
             raise ReconstructionError("period ratios failed to be real")
         r1 = rationalize(ratio1.real, tol=tol)
         r2 = rationalize(ratio2.real, tol=tol)
-        report = {
-            "digits": digits,
-            "L1": mp.nstr(l1.value, digits),
-            "L2": mp.nstr(l2.value, digits),
-            "ratio1": str(r1),
-            "ratio2": str(r2),
-            "ratio1_float": mp.nstr(ratio1.real, 25),
-            "ratio2_float": mp.nstr(ratio2.real, 25),
-        }
-        return r1, r2, report
+        return r1, r2, l1.value, l2.value
 
 
-def report(frame, digits: int = DEFAULT_DIGITS) -> dict:
-    """The Deligne stage as raw values: `summary` (theta value, L-values,
-    twisted periods and ratios as decimal strings), `checks` (the
-    (name, residual, tolerance) self-checks that gate them, each passing
-    when residual <= tolerance) and `ratios` (the two recovered Fractions);
-    `frame` is the Legendre frame transported to lambda = 2 (see
-    deligne_periods)."""
+def report(frame, digits: int = DEFAULT_DIGITS) -> list[Entry]:
+    """The Deligne stage's seven entries: `deligne-summary` (informational:
+    theta value, L-values, twisted periods and ratios as decimal strings),
+    the Fricke and theta-vs-continuation self-checks that gate them, and
+    the two ratio checks; `frame` is the Legendre frame transported to
+    lambda = 2 (see deligne_periods)."""
     with working_precision(digits):
         tol = mpf(10) ** (-(digits - 10))
-        checks = [(f"fricke-eta6-y={y}", fricke_residual(y, digits), tol)
+        fricke = [judged(f"fricke-eta6-y={y}", fricke_residual(y, digits), tol)
                   for y in (Fraction(3, 10), Fraction(7, 10), Fraction(3, 2))]
     periods = deligne_periods(frame, digits)
-    r1, r2, ratio_rep = verify_ratios(periods, digits)
-    checks.append(("theta-vs-continuation", periods.crosscheck_residual,
-                   periods.crosscheck_tolerance))
+    r1, r2, l1, l2 = verify_ratios(periods, digits)
     with working_precision(digits):
         summary = {
             "digits": digits,
             "theta4_value": mp.nstr(periods.theta4_value, digits),
-            "L1": ratio_rep["L1"],
-            "L2": ratio_rep["L2"],
+            "L1": mp.nstr(l1, digits),
+            "L2": mp.nstr(l2, digits),
             "c_plus_tate1": mp.nstr(periods.c_plus_tate1, digits),
             "c_plus_tate2": mp.nstr(periods.c_plus_tate2, digits),
             "ratio1": str(r1),
             "ratio2": str(r2),
         }
-    return {"summary": summary, "checks": checks, "ratios": (r1, r2)}
+    return [Entry("deligne-summary", True, True, data=summary), *fricke,
+            judged("theta-vs-continuation", periods.crosscheck_residual,
+                   periods.crosscheck_tolerance),
+            Entry("ratio1-is-16", r1 == 16, data={"value": str(r1)}),
+            Entry("ratio2-is-minus-64", r2 == -64, data={"value": str(r2)})]

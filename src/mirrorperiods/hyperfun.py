@@ -73,6 +73,20 @@ def exact_pair(x):
     return None
 
 
+def waypoint_strings(w) -> list:
+    """A point as [re, im] decimal strings, the form of --path waypoints:
+    an exact coordinate as its float repr when that is exact, else as p/q;
+    an mpmath one to 30 digits."""
+    def fmt(x):
+        if isinstance(x, Fraction):
+            f = float(x)
+            return str(x) if Fraction(str(f)) != x else str(f)
+        return mp.nstr(x, 30)
+    if isinstance(w, tuple):
+        return [fmt(w[0]), fmt(w[1])]
+    return [fmt(w.real), fmt(w.imag)]
+
+
 def _to_fixed(x: mpf, shift: int) -> int:
     """x * 2^shift truncated to an int; x must be finite."""
     sign, man, exp, _ = x._mpf_

@@ -17,8 +17,9 @@ quadratic change of variables
 identifies the two worlds: W0 = (1-lam/2) varpi0^2, W1 = (1-lam/2) varpi0
 varpi1, so the quotient W1/W0 is the Legendre period ratio tau (checked
 exactly over Q[[lam]] as MIRROR-EXACT, numerically on a grid).  Everything
-checkable is registered behind check_identity() and reported as an
-IdentityReport.
+checkable is registered behind check_identity().  Every check of the
+package, here and in cli and deligne, reports through one record, Entry,
+and every numeric one through one pass rule and residual format, judged().
 
 Both numeric series (legendre_jet, dwork_periods) run their term
 recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
@@ -31,7 +32,7 @@ The term counts are those of `_series_terms` (plus 10 for the Dwork side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import lcm
@@ -42,7 +43,7 @@ from mpmath import mp, mpc, mpf
 from . import hyperfun
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed,
                        _to_fixed, as_mpc, eta_value, exact_pair, half_nome,
-                       hyp2f1_series, theta_const, working_precision)
+                       hyp2f1_series, theta_const, waypoint_strings, working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
 _PAD = 8  # extra exact-series slots so residuals stay provable at the asked order
@@ -66,17 +67,19 @@ def h_series(order: int) -> RationalSeries:
     L[h] = y0 - 2(1-lam) y0', i.e.
 
         (m+1)^2 h_{m+1} = (m+1/2)^2 h_m + R_m,
-        R_m = (2m+1) c_m - 2(m+1) c_{m+1},
+        R_m = (2m+1) c_m - 2(m+1) c_{m+1} = c_m (2m+1)/(2(m+1)),
 
-    where c are the varpi0 coefficients and h_0 = 0.
+    where c are the varpi0 coefficients, c_(m+1) = c_m (2m+1)^2/(4(m+1)^2),
+    run along in the same loop, and h_0 = 0.
     """
     if order < 1:
         raise SeriesError("h_series requires order >= 1")
-    c = varpi0_series(order + 1).coeffs
+    c = Fraction(1)
     g = [Fraction(0)]
     for m in range(order - 1):
-        r_m = (2 * m + 1) * c[m] - 2 * (m + 1) * c[m + 1]
+        r_m = c * (2 * m + 1) / (2 * (m + 1))
         g.append((Fraction(2 * m + 1, 2) ** 2 * g[m] + r_m) / Fraction(m + 1) ** 2)
+        c = c * (2 * m + 1) ** 2 / (4 * (m + 1) ** 2)
     return RationalSeries(g, 0, order)
 
 
@@ -480,38 +483,41 @@ def mirror_map_residuals(digits: int = DEFAULT_DIGITS, points=None):
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity check.
+class Entry:
+    """One report entry: the record every check of the package returns.
 
-    `residual` and `tolerance` are decimal strings (exact checks use "0").
-    pass <=> residual <= tolerance, and exact checks demand literal zero.
-    Informational entries record data without asserting anything.
+    `identity` is printed as "name".  An informational entry records data
+    without asserting anything.  `residual` and `tolerance` are decimal
+    strings (exact checks use "0" and demand literal zero), `where` says
+    where the check ran and `exact` whether it ran over Q; the fields left
+    None are not printed.  `data` holds the rest, printed after them.
     """
     identity: str
-    where: str
-    residual: str
-    tolerance: str
-    exact: bool
     passed: bool
     informational: bool = False
-    info: Optional[dict] = None
+    where: Optional[str] = None
+    residual: Optional[str] = None
+    tolerance: Optional[str] = None
+    exact: Optional[bool] = None
+    data: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "identity": self.identity,
-            "where": self.where,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "exact": self.exact,
-            "passed": self.passed,
-            "informational": self.informational,
-        }
-        if self.info is not None:
-            d["info"] = self.info
+        d = {"name": self.identity, "passed": self.passed, "informational": self.informational}
+        for key in ("where", "residual", "tolerance", "exact"):
+            if getattr(self, key) is not None:
+                d[key] = getattr(self, key)
+        d.update(self.data)
         return d
 
 
-def _exact_report(name: str, order: int, *residuals: RationalSeries) -> IdentityReport:
+def judged(identity: str, residual, tolerance, **fields) -> Entry:
+    """The one numeric pass rule, residual <= tolerance, as an Entry with
+    the residual printed to 6 significant digits and the tolerance to 3."""
+    return Entry(identity, bool(residual <= tolerance), residual=mp.nstr(residual, 6),
+                 tolerance=mp.nstr(tolerance, 3), **fields)
+
+
+def _exact_report(name: str, order: int, *residuals: RationalSeries) -> Entry:
     worst = Fraction(0)
     for r in residuals:
         if r.order <= order:
@@ -519,14 +525,8 @@ def _exact_report(name: str, order: int, *residuals: RationalSeries) -> Identity
                 f"{name}: residual provable only to order {r.order}, need {order}")
         worst = max(worst, r.truncate(order + 1).max_abs_coefficient())
     passed = worst == 0
-    return IdentityReport(
-        identity=name,
-        where=f"series order {order}",
-        residual="0" if passed else str(worst),
-        tolerance="0",
-        exact=True,
-        passed=passed,
-    )
+    return Entry(name, passed, where=f"series order {order}",
+                 residual="0" if passed else str(worst), tolerance="0", exact=True)
 
 
 def _z_pieces(n: int):
@@ -633,70 +633,60 @@ def _bps_residual(n: int):
     return (lhs - rhs,)
 
 
-def _numeric_report(name, where, residual, tol_exp) -> IdentityReport:
-    tol = mpf(10) ** tol_exp
-    return IdentityReport(
-        identity=name,
-        where=where,
-        residual=mp.nstr(residual, 8),
-        tolerance=mp.nstr(tol, 3),
-        exact=False,
-        passed=bool(residual <= tol),
-    )
+def _label(point) -> str:
+    """An exact point as "[re, im]", printed as a --path waypoint."""
+    return "[{}, {}]".format(*waypoint_strings(point))
 
 
 DELTA_THETA_POINTS = [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(3, 2))]
 
 
-def _delta_theta_check(digits) -> IdentityReport:
+def _delta_theta_check(digits) -> Entry:
     worst = mpf(0)
     with working_precision(digits):
-        pts = [as_mpc(p) for p in DELTA_THETA_POINTS]
-        for tau in pts:
+        for tau in map(as_mpc, DELTA_THETA_POINTS):
             q = half_nome(tau, digits)
             lhs = eta_value(tau, digits) ** 24
             rhs = mpf(2) ** -8 * (theta_const(2, q, digits) * theta_const(3, q, digits)
                                   * theta_const(4, q, digits)) ** 8
             worst = max(worst, abs(lhs - rhs))
-    where = "tau in {" + ", ".join(mp.nstr(p, 8) for p in pts) + "}"
-    return _numeric_report("DELTA-THETA", where, worst, -(digits - 20))
+        tol = mpf(10) ** -(digits - 20)
+    where = "tau in {" + ", ".join(map(_label, DELTA_THETA_POINTS)) + "}"
+    return judged("DELTA-THETA", worst, tol, where=where, exact=False)
 
 
 W_PI_GRID = [(Fraction("0.05"), Fraction(0)), (Fraction(0), Fraction("0.1")),
              (Fraction("0.2"), Fraction("-0.1"))]
+W_PI_WHERE = "lambda in {" + ", ".join(map(_label, W_PI_GRID)) + "}"
 
 
 @lru_cache(maxsize=1)
 def _w_pi_grid(digits):
-    """(where, ((label, DworkPeriods, PiTriple), ...)) on W_PI_GRID,
-    evaluated once per digits for both W-PI and W2-RATIO.  The exact points
-    reach quad_map and pi_triple as they are (so legendre_jet takes its
-    exact-lambda path); the labels are formatted from mpc copies."""
-    with working_precision(digits):
-        labels = [mp.nstr(as_mpc(lam), 8) for lam in W_PI_GRID]
-    values = tuple((label, dwork_periods(quad_map(lam, digits).psi, digits),
-                    pi_triple(lam, digits)) for label, lam in zip(labels, W_PI_GRID))
-    return "lambda in {" + ", ".join(labels) + "}", values
+    """((DworkPeriods, PiTriple), ...) on W_PI_GRID, evaluated once per
+    digits for both W-PI and W2-RATIO.  The exact points reach quad_map and
+    pi_triple as they are, so legendre_jet takes its exact-lambda path."""
+    return tuple((dwork_periods(quad_map(lam, digits).psi, digits), pi_triple(lam, digits))
+                 for lam in W_PI_GRID)
 
 
-def _w_pi_check(digits) -> IdentityReport:
-    where, values = _w_pi_grid(digits)
+def _w_pi_check(digits) -> Entry:
     worst = mpf(0)
     with working_precision(digits):
-        for _, dw, pt in values:
+        for dw, pt in _w_pi_grid(digits):
             worst = max(worst, abs(dw.w0 - pt.pi0), abs(dw.w1 - pt.pi1))
-    return _numeric_report("W-PI", where, worst, -(digits - 15))
+        tol = mpf(10) ** -(digits - 15)
+    return judged("W-PI", worst, tol, where=W_PI_WHERE, exact=False)
 
 
-def _w2_ratio_record(digits) -> IdentityReport:
+def _w2_ratio_record(digits) -> Entry:
     # T*W0 = S^2 (see w_series_t) makes W0*W2 - W1^2 = -W0^2/2, so with
     # W0 = Pi0, W1 = Pi1 and Pi0*Pi2 = Pi1^2, W2 = Pi2 - Pi0/2; that holds
     # at every grid point to 50 digits.  Record the ratio without asserting it.
-    where, values = _w_pi_grid(digits)
     with working_precision(digits):
-        ratios = {label: mp.nstr(dw.w2 / pt.pi2, 25) for label, dw, pt in values}
-    return IdentityReport("W2-RATIO", where, "0", "0", exact=False, passed=True,
-                          informational=True, info={"w2_over_pi2": ratios})
+        ratios = {_label(lam): mp.nstr(dw.w2 / pt.pi2, 25)
+                  for lam, (dw, pt) in zip(W_PI_GRID, _w_pi_grid(digits))}
+    return Entry("W2-RATIO", True, True, where=W_PI_WHERE, residual="0", tolerance="0",
+                 exact=False, data={"info": {"w2_over_pi2": ratios}})
 
 
 def _selftest_fail_residual(n: int):
@@ -708,7 +698,7 @@ def _selftest_fail_residual(n: int):
 # id -> (check, default order, whether `identities --order` sets the order),
 # in report order.  An exact id's check maps a padded order to the residual
 # series that must vanish; a numeric id (default order None) maps the
-# working digits straight to a report.
+# working digits straight to an Entry.
 IDENTITIES = {
     "QT1": (_qt1_residual, 40, True),
     "QT2": (_qt2_residual, 40, True),
@@ -745,9 +735,8 @@ def identity_order(identity: str, run_order: int) -> Optional[int]:
     return run_order if follows else None
 
 
-def check_identity(identity: str, order=None,
-                   digits: int = DEFAULT_DIGITS) -> IdentityReport:
-    """Run one registered identity check and report the residual.
+def check_identity(identity: str, order=None, digits: int = DEFAULT_DIGITS) -> Entry:
+    """Run one registered identity check and report the residual as an Entry.
 
     Exact rational-series identities take an integer truncation order (None
     for the id's own) and report literal zero residuals; numeric identities

@@ -191,23 +191,6 @@ class ContinuationPath:
         pts = [(Fraction(str(re)), Fraction(str(im))) for re, im in data]
         return cls(tuple(pts))
 
-    def to_json(self) -> str:
-        return json.dumps([waypoint_strings(w) for w in self.waypoints])
-
-
-def waypoint_strings(w) -> list:
-    """A waypoint as the [re, im] decimal strings of ContinuationPath.to_json:
-    an exact coordinate as its float repr when that is exact, else as p/q;
-    an mpmath one to 30 digits."""
-    def fmt(x):
-        if isinstance(x, Fraction):
-            f = float(x)
-            return str(x) if Fraction(str(f)) != x else str(f)
-        return mp.nstr(x, 30)
-    if isinstance(w, tuple):
-        return [fmt(w[0]), fmt(w[1])]
-    return [fmt(w.real), fmt(w.imag)]
-
 
 @dataclass(frozen=True)
 class SolutionFrame:

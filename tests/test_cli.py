@@ -10,7 +10,8 @@ import pytest
 from mpmath import mp, mpf
 
 from mirrorperiods import cli, deligne, hyperfun, periods, pfode
-from mirrorperiods.hyperfun import PrecisionError, exact_pair, working_precision
+from mirrorperiods.hyperfun import PrecisionError, exact_pair, waypoint_strings, working_precision
+from mirrorperiods.periods import Entry
 from mirrorperiods.qseries import RationalSeries
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -135,8 +136,9 @@ def test_continue_reports_the_route_it_takes(capsys):
     code, out = run_main(["continue", "--target", "3/5", "--digits", "40"], capsys)
     assert code == 0
     [entry] = json.loads(out)["entries"]
-    assert entry["path"] == pfode.default_path(Fraction(3, 5), 40).to_json() \
-        == '[["0.1", "0.0"], ["0.6", "0.0"]]'
+    assert entry["path"] == [waypoint_strings(w)
+                             for w in pfode.default_path(Fraction(3, 5), 40).waypoints] \
+        == [["0.1", "0.0"], ["0.6", "0.0"]]
 
 
 def test_continue_with_explicit_path(capsys):
@@ -205,6 +207,10 @@ def test_timings_flag_adds_data(capsys):
     assert code == 0
     rep = json.loads(out)
     assert "total_seconds" in rep
+    code, out = run_main(["identities", "--ids", "QT1,THETA-V", "--timings"], capsys)
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [list(e)[-1] for e in entries] == ["seconds", "seconds"]
 
 
 def test_text_format(capsys):
@@ -412,19 +418,38 @@ def test_all_keeps_only_the_tables_it_reuses(capsys):
 
 @pytest.fixture(scope="module")
 def battery_and_parts(tmp_path_factory):
-    """`all --digits 40`, and each of its selections run on its own."""
+    """`all --digits 40`, each of its selections run on its own, and the
+    (command, returned value) of every handler call in those runs."""
     out = tmp_path_factory.mktemp("parts") / "report.json"
+    returned = []
+
+    def recorded(name, handler):
+        def run(cfg, args):
+            returned.append((name, handler(cfg, args)))
+            return returned[-1][1]
+        return run
 
     def run(argv):
         code = cli.main([*argv, "--digits", "40", "--output", str(out)])
         return code, json.loads(out.read_text())["entries"]
 
-    return run(["all"]), [run(sel) for sel in cli.ALL]
+    with pytest.MonkeyPatch.context() as patch:
+        for name, handler in cli.COMMANDS.items():
+            patch.setitem(cli.COMMANDS, name, recorded(name, handler))
+        return run(["all"]), [run(sel) for sel in cli.ALL], returned
+
+
+def test_every_handler_returns_entries(battery_and_parts):
+    (_, battery), _, returned = battery_and_parts
+    assert {name for name, _ in returned} == set(cli.COMMANDS)
+    assert all(isinstance(e, Entry) for _, entries in returned for e in entries)
+    # the report is those entries through Entry.to_dict, and nothing else
+    assert [e.to_dict() for _, entries in returned[:len(cli.ALL)] for e in entries] == battery
 
 
 @pytest.mark.parametrize("index", range(len(cli.ALL)), ids=[" ".join(s) for s in cli.ALL])
 def test_subcommand_is_its_slice_of_all(index, battery_and_parts):
-    (code, battery), parts = battery_and_parts
+    (code, battery), parts, _ = battery_and_parts
     assert code == 0 and sum(len(entries) for _, entries in parts) == len(battery)
     start = sum(len(entries) for _, entries in parts[:index])
     part_code, entries = parts[index]

@@ -8,6 +8,7 @@ import mirrorperiods.deligne as deligne
 import mirrorperiods.pfode as pfode
 from helpers import quadrature_lvalue, round_decimals
 from mirrorperiods.hyperfun import working_precision
+from mirrorperiods.periods import Entry
 
 REF_L1 = "0.5471099038066191597091924851761161358148431807064"
 REF_L2 = "0.8593982272525466034362619724763196497376070564774"
@@ -77,15 +78,15 @@ def test_deligne_period_structure():
 
 
 def test_ratios_reconstruct(fricke_verified):
-    r1, r2, rep = deligne.verify_ratios(periods_at(DIGITS), DIGITS)
+    r1, r2, l1, l2 = deligne.verify_ratios(periods_at(DIGITS), DIGITS)
     assert r1 == F(16) and r2 == F(-64)
     assert r1.denominator == 1 and r2.denominator == 1
-    assert rep["ratio1"] == "16" and rep["ratio2"] == "-64"
+    assert (l1, l2) == (deligne.lvalue(1, DIGITS).value, deligne.lvalue(2, DIGITS).value)
 
 
 def test_ratios_stable_under_digit_doubling(fricke_verified):
-    r1a, r2a, _ = deligne.verify_ratios(periods_at(40), 40)
-    r1b, r2b, _ = deligne.verify_ratios(periods_at(80), 80)
+    r1a, r2a, _, _ = deligne.verify_ratios(periods_at(40), 40)
+    r1b, r2b, _, _ = deligne.verify_ratios(periods_at(80), 80)
     assert (r1a, r2a) == (r1b, r2b) == (F(16), F(-64))
 
 
@@ -110,13 +111,18 @@ def test_smooth_sum_direction_of_convergence():
 
 
 def test_report_shape():
-    rep = deligne.report(pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 45), 45)
-    assert set(rep) == {"summary", "checks", "ratios"}
-    assert list(rep["summary"]) == ["digits", "theta4_value", "L1", "L2", "c_plus_tate1",
-                                    "c_plus_tate2", "ratio1", "ratio2"]
-    assert rep["ratios"] == (16, -64)
-    assert rep["summary"]["ratio1"] == "16" and rep["summary"]["ratio2"] == "-64"
-    assert [name for name, _, _ in rep["checks"]] == [
-        "fricke-eta6-y=3/10", "fricke-eta6-y=7/10", "fricke-eta6-y=3/2",
-        "theta-vs-continuation"]
-    assert all(res <= tol for _, res, tol in rep["checks"])
+    entries = deligne.report(pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 45), 45)
+    assert all(isinstance(e, Entry) for e in entries)
+    assert [e.identity for e in entries] == [
+        "deligne-summary", "fricke-eta6-y=3/10", "fricke-eta6-y=7/10", "fricke-eta6-y=3/2",
+        "theta-vs-continuation", "ratio1-is-16", "ratio2-is-minus-64"]
+    summary, checks, ratios = entries[0], entries[1:5], entries[5:]
+    assert summary.informational and summary.passed
+    assert list(summary.data) == ["digits", "theta4_value", "L1", "L2", "c_plus_tate1",
+                                  "c_plus_tate2", "ratio1", "ratio2"]
+    assert summary.data["ratio1"] == "16" and summary.data["ratio2"] == "-64"
+    # the self-checks are judged: a residual against a tolerance
+    assert all(e.passed and e.residual and e.tolerance for e in checks)
+    assert [(e.passed, e.data) for e in ratios] == [(True, {"value": "16"}),
+                                                   (True, {"value": "-64"})]
+    assert not any(e.informational for e in entries[1:])

@@ -28,6 +28,19 @@ def test_h_series_order_one():
     assert h.coefficient(0) == 0 and h.coefficient(1) == F(1, 2)
 
 
+@pytest.mark.parametrize("order", [1, 2, 40, 81])
+def test_h_series_matches_recurrence_on_varpi0(order):
+    # h_series runs the varpi0 coefficients along its own loop; here they
+    # come from the 2F1 series, with R_m in its two-coefficient form
+    c = periods.varpi0_series(order + 1).coeffs
+    g = [F(0)]
+    for m in range(order - 1):
+        r_m = (2 * m + 1) * c[m] - 2 * (m + 1) * c[m + 1]
+        g.append((F(2 * m + 1, 2) ** 2 * g[m] + r_m) / F(m + 1) ** 2)
+    h = periods.h_series(order)
+    assert (list(h.coeffs), h.offset, h.order) == (g, 0, order)
+
+
 def test_h_series_coefficient_from_period_integral():
     """Fit h's lambda^4 coefficient from varpi1 evaluated by quadrature.
 
@@ -387,8 +400,11 @@ def test_w_pi_numeric_grid():
 
 def test_w2_ratio_informational():
     rep = periods.check_identity("W2-RATIO", None, digits=40)
+    assert isinstance(rep, periods.Entry)
     assert rep.informational and rep.passed
-    assert "w2_over_pi2" in rep.info
+    # the exact grid points, printed as --path waypoints
+    assert rep.where == "lambda in {[0.05, 0.0], [0.0, 0.1], [0.2, -0.1]}"
+    assert list(rep.data["info"]["w2_over_pi2"]) == ["[0.05, 0.0]", "[0.0, 0.1]", "[0.2, -0.1]"]
 
 
 def test_selftest_identity_fails():
@@ -403,5 +419,22 @@ def test_unknown_identity():
 
 def test_identity_report_roundtrip():
     rep = periods.check_identity("QT1", 10)
+    assert isinstance(rep, periods.Entry)
+    assert (rep.identity, rep.where, rep.residual, rep.tolerance, rep.exact, rep.passed) == \
+        ("QT1", "series order 10", "0", "0", True, True)
     d = rep.to_dict()
-    assert d["identity"] == "QT1" and d["exact"] is True and d["passed"] is True
+    assert list(d) == ["name", "passed", "informational", "where", "residual", "tolerance",
+                       "exact"]
+    assert d["name"] == "QT1" and d["exact"] is True and d["passed"] is True
+
+
+def test_judged_passes_at_tolerance_and_fails_above():
+    with mp.workdps(30):
+        tol = mpf(10) ** -30
+        at = periods.judged("x", tol, tol, where="here", data={"k": 1})
+        above = periods.judged("x", tol * (1 + mpf(2) ** -60), tol)
+    assert at.passed is True and above.passed is False
+    assert at.residual == at.tolerance == "1.0e-30" and above.residual == "1.0e-30"
+    assert at.to_dict() == {"name": "x", "passed": True, "informational": False,
+                            "where": "here", "residual": "1.0e-30", "tolerance": "1.0e-30",
+                            "k": 1}

@@ -10,7 +10,7 @@ from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
-from mirrorperiods.hyperfun import as_mpc, theta_const, working_precision
+from mirrorperiods.hyperfun import as_mpc, theta_const, waypoint_strings, working_precision
 
 DIGITS = 50
 DATA = Path(__file__).resolve().parent / "data"
@@ -331,7 +331,7 @@ def test_path_needs_two_waypoints():
 def test_path_json_roundtrip():
     p = pfode.ContinuationPath.from_json('[["0.1", "0"], ["0.1", "-1.2"], ["2", "0"]]')
     assert p.waypoints == ((F(1, 10), F(0)), (F(1, 10), F(-6, 5)), (F(2), F(0)))
-    q = pfode.ContinuationPath.from_json(p.to_json())
+    q = pfode.ContinuationPath.from_json(json.dumps([waypoint_strings(w) for w in p.waypoints]))
     assert q.waypoints == p.waypoints
 
 
