@@ -107,21 +107,51 @@ def half_nome(tau, digits: int = DEFAULT_DIGITS):
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric function: exact Taylor coefficients
+# Hypergeometric Frobenius series: exact Taylor coefficients
 # ---------------------------------------------------------------------------
 
 
-def hyp2f1_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> RationalSeries:
-    """Exact rational Taylor coefficients of 2F1(a,b;c;z) at z=0."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if c.denominator == 1 and c <= 0:
-        raise PrecisionError("2F1 undefined for nonpositive integer c")
-    coeffs = [Fraction(1)]
-    t = Fraction(1)
-    for n in range(1, order):
-        t *= (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
-        coeffs.append(t)
-    return RationalSeries(coeffs, 0, order)
+def _linear_product(factors, mu: int) -> list:
+    """Integer coefficients of prod (u + v eps) over (u, v) in factors, below eps^mu."""
+    poly = [1] + [0] * (mu - 1)
+    for u, v in factors:
+        poly = [u * poly[0]] + [u * poly[k] + v * poly[k - 1] for k in range(1, mu)]
+    return poly
+
+
+def frobenius_series(upper, order: int, mu: int = 1) -> tuple:
+    """[eps^k] sum_n c_n(eps) z^n for k < mu, exact to z^order, where c_0 = 1
+    and c_(n+1)(eps) = c_n(eps) prod_(a in upper) (n+a+eps)/(n+1+eps).
+
+    z^eps times this eps-series solves theta^m y - z prod (theta+a) y = 0 up
+    to eps^m z^eps (m = len(upper), theta = z d/dz).  So k = 0 is the
+    mF(m-1) series with lower parameters 1, and for k < m the eps^k
+    coefficient of z^eps times it is a log solution.  Each step takes the
+    ratio as integer polynomials in eps: with a = p/d, (n+a+eps)/(n+1+eps)
+    = (dn+p+d eps)/(dn+d+d eps).  c_n(eps) is multiplied by the numerator and
+    divided by the denominator as a truncated series, one Fraction division
+    per eps-coefficient and term.
+    """
+    dp = [(Fraction(a).denominator, Fraction(a).numerator) for a in upper]
+    c = [Fraction(1)] + [Fraction(0)] * (mu - 1)
+    rows = []
+    for n in range(order):
+        rows.append(c)
+        num = _linear_product([(d * n + p, d) for d, p in dp], mu)
+        den = _linear_product([(d * n + d, d) for d, _ in dp], mu)
+        new = []
+        for k in range(mu):
+            t = num[0] * c[k]
+            for j in range(1, k + 1):
+                t += num[j] * c[k - j] - den[j] * new[k - j]
+            new.append(t / den[0])
+        c = new
+    return tuple(RationalSeries([row[k] for row in rows], 0, order) for k in range(mu))
+
+
+def hyp2f1_series(a: Fraction, b: Fraction, order: int) -> RationalSeries:
+    """Exact rational Taylor coefficients of 2F1(a,b;1;z) at z=0."""
+    return frobenius_series((a, b), order)[0]
 
 
 # ---------------------------------------------------------------------------

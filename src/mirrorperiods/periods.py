@@ -7,9 +7,9 @@ are
     varpi0(lam) = 2F1(1/2, 1/2; 1; lam),
     varpi1(lam) = (varpi0*log(lam) + h(lam))/(pi*i) - (log 16/(pi*i))*varpi0,
 
-with h the log-companion series solved from the Legendre Picard-Fuchs
-recurrence.  The quartic-family periods W0, W1, W2 are the classical series
-in 1/(4*psi)^4 with polygamma brackets realized as exact harmonic sums.  The
+with h the log-companion series; the quartic-family periods W0, W1, W2 are
+the classical series in 1/(4*psi)^4.  Their exact series (varpi0, h and the
+t-series of w_series_t) are eps-slices of hyperfun.frobenius_series.  The
 quadratic change of variables
 
     t = lam^2 (1-lam) (1-lam/2)^(-4),    psi = lam^(-1/2) (1-lam)^(-1/4) (1-lam/2)
@@ -34,15 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from math import lcm
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpc, mpf
 
 from . import hyperfun
-from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed,
-                       _to_fixed, as_mpc, eta_value, exact_pair, half_nome,
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed, _to_fixed,
+                       as_mpc, eta_value, exact_pair, frobenius_series, half_nome,
                        hyp2f1_series, theta_const, waypoint_strings, working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
@@ -54,33 +54,22 @@ _PAD = 8  # extra exact-series slots so residuals stay provable at the asked ord
 # ---------------------------------------------------------------------------
 
 
+LEGENDRE = (Fraction(1, 2), Fraction(1, 2))  # varpi0 = 2F1(1/2, 1/2; 1; lam)
+
+
 def varpi0_series(order: int) -> RationalSeries:
     """2F1(1/2,1/2;1;lam) = 1 + lam/4 + 9 lam^2/64 + ..."""
-    return hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), order)
+    return hyp2f1_series(*LEGENDRE, order)
 
 
 def h_series(order: int) -> RationalSeries:
     """Log-companion series h(lam) = lam/2 + 21 lam^2/64 + 185 lam^3/768 + ...
 
-    Solved from the Legendre Picard-Fuchs recurrence: with y0 = varpi0 and
-    L = lam(1-lam) d^2 + (1-2 lam) d - 1/4, the ansatz y0*log(lam) + h gives
-    L[h] = y0 - 2(1-lam) y0', i.e.
-
-        (m+1)^2 h_{m+1} = (m+1/2)^2 h_m + R_m,
-        R_m = (2m+1) c_m - 2(m+1) c_{m+1} = c_m (2m+1)/(2(m+1)),
-
-    where c are the varpi0 coefficients, c_(m+1) = c_m (2m+1)^2/(4(m+1)^2),
-    run along in the same loop, and h_0 = 0.
+    varpi0 log(lam) + h solves the Legendre Picard-Fuchs equation, so h is
+    the eps^1 series of the Frobenius series of (1/2, 1/2), whose eps^0
+    series is varpi0.
     """
-    if order < 1:
-        raise SeriesError("h_series requires order >= 1")
-    c = Fraction(1)
-    g = [Fraction(0)]
-    for m in range(order - 1):
-        r_m = c * (2 * m + 1) / (2 * (m + 1))
-        g.append((Fraction(2 * m + 1, 2) ** 2 * g[m] + r_m) / Fraction(m + 1) ** 2)
-        c = c * (2 * m + 1) ** 2 / (4 * (m + 1) ** 2)
-    return RationalSeries(g, 0, order)
+    return frobenius_series(LEGENDRE, order, 2)[1]
 
 
 class CacheInfo(NamedTuple):
@@ -124,8 +113,7 @@ def _largest_table(build):
 def q_of_lambda_series(order: int) -> RationalSeries:
     """q(lam) = (lam/16) * exp(h(lam)/varpi0(lam)), exactly in rationals;
     known to lam^order."""
-    w0 = varpi0_series(order)
-    h = h_series(order)
+    w0, h = frobenius_series(LEGENDRE, order, 2)
     e = (h * w0.reciprocal()).exp()
     return (e * Fraction(1, 16)).shifted(1)
 
@@ -202,13 +190,6 @@ def delta_qseries(order: int) -> RationalSeries:
 # ---------------------------------------------------------------------------
 
 
-class LegendrePeriods(NamedTuple):
-    lam: mpc
-    varpi0: mpc
-    varpi1: mpc
-    tau: mpc
-
-
 class LegendreJet(NamedTuple):
     varpi0: mpc
     dvarpi0: mpc
@@ -225,20 +206,9 @@ class DworkPeriods(NamedTuple):
     tau: mpc
 
 
-class PiTriple(NamedTuple):
-    lam: mpc
-    pi0: mpc
-    pi1: mpc
-    pi2: mpc
-
-
 class QuadMapResult(NamedTuple):
     t: mpc
     psi: mpc
-
-    @property
-    def is_pole(self) -> bool:
-        return mp.isinf(self.t)
 
 
 def _series_terms(absx, digits: int) -> int:
@@ -316,14 +286,6 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
         w1 = (w0 * lg + hval) / pii
         dw1 = (dw0 * lg + w0 / lam + dh) / pii
         return LegendreJet(w0, dw0, w1, dw1)
-
-
-def legendre_periods(lam, digits: int = DEFAULT_DIGITS) -> LegendrePeriods:
-    """Legendre periods on the principal small-lambda determination, |lam| <= 0.9."""
-    jet = legendre_jet(lam, digits)
-    with working_precision(digits):
-        return LegendrePeriods(as_mpc(lam), jet.varpi0, jet.varpi1,
-                               jet.varpi1 / jet.varpi0)
 
 
 def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
@@ -406,45 +368,20 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
         return DworkPeriods(psi, t, w0, w1, w2, w1 / w0)
 
 
-def pi_triple(lam, digits: int = DEFAULT_DIGITS) -> PiTriple:
-    """Pi_i = (1-lam/2) varpi0^(2-i) varpi1^i; satisfies Pi0*Pi2 = Pi1^2."""
-    p = legendre_periods(lam, digits)
-    with working_precision(digits):
-        lam = as_mpc(lam)
-        fac = 1 - lam / 2
-        return PiTriple(lam, fac * p.varpi0 ** 2,
-                        fac * p.varpi0 * p.varpi1, fac * p.varpi1 ** 2)
-
-
 def w_series_t(order: int):
     """Exact t-series data for the quartic-family periods.
 
     Returns (W0, S, T) where, with L = log t and a_n = (4n)!/(n!)^4/256^n:
     W0 = sum a_n t^n, S = sum a_n (H_4n - H_n) t^n, and
-    T = sum a_n ((H_4n-H_n)^2 - H2_4n + H2_n/4) t^n.  The actual periods are
-    constant-coefficient combinations of W0, W0*L + 4S and
-    W0*L^2 + 8*S*L + 16*T.  The harmonic sums H_4n, H_n and H2_4n, H2_n
-    (sums of 1/k^2) run along n, as in dwork_periods.  T*W0 = S^2 exactly,
-    which makes W0*W2 - W1^2 = -W0^2/2.
+    T = sum a_n ((H_4n-H_n)^2 - H2_4n + H2_n/4) t^n, H2 the sums of 1/k^2.
+    The actual periods are constant-coefficient combinations of W0,
+    W0*L + 4S and W0*L^2 + 8*S*L + 16*T.  W0, 4S and 8T are the eps^0, eps^1
+    and eps^2 series of the Frobenius series of (1/4, 1/2, 3/4).
+    T*W0 = S^2 exactly, which makes W0*W2 - W1^2 = -W0^2/2.
     """
-    c0, c1, c2 = [], [], []
-    a = Fraction(1)
-    h4 = h1 = h4_2 = h1_2 = Fraction(0)
-    for n in range(order):
-        if n:
-            for j in range(4 * n - 3, 4 * n + 1):
-                h4 += Fraction(1, j)
-                h4_2 += Fraction(1, j * j)
-            h1 += Fraction(1, n)
-            h1_2 += Fraction(1, n * n)
-        b = h4 - h1
-        c0.append(a)
-        c1.append(a * b)
-        c2.append(a * (b * b - h4_2 + h1_2 / 4))
-        a = a * ((4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4)) / (256 * (n + 1) ** 4)
-    return (RationalSeries(c0, 0, order),
-            RationalSeries(c1, 0, order),
-            RationalSeries(c2, 0, order))
+    w0, s, t = frobenius_series((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), order, 3)
+    return (w0, RationalSeries([c / 4 for c in s.coeffs], 0, order),
+            RationalSeries([c / 8 for c in t.coeffs], 0, order))
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +400,16 @@ MIRROR_GRID = [(Fraction(re), Fraction(im)) for re, im in [
 ]]
 
 
-def mirror_map_residual(lam, digits: int = DEFAULT_DIGITS):
-    """|W1/W0 - varpi1/varpi0| with both sides computed independently."""
-    qm = quad_map(lam, digits)
-    dw = dwork_periods(qm.psi, digits)
-    lp = legendre_periods(lam, digits)
-    with working_precision(digits):
-        return abs(dw.tau - lp.tau)
-
-
 def mirror_map_residuals(digits: int = DEFAULT_DIGITS, points=None):
-    pts = MIRROR_GRID if points is None else points
-    return [(p, mirror_map_residual(p, digits)) for p in pts]
+    """(lam, |W1/W0 - varpi1/varpi0|) for lam in `points` (MIRROR_GRID by
+    default), the two sides computed independently."""
+    out = []
+    for lam in MIRROR_GRID if points is None else points:
+        dw = dwork_periods(quad_map(lam, digits).psi, digits)
+        jet = legendre_jet(lam, digits)
+        with working_precision(digits):
+            out.append((lam, abs(dw.tau - jet.varpi1 / jet.varpi0)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +472,10 @@ def _z_pieces(n: int):
 
 def _qt1_residual(n: int):
     z, one = _z_pieces(n)
-    lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), n)
+    lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), n)
     w = (z ** 2) * RationalSeries([-4, 4], 0, n).reciprocal()  # z^2/(4z-4)
     rhs = (one - z).pow_rational(Fraction(-1, 4)) * \
-        hyp2f1_series(Fraction(1, 4), Fraction(1, 4), Fraction(1), n).compose(w)
+        hyp2f1_series(Fraction(1, 4), Fraction(1, 4), n).compose(w)
     return (lhs - rhs,)
 
 
@@ -549,8 +484,8 @@ def _qt2_residual(n: int):
     w = z * RationalSeries([Fraction(-1, 4)], 0, n) * ((one - z) ** 2).reciprocal() * 16
     # w = -4z/(1-z)^2
     rhs = (one - z).pow_rational(Fraction(-1, 4)) * \
-        hyp2f1_series(Fraction(1, 8), Fraction(3, 8), Fraction(1), n).compose(w)
-    return (hyp2f1_series(Fraction(1, 4), Fraction(1, 4), Fraction(1), n) - rhs,)
+        hyp2f1_series(Fraction(1, 8), Fraction(3, 8), n).compose(w)
+    return (hyp2f1_series(Fraction(1, 4), Fraction(1, 4), n) - rhs,)
 
 
 def quad_transform_series(n: int) -> RationalSeries:
@@ -562,9 +497,9 @@ def quad_transform_series(n: int) -> RationalSeries:
 
 def _qt3_residual(n: int, exponent: Fraction = Fraction(-1, 2)):
     half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, n)
-    lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), Fraction(1), n)
+    lhs = hyp2f1_series(Fraction(1, 2), Fraction(1, 2), n)
     rhs = half.pow_rational(exponent) * \
-        hyp2f1_series(Fraction(1, 8), Fraction(3, 8), Fraction(1), n).compose(
+        hyp2f1_series(Fraction(1, 8), Fraction(3, 8), n).compose(
             quad_transform_series(n))
     return (lhs - rhs,)
 
@@ -578,10 +513,10 @@ def _mirror_exact_residuals(n: int):
     t = quad_transform_series(n)
     w0_t = w0.compose(t)
     half = RationalSeries([Fraction(1), Fraction(-1, 2)], 0, n)
-    varpi0 = varpi0_series(n)
+    varpi0, h = frobenius_series(LEGENDRE, n, 2)
     log_part = ((1 - RationalSeries.identity(n)) * (half ** 4).reciprocal()).log()
     r1 = log_part + s.compose(t) * w0_t.reciprocal() * 4 \
-        - h_series(n) * varpi0.reciprocal() * 2
+        - h * varpi0.reciprocal() * 2
     return r1, w0_t - half * varpi0 ** 2
 
 
@@ -660,33 +595,20 @@ W_PI_GRID = [(Fraction("0.05"), Fraction(0)), (Fraction(0), Fraction("0.1")),
 W_PI_WHERE = "lambda in {" + ", ".join(map(_label, W_PI_GRID)) + "}"
 
 
-@lru_cache(maxsize=1)
-def _w_pi_grid(digits):
-    """((DworkPeriods, PiTriple), ...) on W_PI_GRID, evaluated once per
-    digits for both W-PI and W2-RATIO.  The exact points reach quad_map and
-    pi_triple as they are, so legendre_jet takes its exact-lambda path."""
-    return tuple((dwork_periods(quad_map(lam, digits).psi, digits), pi_triple(lam, digits))
-                 for lam in W_PI_GRID)
-
-
 def _w_pi_check(digits) -> Entry:
+    # W0 = Pi0, W1 = Pi1 and W2 = Pi2 - Pi0/2, Pi_i = (1 - lam/2) varpi0^(2-i)
+    # varpi1^i: W0*W2 - W1^2 = -W0^2/2 (see w_series_t) and Pi0*Pi2 = Pi1^2.
+    # The exact points reach legendre_jet as they are, for its exact path.
     worst = mpf(0)
     with working_precision(digits):
-        for dw, pt in _w_pi_grid(digits):
-            worst = max(worst, abs(dw.w0 - pt.pi0), abs(dw.w1 - pt.pi1))
+        for lam in W_PI_GRID:
+            dw = dwork_periods(quad_map(lam, digits).psi, digits)
+            jet = legendre_jet(lam, digits)
+            fac = 1 - as_mpc(lam) / 2
+            pi0, pi1, pi2 = (fac * jet.varpi0 ** (2 - i) * jet.varpi1 ** i for i in range(3))
+            worst = max(worst, abs(dw.w0 - pi0), abs(dw.w1 - pi1), abs(dw.w2 - pi2 + pi0 / 2))
         tol = mpf(10) ** -(digits - 15)
     return judged("W-PI", worst, tol, where=W_PI_WHERE, exact=False)
-
-
-def _w2_ratio_record(digits) -> Entry:
-    # T*W0 = S^2 (see w_series_t) makes W0*W2 - W1^2 = -W0^2/2, so with
-    # W0 = Pi0, W1 = Pi1 and Pi0*Pi2 = Pi1^2, W2 = Pi2 - Pi0/2; that holds
-    # at every grid point to 50 digits.  Record the ratio without asserting it.
-    with working_precision(digits):
-        ratios = {_label(lam): mp.nstr(dw.w2 / pt.pi2, 25)
-                  for lam, (dw, pt) in zip(W_PI_GRID, _w_pi_grid(digits))}
-    return Entry("W2-RATIO", True, True, where=W_PI_WHERE, residual="0", tolerance="0",
-                 exact=False, data={"info": {"w2_over_pi2": ratios}})
 
 
 def _selftest_fail_residual(n: int):
@@ -711,7 +633,6 @@ IDENTITIES = {
     "DELTA-LAMBDA": (_delta_lambda_residual, 30, False),
     "BPS": (_bps_residual, 16, False),
     "W-PI": (_w_pi_check, None, False),
-    "W2-RATIO": (_w2_ratio_record, None, False),
     "SELFTEST-FAIL": (_selftest_fail_residual, 12, True),  # not in a full run
 }
 

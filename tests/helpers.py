@@ -238,8 +238,10 @@ def _varpi0_coeff_floats(nterms: int):
 
 
 def _h_coeff_floats(nterms: int):
-    # same recurrence as periods.h_series, run in floats; all terms positive
-    # so the recursion has no cancellation
+    # h's coefficients from the Legendre Picard-Fuchs recurrence
+    # (m+1)^2 h_(m+1) = (m+1/2)^2 h_m + R_m, R_m = (2m+1) c_m - 2(m+1) c_(m+1),
+    # run in floats (periods.h_series takes the eps-derivative of the
+    # Frobenius series instead); all terms positive, so no cancellation
     c = _varpi0_coeff_floats(nterms + 1)
     g = [mpf(0)]
     for m in range(nterms - 1):
@@ -514,6 +516,29 @@ def quadrature_lvalue(s: int, digits: int):
         val = mp.quad(upper, [quarter, 1, 3, mp.inf]) + \
             mp.quad(lower, [quarter, 1, 3, mp.inf])
         return (2 * mp.pi) ** s * val.real
+
+
+def reference_w_series_t(order: int):
+    """(W0, S, T) of periods.w_series_t with the harmonic sums H_4n, H_n and
+    H2_4n, H2_n (sums of 1/k^2) run along n in Fractions."""
+    c0, c1, c2 = [], [], []
+    a = Fraction(1)
+    h4 = h1 = h4_2 = h1_2 = Fraction(0)
+    for n in range(order):
+        if n:
+            for j in range(4 * n - 3, 4 * n + 1):
+                h4 += Fraction(1, j)
+                h4_2 += Fraction(1, j * j)
+            h1 += Fraction(1, n)
+            h1_2 += Fraction(1, n * n)
+        b = h4 - h1
+        c0.append(a)
+        c1.append(a * b)
+        c2.append(a * (b * b - h4_2 + h1_2 / 4))
+        a = a * ((4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4)) / (256 * (n + 1) ** 4)
+    return (RationalSeries(c0, 0, order),
+            RationalSeries(c1, 0, order),
+            RationalSeries(c2, 0, order))
 
 
 def pi0_series(order: int) -> RationalSeries:

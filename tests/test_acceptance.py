@@ -47,7 +47,7 @@ def test_c01_lambda_expansion():
 
 def test_c02_quartic_period_series():
     with criterion("C2", "pi0(t) and W0 series coefficients", 1.0):
-        pi0 = hyp2f1_series(F(1, 8), F(3, 8), F(1), 4)
+        pi0 = hyp2f1_series(F(1, 8), F(3, 8), 4)
         assert list(pi0.coeffs) == [F(1), F(3, 64), F(297, 16384), F(10659, 1048576)]
         w0 = periods.w_series_t(3)[0]
         assert [c * 256 ** n for n, c in enumerate(w0.coeffs)] == [F(1), F(24), F(2520)]

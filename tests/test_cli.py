@@ -130,9 +130,9 @@ def test_continue_reports_the_route_it_takes(capsys):
     assert code == 0
     [entry] = json.loads(out)["entries"]
     assert entry["path"] is None
-    series = periods.legendre_periods(Fraction(-1, 3), 40)
+    jet = periods.legendre_jet(Fraction(-1, 3), 40)
     with working_precision(40):
-        assert entry["tau"] == mp.nstr(series.tau, 40)
+        assert entry["tau"] == mp.nstr(jet.varpi1 / jet.varpi0, 40)
     code, out = run_main(["continue", "--target", "3/5", "--digits", "40"], capsys)
     assert code == 0
     [entry] = json.loads(out)["entries"]
@@ -402,8 +402,8 @@ def test_all_builds_each_lambda_series_once(monkeypatch, capsys):
 
 def test_all_keeps_only_the_tables_it_reuses(capsys):
     # after one `all` the cached objects of periods and pfode are exactly the
-    # three the run asks for again, and hyperfun keeps no module-level table
-    shared = {"lambda_q_series", "varpi0_q_series", "_w_pi_grid"}
+    # two the run asks for again, and hyperfun keeps no module-level table
+    shared = {"lambda_q_series", "varpi0_q_series"}
     for name in shared:
         getattr(periods, name).cache_clear()
     code, _ = run_main(["all"], capsys)
@@ -536,7 +536,7 @@ def test_transport_refusal_is_a_failed_entry(capsys):
 
 
 def test_w_pi_grid_is_evaluated_once(monkeypatch, capsys):
-    # once for W-PI and W2-RATIO together, and every Legendre jet of the grid
+    # one Dwork evaluation per grid point, and every Legendre jet of the grid
     # gets its exact point
     calls, jets = [], []
     dwork, jet = periods.dwork_periods, periods.legendre_jet
@@ -551,8 +551,25 @@ def test_w_pi_grid_is_evaluated_once(monkeypatch, capsys):
 
     monkeypatch.setattr(periods, "dwork_periods", counted)
     monkeypatch.setattr(periods, "legendre_jet", counted_jet)
-    periods._w_pi_grid.cache_clear()
-    code, _ = run_main(["identities", "--ids", "W-PI,W2-RATIO", "--digits", "40"], capsys)
+    code, _ = run_main(["identities", "--ids", "W-PI", "--digits", "40"], capsys)
     assert code == 0
     assert len(calls) == len(periods.W_PI_GRID) == 3
     assert len(jets) == 3 and all(exact_pair(lam) is not None for lam in jets)
+
+
+def test_w_pi_fails_on_a_w2_mutant(monkeypatch, capsys):
+    # W-PI asserts W2 = Pi2 - Pi0/2: a W2 off by 10^-(digits-20), 10^5 times
+    # the tolerance, is a FAIL entry whose residual is that offset
+    dwork = periods.dwork_periods
+
+    def mutant(psi, digits):
+        dw = dwork(psi, digits)
+        with working_precision(digits):
+            return dw._replace(w2=dw.w2 + mpf(10) ** -(digits - 20))
+
+    monkeypatch.setattr(periods, "dwork_periods", mutant)
+    code, out = run_main(["identities", "--ids", "W-PI", "--digits", "40"], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert entry["name"] == "W-PI" and entry["passed"] is False
+    assert (entry["residual"], entry["tolerance"]) == ("1.0e-20", "1.0e-25")

@@ -24,12 +24,12 @@ def test_hyp2f1_at_zero_is_one():
 
 
 def test_hyp2f1_series_legendre():
-    s = hyp2f1_series(F(1, 2), F(1, 2), F(1), 3)
+    s = hyp2f1_series(F(1, 2), F(1, 2), 3)
     assert list(s.coeffs) == [F(1), F(1, 4), F(9, 64)]
 
 
 def test_hyp2f1_series_quartic():
-    s = hyp2f1_series(F(1, 8), F(3, 8), F(1), 4)
+    s = hyp2f1_series(F(1, 8), F(3, 8), 4)
     assert list(s.coeffs) == [F(1), F(3, 64), F(297, 16384), F(10659, 1048576)]
 
 

@@ -6,7 +6,7 @@ from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, lambda_from_t, pi0_series, reference_dwork_periods,
-                     reference_legendre_jet)
+                     reference_legendre_jet, reference_w_series_t)
 from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
@@ -41,6 +41,14 @@ def test_h_series_matches_recurrence_on_varpi0(order):
     assert (list(h.coeffs), h.offset, h.order) == (g, 0, order)
 
 
+@pytest.mark.parametrize("order", [1, 2, 48, 81])
+def test_w_series_t_matches_harmonic_sums(order):
+    # the eps-coefficients of the Frobenius series against the harmonic-sum
+    # brackets summed directly
+    for mine, ref in zip(periods.w_series_t(order), reference_w_series_t(order)):
+        assert (mine.coeffs, mine.offset, mine.order) == (ref.coeffs, ref.offset, ref.order)
+
+
 def test_h_series_coefficient_from_period_integral():
     """Fit h's lambda^4 coefficient from varpi1 evaluated by quadrature.
 
@@ -56,7 +64,7 @@ def test_h_series_coefficient_from_period_integral():
         for i in range(n):
             lam = mpf(i + 1) * mpf("0.004")
             q = mp.quad(lambda x: 1 / mp.sqrt(x * (1 - x) * (x - lam)), [lam, 1])
-            w0 = periods.legendre_periods(lam, 60).varpi0
+            w0 = periods.legendre_jet(lam, 60).varpi0
             b[i] = -q - w0 * (mp.log(lam) - mp.log(16))
             for k in range(1, n + 1):
                 a[i, k - 1] = lam ** k
@@ -193,25 +201,25 @@ def test_bps_series_expansion():
 
 
 def test_varpi0_agm_oracle():
-    lp = periods.legendre_periods(F(1, 2), DIGITS)
+    jet = periods.legendre_jet(F(1, 2), DIGITS)
     with working_precision(DIGITS):
         oracle = 1 / agm(1, mp.sqrt(mpf("0.5")), DIGITS)
-        assert abs(lp.varpi0 - oracle) < mpf(10) ** (-DIGITS + 8)
+        assert abs(jet.varpi0 - oracle) < mpf(10) ** (-DIGITS + 8)
 
 
 def test_tau_special_value_inside_disk():
     with working_precision(DIGITS):
         lam = 2 * mp.sqrt(2) - 2
-    lp = periods.legendre_periods(lam, DIGITS)
+    jet = periods.legendre_jet(lam, DIGITS)
     with working_precision(DIGITS):
-        assert abs(lp.tau - mp.mpc(0, 1) / mp.sqrt(2)) < mpf(10) ** -30
+        assert abs(jet.varpi1 / jet.varpi0 - mp.mpc(0, 1) / mp.sqrt(2)) < mpf(10) ** -30
 
 
 def test_legendre_periods_preconditions():
     with pytest.raises(PrecisionError):
-        periods.legendre_periods(0, DIGITS)
+        periods.legendre_jet(0, DIGITS)
     with pytest.raises(PrecisionError):
-        periods.legendre_periods(F(95, 100), DIGITS)
+        periods.legendre_jet(F(95, 100), DIGITS)
 
 
 def test_quad_map_values():
@@ -224,7 +232,7 @@ def test_quad_map_values():
         assert abs(r.t - 1) < mpf(10) ** (-DIGITS + 8)
         assert abs(r.psi - 1) < mpf(10) ** (-DIGITS + 8)
     pole = periods.quad_map(2, DIGITS)
-    assert pole.is_pole and pole.psi == 0
+    assert mp.isinf(pole.t) and pole.psi == 0
 
 
 def test_quad_map_product_relation():
@@ -257,9 +265,9 @@ def test_dwork_w0_is_square_of_2f1():
 def test_dwork_tau_equals_legendre_tau_at_psi_5():
     dw = periods.dwork_periods(5, DIGITS)
     lam = lambda_from_t(dw.t, DIGITS)
-    lp = periods.legendre_periods(lam, DIGITS)
+    jet = periods.legendre_jet(lam, DIGITS)
     with working_precision(DIGITS):
-        assert abs(dw.tau - lp.tau) < mpf(10) ** (-DIGITS + 15)
+        assert abs(dw.tau - jet.varpi1 / jet.varpi0) < mpf(10) ** (-DIGITS + 15)
 
 
 # The fixed-point series kernels against the mpmath references: every grid
@@ -329,14 +337,6 @@ def test_dwork_divergence_region_rejected():
         periods.dwork_periods(mpf("0.9"), DIGITS)
 
 
-def test_pi_triple_relations():
-    pt = periods.pi_triple(F(3, 10), DIGITS)
-    lp = periods.legendre_periods(F(3, 10), DIGITS)
-    with working_precision(DIGITS):
-        assert abs(pt.pi1 / pt.pi0 - lp.tau) < mpf(10) ** (-DIGITS + 10)
-        assert abs(pt.pi0 * pt.pi2 - pt.pi1 ** 2) < mpf(10) ** (-DIGITS + 10)
-
-
 def test_pi_product_structure_as_series():
     # (1 - lam/2) varpi0^2 * (1 - lam/2) h^2 == ((1 - lam/2) varpi0 h)^2 etc.,
     # i.e. S0 * S2-parts = S1-parts squared in the log-polynomial ring
@@ -350,16 +350,18 @@ def test_pi_product_structure_as_series():
 
 
 def test_mirror_map_residual_grid_sample():
-    for pt in periods.MIRROR_GRID[:3]:
-        res = periods.mirror_map_residual(pt, 40)
+    residuals = periods.mirror_map_residuals(40, points=periods.MIRROR_GRID[:3])
+    assert [pt for pt, _ in residuals] == periods.MIRROR_GRID[:3]
+    for _, res in residuals:
         assert res < mpf(10) ** -25
 
 
 def test_tau_in_upper_half_plane_on_grid():
     for pt in periods.MIRROR_GRID:
-        lp = periods.legendre_periods(pt, 40)
-        assert lp.tau.imag > 0
-        assert lp.varpi0 != 0
+        jet = periods.legendre_jet(pt, 40)
+        with working_precision(40):
+            assert (jet.varpi1 / jet.varpi0).imag > 0
+        assert jet.varpi0 != 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +398,6 @@ def test_delta_theta_numeric():
 def test_w_pi_numeric_grid():
     rep = periods.check_identity("W-PI", None, digits=40)
     assert rep.passed
-
-
-def test_w2_ratio_informational():
-    rep = periods.check_identity("W2-RATIO", None, digits=40)
-    assert isinstance(rep, periods.Entry)
-    assert rep.informational and rep.passed
-    # the exact grid points, printed as --path waypoints
-    assert rep.where == "lambda in {[0.05, 0.0], [0.0, 0.1], [0.2, -0.1]}"
-    assert list(rep.data["info"]["w2_over_pi2"]) == ["[0.05, 0.0]", "[0.0, 0.1]", "[0.2, -0.1]"]
 
 
 def test_selftest_identity_fails():
