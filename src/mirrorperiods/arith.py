@@ -2,9 +2,10 @@
 
 Three counting routines feed the zeta records:
 
-* a_p of the Legendre fiber y^2 = x(x-1)(x-lam) via the quadratic-character
-  sum, written as sum chi(x) chi(x-1) chi(x-lam) and evaluated with p-bit
-  masks of the squares and non-squares mod p (rotations and popcounts);
+* a_p of the Legendre fiber y^2 = x(x-1)(x-lam) from the Hasse invariant:
+  the period varpi0(lam) = sum C(2k,k)^2 (lam/16)^k truncated at
+  m = (p-1)/2 is (-1)^m a_p mod p, and one exact pass over its partial
+  sums reads that residue for every prime of a table;
 * b_p, the p-th coefficient of the weight-3 level-16 newform
   eta(4 tau)^6 = Q prod(1-Q^(4n))^6 (zero unless p = 1 mod 4), from the
   square of Jacobi's identity for eta^3: an integer double sum over pairs
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import isqrt, prod
 from typing import Optional, Sequence
 
 
@@ -32,60 +35,73 @@ class BadReductionError(ValueError):
 
 
 def primes_below(bound: int) -> list[int]:
-    sieve = bytearray([1]) * bound if bound > 0 else bytearray()
-    out = []
-    for n in range(2, bound):
+    """The primes p < bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for n in range(2, isqrt(bound - 1) + 1):
         if sieve[n]:
-            out.append(n)
-            for m in range(n * n, bound, n):
-                sieve[m] = 0
-    return out
+            sieve[n * n::n] = bytes(len(range(n * n, bound, n)))
+    return list(compress(range(bound), sieve))
 
 
-# byte 0/1 -> ASCII digit, so a 0/1 bytearray reads as one binary int
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def ap_legendre(lam, p: int) -> int:
-    """Trace of Frobenius of y^2 = x(x-1)(x-lam) over F_p.
-
-    a_p = -sum_x chi(x(x-1)(x-lam)); the affine count is p - 1 - ... wrapped
-    up as #E(F_p) = p + 1 - a_p with the point at infinity included.
-    Requires p odd and lam != 0, 1 mod p (and p not dividing lam's
-    denominator).
-
-    chi is completely multiplicative, so each term is chi(x) chi(x-1)
-    chi(x-l).  The nonzero squares and non-squares mod p are two p-bit masks
-    (bit x for the residue x); x -> x-1 and x -> x-l are rotations of those
-    masks, and the sum is a difference of popcounts of the positions where
-    the three signs multiply to +1 and to -1.
-    """
-    lam = Fraction(lam)
+def _bad_reduction(lam: Fraction, p: int) -> Optional[str]:
+    """Why y^2 = x(x-1)(x-lam) has bad reduction at p, or None at a good p."""
     if p == 2:
-        raise BadReductionError("p = 2 is always bad for the Legendre model")
+        return "p = 2 is always bad for the Legendre model"
     if lam.denominator % p == 0:
-        raise BadReductionError(f"lambda has a pole mod {p}")
+        return f"lambda has a pole mod {p}"
     l = lam.numerator * pow(lam.denominator, -1, p) % p
     if l in (0, 1):
-        raise BadReductionError(f"lambda = {l} mod {p} is bad reduction")
-    squares = bytearray(p)
-    for y in range(1, (p + 1) // 2):
-        squares[y * y % p] = 1
-    full = (1 << p) - 1
-    sq = int(squares[::-1].translate(_BINARY_DIGITS), 2)
-    non = full ^ sq ^ 1  # bit 0 is the residue 0, where chi vanishes
+        return f"lambda = {l} mod {p} is bad reduction"
+    return None
 
-    def shift(mask: int, k: int) -> int:
-        """Bit x of the result is bit (x - k) mod p of mask."""
-        return ((mask << k) | (mask >> (p - k))) & full
 
-    sq1, non1 = shift(sq, 1), shift(non, 1)
-    sql, nonl = shift(sq, l), shift(non, l)
-    even = (sq & sq1) | (non & non1)  # chi(x) chi(x-1) = +1
-    odd = (sq & non1) | (non & sq1)  # chi(x) chi(x-1) = -1
-    pos = (even & sql) | (odd & nonl)
-    neg = (even & nonl) | (odd & sql)
-    return neg.bit_count() - pos.bit_count()
+def ap_legendre(lam, primes: Sequence[int]) -> list[int]:
+    """Traces of Frobenius of y^2 = x(x-1)(x-lam) over F_p, p in `primes`,
+    in input order; #E(F_p) = p + 1 - a_p.  Raises BadReductionError if
+    any p is 2, divides lam's denominator or has lam = 0, 1 mod p.
+
+    With m = (p-1)/2, the Hasse invariant gives
+    a_p = (-1)^m sum_(k<=m) C(m,k)^2 lam^k (mod p) (Igusa 1958; Silverman,
+    AEC V.4.1), and C(m,k) = (-1/4)^k C(2k,k) (mod p) turns the sum into
+    the partial sum S_m of varpi0(lam) = sum C(2k,k)^2 (lam/16)^k.  Its
+    terms satisfy t_n / t_(n-1) = (2n-1)^2 a / (4 n^2 b) for lam = a/b, a
+    ratio free of p, so one pass over n serves every prime: S_n = num/den
+    and t_n = term/den, and at n = m_p the residue num/den mod p is read.
+    num, den and term are kept modulo the product of the primes not yet
+    read; every such prime divides it, so that is exact.
+
+    The residue fixes a_p mod p.  E has full rational 2-torsion, so
+    4 | #E(F_p), i.e. a_p = p + 1 (mod 4), and |a_p| <= 2 sqrt(p) < 2p
+    leaves one value in (-2p, 2p] for the residue mod 4p, at every odd p.
+    """
+    lam = Fraction(lam)
+    for p in primes:
+        why = _bad_reduction(lam, p)
+        if why is not None:
+            raise BadReductionError(why)
+    a, b = lam.numerator, lam.denominator
+    pending = sorted(set(primes))
+    modulus = prod(pending)
+    residue = {}
+    n, num, den, term = 0, 1, 1, 1
+    for p in pending:
+        while n < (p - 1) // 2:
+            n += 1
+            step = 4 * n * n * b
+            term = term * (2 * n - 1) ** 2 * a % modulus
+            num = (num * step + term) % modulus
+            den = den * step % modulus
+        residue[p] = (-1) ** n * num * pow(den, -1, p) % p
+        modulus //= p
+    out = []
+    for p in primes:
+        r = residue[p]
+        x = r + p * ((p + 1 - r) * p % 4)  # = r mod p, = p + 1 mod 4, in [0, 4p)
+        out.append(x - 4 * p if x > 2 * p else x)
+    return out
 
 
 def eta6_coefficients(limit: int) -> tuple[int, ...]:
@@ -196,8 +212,11 @@ class ZetaRecord:
 
 def zeta_record(lam, p: int, eta_table: Optional[Sequence[int]] = None) -> ZetaRecord:
     """Assemble the per-prime factors; raises BadReductionError at bad primes."""
-    lam = Fraction(lam)
-    a_p = ap_legendre(lam, p)
+    return _zeta_record(Fraction(lam), p, ap_legendre(lam, [p])[0], eta_table)
+
+
+def _zeta_record(lam: Fraction, p: int, a_p: int,
+                 eta_table: Optional[Sequence[int]]) -> ZetaRecord:
     sym2_q = a_p * a_p - 2 * p
     at_two = lam == 2
     b_p = bp_eta(p, eta_table) if at_two else None
@@ -214,16 +233,13 @@ def zeta_record(lam, p: int, eta_table: Optional[Sequence[int]] = None) -> ZetaR
 
 
 def zeta_table(lam, pmax: int) -> list[ZetaRecord]:
-    """Zeta records for all good odd primes below pmax, in order."""
+    """Zeta records for all good odd primes below pmax, in order; a_p for
+    all of them comes from one ap_legendre pass."""
     lam = Fraction(lam)
     eta_table = eta6_coefficients(pmax) if lam == 2 else None
-    out = []
-    for p in primes_below(pmax):
-        try:
-            out.append(zeta_record(lam, p, eta_table))
-        except BadReductionError:
-            continue
-    return out
+    primes = [p for p in primes_below(pmax) if _bad_reduction(lam, p) is None]
+    return [_zeta_record(lam, p, a_p, eta_table)
+            for p, a_p in zip(primes, ap_legendre(lam, primes))]
 
 
 def fermat_decomposition_check(p: int, bound: int = 101) -> dict:

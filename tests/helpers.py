@@ -332,8 +332,8 @@ def reference_dwork_periods(psi, digits: int):
 # ---------------------------------------------------------------------------
 # Plain-loop references for the arithmetic kernels
 #
-# The character-table and triple-loop counts that arith.ap_legendre and
-# arith.fermat_quartic_count replaced, with the same preconditions, plus
+# The character-table, bitmask and triple-loop counts that arith.ap_legendre
+# and arith.fermat_quartic_count replaced, with the same preconditions, plus
 # the cubic-model trace used to cross-check lambda = 2 against y^2 = x^3 - x.
 # ---------------------------------------------------------------------------
 
@@ -347,8 +347,8 @@ def _quadratic_character_table(p: int) -> list[int]:
     return chi
 
 
-def reference_ap_legendre(lam, p: int) -> int:
-    """-sum_x chi(x(x-1)(x-lam)) by one character-table lookup per x."""
+def _good_lambda_mod(lam, p: int) -> int:
+    """lam mod p, or BadReductionError where y^2 = x(x-1)(x-lam) is bad at p."""
     lam = Fraction(lam)
     if p == 2:
         raise BadReductionError("p = 2 is always bad for the Legendre model")
@@ -357,11 +357,50 @@ def reference_ap_legendre(lam, p: int) -> int:
     l = lam.numerator * pow(lam.denominator, -1, p) % p
     if l in (0, 1):
         raise BadReductionError(f"lambda = {l} mod {p} is bad reduction")
+    return l
+
+
+def reference_ap_legendre(lam, p: int) -> int:
+    """-sum_x chi(x(x-1)(x-lam)) by one character-table lookup per x."""
+    l = _good_lambda_mod(lam, p)
     chi = _quadratic_character_table(p)
     s = 0
     for x in range(p):
         s += chi[x * (x - 1) % p * (x - l) % p]
     return -s
+
+
+# byte 0/1 -> ASCII digit, so a 0/1 bytearray reads as one binary int
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def mask_ap_legendre(lam, p: int) -> int:
+    """-sum_x chi(x) chi(x-1) chi(x-lam) on p-bit masks.
+
+    The nonzero squares and non-squares mod p are two p-bit masks (bit x for
+    the residue x); x -> x-1 and x -> x-l are rotations of those masks, and
+    the sum is a difference of popcounts of the positions where the three
+    signs multiply to +1 and to -1.
+    """
+    l = _good_lambda_mod(lam, p)
+    squares = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        squares[y * y % p] = 1
+    full = (1 << p) - 1
+    sq = int(squares[::-1].translate(_BINARY_DIGITS), 2)
+    non = full ^ sq ^ 1  # bit 0 is the residue 0, where chi vanishes
+
+    def shift(mask: int, k: int) -> int:
+        """Bit x of the result is bit (x - k) mod p of mask."""
+        return ((mask << k) | (mask >> (p - k))) & full
+
+    sq1, non1 = shift(sq, 1), shift(non, 1)
+    sql, nonl = shift(sq, l), shift(non, l)
+    even = (sq & sq1) | (non & non1)  # chi(x) chi(x-1) = +1
+    odd = (sq & non1) | (non & sq1)  # chi(x) chi(x-1) = -1
+    pos = (even & sql) | (odd & nonl)
+    neg = (even & nonl) | (odd & sql)
+    return neg.bit_count() - pos.bit_count()
 
 
 def ap_cubic(a2: int, a4: int, a6: int, p: int) -> int:

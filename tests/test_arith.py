@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from mpmath import mp, mpf
 
 import mirrorperiods.arith as arith
 from helpers import (ap_cubic, brute_euler_power, cornacchia_bp, hasse_ap_legendre,
-                     reference_ap_legendre, reference_fermat_quartic_count)
+                     mask_ap_legendre, reference_ap_legendre, reference_fermat_quartic_count)
 from mirrorperiods.qseries import eta_product
 
 SAMPLE_LAMBDAS = (F(2), F(-7, 13), F(3, 5))
+TABLE_LAMBDAS = (F(2), F(-7, 13), F(-40, 39))
 
 
 def _odd_primes_below(bound):
@@ -35,22 +37,22 @@ def count_legendre_exhaustive(lam_mod, p):
 def test_ap_lambda2_p5():
     # y^2 = x^3 - x over F_5 has 8 projective points
     assert count_legendre_exhaustive(2, 5) == 8
-    assert arith.ap_legendre(2, 5) == -2
-    assert 5 + 1 - arith.ap_legendre(2, 5) == 8
+    assert arith.ap_legendre(2, [5]) == [-2]
+    assert 5 + 1 - arith.ap_legendre(2, [5])[0] == 8
 
 
 def test_ap_lambda2_p7_cm_zero():
-    assert arith.ap_legendre(2, 7) == 0
+    assert arith.ap_legendre(2, [7]) == [0]
     assert count_legendre_exhaustive(2, 7) == 8
 
 
 def test_ap_bad_primes():
     with pytest.raises(arith.BadReductionError):
-        arith.ap_legendre(2, 2)
+        arith.ap_legendre(2, [2])
     with pytest.raises(arith.BadReductionError):
-        arith.ap_legendre(F(1, 3), 3)  # denominator divisible by p
+        arith.ap_legendre(F(1, 3), [3])  # denominator divisible by p
     with pytest.raises(arith.BadReductionError):
-        arith.ap_legendre(8, 7)  # 8 = 1 mod 7
+        arith.ap_legendre(8, [7])  # 8 = 1 mod 7
 
 
 def test_ap_counts_match_exhaustive_random():
@@ -58,7 +60,7 @@ def test_ap_counts_match_exhaustive_random():
     for _ in range(12):
         p = rng.choice([5, 7, 11, 13, 17, 19, 23])
         lam = rng.randrange(2, p - 1)
-        ap = arith.ap_legendre(lam, p)
+        ap, = arith.ap_legendre(lam, [p])
         assert count_legendre_exhaustive(lam, p) == p + 1 - ap
 
 
@@ -66,19 +68,19 @@ def test_ap_minimal_model_matches_legendre_below_500():
     for p in arith.primes_below(500):
         if p == 2:
             continue
-        assert arith.ap_legendre(2, p) == ap_cubic(0, -1, 0, p)
+        assert arith.ap_legendre(2, [p]) == [ap_cubic(0, -1, 0, p)]
 
 
 def test_ap_vanishes_for_p_3_mod_4():
     for p in arith.primes_below(500):
         if p > 2 and p % 4 == 3:
-            assert arith.ap_legendre(2, p) == 0
+            assert arith.ap_legendre(2, [p]) == [0]
 
 
 def test_ap_matches_character_table_every_lambda_below_200():
     for p in _odd_primes_below(200):
         for l in range(2, p):
-            assert arith.ap_legendre(l, p) == reference_ap_legendre(l, p), (l, p)
+            assert arith.ap_legendre(l, [p]) == [reference_ap_legendre(l, p)], (l, p)
 
 
 @pytest.mark.parametrize("lam", SAMPLE_LAMBDAS, ids=str)
@@ -89,11 +91,41 @@ def test_ap_matches_character_table_below_2000(lam):
             expected = reference_ap_legendre(lam, p)
         except arith.BadReductionError:
             with pytest.raises(arith.BadReductionError):
-                arith.ap_legendre(lam, p)
+                arith.ap_legendre(lam, [p])
             continue
-        assert arith.ap_legendre(lam, p) == expected, p
+        assert arith.ap_legendre(lam, [p]) == [expected], p
         checked += 1
     assert checked > 290
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_ap_small_primes_every_lambda_matches_exhaustive(p):
+    # 2 sqrt(p) >= p/2 here, so the Weil bound alone cannot lift a_p mod p;
+    # the mod-4 condition from the rational 2-torsion decides
+    lams = list(range(2, p))
+    expected = [p + 1 - count_legendre_exhaustive(l, p) for l in lams]
+    assert [arith.ap_legendre(l, [p])[0] for l in lams] == expected
+
+
+def test_ap_one_pass_keeps_input_order():
+    # -40/39 is bad at 2, 3, 5, 13 and 79; the list repeats 17 and is unsorted
+    lam = F(-40, 39)
+    primes = [17, 7, 4999, 17, 11, 19]
+    assert arith.ap_legendre(lam, primes) == [mask_ap_legendre(lam, p) for p in primes]
+    with pytest.raises(arith.BadReductionError, match="lambda has a pole mod 13"):
+        arith.ap_legendre(lam, primes + [13])
+    assert arith.ap_legendre(lam, []) == []
+
+
+@pytest.mark.parametrize("lam", TABLE_LAMBDAS, ids=str)
+def test_zeta_table_matches_mask_oracle(lam):
+    expected = []
+    for p in arith.primes_below(5000):
+        try:
+            expected.append((p, mask_ap_legendre(lam, p)))
+        except arith.BadReductionError:
+            continue
+    assert [(r.p, r.a_p) for r in arith.zeta_table(lam, 5000)] == expected
 
 
 @pytest.mark.parametrize("lam", SAMPLE_LAMBDAS, ids=str)
@@ -104,12 +136,18 @@ def test_ap_matches_hasse_invariant(lam):
         if p < 17:
             continue
         try:
-            ap = arith.ap_legendre(lam, p)
+            ap, = arith.ap_legendre(lam, [p])
         except arith.BadReductionError:
             continue
         assert ap == hasse_ap_legendre(lam, p), p
         checked += 1
     assert checked > 130
+
+
+def test_primes_below_matches_trial_division():
+    for bound in (0, 1, 2, 3, 10 ** 4):
+        expected = [n for n in range(2, bound) if all(n % d for d in range(2, isqrt(n) + 1))]
+        assert arith.primes_below(bound) == expected, bound
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +207,7 @@ def test_fermat_count_p17():
 
 
 def test_fermat_count_p41():
-    a41 = arith.ap_legendre(2, 41)
+    a41, = arith.ap_legendre(2, [41])
     b41 = a41 * a41 - 2 * 41
     assert b41 == 18 == arith.bp_eta(41)
     assert arith.fermat_quartic_count(41) == 2520 == 1 + 20 * 41 + b41 + 41 ** 2

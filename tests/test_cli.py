@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -381,6 +382,18 @@ def test_default_report_is_unchanged(capsys):
     code, out = run_main(["all"], capsys)
     assert code == 0
     assert out.encode("utf-8") == (DATA / "all_default.json").read_bytes()
+
+
+@pytest.mark.parametrize("lam, digest", [
+    ("2", "6dc5fdf12fb1980f3d42208c1b8f6dc6f37a62a24c825c13f8b5321443208792"),
+    ("-7/13", "ddbe22e56d111394e794c5d672e1b3b8f3747ae318e19b11f7283c3848777b71"),
+])
+def test_zeta_report_to_5000_is_unchanged(lam, digest, capsys):
+    # sha256 of the JSON report as the bitmask character sum produced it;
+    # every a_p of the one-pass Hasse route must reproduce it byte for byte
+    code, out = run_main(["zeta", f"--lambda={lam}", "--pmax", "5000"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_all_builds_each_lambda_series_once(monkeypatch, capsys):
