@@ -47,14 +47,20 @@ def primes_below(bound: int) -> list[int]:
 
 
 def _bad_reduction(lam: Fraction, p: int) -> Optional[str]:
-    """Why y^2 = x(x-1)(x-lam) has bad reduction at p, or None at a good p."""
+    """Why y^2 = x(x-1)(x-lam) has bad reduction at p, or None at a good p.
+
+    For lam = a/b with p not dividing b, lam = 0 (mod p) iff p | a and
+    lam = 1 (mod p) iff p | a - b: two remainders, no modular inverse.
+    """
     if p == 2:
         return "p = 2 is always bad for the Legendre model"
-    if lam.denominator % p == 0:
+    a, b = lam.numerator, lam.denominator
+    if b % p == 0:
         return f"lambda has a pole mod {p}"
-    l = lam.numerator * pow(lam.denominator, -1, p) % p
-    if l in (0, 1):
-        return f"lambda = {l} mod {p} is bad reduction"
+    if a % p == 0:
+        return f"lambda = 0 mod {p} is bad reduction"
+    if (a - b) % p == 0:
+        return f"lambda = 1 mod {p} is bad reduction"
     return None
 
 

@@ -6,13 +6,16 @@ everything beyond is *unknown*, not zero.  Binary operations compute the
 tightest provable truncation, so identity checks downstream can assert exact
 zero residuals instead of small ones.
 
-The quadratic and cubic kernels (``*``, ``reciprocal``, ``exp``, ``log``,
-``compose`` and ``revert``) never add or multiply ``Fraction``s, which would
-take a gcd per operation.  They work on integer numerators over one common
-denominator: each operand is scaled once by the lcm of its coefficient
-denominators, and the convolutions run on Python ints.  ``*`` and
-``compose`` build the canonical ``Fraction``s once, at return.  The
-recurrences of ``reciprocal``, ``exp``, ``log`` and ``revert`` make one
+The quadratic and cubic kernels (``*``, ``**``, ``reciprocal``, ``exp``,
+``log``, ``compose`` and ``revert``) never add or multiply ``Fraction``s,
+which would take a gcd per operation.  They work on integer numerators over
+one common denominator: each operand is scaled once by the lcm of its
+coefficient denominators, and the convolutions run on Python ints.  ``*``
+and ``compose`` build the canonical ``Fraction``s once, at return;
+``compose`` needs only about 2 sqrt(order) convolutions (baby steps and
+giant steps) and first rescales its inner series so that small primes leave
+its denominators.  The recurrences of ``**`` (Miller's, one pass for any
+exponent), ``reciprocal``, ``exp``, ``log`` and ``revert`` make one
 canonical ``Fraction`` per new coefficient and keep the terms found so far
 over the lcm of their reduced denominators, so the integers stay as small as
 the answer (1/varpi0 has 2-power denominators, lambda(q) integer
@@ -28,12 +31,16 @@ General Puiseux series are deliberately out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 OFFSET_GRID = 24  # admissible offset denominators divide this
+# compose rescales its inner series to clear these primes from its
+# denominators; any other prime stays on the common denominator
+_RESCALE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 class SeriesError(ValueError):
@@ -82,6 +89,26 @@ def _convolve_into(out: list[int], a: Sequence[int], b_nz: list[tuple[int, int]]
             if j >= room:
                 break
             out[i + j] += ai * bj
+
+
+def _clearing_scale(dens: Sequence[int]) -> int:
+    """The s = prod p^ceil(max_k v_p(dens[k]) / k) over p in _RESCALE_PRIMES
+    (dens[0] = 1): every dens[k] divides s^k up to primes outside the list."""
+    s = 1
+    full = lcm(*dens)
+    for p in _RESCALE_PRIMES:
+        if full % p:
+            continue
+        need = 0
+        for k, den in enumerate(dens):
+            v = 0
+            while den % p == 0:
+                den //= p
+                v += 1
+            if v:
+                need = max(need, -(-v // k))
+        s *= p ** need
+    return s
 
 
 class RationalSeries:
@@ -299,19 +326,42 @@ class RationalSeries:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """self**n for an integer n, by J. C. P. Miller's recurrence (Knuth,
+        TAOCP vol. 2, 4.7): one O(order^2) pass instead of log2(n) products.
+
+        With self = x^v h(x), h_0 != 0, g = h^n satisfies g' h = n h' g,
+        i.e. k h_0 g_k = sum_(1<=j<=k) ((n+1) j - k) h_j g_(k-j).  The
+        result is what the product self * ... * self returns: n*v leading
+        zeros, offset n*offset and order self.order + (n-1)*v.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = RationalSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return RationalSeries.one(self.order)
+        v = self.valuation()
+        order = self.order + (n - 1) * v
+        if v == self.order:
+            if order < 1:
+                raise SeriesError("product truncation order fell below 1")
+            return RationalSeries.zero(order, n * self.offset)
+        # With h = H/d over integers and g_0 .. g_(k-1) held as num/e,
+        # g_k = (sum_j ((n+1) j - k) H_j num[k-j]) / (k H_0 e).
+        h, _ = _numerators(self.coeffs[v:])
+        h0, tail = h[0], _nonzero(h, len(h))[1:]
+        out = [Fraction(0)] * (n * v) + [self.coeffs[v] ** n]
+        num, e = [out[-1].numerator], out[-1].denominator
+        for k in range(1, len(h)):
+            s = 0
+            for j, hj in tail:
+                if j > k:
+                    break
+                s += ((n + 1) * j - k) * hj * num[k - j]
+            c = Fraction(s, k * h0 * e)
+            out.append(c)
+            e = _push(num, e, c)
+        return RationalSeries(out, n * self.offset, order)
 
     # -- calculus ----------------------------------------------------------
 
@@ -378,7 +428,27 @@ class RationalSeries:
         return (self.log() * _frac(r)).exp()
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
-        """self(inner(x)); inner must have zero constant term."""
+        """self(inner(x)); inner must have zero constant term.
+
+        Baby steps and giant steps (Brent & Kung, J. ACM 25, 1978): with
+        k = ceil(sqrt(top)) the powers g^2 .. g^k are built by convolution,
+        each block sum_(j<k) f_(bk+j) g^j of the outer series is an integer
+        linear combination of them, and Horner in g^k runs over the blocks:
+        about 2k convolutions instead of top.  Block b is multiplied by
+        g^(bk), of valuation b*k*vg, so its accumulator is kept only to
+        order - b*k*vg.
+
+        Before that, the variable is rescaled: the kernel composes with
+        g(s x), whose k-th coefficient is g_k s^k, and divides coefficient m
+        of the result by s^m at the end (x -> x/s).  s = _clearing_scale of
+        the denominators of g removes every prime of _RESCALE_PRIMES from
+        those of g(s x): for t(lambda) = lambda^2 (1 - lambda)
+        (1 - lambda/2)^(-4), s = 2 and the powers keep their natural size
+        instead of carrying d^i for the common denominator d = 2^65 (at
+        order 68).  f(g(s x)) is the series f(g(x)) evaluated at s x for
+        every s, so any s >= 1 gives the same exact result; a denominator
+        cofactor that is not rescaled stays on the common denominator.
+        """
         f, nf = self._integer_frame()
         g, ng = inner._integer_frame()
         vg = next((i for i, c in enumerate(g) if c), ng)
@@ -390,21 +460,46 @@ class RationalSeries:
         # Only f_0 .. f_top reach the window: g^i has valuation i*vg.
         top = min(nf - 1, (order - 1) // vg)
         fn, df = _numerators(f[:top + 1])
-        gn, d = _numerators(g[:order])
+        g = g[:order]
+        s = _clearing_scale([c.denominator for c in g])
+        if s > 1:
+            g = [c * s ** i for i, c in enumerate(g)]
+        gn, d = _numerators(g)
+        # Baby steps: pw[j] = d^j g(s x)^j over the integers, j <= k.
+        k = isqrt(top - 1) + 1 if top else 1
+        pw = [[1], gn]
         g_nz = _nonzero(gn, order)
+        for _ in range(k - 1):
+            out = [0] * order
+            _convolve_into(out, pw[-1], g_nz)
+            pw.append(out)
+        gk_nz = _nonzero(pw[k], order)
+        # Giant steps, block b = blocks-1 .. 0: with r = blocks-1-b,
+        # acc = df d^(k-1+rk) sum_(i >= bk) f_i g(s x)^(i-bk), the block's
+        # own terms f_(bk+j) g^j entering over d^(k-1-j) d^(rk).
+        blocks = top // k + 1
         d_pow = [1]
-        for _ in range(top):
+        for _ in range(k):
             d_pow.append(d_pow[-1] * d)
-        # Horner on acc_i = df * d^(top-i) * sum_{j>=i} f_j g^(j-i), kept
-        # only to order - i*vg: later multiplication by g^i shifts it by i*vg.
-        acc = [fn[top]]
-        for i in range(top - 1, -1, -1):
-            new = [0] * (order - i * vg)
-            _convolve_into(new, acc, g_nz)
-            new[0] += fn[i] * d_pow[top - i]
+        acc = []
+        for b in range(blocks - 1, -1, -1):
+            n = order - b * k * vg
+            new = [0] * n
+            if acc:
+                _convolve_into(new, acc, gk_nz)
+            scale = d_pow[k] ** (blocks - 1 - b)
+            for j in range(min(k, top + 1 - b * k)):
+                c = fn[b * k + j] * d_pow[k - 1 - j] * scale
+                if c:
+                    lo, hi = j * vg, min(n, len(pw[j]))
+                    new[lo:hi] = [x + c * y for x, y in zip(new[lo:hi], pw[j][lo:hi])]
             acc = new
-        den = df * d_pow[top]
-        return RationalSeries([Fraction(c, den) for c in acc], 0, order)
+        den = df * d_pow[k - 1] * d_pow[k] ** (blocks - 1)
+        out = []
+        for c in acc:
+            out.append(Fraction(c, den))
+            den *= s
+        return RationalSeries(out, 0, order)
 
     def revert(self) -> "RationalSeries":
         """Compositional inverse: returns b with self(b(x)) = x = b(self(x)).
@@ -412,7 +507,10 @@ class RationalSeries:
         Requires zero constant term and a nonzero linear coefficient.  Solved
         order by order: since b has valuation 1, the x^k coefficient of b^j
         for j >= 2 only involves b_1 .. b_{k-1}, so each new b_k appears
-        linearly through the a_1 * b term.
+        linearly through the a_1 * b term.  The power table costs O(order^3)
+        products: [x^k] b^j = sum_(i>=1) b_i [x^(k-i)] b^(j-1) is one
+        sum(map(mul, ...)) of a slice of b against a reversed slice of the
+        row for b^(j-1); zero b_i cost a product by zero.
         """
         a, n = self._integer_frame()
         if n < 2 or a[0] != 0:
@@ -434,7 +532,7 @@ class RationalSeries:
         for k in range(2, n):
             for j in range(2, k + 1):
                 row = p[j - 1]
-                p[j][k] = sum(bn[i] * row[k - i] for i in range(1, k - j + 2) if bn[i])
+                p[j][k] = sum(map(mul, bn[1:k - j + 2], row[k - 1:j - 2:-1]))
             e_pow = [1]
             for _ in range(k):
                 e_pow.append(e_pow[-1] * e)

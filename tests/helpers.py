@@ -102,6 +102,18 @@ def reference_reciprocal(a):
     return long_division_reciprocal(list(a.coeffs), a.order), -a.offset, a.order
 
 
+def reference_pow(a, n: int):
+    """a**n as one(a.order) times a, n times (reciprocal first for n < 0)."""
+    if n < 0:
+        coeffs, offset, order = reference_reciprocal(a)
+        a = RationalSeries(coeffs, offset, order)
+        n = -n
+    result = RationalSeries.one(a.order)
+    for _ in range(n):
+        result = RationalSeries(*reference_mul(result, a))
+    return list(result.coeffs), result.offset, result.order
+
+
 def reference_compose(f, g):
     """sum_i f_i g^i with the powers g^i built by repeated multiplication.
 

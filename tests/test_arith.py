@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from mpmath import mp, mpf
@@ -53,6 +53,25 @@ def test_ap_bad_primes():
         arith.ap_legendre(F(1, 3), [3])  # denominator divisible by p
     with pytest.raises(arith.BadReductionError):
         arith.ap_legendre(8, [7])  # 8 = 1 mod 7
+
+
+def test_bad_reduction_matches_inverse_rule():
+    # the two-remainder test against lam = a * b^(-1) mod p read off directly
+    def by_inverse(lam, p):
+        if p == 2:
+            return "p = 2 is always bad for the Legendre model"
+        if lam.denominator % p == 0:
+            return f"lambda has a pole mod {p}"
+        l = lam.numerator * pow(lam.denominator, -1, p) % p
+        return f"lambda = {l} mod {p} is bad reduction" if l in (0, 1) else None
+
+    primes = arith.primes_below(200)
+    for a in range(-40, 41):
+        for b in range(1, 41):
+            if gcd(a, b) == 1:
+                lam = F(a, b)
+                for p in primes:
+                    assert arith._bad_reduction(lam, p) == by_inverse(lam, p), (lam, p)
 
 
 def test_ap_counts_match_exhaustive_random():

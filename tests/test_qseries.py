@@ -1,12 +1,14 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_euler_power, long_division_reciprocal, reference_compose,
-                     reference_exp, reference_log, reference_mul, reference_reciprocal,
-                     reference_revert)
+                     reference_exp, reference_log, reference_mul, reference_pow,
+                     reference_reciprocal, reference_revert)
+from mirrorperiods import qseries
 from mirrorperiods.qseries import (RationalSeries, SeriesError, eta_product,
                                    euler_product)
 
@@ -299,6 +301,23 @@ def test_reciprocal_matches_reference(a):
     _matches_reference(RationalSeries.reciprocal, reference_reciprocal, a)
 
 
+@given(a=_series_strategy(orders=(1, 12), offsets=grid_offsets, leading_zeros=(0, 3)),
+       n=st.integers(-3, 8))
+@example(a=RationalSeries([F(-3, 7)], F(5, 24), 1), n=8)                # order 1
+@example(a=RationalSeries.zero(4, F(-1, 24)), n=5)                      # all-zero window
+@example(a=RationalSeries([0, 0, 0, F(2, 59), F(-1, 53), 1], 1, 6), n=7)  # valuation 3
+@example(a=RationalSeries([F(1, 2), 0, F(-5, 9)], F(-23, 24), 3), n=-3)
+@settings(max_examples=150, deadline=None)
+def test_pow_matches_reference(a, n):
+    _matches_reference(RationalSeries.__pow__, reference_pow, a, n)
+
+
+# inner series g_k = 1/2^k (rescaled by s = 2), and an outer series known to
+# x^29; its truncations give top = nf - 1 at the square boundaries of k
+_HALVES = [F(0)] + [F(1, 2 ** k) for k in range(1, 30)]
+_OUTER = [F((-1) ** i * (i + 2), 2 * i + 1) for i in range(30)]
+
+
 @given(f=_series_strategy(orders=(0, 12), offsets=st.integers(0, 2)),
        g=_series_strategy(orders=(0, 12), offsets=st.integers(0, 1), leading_zeros=(0, 3)))
 @example(f=RationalSeries((), 0, 0), g=RationalSeries([0, 1], 0, 2))       # order-0 outer
@@ -306,6 +325,18 @@ def test_reciprocal_matches_reference(a):
 @example(f=RationalSeries((), 0, 5), g=RationalSeries([0, 0, 1], 0, 6))   # empty outer
 @example(f=RationalSeries([1, F(2, 59), F(-3, 7)], 0, 3),
          g=RationalSeries([0, 0, F(5, 53), F(1, 2)], 1, 4))               # inner valuation 3
+@example(f=RationalSeries(_OUTER), g=RationalSeries(_HALVES))             # s = 2, valuation 1
+@example(f=RationalSeries(_OUTER), g=RationalSeries([0, 0] + _HALVES[2:]))  # s = 2, valuation 2
+@example(f=RationalSeries(_OUTER),
+         g=RationalSeries([0, F(1, 15), F(-2, 9), F(4, 45), 3], 0, 20))   # s = 3 * 5
+@example(f=RationalSeries(_OUTER),
+         g=RationalSeries([0, F(1, 10007), F(-3, 10007), 2], 0, 20))      # 10007 stays on d
+@example(f=RationalSeries(_OUTER[:1]), g=RationalSeries(_HALVES))         # top = 0
+@example(f=RationalSeries(_OUTER[:2]), g=RationalSeries(_HALVES))         # top = 1
+@example(f=RationalSeries(_OUTER[:3]), g=RationalSeries(_HALVES))         # top = 2
+@example(f=RationalSeries(_OUTER[:4]), g=RationalSeries(_HALVES))         # top = 3
+@example(f=RationalSeries(_OUTER[:5]), g=RationalSeries(_HALVES))         # top = 4
+@example(f=RationalSeries(_OUTER[:10]), g=RationalSeries(_HALVES))        # top = 9
 @settings(max_examples=150, deadline=None)
 def test_compose_matches_reference(f, g):
     _matches_reference(RationalSeries.compose, reference_compose, f, g)
@@ -368,12 +399,61 @@ def test_exp_log_at_paper_scale_match_reference():
 
 def test_kernels_at_paper_scale_match_reference():
     # the real operands: lambda(q) by reversion of q(lambda), compositions
-    # with it, and the reciprocal of varpi0, whose denominators are 2-powers
-    from mirrorperiods.periods import q_of_lambda_series, varpi0_series
+    # with it and with QT3's t(z) = z^2 (1-z) (1-z/2)^(-4), whose
+    # denominators are 2-powers, and the reciprocal of varpi0
+    from mirrorperiods.hyperfun import hyp2f1_series
+    from mirrorperiods.periods import (q_of_lambda_series, quad_transform_series,
+                                       varpi0_series)
     order = 24
     q = q_of_lambda_series(order)
     lam = q.revert()
     _matches_reference(RationalSeries.revert, reference_revert, q)
     _matches_reference(RationalSeries.compose, reference_compose, varpi0_series(order), lam)
+    _matches_reference(RationalSeries.compose, reference_compose,
+                       hyp2f1_series(F(1, 8), F(3, 8), 30), quad_transform_series(30))
     _matches_reference(RationalSeries.reciprocal, reference_reciprocal, varpi0_series(order))
     _matches_reference(RationalSeries.__mul__, reference_mul, lam, varpi0_series(order))
+
+
+# ---------------------------------------------------------------------------
+# work guards: operation counts, not timings
+# ---------------------------------------------------------------------------
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compose_takes_square_root_many_convolutions(monkeypatch):
+    # baby steps and giant steps: at most 2 ceil(sqrt(top)) + 1 convolutions,
+    # against top for plain Horner in g
+    from mirrorperiods.hyperfun import hyp2f1_series
+    from mirrorperiods.periods import lambda_q_series, quad_transform_series, varpi0_series
+    order = 68
+    cases = [(varpi0_series(order), lambda_q_series(order), 67),          # 15 calls
+             (hyp2f1_series(F(1, 8), F(3, 8), order), quad_transform_series(order), 33)]  # 10
+    calls = _counting(monkeypatch, qseries, "_convolve_into")
+    for outer, inner, top in cases:
+        calls.clear()
+        outer.compose(inner)
+        assert 0 < len(calls) <= 2 * (isqrt(top - 1) + 1) + 1
+
+
+def test_pow_makes_no_products(monkeypatch):
+    from mirrorperiods.periods import _pi0_q
+    pi0 = _pi0_q(68)
+    lam = RationalSeries([0, 16, -128, 704], 0, 4)
+    unit = RationalSeries([1, F(-1, 2), 3], 0, 4)
+    eta = eta_product(1, 1, 68)
+    calls = _counting(monkeypatch, RationalSeries, "__mul__")
+    for base, n in ((pi0, 6), (eta, 24), (lam, 2), (lam, 1), (unit, -3)):
+        base ** n
+    assert not calls
