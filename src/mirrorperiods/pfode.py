@@ -19,6 +19,15 @@ hypsum (Mezzarobba, arXiv:1607.01967).  At an inexact point (such as
 The conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
 shared with the period series of `periods`.
 
+The Legendre frame is not transported through the disk
+|lambda| <= SERIES_RADIUS (1/2), where periods.legendre_jet sums it
+directly with term ratio at most 1/2, so one series frame costs about one
+Taylor step.  continue_legendre seeds the transport at the last step point
+its path reaches in that disk from the start without meeting the cut
+(-inf, 0] of the principal log (an exact test on exact steps), takes the
+series frame there and runs continue_solution on the rest of the path.
+The canonical path to lambda = 2 takes 9 Taylor steps.
+
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
 """
@@ -49,6 +58,11 @@ STEP_BITS = 5
 STEP_FACTOR = 0.5
 # Least distance a continuation path keeps from every singular point.
 CLEARANCE = 0.1
+# Radius of the disk |lambda| <= SERIES_RADIUS in which periods.legendre_jet
+# sums the Legendre frame directly, with term ratio at most 1/2: default_path
+# reads tau off the series there, and continue_legendre seeds its transport
+# at the last step point its path reaches inside it.
+SERIES_RADIUS = Fraction(1, 2)
 
 
 class PathError(ValueError):
@@ -435,6 +449,19 @@ def _steps(waypoints, sing, digits: int):
             z = w if last else z + h
 
 
+def _check_clearance(waypoints, sing):
+    """Raise PathError if a segment of the polygon comes nearer than
+    CLEARANCE to a singular point."""
+    clr = mpf(CLEARANCE)
+    points = [as_mpc(w) for w in waypoints]
+    for a, b in zip(points, points[1:]):
+        for s in sing:
+            if _segment_min_distance(a, b, s) < clr * (1 - mpf(10) ** -12):
+                raise PathError(
+                    f"path segment [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}] passes within "
+                    f"clearance {CLEARANCE} of singular point {mp.nstr(s, 8)}")
+
+
 def continue_solution(op: FuchsianOperator, path: ContinuationPath,
                       initial: SolutionFrame, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
     """Transport a fundamental system along the path by local Taylor steps.
@@ -461,17 +488,15 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     10^-(digits+10) times the frame's scale is redone with 1.5 times the
     terms, and the accepted tails are summed into the returned frame's
     error estimate.  Precision doubling is the intended cross-check.
+
+    The transport runs from the first waypoint, where `initial` must sit,
+    for any operator.  continue_legendre calls it from a later seed point,
+    with the Legendre frame there from the series.
     """
     with working_precision(digits):
         sing = op.singular_points(digits)
-        clr = mpf(CLEARANCE)
+        _check_clearance(path.waypoints, sing)
         waypoints = [as_mpc(w) for w in path.waypoints]
-        for a, b in zip(waypoints, waypoints[1:]):
-            for s in sing:
-                if _segment_min_distance(a, b, s) < clr * (1 - mpf(10) ** -12):
-                    raise PathError(
-                        f"path segment [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}] passes within "
-                        f"clearance {CLEARANCE} of singular point {mp.nstr(s, 8)}")
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
             raise PathError("initial frame is not anchored at the first waypoint")
         eps = mpf(10) ** (-(digits + 10))
@@ -524,16 +549,76 @@ def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath | Non
     straight path from the canonical base."""
     with working_precision(digits):
         t = as_mpc(_normalize_waypoint(target))
-        if 0 < abs(t) <= mpf("0.5"):
+        if 0 < abs(t) <= as_mpc(SERIES_RADIUS).real:
             return None
         if abs(t - 2) < mpf(10) ** -25:
             return CANONICAL_PATH_TO_TWO
         return ContinuationPath((CANONICAL_BASE, target))
 
 
+def _in_slit_disk(z) -> bool:
+    """Whether an exact point lies in |z| <= SERIES_RADIUS off the cut
+    (-inf, 0] of the principal log."""
+    re, im = z
+    return re * re + im * im <= SERIES_RADIUS ** 2 and (im != 0 or re > 0)
+
+
+def _crosses_cut(a, b) -> bool:
+    """Whether the segment between exact points a and b, both off the cut,
+    meets (-inf, 0]: its ends lie on opposite sides of the real axis and it
+    crosses that axis at x <= 0."""
+    if a[1] * b[1] >= 0:
+        return False
+    return (a[0] * b[1] - b[0] * a[1]) / (b[1] - a[1]) <= 0
+
+
+def _seed(waypoints, sing, digits: int):
+    """(seed, rest): the last Taylor step point (as _steps takes them) that
+    the path reaches from its start without leaving the slit disk
+    |lambda| <= SERIES_RADIUS, and the waypoints after it.
+
+    Only the leading segments with exact ends count, and every test is
+    exact: each step's end must lie in the closed disk, off (-inf, 0], and
+    the step must not cross (-inf, 0].  A path that starts outside that
+    slit disk, or at an inexact point, is its own seed."""
+    seed, rest = waypoints[0], waypoints[1:]
+    if not (isinstance(seed, tuple) and _in_slit_disk(seed)):
+        return seed, rest
+    for j, w in enumerate(waypoints[1:]):
+        if not isinstance(w, tuple):
+            break
+        for z, h in _steps((waypoints[j], w), sing, digits):
+            end = (z[0] + h[0], z[1] + h[1])
+            if not _in_slit_disk(end) or _crosses_cut(z, end):
+                return seed, rest
+            seed, rest = end, waypoints[j + 1:]
+        seed, rest = w, waypoints[j + 2:]
+    return seed, rest
+
+
 def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
-    frame = legendre_frame(path.waypoints[0], digits)
-    return continue_solution(legendre_operator(), path, frame, digits)
+    """The Legendre frame (varpi0, varpi1) of legendre_frame at the path's
+    start, transported to its end.
+
+    The transport starts at the seed of _seed, the last Taylor step point
+    the path reaches inside |lambda| <= SERIES_RADIUS without meeting the
+    cut (-inf, 0], and the frame there comes from the series
+    (legendre_frame).  The slit disk is simply connected and legendre_jet
+    takes the principal log on it, so that frame is the one the steps
+    before the seed would have carried there; they are skipped, and
+    continue_solution runs on (seed, *remaining waypoints).  A path that
+    ends inside the slit disk is the series frame at its end; one that
+    starts outside it, or whose first segment has an inexact end, is
+    transported from its first waypoint."""
+    op = legendre_operator()
+    with working_precision(digits):
+        sing = op.singular_points(digits)
+        _check_clearance(path.waypoints, sing)
+        seed, rest = _seed(path.waypoints, sing, digits)
+    frame = legendre_frame(seed, digits)
+    if not rest:
+        return frame
+    return continue_solution(op, ContinuationPath((seed, *rest)), frame, digits)
 
 
 def frame_tau(frame: SolutionFrame, digits: int = DEFAULT_DIGITS):

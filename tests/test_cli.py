@@ -149,6 +149,19 @@ def test_continue_with_explicit_path(capsys):
     assert code == 0
 
 
+def test_upper_detour_to_two_is_a_failed_check(capsys):
+    # the homotopy class matters: the mirror-image detour through
+    # Im(lambda) > 0 lands on tau = (1+i)/2, not the printed (-1+i)/2
+    path = '[["0.1","0"],["0.1","1.2"],["2","0"]]'
+    code, out = run_main(["continue", "--target", "2", "--path", path], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert entry["name"] == "tau(2)" and entry["passed"] is False
+    assert entry["expected"] == "(-0.5 + 0.5j)"
+    assert abs(complex(entry["tau"].replace(" ", "")) - (1 + 1j) / 2) < 1e-12
+    assert abs(float(entry["residual"]) - 1) < 1e-12
+
+
 def test_bps_command(capsys):
     code, out = run_main(["bps", "--terms", "5", "--digits", "40"], capsys)
     assert code == 0
@@ -190,6 +203,14 @@ def test_usage_errors_exit_2():
         assert r.returncode == 2
         assert r.stderr.startswith(f"usage: mirrorperiods {argv[0]}")
         assert "Traceback" not in r.stderr
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    r = subprocess.run([sys.executable, "-m", "mirrorperiods", "identities", "--ids", "QT1",
+                        "--order", "8"], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["entries"][0]["name"] == "QT1"
 
 
 def test_byte_stable_reports():

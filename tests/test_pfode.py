@@ -278,13 +278,74 @@ def test_varpi0_at_two_matches_theta():
         assert frame.error_estimate < mpf(10) ** -40
 
 
+UPPER_DETOUR = pfode.ContinuationPath((F(1, 10), (F(1, 10), F(6, 5)), F(2)))
+SEED_PATHS = {
+    "canonical": pfode.CANONICAL_PATH_TO_TWO,
+    "upper": UPPER_DETOUR,
+    # leaves |lambda| <= 1/2, passes |lambda| > 0.9 and comes back inside
+    "far": pfode.ContinuationPath((F(1, 10), (F("0.467"), F("-0.907")),
+                                   (F("0.169"), F("-0.199")))),
+    # never leaves the slit disk: the series frame at the end
+    "inside": pfode.ContinuationPath((F(1, 10), (F(1, 5), F(1, 5)), (F(-1, 5), F(1, 5)))),
+}
+
+
 def test_upper_detour_lands_on_other_branch():
     # the mirror-image path through Im(lambda) > 0 gives (1+i)/2, which is
     # why the lower detour is the canonical one
-    upper = pfode.ContinuationPath((F(1, 10), (F(1, 10), F(6, 5)), F(2)))
-    tau = pfode.tau_at(2, path=upper, digits=40)
+    tau = pfode.tau_at(2, path=UPPER_DETOUR, digits=40)
     with working_precision(40):
         assert abs(tau - mp.mpc(1, 1) / 2) < mpf(10) ** -30
+
+
+@pytest.mark.parametrize("digits", [40, 120])
+@pytest.mark.parametrize("name", SEED_PATHS)
+def test_seeded_transport_matches_unseeded(name, digits):
+    # continue_legendre starts from the series frame at its seed; the
+    # unseeded route transports the frame at the first waypoint all the way
+    path = SEED_PATHS[name]
+    seeded = pfode.continue_legendre(path, digits)
+    unseeded = pfode.continue_solution(pfode.legendre_operator(), path,
+                                       pfode.legendre_frame(path.waypoints[0], digits), digits)
+    with working_precision(digits):
+        assert seeded.point == unseeded.point
+        dev = max(abs(a - b) for ca, cb in zip(seeded.columns, unseeded.columns)
+                  for a, b in zip(ca, cb))
+        assert dev < mpf(10) ** (-(digits - 10))
+
+
+@pytest.mark.parametrize("loop", [
+    # through a waypoint on the cut (-inf, 0]
+    (F(1, 4), (F(0), F(1, 4)), F(-1, 4), (F(0), F(-1, 4)), F(1, 4)),
+    # across the cut between two waypoints off it
+    (F(1, 4), (F(0), F(1, 4)), (F(-1, 4), F(1, 8)), (F(-1, 4), F(-1, 8)),
+     (F(0), F(-1, 4)), F(1, 4)),
+], ids=["cut-waypoint", "cut-crossing"])
+def test_seed_stops_at_the_cut(loop):
+    # a loop around 0 inside |lambda| <= 1/2 is seeded only up to the cut,
+    # so it keeps its monodromy tau -> tau + 2
+    start = pfode.legendre_frame(F(1, 4), DIGITS)
+    end = pfode.continue_legendre(pfode.ContinuationPath(loop), DIGITS)
+    with working_precision(DIGITS):
+        w0a, w1a = start.columns[0][0], start.columns[1][0]
+        w0b, w1b = end.columns[0][0], end.columns[1][0]
+        assert abs(w0b - w0a) < mpf(10) ** (-(DIGITS - 10))
+        assert abs(w1b - (w1a + 2 * w0a)) < mpf(10) ** (-(DIGITS - 10))
+
+
+def test_canonical_path_is_seeded(monkeypatch):
+    # the steps inside |lambda| <= 1/2 are replaced by one series frame:
+    # 9 Taylor steps to lambda = 2 at 120 digits (14 from the first waypoint)
+    steps = []
+    transport = pfode._taylor_transport
+
+    def counted(recurrence, columns, h, nterms):
+        steps.append(h)
+        return transport(recurrence, columns, h, nterms)
+
+    monkeypatch.setattr(pfode, "_taylor_transport", counted)
+    pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 120)
+    assert len(steps) <= 9
 
 
 def test_tau_at_degenerate_path_matches_series():
