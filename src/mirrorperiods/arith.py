@@ -216,11 +216,6 @@ class ZetaRecord:
         }
 
 
-def zeta_record(lam, p: int, eta_table: Optional[Sequence[int]] = None) -> ZetaRecord:
-    """Assemble the per-prime factors; raises BadReductionError at bad primes."""
-    return _zeta_record(Fraction(lam), p, ap_legendre(lam, [p])[0], eta_table)
-
-
 def _zeta_record(lam: Fraction, p: int, a_p: int,
                  eta_table: Optional[Sequence[int]]) -> ZetaRecord:
     sym2_q = a_p * a_p - 2 * p

@@ -62,16 +62,6 @@ def varpi0_series(order: int) -> RationalSeries:
     return hyp2f1_series(*LEGENDRE, order)
 
 
-def h_series(order: int) -> RationalSeries:
-    """Log-companion series h(lam) = lam/2 + 21 lam^2/64 + 185 lam^3/768 + ...
-
-    varpi0 log(lam) + h solves the Legendre Picard-Fuchs equation, so h is
-    the eps^1 series of the Frobenius series of (1/2, 1/2), whose eps^0
-    series is varpi0.
-    """
-    return frobenius_series(LEGENDRE, order, 2)[1]
-
-
 class CacheInfo(NamedTuple):
     hits: int
     misses: int
@@ -227,7 +217,7 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     2^P, P = mp.prec + GUARD_BITS.  The terms carried are
     d_m = c_m lam^(m-1) and e_m = h_m lam^(m-1), m >= 1, with c and h the
     varpi0 and h coefficients; since R_m = c_m (2m+1)/(2(m+1)) in the
-    h_series recurrence,
+    recurrence of h,
 
         d_(m+1) = lam d_m (2m+1)^2 / (4(m+1)^2),
         e_(m+1) = lam (2m+1) ((2m+1)(m+1) e_m + 2 d_m) / (4(m+1)^3),

@@ -1,23 +1,23 @@
 """The Legendre operator and Taylor-method continuation.
 
 Operators are stored in d/dx form with exact rational polynomial
-coefficients; their finite singular points are the roots of the leading
-coefficient.  A fundamental solution system is transported along polygonal
-complex paths by repeated local Taylor expansion with step size half the
-distance to the nearest singularity.  Each step runs the Taylor recurrence
-once for all columns on Python integers (the scheme of mpmath's hypsum;
-van der Hoeven, "Fast evaluation of holonomic functions", TCS 210, 1999);
-mpmath only sets up the step and reads off the result.  The recurrence
-coefficients are Gaussian integers over one positive divisor with one
-binary shift.  On a segment between exact waypoints every expansion point
-and step is an exact Gaussian rational (the step in the segment's
-parameter is rounded down to STEP_BITS significant binary digits), so the
-coefficients are exact small integers and a term costs O(P) bit
-operations instead of a P-bit product -- the rational-parameter case of
-hypsum (Mezzarobba, arXiv:1607.01967).  At an inexact point (such as
-2 sqrt 2 - 2) they are 2^P fixed-point values with divisor 1 and shift P.
-The conversions `_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun,
-shared with the period series of `periods`.
+coefficients, and each states its finite singular points as exact data (0
+and 1 for the Legendre operator).  A fundamental solution system is
+transported along polygonal complex paths by repeated local Taylor
+expansion with step size half the distance to the nearest singularity.
+Each step runs the Taylor recurrence once for all columns on Python
+integers (the scheme of mpmath's hypsum; van der Hoeven, "Fast evaluation
+of holonomic functions", TCS 210, 1999); mpmath only sets up the step and
+reads off the result.  The recurrence coefficients are Gaussian integers
+over one positive divisor with one binary shift.  On a segment between
+exact waypoints every expansion point and step is an exact Gaussian
+rational (the step in the segment's parameter is rounded down to STEP_BITS
+significant binary digits), so the coefficients are exact small integers
+and a term costs O(P) bit operations instead of a P-bit product -- the
+rational-parameter case of hypsum (Mezzarobba, arXiv:1607.01967).  At an
+inexact point (such as 2 sqrt 2 - 2) they are 2^P fixed-point values with
+divisor 1 and shift P.  The conversions `_to_fixed`/`_from_fixed` and
+GUARD_BITS live in hyperfun, shared with the period series of `periods`.
 
 The Legendre frame is not transported through the disk
 |lambda| <= SERIES_RADIUS (1/2), where periods.legendre_jet sums it
@@ -44,7 +44,7 @@ from mpmath import mp, mpc, mpf
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
-                       _to_fixed, as_mpc, working_precision)
+                       _to_fixed, as_mpc, exact_pair, working_precision)
 from .qseries import SeriesError
 
 Poly = tuple  # tuple[Fraction, ...], low degree first
@@ -70,97 +70,51 @@ class PathError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial helpers (dense, over Fraction)
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(p) -> Poly:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _pscale(a, c) -> Poly:
-    return _ptrim([ai * c for ai in a])
-
-
-def _pderiv(a) -> Poly:
-    return _ptrim([i * a[i] for i in range(1, len(a))])
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(a, b) -> Poly:
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pscale(a, Fraction(1) / a[-1])  # monic
-
-
-# ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FuchsianOperator:
-    """sum_k coeff_polys[k](x) * (d/dx)^k with exact rational polynomials."""
+    """sum_k coeff_polys[k](x) * (d/dx)^k with exact rational polynomials.
+
+    singular_points are the finite singular points, the roots of the
+    leading coefficient, as exact (re, im) Fraction pairs like waypoints;
+    continuation realizes them with as_mpc at its working precision.
+    Infinity is implicitly singular for the operators in scope.
+    """
 
     coeff_polys: tuple
+    singular_points: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff_polys",
-                           tuple(_ptrim(tuple(Fraction(c) for c in p))
-                                 for p in self.coeff_polys))
-        if not self.coeff_polys or not self.coeff_polys[-1]:
+        polys = []
+        for p in self.coeff_polys:
+            p = [Fraction(c) for c in p]
+            while p and p[-1] == 0:
+                p.pop()
+            polys.append(tuple(p))
+        if not polys or not polys[-1]:
             raise SeriesError("leading coefficient must not vanish identically")
+        points = tuple(exact_pair(s) for s in self.singular_points)
+        if None in points:
+            raise SeriesError("singular points must be exact")
+        object.__setattr__(self, "coeff_polys", tuple(polys))
+        object.__setattr__(self, "singular_points", points)
 
     @property
     def order(self) -> int:
         return len(self.coeff_polys) - 1
 
-    def singular_points(self, digits: int = DEFAULT_DIGITS) -> list:
-        """Finite singular points: roots of the leading polynomial (infinity
-        is always implicitly singular for the operators in scope)."""
-        lead = self.coeff_polys[-1]
-        if len(lead) == 1:
-            return []
-        # square-free reduction (exact) so repeated roots cannot stall polyroots
-        g = _pgcd(lead, _pderiv(lead))
-        lead = _pdivmod(lead, g)[0]
-        with working_precision(digits):
-            coeffs = [mpf(c.numerator) / c.denominator for c in reversed(lead)]
-            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=60)
-            out = []
-            for r in roots:
-                if not any(abs(r - s) < mpf(10) ** -25 for s in out):
-                    out.append(mpc(r))
-            return out
-
 
 def legendre_operator() -> FuchsianOperator:
-    """lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating varpi0 and varpi1."""
+    """lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating varpi0 and varpi1,
+    singular at 0, 1 and infinity."""
     return FuchsianOperator((
         (Fraction(-1, 4),),
         (Fraction(1), Fraction(-2)),
         (Fraction(0), Fraction(1), Fraction(-1)),
-    ))
+    ), ((0, 0), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +123,11 @@ def legendre_operator() -> FuchsianOperator:
 
 
 def _normalize_waypoint(w):
-    """Exact inputs (int, Fraction, decimal string, or (re, im) pairs of
-    those) become Fraction pairs, realized later at whatever precision a
-    continuation runs at.  mpf/mpc/complex inputs are stored untouched --
-    mpmath constructors would re-round them at the ambient precision, so the
-    caller's values must survive as-is and carry their own accuracy."""
-    if isinstance(w, (int, Fraction)):
-        return (Fraction(w), Fraction(0))
-    if isinstance(w, str):
-        return (Fraction(w), Fraction(0))
-    if isinstance(w, tuple):
-        re, im = w
-        return (Fraction(re), Fraction(im))
-    return w
+    """An exact point (see hyperfun.exact_pair) as its Fraction pair, to be
+    realized at whatever precision a continuation runs at.  An mpf, mpc,
+    float or complex point is stored untouched, carrying its own accuracy,
+    and an inexact (re, im) pair as the mpc it names."""
+    return exact_pair(w) or (mpc(*w) if isinstance(w, tuple) else w)
 
 
 @dataclass(frozen=True)
@@ -494,7 +440,7 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     with the Legendre frame there from the series.
     """
     with working_precision(digits):
-        sing = op.singular_points(digits)
+        sing = [as_mpc(s) for s in op.singular_points]
         _check_clearance(path.waypoints, sing)
         waypoints = [as_mpc(w) for w in path.waypoints]
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
@@ -612,7 +558,7 @@ def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> S
     transported from its first waypoint."""
     op = legendre_operator()
     with working_precision(digits):
-        sing = op.singular_points(digits)
+        sing = [as_mpc(s) for s in op.singular_points]
         _check_clearance(path.waypoints, sing)
         seed, rest = _seed(path.waypoints, sing, digits)
     frame = legendre_frame(seed, digits)

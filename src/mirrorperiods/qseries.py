@@ -148,10 +148,6 @@ class RationalSeries:
         """The series x."""
         return cls((Fraction(0), Fraction(1)), 0, order)
 
-    @classmethod
-    def monomial(cls, exponent: Scalar, order: int, coeff: Scalar = 1) -> "RationalSeries":
-        return cls((_frac(coeff),), exponent, order)
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, exponent: Scalar) -> Fraction:
@@ -178,18 +174,6 @@ class RationalSeries:
 
     def max_abs_coefficient(self) -> Fraction:
         return max((abs(c) for c in self.coeffs), default=Fraction(0))
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if self.order > 6 else ""
-        return f"RationalSeries(offset={self.offset}, order={self.order}, [{head}{tail}])"
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return (self - other).is_provably_zero()
-
-    __hash__ = None
 
     # -- frame helpers -----------------------------------------------------
 
@@ -318,13 +302,6 @@ class RationalSeries:
             e = _push(num, e, c)
         return RationalSeries(out, -self.offset, n)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _frac(other))
-        if isinstance(other, RationalSeries):
-            return self * other.reciprocal()
-        return NotImplemented
-
     def __pow__(self, n: int):
         """self**n for an integer n, by J. C. P. Miller's recurrence (Knuth,
         TAOCP vol. 2, 4.7): one O(order^2) pass instead of log2(n) products.
@@ -364,11 +341,6 @@ class RationalSeries:
         return RationalSeries(out, n * self.offset, order)
 
     # -- calculus ----------------------------------------------------------
-
-    def derivative(self) -> "RationalSeries":
-        """d/dx, acting exactly on the shifted exponents."""
-        out = [(self.offset + k) * c for k, c in enumerate(self.coeffs)]
-        return RationalSeries(out, self.offset - 1, self.order)
 
     def theta_derivative(self) -> "RationalSeries":
         """x*d/dx ("theta-operator mode"): multiplies each term by its exponent."""

@@ -252,8 +252,8 @@ def _varpi0_coeff_floats(nterms: int):
 def _h_coeff_floats(nterms: int):
     # h's coefficients from the Legendre Picard-Fuchs recurrence
     # (m+1)^2 h_(m+1) = (m+1/2)^2 h_m + R_m, R_m = (2m+1) c_m - 2(m+1) c_(m+1),
-    # run in floats (periods.h_series takes the eps-derivative of the
-    # Frobenius series instead); all terms positive, so no cancellation
+    # run in floats (periods takes the eps-derivative of the Frobenius
+    # series instead); all terms positive, so no cancellation
     c = _varpi0_coeff_floats(nterms + 1)
     g = [mpf(0)]
     for m in range(nterms - 1):
@@ -600,7 +600,7 @@ def pi0_series(order: int) -> RationalSeries:
     return half * varpi0_series(order) ** 2
 
 
-# A second operator for the continuation kernel and singular_points tests:
+# A second operator for the continuation kernel and singular point tests:
 # lam(1-lam)(2-lam)^2 D^2 + (2-lam)(2-4lam+lam^2) D - (3/4) lam, the order-2
 # operator of 2F1(1/8, 3/8; 1; t) pulled back along t(lam), with regular
 # singular points 0, 1, 2 and infinity.
@@ -608,4 +608,4 @@ PULLBACK_OPERATOR = FuchsianOperator((
     (0, Fraction(-3, 4)),
     (4, -10, 6, -1),
     (0, 4, -8, 5, -1),
-))
+), ((0, 0), (1, 0), (2, 0)))

@@ -253,27 +253,34 @@ def test_fermat_count_matches_triple_loop(p):
 # ---------------------------------------------------------------------------
 
 
+def _zeta_row(lam, p):
+    """The row of p in the zeta table of lam up to p."""
+    rows = [r for r in arith.zeta_table(lam, p + 1) if r.p == p]
+    assert len(rows) == 1
+    return rows[0]
+
+
 def test_zeta_record_lambda2_p5():
-    r = arith.zeta_record(2, 5)
+    r = _zeta_row(2, 5)
     assert r.elliptic_factor == (1, 2, 5)
     assert r.sym2_factor == (1, 6, 25)
     assert r.b_p == -6 and r.sym2_match is True and r.weil_ok
 
 
 def test_zeta_record_lambda2_p13():
-    r = arith.zeta_record(2, 13)
+    r = _zeta_row(2, 13)
     assert r.a_p ** 2 - 26 == 10 == r.b_p
     assert r.sym2_match is True
 
 
 def test_zeta_record_lambda2_p3_mismatch_is_data():
-    r = arith.zeta_record(2, 3)
+    r = _zeta_row(2, 3)
     assert r.a_p == 0 and r.b_p == 0
     assert r.sym2_match is False  # recorded, never asserted
 
 
 def test_zeta_record_generic_lambda_has_no_k3_side():
-    r = arith.zeta_record(F(3, 5), 7)
+    r = _zeta_row(F(3, 5), 7)
     assert r.b_p is None and r.k3_factor is None and r.sym2_match is None
 
 
@@ -291,13 +298,8 @@ def test_weil_bound_random_lambdas():
     lams = [l for l in lams if l not in (0, 1)]
     with mp.workdps(45):
         for lam in lams:
-            for p in arith.primes_below(500):
-                if p == 2:
-                    continue
-                try:
-                    rec = arith.zeta_record(lam, p)
-                except arith.BadReductionError:
-                    continue
+            for rec in arith.zeta_table(lam, 500):
+                p = rec.p
                 assert rec.weil_ok
                 # reciprocal roots of 1 - a_p T + p T^2 have |.| = sqrt(p)
                 a = mpf(rec.a_p)

@@ -7,7 +7,7 @@ from mpmath import mp, mpc, mpf
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, lambda_from_t, pi0_series, reference_dwork_periods,
                      reference_legendre_jet, reference_w_series_t)
-from mirrorperiods.hyperfun import PrecisionError, as_mpc, working_precision
+from mirrorperiods.hyperfun import PrecisionError, as_mpc, frobenius_series, working_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 DIGITS = 50
@@ -19,25 +19,26 @@ DIGITS = 50
 
 
 def test_h_series_printed_coefficients():
-    h = periods.h_series(4)
+    h = frobenius_series(periods.LEGENDRE, 4, 2)[1]
     assert [h.coefficient(k) for k in (1, 2, 3)] == [F(1, 2), F(21, 64), F(185, 768)]
 
 
 def test_h_series_order_one():
-    h = periods.h_series(2)
+    h = frobenius_series(periods.LEGENDRE, 2, 2)[1]
     assert h.coefficient(0) == 0 and h.coefficient(1) == F(1, 2)
 
 
 @pytest.mark.parametrize("order", [1, 2, 40, 81])
 def test_h_series_matches_recurrence_on_varpi0(order):
-    # h_series runs the varpi0 coefficients along its own loop; here they
-    # come from the 2F1 series, with R_m in its two-coefficient form
+    # the eps^1 Frobenius slice runs the varpi0 coefficients along its own
+    # loop; here they come from the 2F1 series, with R_m in its
+    # two-coefficient form
     c = periods.varpi0_series(order + 1).coeffs
     g = [F(0)]
     for m in range(order - 1):
         r_m = (2 * m + 1) * c[m] - 2 * (m + 1) * c[m + 1]
         g.append((F(2 * m + 1, 2) ** 2 * g[m] + r_m) / F(m + 1) ** 2)
-    h = periods.h_series(order)
+    h = frobenius_series(periods.LEGENDRE, order, 2)[1]
     assert (list(h.coeffs), h.offset, h.order) == (g, 0, order)
 
 
@@ -69,7 +70,7 @@ def test_h_series_coefficient_from_period_integral():
             for k in range(1, n + 1):
                 a[i, k - 1] = lam ** k
         sol = mp.lu_solve(a, b)
-        h = periods.h_series(6)
+        h = frobenius_series(periods.LEGENDRE, 6, 2)[1]
         assert abs(sol[0] - mpf(1) / 2) < mpf(10) ** -25
         h4 = h.coefficient(4)
         assert abs(sol[3] - mpf(h4.numerator) / h4.denominator) < mpf(10) ** -20
@@ -343,7 +344,7 @@ def test_pi_product_structure_as_series():
     n = 16
     half = RationalSeries([F(1), F(-1, 2)], 0, n)
     w0 = periods.varpi0_series(n)
-    h = periods.h_series(n)
+    h = frobenius_series(periods.LEGENDRE, n, 2)[1]
     s0 = pi0_series(n)
     assert (s0 * (half * h * h) - (half * w0 * h) ** 2).is_provably_zero()
     assert (s0 * (half * w0 * h) * 2 - 2 * (half * w0 * h) * s0).is_provably_zero()

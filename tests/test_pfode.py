@@ -11,19 +11,29 @@ from mpmath import mp, mpc, mpf
 import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
 from mirrorperiods.hyperfun import as_mpc, theta_const, waypoint_strings, working_precision
+from mirrorperiods.qseries import SeriesError
 
 DIGITS = 50
 DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_singular_points():
-    with working_precision(40):
-        legendre = sorted(s.real for s in pfode.legendre_operator().singular_points(40))
-        assert len(legendre) == 2
-        assert abs(legendre[0]) < mpf(10) ** -25 and abs(legendre[1] - 1) < mpf(10) ** -25
-        pullback = sorted(s.real for s in PULLBACK_OPERATOR.singular_points(40))
-        assert len(pullback) == 3
-        assert abs(pullback[2] - 2) < mpf(10) ** -25
+    # the stated points are exactly the roots of the leading coefficient,
+    # lead = lead[-1] * prod (x - s)^m over Q, with the multiplicities here
+    for op, multiplicity in ((pfode.legendre_operator(), {0: 1, 1: 1}),
+                             (PULLBACK_OPERATOR, {0: 1, 1: 1, 2: 2})):
+        assert op.singular_points == tuple((F(s), F(0)) for s in multiplicity)
+        lead = op.coeff_polys[-1]
+        product = [lead[-1]]
+        for s, m in multiplicity.items():
+            for _ in range(m):
+                product = [a - s * b for a, b in zip([F(0)] + product, product + [F(0)])]
+        assert tuple(product) == lead
+
+
+def test_singular_points_must_be_exact():
+    with pytest.raises(SeriesError):
+        pfode.FuchsianOperator(pfode.legendre_operator().coeff_polys, ((0, 0), mpf(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +122,7 @@ def _kernel_step(name, z, direction, digits, exact):
     other has |h| = d/2 exactly, an irrational step at the mpc point z."""
     op = pfode.legendre_operator() if name == "legendre" else PULLBACK_OPERATOR
     zm = as_mpc(z)
-    d = min(abs(zm - s) for s in op.singular_points(digits))
+    d = min(abs(zm - as_mpc(s)) for s in op.singular_points)
     u = mpc(*direction)
     if exact:
         dt = pfode._dyadic(d / 2 / abs(u), pfode.STEP_BITS)
@@ -193,7 +203,7 @@ def test_rational_walk_steps_and_frame(points):
     op = pfode.legendre_operator()
     path = pfode.ContinuationPath(points)
     with working_precision(40):
-        sing = op.singular_points(40)
+        sing = [as_mpc(s) for s in op.singular_points]
         steps = list(pfode._steps(path.waypoints, sing, 40))
         # the steps chain exactly from the first waypoint to the last
         z = path.waypoints[0]
@@ -394,6 +404,16 @@ def test_path_json_roundtrip():
     assert p.waypoints == ((F(1, 10), F(0)), (F(1, 10), F(-6, 5)), (F(2), F(0)))
     q = pfode.ContinuationPath.from_json(json.dumps([waypoint_strings(w) for w in p.waypoints]))
     assert q.waypoints == p.waypoints
+
+
+def test_waypoint_normalization():
+    # exact points become Fraction pairs; inexact ones keep their value
+    lam = mpf(2) ** 0.5
+    p = pfode.ContinuationPath((2, F(1, 10), "0.1", ("0.1", F(-6, 5)), lam, (0.5, -0.25)))
+    assert p.waypoints[:4] == ((F(2), F(0)), (F(1, 10), F(0)), (F(1, 10), F(0)),
+                               (F(1, 10), F(-6, 5)))
+    assert p.waypoints[4] is lam
+    assert p.waypoints[5] == mpc(0.5, -0.25)
 
 
 def test_frame_anchoring_checked():

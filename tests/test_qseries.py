@@ -54,7 +54,7 @@ def test_division_and_integer_powers():
     x = RationalSeries.identity(10)
     one = RationalSeries.one(10)
     a = one + x * 3 - x ** 2
-    assert ((a / a) - one).is_provably_zero()
+    assert ((a * a.reciprocal()) - one).is_provably_zero()
     assert ((a ** 3) - a * a * a).is_provably_zero()
     assert ((a ** -2) * a * a - one).is_provably_zero()
 
@@ -100,9 +100,11 @@ def test_exp_of_h_over_varpi0():
     #   h/varpi0 = lam/2 + 13 lam^2/64 + O(lam^3)
     #   exp(...) = 1 + lam/2 + (13/64 + 1/8) lam^2 = 1 + lam/2 + 21 lam^2/64
     # and the same computed at two truncation orders must agree.
-    from mirrorperiods.periods import h_series, varpi0_series
+    from mirrorperiods.hyperfun import frobenius_series
+    from mirrorperiods.periods import LEGENDRE
     for order in (8, 16):
-        e = (h_series(order) * varpi0_series(order).reciprocal()).exp()
+        varpi0, h = frobenius_series(LEGENDRE, order, 2)
+        e = (h * varpi0.reciprocal()).exp()
         assert e.coefficient(0) == 1
         assert e.coefficient(1) == F(1, 2)
         assert e.coefficient(2) == F(21, 64)
@@ -191,12 +193,6 @@ def test_theta_derivative_acts_on_exponents():
     assert t.coefficient(-1) == -1
     assert t.coefficient(0) == 0
     assert t.coefficient(1) == 324
-
-
-def test_derivative_with_fractional_offset():
-    s = RationalSeries.monomial(F(1, 24), 3, coeff=2)
-    d = s.derivative()
-    assert d.coefficient(F(-23, 24)) == F(2, 24)
 
 
 def test_substitute_power_doubles_exponents():
@@ -387,8 +383,10 @@ def _reference_pow_rational(a, r):
 def test_exp_log_at_paper_scale_match_reference():
     # exp(h/varpi0) as in q(lambda) at order 81, and the (1 - z)^(-1/4) and
     # (1 - z/2)^(-1/2) prefactors of QT1-QT3 at order 61
-    from mirrorperiods.periods import h_series, varpi0_series
-    ratio = h_series(81) * varpi0_series(81).reciprocal()
+    from mirrorperiods.hyperfun import frobenius_series
+    from mirrorperiods.periods import LEGENDRE
+    varpi0, h = frobenius_series(LEGENDRE, 81, 2)
+    ratio = h * varpi0.reciprocal()
     _matches_reference(RationalSeries.exp, reference_exp, ratio)
     z, one = RationalSeries.identity(61), RationalSeries.one(61)
     for base, r in ((one - z, F(-1, 4)), (one - z * F(1, 2), F(-1, 2))):
