@@ -15,10 +15,10 @@ Three counting routines feed the zeta records:
   power.
 
 At lam = 2 the transcendental K3 factor is the symmetric square of the
-elliptic one: b_p = a_p^2 - 2p.  That match is recorded per prime; it fails
-for p = 3 mod 4 (where b_p = 0), which is kept as data, not as a test
-failure, since the printed relation carries no restriction on the prime
-class and the character-twist question is explicitly left open.
+elliptic one twisted by the character chi_-4 of eta(4 tau)^6: the K3
+factor is 1 - b_p T + chi_-4(p) p^2 T^2 and b_p = a_p^2 - p - chi_-4(p) p,
+i.e. a_p^2 - 2p for p = 1 mod 4 and a_p^2 (= 0, since the curve has CM by
+Z[i]) for p = 3 mod 4.  That match is checked at every good prime.
 """
 
 from __future__ import annotations
@@ -190,9 +190,11 @@ class ZetaRecord:
 
     elliptic_factor is (1, -a_p, p) for 1 - a_p T + p T^2; sym2_factor is the
     quadratic part (1, -(a_p^2-2p), p^2) of the symmetric square (the linear
-    part (1-pT) is implicit); k3_factor is (1, -b_p, p^2).  sym2_match is
-    only evaluated at lam = 2, where the two quadratics are conjecturally
-    equal; weil_ok records |a_p| <= 2 sqrt(p) exactly via a_p^2 <= 4p.
+    part (1-pT) is implicit); k3_factor is (1, -b_p, chi_-4(p) p^2), the
+    factor of eta(4 tau)^6, whose character is chi_-4.  sym2_match is only
+    evaluated at lam = 2, as b_p == a_p^2 - p - chi_-4(p) p (the twisted
+    symmetric square); weil_ok records |a_p| <= 2 sqrt(p) exactly via
+    a_p^2 <= 4p.
     """
     p: int
     a_p: int
@@ -219,6 +221,7 @@ class ZetaRecord:
 def _zeta_record(lam: Fraction, p: int, a_p: int,
                  eta_table: Optional[Sequence[int]]) -> ZetaRecord:
     sym2_q = a_p * a_p - 2 * p
+    chi = 1 if p % 4 == 1 else -1  # chi_-4(p)
     at_two = lam == 2
     b_p = bp_eta(p, eta_table) if at_two else None
     return ZetaRecord(
@@ -227,9 +230,9 @@ def _zeta_record(lam: Fraction, p: int, a_p: int,
         b_p=b_p,
         elliptic_factor=(1, -a_p, p),
         sym2_factor=(1, -sym2_q, p * p),
-        k3_factor=(1, -b_p, p * p) if at_two else None,
+        k3_factor=(1, -b_p, chi * p * p) if at_two else None,
         weil_ok=a_p * a_p <= 4 * p,
-        sym2_match=(b_p == sym2_q) if at_two else None,
+        sym2_match=(b_p == a_p * a_p - p - chi * p) if at_two else None,
     )
 
 

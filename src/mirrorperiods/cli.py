@@ -155,11 +155,11 @@ def _run_zeta(cfg: RunConfig, args) -> list[Entry]:
     lam = args.lam
     entries = []
     for rec in arith.zeta_table(lam, cfg.pmax):
-        ok = rec.weil_ok and (rec.sym2_match is not False or rec.p % 4 == 3)
+        ok = rec.weil_ok and rec.sym2_match is not False
         extra = rec.to_dict()
         if args.with_quartic_counts and lam == 2 and rec.p <= cfg.quartic_bound:
             extra["n_p_fermat"] = arith.fermat_quartic_count(rec.p, cfg.quartic_bound)
-        entries.append(Entry(f"p={rec.p}", ok, rec.p % 4 == 3 and lam == 2, data=extra))
+        entries.append(Entry(f"p={rec.p}", ok, data=extra))
     if not entries:
         # every prime below pmax is bad for this fiber: nothing was checked
         return [Entry("no-good-primes", False, data={"lambda": str(lam), "pmax": cfg.pmax})]

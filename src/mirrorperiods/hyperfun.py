@@ -74,17 +74,20 @@ def exact_pair(x):
 
 
 def waypoint_strings(w) -> list:
-    """A point as [re, im] decimal strings, the form of --path waypoints:
-    an exact coordinate as its float repr when that is exact, else as p/q;
-    an mpmath one to 30 digits."""
+    """An exact point, an (re, im) Fraction pair, as [re, im] decimal
+    strings, the form of --path waypoints: each coordinate as its float
+    repr when that is exact, else as p/q, except that a binary fraction too
+    long for a float (the exact value of an mpf waypoint) prints to 30
+    digits, as mp.nstr prints that mpf."""
     def fmt(x):
-        if isinstance(x, Fraction):
-            f = float(x)
-            return str(x) if Fraction(str(f)) != x else str(f)
-        return mp.nstr(x, 30)
-    if isinstance(w, tuple):
-        return [fmt(w[0]), fmt(w[1])]
-    return [fmt(w.real), fmt(w.imag)]
+        f = float(x)
+        if Fraction(str(f)) == x:
+            return str(f)
+        if x.denominator & (x.denominator - 1):
+            return str(x)
+        with mp.workprec(max(x.numerator.bit_length(), 53)):
+            return mp.nstr(mpf(x.numerator) / x.denominator, 30)
+    return [fmt(w[0]), fmt(w[1])]
 
 
 def _to_fixed(x: mpf, shift: int) -> int:

@@ -8,16 +8,17 @@ expansion with step size half the distance to the nearest singularity.
 Each step runs the Taylor recurrence once for all columns on Python
 integers (the scheme of mpmath's hypsum; van der Hoeven, "Fast evaluation
 of holonomic functions", TCS 210, 1999); mpmath only sets up the step and
-reads off the result.  The recurrence coefficients are Gaussian integers
-over one positive divisor with one binary shift.  On a segment between
-exact waypoints every expansion point and step is an exact Gaussian
-rational (the step in the segment's parameter is rounded down to STEP_BITS
-significant binary digits), so the coefficients are exact small integers
-and a term costs O(P) bit operations instead of a P-bit product -- the
-rational-parameter case of hypsum (Mezzarobba, arXiv:1607.01967).  At an
-inexact point (such as 2 sqrt 2 - 2) they are 2^P fixed-point values with
-divisor 1 and shift P.  The conversions `_to_fixed`/`_from_fixed` and
-GUARD_BITS live in hyperfun, shared with the period series of `periods`.
+reads off the result.  Every waypoint is stored as an exact (re, im)
+Fraction pair; an mpf, mpc, float or complex coordinate is stored as its
+exact binary value (_dyadic), which loses nothing.  So every expansion
+point and step is an exact Gaussian rational (the step in the segment's
+parameter is rounded down to STEP_BITS significant binary digits), and the
+recurrence coefficients are Gaussian integers over one positive divisor:
+small at short rational points, where a term costs O(P) bit operations
+instead of a P-bit product -- the rational-parameter case of hypsum
+(Mezzarobba, arXiv:1607.01967).  The conversions `_to_fixed`/`_from_fixed`
+and GUARD_BITS live in hyperfun, shared with the period series of
+`periods`.
 
 The Legendre frame is not transported through the disk
 |lambda| <= SERIES_RADIUS (1/2), where periods.legendre_jet sums it
@@ -26,7 +27,8 @@ Taylor step.  continue_legendre seeds the transport at the last step point
 its path reaches in that disk from the start without meeting the cut
 (-inf, 0] of the principal log (an exact test on exact steps), takes the
 series frame there and runs continue_solution on the rest of the path.
-The canonical path to lambda = 2 takes 9 Taylor steps.
+The canonical path to lambda = 2 takes 9 Taylor steps, the default path
+to 2 sqrt 2 - 2 two.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -41,6 +43,7 @@ from math import lcm
 from operator import mul
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_float
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
@@ -122,18 +125,37 @@ def legendre_operator() -> FuchsianOperator:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_waypoint(w):
-    """An exact point (see hyperfun.exact_pair) as its Fraction pair, to be
-    realized at whatever precision a continuation runs at.  An mpf, mpc,
-    float or complex point is stored untouched, carrying its own accuracy,
-    and an inexact (re, im) pair as the mpc it names."""
-    return exact_pair(w) or (mpc(*w) if isinstance(w, tuple) else w)
+def _dyadic(x, bits: int | None = None) -> Fraction:
+    """A finite mpf or float as its exact binary value, cut toward zero to
+    its leading `bits` significant bits when given.  A non-finite value
+    raises PathError."""
+    if not mp.isfinite(x):
+        raise PathError(f"non-finite coordinate {x}")
+    sign, man, exp, bc = from_float(x) if isinstance(x, float) else x._mpf_
+    if bits is not None and bc > bits:
+        man >>= bc - bits
+        exp += bc - bits
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
+
+
+def _normalize_waypoint(w) -> tuple:
+    """A point as its exact (re, im) Fraction pair, to be realized at
+    whatever precision a continuation runs at: an int, Fraction or decimal
+    string coordinate as its value, an mpf or float one (also the parts of
+    an mpc or complex) as its exact binary value."""
+    if isinstance(w, str):
+        w = Fraction(w)
+    re, im = w if isinstance(w, tuple) else (w.real, w.imag)
+    return tuple(Fraction(c) if isinstance(c, (int, Fraction, str)) else _dyadic(c)
+                 for c in (re, im))
 
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Polygonal path in the complex plane; continuation requires it to keep
-    CLEARANCE from every singular point."""
+    """Polygonal path in the complex plane through exact waypoints (see
+    _normalize_waypoint); continuation requires it to keep CLEARANCE from
+    every singular point."""
 
     waypoints: tuple
 
@@ -163,18 +185,6 @@ class SolutionFrame:
     point: mpc
     columns: tuple
     error_estimate: mpf = mpf(0)
-
-
-def _shift_poly(poly: Poly, z0):
-    """Coefficients of p(z0 + u) from exact coefficients of p, numerically."""
-    c = [mpf(p.numerator) / p.denominator if isinstance(p, Fraction) else mpc(p)
-         for p in poly]
-    c = [mpc(x) for x in c]
-    n = len(c)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            c[j] = c[j] + z0 * c[j + 1]
-    return c
 
 
 def _segment_min_distance(a, b, p) -> mpf:
@@ -213,53 +223,32 @@ def _shift_poly_exact(poly: Poly, z) -> list:
 
 
 def _recurrence(op: FuchsianOperator, z, h):
-    """The normalized recurrence coefficients of one Taylor step from z by
-    h, as _taylor_transport takes them: (groups, divisor, shift), where
-    groups[s] lists (k, re, im) and (re + i im) / (divisor 2^shift) is the
-    coefficient q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0.
-
-    At an exact point z with an exact step h (Fraction pairs) every q is an
-    exact Gaussian rational, computed with 1/p_r0 = conj(p_r0)/|p_r0|^2;
-    the divisor is their least common denominator and the shift 0, so the
-    (re, im) are small Gaussian integers.  Otherwise (mpc z and h, as at
-    2 sqrt 2 - 2) each q is computed in mpmath and rounded to a fixed-point
-    pair scaled by 2^P, P the step's working bits, with divisor 1 and
-    shift P.
+    """The normalized recurrence coefficients of one Taylor step from the
+    exact point z by the exact step h (Fraction pairs), as
+    _taylor_transport takes them: (groups, divisor), where groups[s] lists
+    (k, re, im) and (re + i im) / divisor is the coefficient
+    q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0, computed exactly with
+    1/p_r0 = conj(p_r0)/|p_r0|^2.  The divisor is their least common
+    denominator, so the (re, im) are Gaussian integers.
     """
     r = op.order
+    shifted = [_shift_poly_exact(p, z) for p in op.coeff_polys]
+    lead = shifted[r][0]
+    norm = lead[0] * lead[0] + lead[1] * lead[1]
+    inv = (-lead[0] / norm, lead[1] / norm)  # -1/p_r0
+    hpow = [(Fraction(1), Fraction(0))]
+    for _ in range(max(len(p) for p in shifted) + r):
+        hpow.append(_gmul(hpow[-1], h))
     coeffs = {}
-    if isinstance(z, tuple) and isinstance(h, tuple):
-        shifted = [_shift_poly_exact(p, z) for p in op.coeff_polys]
-        lead = shifted[r][0]
-        norm = lead[0] * lead[0] + lead[1] * lead[1]
-        inv = (-lead[0] / norm, lead[1] / norm)  # -1/p_r0
-        hpow = [(Fraction(1), Fraction(0))]
-        for _ in range(max(len(p) for p in shifted) + r):
-            hpow.append(_gmul(hpow[-1], h))
-        for k, pk in enumerate(shifted):
-            for j, pkj in enumerate(pk):
-                if any(pkj) and not (k == r and j == 0):
-                    coeffs[k, j] = _gmul(_gmul(pkj, hpow[j - k + r]), inv)
-        divisor = lcm(*(c.denominator for q in coeffs.values() for c in q))
-        shift = 0
-        coeffs = {kj: (int(re * divisor), int(im * divisor))
-                  for kj, (re, im) in coeffs.items()}
-    else:
-        shifted = [_shift_poly(p, z) for p in op.coeff_polys]
-        lead = shifted[r][0]
-        hpow = [mpc(1)]
-        for _ in range(max(len(p) for p in shifted) + r):
-            hpow.append(hpow[-1] * h)
-        divisor, shift = 1, _step_precision(r, h)
-        for k, pk in enumerate(shifted):
-            for j, pkj in enumerate(pk):
-                if pkj != 0 and not (k == r and j == 0):
-                    q = -pkj * hpow[j - k + r] / lead
-                    coeffs[k, j] = (_to_fixed(q.real, shift), _to_fixed(q.imag, shift))
+    for k, pk in enumerate(shifted):
+        for j, pkj in enumerate(pk):
+            if any(pkj) and not (k == r and j == 0):
+                coeffs[k, j] = _gmul(_gmul(pkj, hpow[j - k + r]), inv)
+    divisor = lcm(*(c.denominator for q in coeffs.values() for c in q))
     groups = {}
     for (k, j), (qre, qim) in coeffs.items():
-        groups.setdefault(k - j, []).append((k, qre, qim))
-    return groups, divisor, shift
+        groups.setdefault(k - j, []).append((k, int(qre * divisor), int(qim * divisor)))
+    return groups, divisor
 
 
 def _taylor_transport(recurrence, columns, h, nterms):
@@ -274,23 +263,22 @@ def _taylor_transport(recurrence, columns, h, nterms):
 
     with p_kj the Taylor coefficients of the k-th operator coefficient at
     the expansion point and (i)_k the falling factorial.  `recurrence` is
-    (groups, divisor, shift) from _recurrence: groups[s] lists the
-    (k, re, im) with q_(k,s) = (re + i im) / (divisor 2^shift), so A_s(m)
-    is a Gaussian integer formed once per m and shared by all columns, and
-    each new term is one product sum shifted right by `shift` and floored
-    by divisor (m+r)_r.  At an exact point the divisor is a small integer
-    and the shift 0, so a term costs O(P) bit operations rather than a
-    P-bit product.  Every b_n is an int pair scaled by 2^(P-E), where P is
-    the step's working bits (_step_precision) and 2^E bounds the largest
-    entry of the input frame.  Returns (columns at offset h, tail), where
-    tail is max |b_n| over the last 6 terms of every column.
+    (groups, divisor) from _recurrence: groups[s] lists the (k, re, im)
+    with q_(k,s) = (re + i im) / divisor, so A_s(m) is a Gaussian integer
+    formed once per m and shared by all columns, and each new term is one
+    product sum floored by divisor (m+r)_r.  At a short rational point the
+    divisor is a small integer, so a term costs O(P) bit operations rather
+    than a P-bit product.  h is the step as an exact Fraction pair.  Every
+    b_n is an int pair scaled by 2^(P-E), where P is the step's working
+    bits (_step_precision) and 2^E bounds the largest entry of the input
+    frame.  Returns (columns at offset h, tail), where tail is max |b_n|
+    over the last 6 terms of every column.
     """
     if not all(mp.isfinite(v) for col in columns for v in col):
         raise PathError("non-finite value in the frame")
-    groups, divisor, shift = recurrence
+    groups, divisor = recurrence
     r = len(columns[0])
-    if isinstance(h, tuple):
-        h = as_mpc(h)
+    h = as_mpc(h)
     hpow = [mpc(1)]
     for _ in range(r):
         hpow.append(hpow[-1] * h)
@@ -326,8 +314,8 @@ def _taylor_transport(recurrence, columns, h, nterms):
                 yre, yim = bre[i], bim[i]
                 xre += are * yre - aim * yim
                 xim += are * yim + aim * yre
-            bre.append((xre >> shift) // div)
-            bim.append((xim >> shift) // div)
+            bre.append(xre // div)
+            bim.append(xim // div)
     unit = frame_mag - prec
     weights = [[fall[n][d] for n in range(d, nterms)] for d in range(r)]
     out = []
@@ -340,59 +328,35 @@ def _taylor_transport(recurrence, columns, h, nterms):
     return out, mp.ldexp(mp.sqrt(worst), unit)
 
 
-def _dyadic(x: mpf, bits: int | None = None) -> Fraction:
-    """A nonnegative mpf as an exact binary fraction, cut down to its
-    leading `bits` significant bits when given (so never above x)."""
-    _, man, exp, bc = x._mpf_
-    if bits is not None and bc > bits:
-        man >>= bc - bits
-        exp += bc - bits
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def _steps(waypoints, sing, digits: int):
-    """The Taylor steps (z, h) along a polygon, segment by segment.
+    """The Taylor steps (z, h) along a polygon of exact waypoints, segment
+    by segment.
 
     A step from z goes STEP_FACTOR times the distance d from z to the
     nearest singular point, or to the segment's end if that is nearer.  On
-    a segment [a, w] with exact ends (Fraction pairs) z = a + t (w - a) and
-    h = dt (w - a) with t and dt exact: dt is that reach in units of
-    |w - a|, cut down to its leading STEP_BITS binary digits, or the rest
-    1 - t of the segment, so z and h are exact Gaussian rationals and no
-    step is longer than the full reach.  On any other segment z and h are
-    mpc and the step is the full reach.
+    a segment [a, w], z = a + t (w - a) and h = dt (w - a) with t and dt
+    exact: dt is that reach in units of |w - a|, cut down to its leading
+    STEP_BITS binary digits, or the rest 1 - t of the segment, so z and h
+    are exact Gaussian rationals and no step is longer than the full reach.
     """
     for a, w in zip(waypoints, waypoints[1:]):
-        if isinstance(a, tuple) and isinstance(w, tuple):
-            delta = (w[0] - a[0], w[1] - a[1])
-            if delta == (0, 0):
-                continue
-            length = abs(as_mpc(delta))
-            t = Fraction(0)
-            while t < 1:
-                z = (a[0] + t * delta[0], a[1] + t * delta[1])
-                rest = 1 - t
-                if sing:
-                    d = min(abs(as_mpc(z) - s) for s in sing)
-                    reach = d * mpf(STEP_FACTOR) / length
-                    if rest > _dyadic(reach):
-                        rest = _dyadic(reach, STEP_BITS)
-                if as_mpc(rest).real * length < mpf(10) ** (-digits):
-                    raise PathError("step size underflow near a singular point")
-                yield z, (rest * delta[0], rest * delta[1])
-                t += rest
+        delta = (w[0] - a[0], w[1] - a[1])
+        if delta == (0, 0):
             continue
-        z, w = as_mpc(a), as_mpc(w)
-        while abs(w - z) > 0:
-            d = min(abs(z - s) for s in sing) if sing else abs(w - z)
-            remaining = abs(w - z)
-            last = remaining <= d * mpf(STEP_FACTOR)
-            step = remaining if last else d * mpf(STEP_FACTOR)
-            if step < mpf(10) ** (-digits):
+        length = abs(as_mpc(delta))
+        t = Fraction(0)
+        while t < 1:
+            z = (a[0] + t * delta[0], a[1] + t * delta[1])
+            rest = 1 - t
+            if sing:
+                d = min(abs(as_mpc(z) - s) for s in sing)
+                reach = d * mpf(STEP_FACTOR) / length
+                if rest > _dyadic(reach):
+                    rest = _dyadic(reach, STEP_BITS)
+            if as_mpc(rest).real * length < mpf(10) ** (-digits):
                 raise PathError("step size underflow near a singular point")
-            h = (w - z) if last else (w - z) / remaining * step
-            yield z, h
-            z = w if last else z + h
+            yield z, (rest * delta[0], rest * delta[1])
+            t += rest
 
 
 def _check_clearance(waypoints, sing):
@@ -414,20 +378,19 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
 
     Step size is STEP_FACTOR (one half) times the distance to the nearest
     singular point, and the working term count targets a per-step
-    truncation below 10^-(digits+10).  On a segment between exact waypoints
-    (Fraction pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON) every
-    expansion point z = a + t (w - a) and step h = dt (w - a) is an exact
-    Gaussian rational: dt is that step in units of |w - a| rounded down to
-    STEP_BITS significant binary digits (see _steps), so no step is longer.
-    Each step advances all columns together through one Taylor recurrence
-    on Python integers (`_taylor_transport`): the step is rescaled to end
-    at t = 1, the scaled terms c_n h^n are ints carrying GUARD_BITS (80)
-    bits beyond the working precision, relative to the largest entry of
-    the frame, and the operator's normalized coefficients are Gaussian
-    integers over one divisor with one binary shift (_recurrence): exact
-    and small at an exact point, 2^P fixed-point values at an inexact one
-    (such as 2 sqrt 2 - 2).  Only the final sums and the division by h^d
-    run in mpmath.
+    truncation below 10^-(digits+10).  The waypoints are exact (Fraction
+    pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON, or the exact
+    binary value of an mpf such as 2 sqrt 2 - 2), so every expansion point
+    z = a + t (w - a) and step h = dt (w - a) is an exact Gaussian
+    rational: dt is that step in units of |w - a| rounded down to STEP_BITS
+    significant binary digits (see _steps), so no step is longer.  Each
+    step advances all columns together through one Taylor recurrence on
+    Python integers (`_taylor_transport`): the step is rescaled to end at
+    t = 1, the scaled terms c_n h^n are ints carrying GUARD_BITS (80) bits
+    beyond the working precision, relative to the largest entry of the
+    frame, and the operator's normalized coefficients are exact Gaussian
+    integers over one divisor (_recurrence).  Only the final sums and the
+    division by h^d run in mpmath.
 
     The tail of a step is the largest |c_n h^n| among its last 6 terms.
     That is a heuristic, not a bound: a step whose tail exceeds
@@ -494,7 +457,7 @@ def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath | Non
     the target itself; the canonical lower detour for lambda = 2; else the
     straight path from the canonical base."""
     with working_precision(digits):
-        t = as_mpc(_normalize_waypoint(target))
+        t = as_mpc(target)
         if 0 < abs(t) <= as_mpc(SERIES_RADIUS).real:
             return None
         if abs(t - 2) < mpf(10) ** -25:
@@ -523,16 +486,13 @@ def _seed(waypoints, sing, digits: int):
     the path reaches from its start without leaving the slit disk
     |lambda| <= SERIES_RADIUS, and the waypoints after it.
 
-    Only the leading segments with exact ends count, and every test is
-    exact: each step's end must lie in the closed disk, off (-inf, 0], and
-    the step must not cross (-inf, 0].  A path that starts outside that
-    slit disk, or at an inexact point, is its own seed."""
+    Every test is exact: each step's end must lie in the closed disk, off
+    (-inf, 0], and the step must not cross (-inf, 0].  A path that starts
+    outside that slit disk is its own seed."""
     seed, rest = waypoints[0], waypoints[1:]
-    if not (isinstance(seed, tuple) and _in_slit_disk(seed)):
+    if not _in_slit_disk(seed):
         return seed, rest
     for j, w in enumerate(waypoints[1:]):
-        if not isinstance(w, tuple):
-            break
         for z, h in _steps((waypoints[j], w), sing, digits):
             end = (z[0] + h[0], z[1] + h[1])
             if not _in_slit_disk(end) or _crosses_cut(z, end):
@@ -554,8 +514,7 @@ def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> S
     before the seed would have carried there; they are skipped, and
     continue_solution runs on (seed, *remaining waypoints).  A path that
     ends inside the slit disk is the series frame at its end; one that
-    starts outside it, or whose first segment has an inexact end, is
-    transported from its first waypoint."""
+    starts outside it is transported from its first waypoint."""
     op = legendre_operator()
     with working_precision(digits):
         sing = [as_mpc(s) for s in op.singular_points]
@@ -579,12 +538,11 @@ def tau_at(lambda_target, path: ContinuationPath | None = None,
     by default along default_path(lambda_target), or from the series there
     when that is None."""
     with working_precision(digits):
-        exact = _normalize_waypoint(lambda_target)
-        target = as_mpc(exact)
+        target = as_mpc(lambda_target)
         if path is None:
-            path = default_path(exact, digits)
+            path = default_path(lambda_target, digits)
         if path is None:
-            jet = periods.legendre_jet(exact, digits)
+            jet = periods.legendre_jet(lambda_target, digits)
             return jet.varpi1 / jet.varpi0
         end = as_mpc(path.waypoints[-1])
         if abs(end - target) > mpf(10) ** (-digits + 5) * max(mpf(1), abs(target)):

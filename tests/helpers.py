@@ -441,6 +441,31 @@ def reference_fermat_quartic_count(p: int) -> int:
     return total + pow4.count(-1 % p)
 
 
+def fermat_quartic_count_fp2(p: int) -> int:
+    """Points of x0^4 + x1^4 + x2^4 + x3^4 = 0 in P^3(F_(p^2)) for a prime
+    p = 3 mod 4, with F_(p^2) = F_p[i], i^2 = -1: the number of fourth
+    powers of each value, convolved over the four coordinates, gives the
+    affine cone's solutions, and (cone - 1)/(p^2 - 1) the projective ones."""
+    assert p % 4 == 3
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p
+
+    fourth = {}
+    for x in ((a, b) for a in range(p) for b in range(p)):
+        v = mul(mul(x, x), mul(x, x))
+        fourth[v] = fourth.get(v, 0) + 1
+    sums = {(0, 0): 1}
+    for _ in range(4):
+        nxt = {}
+        for s, c in sums.items():
+            for v, d in fourth.items():
+                k = ((s[0] + v[0]) % p, (s[1] + v[1]) % p)
+                nxt[k] = nxt.get(k, 0) + c * d
+        sums = nxt
+    return (sums[(0, 0)] - 1) // (p * p - 1)
+
+
 def hasse_ap_legendre(lam, p: int) -> int:
     """a_p of y^2 = x(x-1)(x-lam) from the Hasse invariant: the truncated
     period series gives a_p = (-1)^m sum_(k<=m) C(m,k)^2 lam^k (mod p),

@@ -6,8 +6,9 @@ import pytest
 from mpmath import mp, mpf
 
 import mirrorperiods.arith as arith
-from helpers import (ap_cubic, brute_euler_power, cornacchia_bp, hasse_ap_legendre,
-                     mask_ap_legendre, reference_ap_legendre, reference_fermat_quartic_count)
+from helpers import (ap_cubic, brute_euler_power, cornacchia_bp, fermat_quartic_count_fp2,
+                     hasse_ap_legendre, mask_ap_legendre, reference_ap_legendre,
+                     reference_fermat_quartic_count)
 from mirrorperiods.qseries import eta_product
 
 SAMPLE_LAMBDAS = (F(2), F(-7, 13), F(3, 5))
@@ -273,10 +274,23 @@ def test_zeta_record_lambda2_p13():
     assert r.sym2_match is True
 
 
-def test_zeta_record_lambda2_p3_mismatch_is_data():
+def test_zeta_record_lambda2_p3_twisted_match():
+    # chi_-4(3) = -1: the K3 factor is 1 - 9 T^2 and b_p = a_p^2 - p + p = 0
     r = _zeta_row(2, 3)
     assert r.a_p == 0 and r.b_p == 0
-    assert r.sym2_match is False  # recorded, never asserted
+    assert r.k3_factor == (1, 0, -9)
+    assert r.sym2_match is True
+
+
+@pytest.mark.parametrize("p, count", [(3, 280), (7, 3480)])
+def test_k3_factor_sign_from_count_over_fp2(p, count):
+    # N(F_(p^2)) = 1 + p^4 + 20 p^2 + (alpha^2 + beta^2) for the reciprocal
+    # roots of the K3 factor 1 - b_p T + c_p T^2, i.e. b_p^2 - 2 c_p: the
+    # count fixes the sign c_p = chi_-4(p) p^2 = -p^2 at p = 3 mod 4
+    r = _zeta_row(2, p)
+    one, minus_b, c = r.k3_factor
+    assert fermat_quartic_count_fp2(p) == count
+    assert count == 1 + p ** 4 + 20 * p * p + minus_b ** 2 - 2 * c
 
 
 def test_zeta_record_generic_lambda_has_no_k3_side():
@@ -289,7 +303,8 @@ def test_sym2_relation_all_good_primes_below_500():
         if rec.p % 4 == 1:
             assert rec.b_p == rec.a_p ** 2 - 2 * rec.p
         else:
-            assert rec.b_p == 0
+            assert rec.b_p == 0 == rec.a_p
+        assert rec.sym2_match is True
 
 
 def test_weil_bound_random_lambdas():

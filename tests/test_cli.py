@@ -406,12 +406,13 @@ def test_default_report_is_unchanged(capsys):
 
 
 @pytest.mark.parametrize("lam, digest", [
-    ("2", "6dc5fdf12fb1980f3d42208c1b8f6dc6f37a62a24c825c13f8b5321443208792"),
+    ("2", "4baa38587735699cdff5198e4c2fe1e1b596465c5ea437213c60fb5a662923cf"),
     ("-7/13", "ddbe22e56d111394e794c5d672e1b3b8f3747ae318e19b11f7283c3848777b71"),
 ])
 def test_zeta_report_to_5000_is_unchanged(lam, digest, capsys):
-    # sha256 of the JSON report as the bitmask character sum produced it;
-    # every a_p of the one-pass Hasse route must reproduce it byte for byte
+    # sha256 of the JSON report: its a_p as the bitmask character sum
+    # produced them, which the one-pass Hasse route must reproduce byte for
+    # byte, and at lambda = 2 the K3 factor with the character chi_-4
     code, out = run_main(["zeta", f"--lambda={lam}", "--pmax", "5000"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -115,23 +115,17 @@ KERNEL_STEPS = [
 KERNEL_COLUMNS = ((mpc(1, "0.5"), mpc("-0.25", 2)), (mpc(0, -3), mpc("1.5", 0)))
 
 
-def _kernel_step(name, z, direction, digits, exact):
-    """(recurrence, h, shifted, mpc h, nterms) for one step from z.  The
-    exact step is the one on a segment between exact waypoints: half the
-    reach cut to STEP_BITS binary digits, an exact Gaussian rational.  The
-    other has |h| = d/2 exactly, an irrational step at the mpc point z."""
+def _kernel_step(name, z, direction, digits):
+    """(recurrence, h, shifted, mpc h, nterms) for one step from z as
+    _steps takes it: half the reach cut to STEP_BITS binary digits, an
+    exact Gaussian rational.  shifted holds the operator's coefficients at
+    z, exact and realized in mpmath, for the reference."""
     op = pfode.legendre_operator() if name == "legendre" else PULLBACK_OPERATOR
-    zm = as_mpc(z)
-    d = min(abs(zm - as_mpc(s)) for s in op.singular_points)
-    u = mpc(*direction)
-    if exact:
-        dt = pfode._dyadic(d / 2 / abs(u), pfode.STEP_BITS)
-        h = (dt * direction[0], dt * direction[1])
-        recurrence = pfode._recurrence(op, z, h)
-    else:
-        h = u / abs(u) * d / 2
-        recurrence = pfode._recurrence(op, zm, h)
-    shifted = [pfode._shift_poly(p, zm) for p in op.coeff_polys]
+    d = min(abs(as_mpc(z) - as_mpc(s)) for s in op.singular_points)
+    dt = pfode._dyadic(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
+    h = (dt * direction[0], dt * direction[1])
+    recurrence = pfode._recurrence(op, z, h)
+    shifted = [[as_mpc(c) for c in pfode._shift_poly_exact(p, z)] for p in op.coeff_polys]
     nterms = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
     return recurrence, h, shifted, as_mpc(h), nterms
 
@@ -147,34 +141,30 @@ def _kernel_deviation(recurrence, cols, h, ref, nterms):
 @pytest.mark.parametrize("digits", [50, 200])
 @pytest.mark.parametrize("name, z, direction", KERNEL_STEPS)
 def test_taylor_kernel_matches_reference(name, z, direction, digits):
-    # both coefficient forms: exact small integers over a divisor (exact step)
-    # and 2^P fixed-point values (irrational step)
+    # the exact coefficients, Gaussian integers over one divisor, against
+    # a step made of mpc operations only
     with working_precision(digits):
         cols = [tuple(mpc(v) for v in col) for col in KERNEL_COLUMNS]
-        for exact in (True, False):
-            recurrence, h, shifted, hm, nterms = _kernel_step(name, z, direction, digits, exact)
-            assert (recurrence[2] == 0) == exact
-            ref = [reference_taylor_transport(shifted, 2, col, hm, nterms) for col in cols]
-            ref_tail = max(t for _, t in ref)
-            scale = max(abs(v) for vals, _ in ref for v in vals)
-            dev, tail = _kernel_deviation(recurrence, cols, h, ref, nterms)
-            assert dev < mpf(10) ** -digits * scale
-            assert ref_tail / 2 <= tail <= 2 * ref_tail
-            if not exact:
-                continue
-            # mutation check: one unit more in any integer coefficient, or in
-            # the divisor, must fail the same comparison
-            groups, divisor, shift = recurrence
-            mutants = [(groups, divisor + 1, shift)]
-            for s, terms in groups.items():
-                for t, (k, qre, qim) in enumerate(terms):
-                    for bumped in ((k, qre + 1, qim), (k, qre, qim + 1)):
-                        mutant = dict(groups)
-                        mutant[s] = terms[:t] + [bumped] + terms[t + 1:]
-                        mutants.append((mutant, divisor, shift))
-            for mutant in mutants:
-                dev, _ = _kernel_deviation(mutant, cols, h, ref, nterms)
-                assert dev >= mpf(10) ** -digits * scale
+        recurrence, h, shifted, hm, nterms = _kernel_step(name, z, direction, digits)
+        ref = [reference_taylor_transport(shifted, 2, col, hm, nterms) for col in cols]
+        ref_tail = max(t for _, t in ref)
+        scale = max(abs(v) for vals, _ in ref for v in vals)
+        dev, tail = _kernel_deviation(recurrence, cols, h, ref, nterms)
+        assert dev < mpf(10) ** -digits * scale
+        assert ref_tail / 2 <= tail <= 2 * ref_tail
+        # mutation check: one unit more in any integer coefficient, or in
+        # the divisor, must fail the same comparison
+        groups, divisor = recurrence
+        mutants = [(groups, divisor + 1)]
+        for s, terms in groups.items():
+            for t, (k, qre, qim) in enumerate(terms):
+                for bumped in ((k, qre + 1, qim), (k, qre, qim + 1)):
+                    mutant = dict(groups)
+                    mutant[s] = terms[:t] + [bumped] + terms[t + 1:]
+                    mutants.append((mutant, divisor))
+        for mutant in mutants:
+            dev, _ = _kernel_deviation(mutant, cols, h, ref, nterms)
+            assert dev >= mpf(10) ** -digits * scale
 
 
 def _walk_clear(points, clearance=0.1):
@@ -258,22 +248,35 @@ def _mpf_bits(x):
     return [hex(-int(man) if sign else int(man)), exp]
 
 
+def _psi_one_point(digits):
+    with working_precision(digits):
+        return 2 * mp.sqrt(2) - 2
+
+
 @pytest.mark.parametrize("digits", [40, 200])
 def test_psi_one_point_frame_is_bit_identical(digits):
-    # the segment to 2 sqrt 2 - 2 has an inexact end, so its steps keep the
-    # 2^P fixed-point coefficients: frame and tau are bit for bit the
-    # committed ones (computed before exact steps existed)
+    # frame and tau at 2 sqrt 2 - 2 are bit for bit the committed ones: the
+    # segment's end is the exact binary value of the mpf, so its steps are
+    # exact and seeded like any other path's
     want = json.loads((DATA / "frame_2sqrt2m2.json").read_text())["frames"][str(digits)]
-    with working_precision(digits):
-        lam = 2 * mp.sqrt(2) - 2
+    lam = _psi_one_point(digits)
     frame = pfode.continue_legendre(pfode.default_path(lam, digits), digits)
     values = [v for col in frame.columns for v in col] + [pfode.tau_at(lam, digits=digits)]
     assert [_mpf_bits(x) for v in values for x in (v.real, v.imag)] == want
 
 
+@pytest.mark.parametrize("digits", [120, 200])
+def test_psi_one_point_varpi0_matches_theta(digits):
+    # tau(2 sqrt 2 - 2) = i/sqrt 2, so varpi0 there is theta3(0, e^(-pi/sqrt 2))^2
+    lam = _psi_one_point(digits)
+    frame = pfode.continue_legendre(pfode.default_path(lam, digits), digits)
+    with working_precision(digits):
+        th2 = theta_const(3, mp.exp(-mp.pi / mp.sqrt(2)), digits) ** 2
+        assert abs(frame.columns[0][0] - th2) < mpf(10) ** (-(digits - 10))
+
+
 def test_tau_at_psi_one_point():
-    with working_precision(DIGITS):
-        lam = 2 * mp.sqrt(2) - 2
+    lam = _psi_one_point(DIGITS)
     tau = pfode.tau_at(lam, digits=DIGITS)
     with working_precision(DIGITS):
         assert abs(tau - mp.mpc(0, 1) / mp.sqrt(2)) < mpf(10) ** -30
@@ -343,9 +346,8 @@ def test_seed_stops_at_the_cut(loop):
         assert abs(w1b - (w1a + 2 * w0a)) < mpf(10) ** (-(DIGITS - 10))
 
 
-def test_canonical_path_is_seeded(monkeypatch):
-    # the steps inside |lambda| <= 1/2 are replaced by one series frame:
-    # 9 Taylor steps to lambda = 2 at 120 digits (14 from the first waypoint)
+def _count_steps(monkeypatch):
+    """The steps h that _taylor_transport is called with from now on."""
     steps = []
     transport = pfode._taylor_transport
 
@@ -354,8 +356,25 @@ def test_canonical_path_is_seeded(monkeypatch):
         return transport(recurrence, columns, h, nterms)
 
     monkeypatch.setattr(pfode, "_taylor_transport", counted)
+    return steps
+
+
+def test_canonical_path_is_seeded(monkeypatch):
+    # the steps inside |lambda| <= 1/2 are replaced by one series frame:
+    # 9 Taylor steps to lambda = 2 at 120 digits (14 from the first waypoint)
+    steps = _count_steps(monkeypatch)
     pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, 120)
     assert len(steps) <= 9
+
+
+@pytest.mark.parametrize("digits", [120, 200])
+def test_psi_one_point_path_is_seeded(monkeypatch, digits):
+    # the default path to 2 sqrt 2 - 2 is seeded inside |lambda| <= 1/2 and
+    # takes 2 Taylor steps (6 from the first waypoint)
+    lam = _psi_one_point(digits)
+    steps = _count_steps(monkeypatch)
+    pfode.continue_legendre(pfode.default_path(lam, digits), digits)
+    assert len(steps) <= 2
 
 
 def test_tau_at_degenerate_path_matches_series():
@@ -407,13 +426,30 @@ def test_path_json_roundtrip():
 
 
 def test_waypoint_normalization():
-    # exact points become Fraction pairs; inexact ones keep their value
-    lam = mpf(2) ** 0.5
-    p = pfode.ContinuationPath((2, F(1, 10), "0.1", ("0.1", F(-6, 5)), lam, (0.5, -0.25)))
-    assert p.waypoints[:4] == ((F(2), F(0)), (F(1, 10), F(0)), (F(1, 10), F(0)),
-                               (F(1, 10), F(-6, 5)))
-    assert p.waypoints[4] is lam
-    assert p.waypoints[5] == mpc(0.5, -0.25)
+    # every waypoint becomes an exact Fraction pair: exact input as its
+    # value, an mpmath or floating-point coordinate as its binary value
+    with working_precision(40):
+        root = mp.sqrt(2)
+        man, exp = root.man_exp
+        root_exact = F(man, 2 ** -exp)
+        assert as_mpc(root_exact) == root
+        p = pfode.ContinuationPath((
+            2, F(1, 10), "0.1", ("0.1", F(-6, 5)),
+            root, -root, mpc(-root, root), mpc(root, -1),
+            0.1, -0.75, complex(-0.1, 2.5), (0.5, -0.25), (-root, F(1, 3))))
+    assert p.waypoints == (
+        (F(2), F(0)), (F(1, 10), F(0)), (F(1, 10), F(0)), (F(1, 10), F(-6, 5)),
+        (root_exact, F(0)), (-root_exact, F(0)), (-root_exact, root_exact), (root_exact, F(-1)),
+        (F(0.1), F(0)), (F(-3, 4), F(0)), (F(-0.1), F(5, 2)), (F(1, 2), F(-1, 4)),
+        (-root_exact, F(1, 3)))
+    assert all(type(c) is F for w in p.waypoints for c in w)
+
+
+@pytest.mark.parametrize("point", [mp.inf, -mp.inf, mp.nan, mpc(1, mp.inf),
+                                   float("inf"), complex(0, float("nan")), (0.5, float("-inf"))])
+def test_non_finite_waypoint_raises(point):
+    with pytest.raises(pfode.PathError):
+        pfode.ContinuationPath((F(1, 10), point))
 
 
 def test_frame_anchoring_checked():
