@@ -30,7 +30,7 @@ from math import isqrt
 from mpmath import mp, mpf
 
 from . import __version__, arith, deligne, periods, pfode
-from .hyperfun import PrecisionError, waypoint_strings, working_precision
+from .hyperfun import PrecisionError, as_mpc, waypoint_strings, working_precision
 from .periods import Entry, judged
 from .qseries import SeriesError
 
@@ -71,9 +71,15 @@ class RunConfig:
             parser.error(f"--primes: p = {', '.join(beyond)} beyond "
                          f"--quartic-bound {self.quartic_bound}")
         path, target = getattr(args, "path", None), getattr(args, "target", None)
-        if path is not None and target != "2sqrt2-2":
+        if path is not None:
             end = path.waypoints[-1]
-            if end != (Fraction(target), 0):
+            if target != "2sqrt2-2":
+                at_target = end == (Fraction(target), 0)
+            else:  # tau_at's end test, at the run's precision
+                with working_precision(self.digits):
+                    lam = 2 * mp.sqrt(2) - 2
+                    at_target = abs(as_mpc(end) - lam) <= mpf(10) ** (5 - self.digits)
+            if not at_target:
                 parser.error(f"--path ends at [{end[0]}, {end[1]}], not at --target {target}")
 
     def to_dict(self) -> dict:

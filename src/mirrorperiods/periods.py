@@ -26,7 +26,9 @@ recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
 (80) bits beyond the working precision, in the style of mpmath's hypsum;
 mpmath only converts the argument in and combines the sums with log and pi.
 legendre_jet multiplies by an exact lambda's integer numerator and divides
-by its denominator along with the term ratio's.
+by its denominator along with the term ratio's.  dwork_periods takes its
+harmonic brackets, which do not depend on psi, from one table per
+fixed-point scale that every call shares (_harmonic_terms).
 The term counts are those of `_series_terms` (plus 10 for the Dwork side).
 """
 
@@ -297,6 +299,34 @@ def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
         return QuadMapResult(t, psi)
 
 
+# P -> (b, c, [H_4n, H_n, H2_4n, H2_n] at the last n) for _harmonic_terms
+_HARMONIC = {}
+
+
+def _harmonic_terms(prec: int, nterms: int):
+    """(b, c): at least nterms of the brackets b_n = H_4n - H_n and
+    c_n = b_n^2 - H2_4n + H2_n/4 of dwork_periods, as ints scaled by
+    2^prec.  They do not depend on psi, so one table per prec serves every
+    call; it is extended in place, each 1/j and 1/j^2 floored once, and
+    never rebuilt."""
+    b, c, sums = _HARMONIC.setdefault(prec, ([], [], [0, 0, 0, 0]))
+    if len(b) < nterms:
+        one = 1 << prec
+        h4, h1, h4_2, h1_2 = sums  # H_4n, H_n, H2_4n, H2_n
+        for n in range(len(b), nterms):
+            if n:
+                for j in range(4 * n - 3, 4 * n + 1):
+                    h4 += one // j
+                    h4_2 += one // (j * j)
+                h1 += one // n
+                h1_2 += one // (n * n)
+            bn = h4 - h1
+            b.append(bn)
+            c.append(((bn * bn) >> prec) - h4_2 + (h1_2 >> 2))
+        sums[:] = h4, h1, h4_2, h1_2
+    return b, c
+
+
 def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
     """W0, W1, W2 from their series near psi = infinity; tau = W1/W0.
 
@@ -307,9 +337,13 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
     The `_series_terms` + 10 terms are summed on fixed-point Python
     integers scaled by 2^P, P = mp.prec + GUARD_BITS: the terms
     T_n = a_n u^n, u = (4 psi)^-4, as (re, im) int pairs advanced by
-    T_(n+1) = T_n u (4n+1)(4n+2)(4n+3)(4n+4)/(n+1)^4, the four harmonic
-    sums as real ints, and pi^2/8 as one fixed-point constant times
-    sum T_n.  mpmath converts u in and applies the log(4 psi) combination.
+    T_(n+1) = T_n u (4n+1)(4n+2)(4n+3)(4n+4)/(n+1)^4, times the brackets
+    b_n = H_4n - H_n and c_n = b_n^2 - H2_4n + H2_n/4 as real ints, and
+    pi^2/8 as one fixed-point constant times sum T_n.  The brackets come
+    from the table of _harmonic_terms, shared by every psi at this P and
+    extended in place when a call needs more terms, so a run's calls at
+    one precision floor each 1/j and 1/j^2 once.  mpmath converts u in and
+    applies the log(4 psi) combination.
     """
     with working_precision(digits):
         psi = as_mpc(psi)
@@ -327,16 +361,7 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
         ure, uim = _to_fixed(u.real, prec), _to_fixed(u.imag, prec)
         tre, tim = one, 0
         w0re = w0im = s1re = s1im = s2re = s2im = 0
-        h4 = h1 = h4_2 = h1_2 = 0  # H_4n, H_n, H2_4n, H2_n
-        for n in range(nterms):
-            if n:
-                for j in range(4 * n - 3, 4 * n + 1):
-                    h4 += one // j
-                    h4_2 += one // (j * j)
-                h1 += one // n
-                h1_2 += one // (n * n)
-            b = h4 - h1
-            c = ((b * b) >> prec) - h4_2 + (h1_2 >> 2)
+        for n, b, c in zip(range(nterms), *_harmonic_terms(prec, nterms)):
             w0re += tre
             w0im += tim
             s1re += (tre * b) >> prec

@@ -4,13 +4,18 @@ Operators are stored in d/dx form with exact rational polynomial
 coefficients, and each states its finite singular points as exact data (0
 and 1 for the Legendre operator).  A fundamental solution system is
 transported along polygonal complex paths by repeated local Taylor
-expansion with step size half the distance to the nearest singularity.
-Each step runs the Taylor recurrence once for all columns on Python
-integers (the scheme of mpmath's hypsum; van der Hoeven, "Fast evaluation
-of holonomic functions", TCS 210, 1999); mpmath only sets up the step and
-reads off the result.  Every waypoint is stored as an exact (re, im)
-Fraction pair; an mpf, mpc, float or complex coordinate is stored as its
-exact binary value (_dyadic), which loses nothing.  So every expansion
+expansion with step size at most half the distance to the nearest
+singularity.  Each step runs the Taylor recurrence once for all columns on
+Python integers (the scheme of mpmath's hypsum; van der Hoeven, "Fast
+evaluation of holonomic functions", TCS 210, 1999); mpmath only sets up the
+step and reads off the result.  The recurrence's coefficient rows and
+divisors are built for every term before the first, and the derivatives
+are read off suffix sums of the terms, both by additions only.  A step
+takes as many terms as its own ratio rho = |h| / (distance to the nearest
+singular point) asks for: a full step (rho = 1/2) as many as ever, a
+segment's shorter last step fewer.  Every waypoint is stored as an exact
+(re, im) Fraction pair; an mpf, mpc, float or complex coordinate is stored
+as its exact binary value (_dyadic), which loses nothing.  So every expansion
 point and step is an exact Gaussian rational (the step in the segment's
 parameter is rounded down to STEP_BITS significant binary digits), and the
 recurrence coefficients are Gaussian integers over one positive divisor:
@@ -39,8 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import accumulate, islice, repeat
+from math import factorial, lcm, perm, prod
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float
@@ -251,6 +256,20 @@ def _recurrence(op: FuchsianOperator, z, h):
     return groups, divisor
 
 
+def _poly_row(q, s: int, n: int):
+    """The values sum_k q[k] (m+s)_k for m = 0, ..., n-1 (an iterator), with
+    (i)_k the falling factorial: the polynomial's forward differences at
+    m = 0, Delta^j = sum_k q[k] (k)_j (s)_(k-j), summed up len(q) - 1
+    times, so the row costs additions only."""
+    deg = len(q) - 1
+    diffs = [sum(qk * perm(k, j) * prod(range(s, s - k + j, -1))
+                 for k, qk in enumerate(q) if k >= j) for j in range(deg + 1)]
+    row = repeat(diffs[deg], n - deg)
+    for d in reversed(diffs[:deg]):
+        row = accumulate(row, initial=d)
+    return row
+
+
 def _taylor_transport(recurrence, columns, h, nterms):
     """One Taylor step for every column at once, on Python integers.
 
@@ -264,15 +283,20 @@ def _taylor_transport(recurrence, columns, h, nterms):
     with p_kj the Taylor coefficients of the k-th operator coefficient at
     the expansion point and (i)_k the falling factorial.  `recurrence` is
     (groups, divisor) from _recurrence: groups[s] lists the (k, re, im)
-    with q_(k,s) = (re + i im) / divisor, so A_s(m) is a Gaussian integer
-    formed once per m and shared by all columns, and each new term is one
-    product sum floored by divisor (m+r)_r.  At a short rational point the
-    divisor is a small integer, so a term costs O(P) bit operations rather
-    than a P-bit product.  h is the step as an exact Fraction pair.  Every
-    b_n is an int pair scaled by 2^(P-E), where P is the step's working
-    bits (_step_precision) and 2^E bounds the largest entry of the input
-    frame.  Returns (columns at offset h, tail), where tail is max |b_n|
-    over the last 6 terms of every column.
+    with q_(k,s) = (re + i im) / divisor, so each A_s(m) is a Gaussian
+    integer.  The rows A_s(m) and the divisors divisor (m+r)_r are built
+    for every m before the first term, by additions only (_poly_row), and
+    each new term is one product sum floored by its divisor, shared by all
+    columns.  At a short rational point the divisor is a small integer, so
+    a term costs O(P) bit operations rather than a P-bit product.  h is the
+    step as an exact Fraction pair.  Every b_n is an int pair scaled by
+    2^(P-E), where P is the step's working bits (_step_precision) and 2^E
+    bounds the largest entry of the input frame; b_n for n < 0 is a
+    leading zero of the column's lists, so every row applies from m = 0.
+    The value is sum b_n, and the d-th derivative times h^d is
+    sum (n)_d b_n = d! times the (d+1)-fold suffix sum of the b_n at n = d,
+    formed by additions.  Returns (columns at offset h, tail), where tail
+    is max |b_n| over the last 6 terms of every column.
     """
     if not all(mp.isfinite(v) for col in columns for v in col):
         raise PathError("non-finite value in the frame")
@@ -285,29 +309,24 @@ def _taylor_transport(recurrence, columns, h, nterms):
     prec = _step_precision(r, h)
     frame_mag = max((mp.mag(v) for col in columns for v in col if v), default=0)
     scale = prec - frame_mag
-    fall = [[1] * (r + 1) for _ in range(nterms)]
-    for i in range(nterms):
-        row = fall[i]
-        for k in range(1, r + 1):
-            row[k] = row[k - 1] * (i - k + 1)
+    pad = max(0, -min(groups))  # b_n sits at index n + pad
+    n = nterms - r
+    rows = []  # per s: (index of b_(m+s), A_s(m).re, A_s(m).im) for m = 0, 1, ...
+    for s, terms in groups.items():
+        qre, qim = [0] * (r + 1), [0] * (r + 1)
+        for k, re, im in terms:
+            qre[k], qim[k] = re, im
+        rows.append(zip(range(s + pad, s + pad + n), _poly_row(qre, s, n), _poly_row(qim, s, n)))
+    divisors = _poly_row([0] * r + [divisor], r, n)
     cols = []
     for col in columns:
-        bre, bim = [], []
+        bre, bim = [0] * pad, [0] * pad
         for k in range(r):
             b = col[k] * hpow[k] / mp.factorial(k)
             bre.append(_to_fixed(b.real, scale))
             bim.append(_to_fixed(b.imag, scale))
         cols.append((bre, bim))
-    dense = []  # (s, [q_(k,s).re for k <= r], [q_(k,s).im for k <= r])
-    for s, terms in groups.items():
-        qre, qim = [0] * (r + 1), [0] * (r + 1)
-        for k, re, im in terms:
-            qre[k], qim[k] = re, im
-        dense.append((s, qre, qim))
-    for m in range(nterms - r):
-        coefs = [(m + s, sum(map(mul, qre, fall[m + s])), sum(map(mul, qim, fall[m + s])))
-                 for s, qre, qim in dense if m + s >= 0]
-        div = divisor * fall[m + r][r]
+    for coefs, div in zip(zip(*rows), divisors):
         for bre, bim in cols:
             xre = xim = 0
             for i, are, aim in coefs:
@@ -317,14 +336,18 @@ def _taylor_transport(recurrence, columns, h, nterms):
             bre.append(xre // div)
             bim.append(xim // div)
     unit = frame_mag - prec
-    weights = [[fall[n][d] for n in range(d, nterms)] for d in range(r)]
     out = []
     for bre, bim in cols:
-        out.append(tuple(_from_fixed(sum(map(mul, bre[d:], weights[d])),
-                                     sum(map(mul, bim[d:], weights[d])), -unit) / hpow[d]
-                         for d in range(r)))
-    worst = max(bre[n] ** 2 + bim[n] ** 2 for bre, bim in cols
-                for n in range(max(nterms - 6, 0), nterms))
+        derivs = []
+        for d in range(r):
+            sre, sim = reversed(bre), reversed(bim)
+            for _ in range(d):
+                sre, sim = accumulate(sre), accumulate(sim)
+            derivs.append(_from_fixed(sum(islice(sre, nterms - d)) * factorial(d),
+                                      sum(islice(sim, nterms - d)) * factorial(d),
+                                      -unit) / hpow[d])
+        out.append(tuple(derivs))
+    worst = max(bre[i] ** 2 + bim[i] ** 2 for bre, bim in cols for i in range(-6, 0))
     return out, mp.ldexp(mp.sqrt(worst), unit)
 
 
@@ -359,6 +382,19 @@ def _steps(waypoints, sing, digits: int):
             t += rest
 
 
+def _step_terms(z, h, sing, digits: int) -> int:
+    """Taylor terms of the step h from z:
+    ceil((digits + GUARD_DIGITS + 10) ln 10 / ln(1/rho)) + 16, where
+    rho = |h| / (distance from z to the nearest singular point) <= STEP_FACTOR
+    is the ratio by which the step's terms fall.  A full step (rho =
+    STEP_FACTOR) gets the most terms; a shorter one, such as the last step
+    of a segment, fewer."""
+    rho = mpf(STEP_FACTOR)
+    if sing:
+        rho = min(rho, abs(as_mpc(h)) / min(abs(as_mpc(z) - s) for s in sing))
+    return int(mp.ceil((digits + GUARD_DIGITS + 10) * mp.log(10) / -mp.log(rho))) + 16
+
+
 def _check_clearance(waypoints, sing):
     """Raise PathError if a segment of the polygon comes nearer than
     CLEARANCE to a singular point."""
@@ -376,9 +412,12 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
                       initial: SolutionFrame, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
     """Transport a fundamental system along the path by local Taylor steps.
 
-    Step size is STEP_FACTOR (one half) times the distance to the nearest
-    singular point, and the working term count targets a per-step
-    truncation below 10^-(digits+10).  The waypoints are exact (Fraction
+    Step size is at most STEP_FACTOR (one half) times the distance to the
+    nearest singular point, and each step's term count targets a truncation
+    below 10^-(digits+10) at its own ratio rho = |h| / (that distance)
+    (_step_terms): ceil((digits + GUARD_DIGITS + 10) ln 10 / ln(1/rho)) + 16,
+    the count of a full step at rho = 1/2 and fewer for a shorter one, such
+    as a segment's last.  The waypoints are exact (Fraction
     pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON, or the exact
     binary value of an mpf such as 2 sqrt 2 - 2), so every expansion point
     z = a + t (w - a) and step h = dt (w - a) is an exact Gaussian
@@ -409,13 +448,11 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
             raise PathError("initial frame is not anchored at the first waypoint")
         eps = mpf(10) ** (-(digits + 10))
-        base_terms = int(mp.ceil((digits + GUARD_DIGITS + 10) * mp.log(10) /
-                                 mp.log(1 / mpf(STEP_FACTOR)))) + 16
         cols = [tuple(col) for col in initial.columns]
         err = mpf(initial.error_estimate)
         for z, h in _steps(path.waypoints, sing, digits):
             recurrence = _recurrence(op, z, h)
-            nterms = base_terms
+            nterms = _step_terms(z, h, sing, digits)
             for attempt in range(6):
                 new_cols, tail_worst = _taylor_transport(recurrence, cols, h, nterms)
                 scale = max(max(abs(v) for v in col) for col in new_cols)

@@ -3,14 +3,15 @@ implementations used to cross-check the package's own routines."""
 
 from fractions import Fraction
 from math import comb, isqrt
+from operator import mul
 
 from mpmath import mp, mpc, mpf
 
 from mirrorperiods.arith import BadReductionError
-from mirrorperiods.hyperfun import (DEFAULT_DIGITS, PrecisionError, as_mpc, eta_value,
-                                   working_precision)
+from mirrorperiods.hyperfun import (DEFAULT_DIGITS, PrecisionError, _from_fixed, _to_fixed,
+                                   as_mpc, eta_value, working_precision)
 from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms, varpi0_series
-from mirrorperiods.pfode import FuchsianOperator
+from mirrorperiods.pfode import FuchsianOperator, PathError, _step_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 
@@ -186,8 +187,68 @@ def reference_log(a):
 
 
 # ---------------------------------------------------------------------------
-# mpmath reference for the fixed-point Taylor kernel
+# references for the fixed-point Taylor kernel
 # ---------------------------------------------------------------------------
+
+
+def reference_int_transport(recurrence, columns, h, nterms):
+    """pfode._taylor_transport before its rows and divisors were built
+    ahead of the terms: the same integer recurrence, with A_s(m) formed
+    per term from a table of falling factorials (i)_k and every derivative
+    summed with its weights (n)_d.  The kernel must return equal columns
+    and tail."""
+    if not all(mp.isfinite(v) for col in columns for v in col):
+        raise PathError("non-finite value in the frame")
+    groups, divisor = recurrence
+    r = len(columns[0])
+    h = as_mpc(h)
+    hpow = [mpc(1)]
+    for _ in range(r):
+        hpow.append(hpow[-1] * h)
+    prec = _step_precision(r, h)
+    frame_mag = max((mp.mag(v) for col in columns for v in col if v), default=0)
+    scale = prec - frame_mag
+    fall = [[1] * (r + 1) for _ in range(nterms)]
+    for i in range(nterms):
+        row = fall[i]
+        for k in range(1, r + 1):
+            row[k] = row[k - 1] * (i - k + 1)
+    cols = []
+    for col in columns:
+        bre, bim = [], []
+        for k in range(r):
+            b = col[k] * hpow[k] / mp.factorial(k)
+            bre.append(_to_fixed(b.real, scale))
+            bim.append(_to_fixed(b.imag, scale))
+        cols.append((bre, bim))
+    dense = []  # (s, [q_(k,s).re for k <= r], [q_(k,s).im for k <= r])
+    for s, terms in groups.items():
+        qre, qim = [0] * (r + 1), [0] * (r + 1)
+        for k, re, im in terms:
+            qre[k], qim[k] = re, im
+        dense.append((s, qre, qim))
+    for m in range(nterms - r):
+        coefs = [(m + s, sum(map(mul, qre, fall[m + s])), sum(map(mul, qim, fall[m + s])))
+                 for s, qre, qim in dense if m + s >= 0]
+        div = divisor * fall[m + r][r]
+        for bre, bim in cols:
+            xre = xim = 0
+            for i, are, aim in coefs:
+                yre, yim = bre[i], bim[i]
+                xre += are * yre - aim * yim
+                xim += are * yim + aim * yre
+            bre.append(xre // div)
+            bim.append(xim // div)
+    unit = frame_mag - prec
+    weights = [[fall[n][d] for n in range(d, nterms)] for d in range(r)]
+    out = []
+    for bre, bim in cols:
+        out.append(tuple(_from_fixed(sum(map(mul, bre[d:], weights[d])),
+                                     sum(map(mul, bim[d:], weights[d])), -unit) / hpow[d]
+                         for d in range(r)))
+    worst = max(bre[n] ** 2 + bim[n] ** 2 for bre, bim in cols
+                for n in range(max(nterms - 6, 0), nterms))
+    return out, mp.ldexp(mp.sqrt(worst), unit)
 
 
 def reference_taylor_transport(shifted, r, inits, h, nterms):
@@ -634,3 +695,14 @@ PULLBACK_OPERATOR = FuchsianOperator((
     (4, -10, 6, -1),
     (0, 4, -8, 5, -1),
 ), ((0, 0), (1, 0), (2, 0)))
+
+
+# D o (Legendre operator), of order 3: lam(1-lam) D^3 + 2(1-2 lam) D^2 - (9/4) D,
+# singular at 0, 1 and infinity; its solutions are varpi0, varpi1 and the
+# solutions of (Legendre operator) y = 1.
+D_LEGENDRE_OPERATOR = FuchsianOperator((
+    (0,),
+    (Fraction(-9, 4),),
+    (2, -4),
+    (0, 1, -1),
+), ((0, 0), (1, 0)))

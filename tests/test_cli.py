@@ -529,6 +529,30 @@ def test_path_ending_at_target_is_accepted(capsys):
     assert entry["name"] == "tau(1/2)" and entry["passed"] is True
 
 
+def test_replayed_2sqrt2m2_path_is_a_usage_error(capsys):
+    # the report prints the path's end to 30 digits, about 1e-31 off
+    # 2 sqrt 2 - 2: replayed, the path misses the target by more than
+    # tau_at's 10^-(digits-5), which is bad input (exit 2), not a failed check
+    code, out = run_main(["continue", "--target", "2sqrt2-2"], capsys)
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    printed = json.dumps(entry["path"])
+    assert printed == '[["0.1", "0.0"], ["0.828427124746190097603377448419", "0.0"]]'
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["continue", "--target", "2sqrt2-2", "--path", printed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mirrorperiods continue")
+    assert "not at --target 2sqrt2-2" in err
+    # an end within 10^-(digits-5) of the target is accepted
+    with working_precision(60):
+        end = mp.nstr(2 * mp.sqrt(2) - 2, 60)
+    code, out = run_main(["continue", "--target", "2sqrt2-2", "--digits", "50",
+                          "--path", json.dumps([["0.1", "0"], [end, "0"]])], capsys)
+    assert code == 0
+    assert json.loads(out)["entries"][0]["passed"] is True
+
+
 def test_failure_reasons_in_text_and_tsv(monkeypatch, capsys):
     code, out = run_main(["continue", "--target", "3", "--digits", "40", "--format", "text"],
                          capsys)

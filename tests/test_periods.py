@@ -56,7 +56,9 @@ def test_h_series_coefficient_from_period_integral():
     varpi1 = -(1/pi i) * integral_lam^1 dx/sqrt(x(1-x)(x-lam)) gives
     h(lam) = -Q(lam) - varpi0(lam) (log lam - log 16) at 30 sample points;
     a Vandermonde solve on the smallest nine points then recovers the
-    leading coefficients.
+    leading coefficients.  Q is integrated after x = lam + (1-lam) sin^2 th,
+    which leaves 2/sqrt(lam + (1-lam) sin^2 th), smooth on [0, pi/2]; its
+    value is pi/AGM(1, sqrt(lam)).
     """
     with mp.workdps(110):
         n = 30
@@ -64,7 +66,9 @@ def test_h_series_coefficient_from_period_integral():
         b = mp.matrix(n, 1)
         for i in range(n):
             lam = mpf(i + 1) * mpf("0.004")
-            q = mp.quad(lambda x: 1 / mp.sqrt(x * (1 - x) * (x - lam)), [lam, 1])
+            q = mp.quad(lambda th: 2 / mp.sqrt(lam + (1 - lam) * mp.sin(th) ** 2),
+                        [0, mp.pi / 2])
+            assert abs(q - mp.pi / agm(1, mp.sqrt(lam), 110)) < mpf(10) ** -105
             w0 = periods.legendre_jet(lam, 60).varpi0
             b[i] = -q - w0 * (mp.log(lam) - mp.log(16))
             for k in range(1, n + 1):
@@ -331,6 +335,28 @@ def test_legendre_jet_precision_doubling():
 def test_dwork_periods_precision_doubling():
     psi = (F(3, 4), F(3, 4))
     _assert_doubling(periods.dwork_periods(psi, 200), periods.dwork_periods(psi, 400))
+
+
+def test_dwork_periods_independent_of_the_harmonic_table(monkeypatch):
+    # the harmonic brackets, shared by every psi at one precision, give
+    # equal results from a cold table, from one already longer, and from
+    # one first built at another precision
+    near, far = (F(11, 10), F(1, 5)), 5  # many terms, few terms
+    monkeypatch.setattr(periods, "_HARMONIC", {})
+    cold = [periods.dwork_periods(far, DIGITS)]
+    [table] = periods._HARMONIC.values()
+    built = len(table[0])
+    cold.append(periods.dwork_periods(near, DIGITS))
+    [grown] = periods._HARMONIC.values()
+    assert grown is table and len(table[0]) > built  # extended in place
+    monkeypatch.setattr(periods, "_HARMONIC", {})
+    periods.dwork_periods(near, DIGITS)
+    longer = [periods.dwork_periods(far, DIGITS), periods.dwork_periods(near, DIGITS)]
+    monkeypatch.setattr(periods, "_HARMONIC", {})
+    periods.dwork_periods(near, 2 * DIGITS)
+    other = [periods.dwork_periods(far, DIGITS), periods.dwork_periods(near, DIGITS)]
+    assert len(periods._HARMONIC) == 2
+    assert cold == longer == other
 
 
 def test_dwork_divergence_region_rejected():

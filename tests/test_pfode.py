@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import PULLBACK_OPERATOR, reference_taylor_transport
+from helpers import (D_LEGENDRE_OPERATOR, PULLBACK_OPERATOR, reference_int_transport,
+                     reference_taylor_transport)
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
@@ -113,6 +114,8 @@ KERNEL_STEPS = [
     ("pullback", (F(2), F(1, 10)), (-1, 3)),
 ]
 KERNEL_COLUMNS = ((mpc(1, "0.5"), mpc("-0.25", 2)), (mpc(0, -3), mpc("1.5", 0)))
+KERNEL_OPERATORS = {"legendre": pfode.legendre_operator(), "pullback": PULLBACK_OPERATOR,
+                    "d-legendre": D_LEGENDRE_OPERATOR}
 
 
 def _kernel_step(name, z, direction, digits):
@@ -120,7 +123,7 @@ def _kernel_step(name, z, direction, digits):
     _steps takes it: half the reach cut to STEP_BITS binary digits, an
     exact Gaussian rational.  shifted holds the operator's coefficients at
     z, exact and realized in mpmath, for the reference."""
-    op = pfode.legendre_operator() if name == "legendre" else PULLBACK_OPERATOR
+    op = KERNEL_OPERATORS[name]
     d = min(abs(as_mpc(z) - as_mpc(s)) for s in op.singular_points)
     dt = pfode._dyadic(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
     h = (dt * direction[0], dt * direction[1])
@@ -165,6 +168,23 @@ def test_taylor_kernel_matches_reference(name, z, direction, digits):
         for mutant in mutants:
             dev, _ = _kernel_deviation(mutant, cols, h, ref, nterms)
             assert dev >= mpf(10) ** -digits * scale
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("name, z, direction", KERNEL_STEPS + [
+    ("d-legendre", (F(1, 10), F(-3, 5)), (1, 0)),
+])
+def test_taylor_kernel_equals_int_reference(name, z, direction, digits):
+    # the rows built ahead of the terms and the suffix sums change no
+    # integer: columns and tail are equal to the per-term kernel's, at the
+    # full term count and at a short one
+    with working_precision(digits):
+        recurrence, h, _, _, nterms = _kernel_step(name, z, direction, digits)
+        r = KERNEL_OPERATORS[name].order
+        cols = [tuple(mpc(k + 1, i - k) / (k + 2) for k in range(r)) for i in range(r)]
+        for count in (nterms, 40):
+            assert pfode._taylor_transport(recurrence, cols, h, count) == \
+                reference_int_transport(recurrence, cols, h, count)
 
 
 def _walk_clear(points, clearance=0.1):
@@ -347,12 +367,12 @@ def test_seed_stops_at_the_cut(loop):
 
 
 def _count_steps(monkeypatch):
-    """The steps h that _taylor_transport is called with from now on."""
+    """The (h, nterms) that _taylor_transport is called with from now on."""
     steps = []
     transport = pfode._taylor_transport
 
     def counted(recurrence, columns, h, nterms):
-        steps.append(h)
+        steps.append((h, nterms))
         return transport(recurrence, columns, h, nterms)
 
     monkeypatch.setattr(pfode, "_taylor_transport", counted)
@@ -375,6 +395,26 @@ def test_psi_one_point_path_is_seeded(monkeypatch, digits):
     steps = _count_steps(monkeypatch)
     pfode.continue_legendre(pfode.default_path(lam, digits), digits)
     assert len(steps) <= 2
+
+
+@pytest.mark.parametrize("digits", [120, 200])
+@pytest.mark.parametrize("target", ["2", "2sqrt2-2"])
+def test_step_terms_pass_the_tail_test_at_once(monkeypatch, target, digits):
+    # each step's term count comes from its own ratio rho = |h| / distance
+    # to the nearest singular point: no step is redone with more terms, and
+    # none gets more than a full step at rho = 1/2 gets
+    path = (pfode.CANONICAL_PATH_TO_TWO if target == "2"
+            else pfode.default_path(_psi_one_point(digits), digits))
+    calls = _count_steps(monkeypatch)
+    pfode.continue_legendre(path, digits)
+    with working_precision(digits):
+        sing = [as_mpc(s) for s in pfode.legendre_operator().singular_points]
+        seed, rest = pfode._seed(path.waypoints, sing, digits)
+        steps = list(pfode._steps((seed, *rest), sing, digits))
+        full = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
+    assert [h for h, _ in calls] == [h for _, h in steps]
+    assert max(n for _, n in calls) <= full
+    assert min(n for _, n in calls) < full
 
 
 def test_tau_at_degenerate_path_matches_series():
