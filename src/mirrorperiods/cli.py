@@ -13,7 +13,9 @@ Exit codes: 0 every non-informational entry passed, 1 some check failed,
 RunConfig.validate, with the typed command's usage line).  After that, a
 computation error in a selection is one FAIL entry named after it.
 Identical configuration and version produce byte-identical output;
---timings adds wall-clock data and deliberately breaks that.
+--timings adds wall-clock data and deliberately breaks that: seconds on
+each identity entry, and the report's total_seconds and selection_seconds
+(one wall time per selection).
 """
 
 from __future__ import annotations
@@ -358,11 +360,14 @@ def main(argv=None) -> int:
         cfg.validate(args.subparser, sel)
     t0 = time.perf_counter()
     entries = []
+    seconds = {}
     for name, sel in selections:
+        start = time.perf_counter()
         try:
             entries += COMMANDS[sel.command](cfg, sel)
         except COMPUTATION_ERRORS as exc:
             entries.append(Entry(name, False, data={"error": f"{type(exc).__name__}: {exc}"}))
+        seconds[name] = round(time.perf_counter() - start, 3)
     overall = all(e.passed for e in entries if not e.informational)
     entries = [e.to_dict() for e in entries]
     report = {
@@ -375,6 +380,7 @@ def main(argv=None) -> int:
     }
     if cfg.timings:
         report["total_seconds"] = round(time.perf_counter() - t0, 3)
+        report["selection_seconds"] = seconds
     if cfg.fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif cfg.fmt == "tsv":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import ceil, log
 
 from mpmath import mp, mpc, mpf
 
@@ -88,6 +89,60 @@ def waypoint_strings(w) -> list:
         with mp.workprec(max(x.numerator.bit_length(), 53)):
             return mp.nstr(mpf(x.numerator) / x.denominator, 30)
     return [fmt(w[0]), fmt(w[1])]
+
+
+# Bits kept in the directed-rounding power bounds of decay_terms.
+_BOUND_BITS = 64
+
+
+def _round_bits(m: int, s: int, up: bool):
+    """m 2^s rounded to _BOUND_BITS significant bits, up or down."""
+    cut = m.bit_length() - _BOUND_BITS
+    if cut <= 0:
+        return m, s
+    return (-(-m >> cut) if up else m >> cut), s + cut
+
+
+def _power_bound(p: int, q: int, n: int, up: bool):
+    """(m, s) with m 2^s >= (p/q)^n if up, else <= it: (p/q)^n by repeated
+    squaring with every product rounded to _BOUND_BITS bits that way."""
+    e = q.bit_length() - p.bit_length() + _BOUND_BITS
+    m, rem = divmod(p << e, q)
+    m, s = m + (up and rem > 0), -e
+    rm, rs = 1, 0
+    while True:
+        if n & 1:
+            rm, rs = _round_bits(rm * m, rs + s, up)
+        n >>= 1
+        if not n:
+            return rm, rs
+        m, s = _round_bits(m * m, 2 * s, up)
+
+
+def decay_terms(ratio2: Fraction, digits: int) -> int:
+    """The least n >= 1 with ratio2^n <= 10^(-2 digits), for 0 < ratio2 < 1:
+    the terms after which a series whose terms fall by sqrt(ratio2) drops
+    below 10^-digits.  Decided exactly on Python ints: a float first guess,
+    then comparisons of 10^(-2 digits) with 64-bit bounds of ratio2^n
+    rounded up and down (_power_bound); only when those cannot tell n - 1
+    terms from n are ratio2's own powers compared."""
+    p, q = ratio2.numerator, ratio2.denominator
+    target = 10 ** (2 * digits)
+
+    def below(n, up):  # whether a bound of ratio2^n is <= 10^(-2 digits)
+        m, s = _power_bound(p, q, n, up)
+        return s < 0 and m * target <= 1 << -s
+
+    n = max(1, ceil(2 * digits * log(10) / (log(q) - log(p))))
+    while not below(n, True):
+        n += 1
+    while n > 1 and below(n - 1, True):
+        n -= 1
+    # ratio2^n <= 10^(-2 digits) < ratio2^(n-1), unless the lower bound of
+    # ratio2^(n-1) is below 10^(-2 digits) too
+    while n > 1 and below(n - 1, False) and p ** (n - 1) * target <= q ** (n - 1):
+        n -= 1
+    return n
 
 
 def _to_fixed(x: mpf, shift: int) -> int:

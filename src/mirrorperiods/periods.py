@@ -26,10 +26,13 @@ recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
 (80) bits beyond the working precision, in the style of mpmath's hypsum;
 mpmath only converts the argument in and combines the sums with log and pi.
 legendre_jet multiplies by an exact lambda's integer numerator and divides
-by its denominator along with the term ratio's.  dwork_periods takes its
-harmonic brackets, which do not depend on psi, from one table per
-fixed-point scale that every call shares (_harmonic_terms).
-The term counts are those of `_series_terms` (plus 10 for the Dwork side).
+by its denominator along with the term ratio's, and takes the weighted
+sums sum m x_m of its derivatives from running sums of partial sums, by
+additions.  dwork_periods takes its harmonic brackets, which do not depend
+on psi, from one table per fixed-point scale that every call shares
+(_harmonic_terms).  The term counts are those of `_series_terms` (plus 10
+for the Dwork side), decided exactly on |x|^2: a Fraction for an exact
+lambda, the exact binary value of the mpf |x| otherwise.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from mpmath import mp, mpc, mpf
 
 from . import hyperfun
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed, _to_fixed,
-                       as_mpc, eta_value, exact_pair, frobenius_series, half_nome,
-                       hyp2f1_series, theta_const, waypoint_strings, working_precision)
+                       as_mpc, decay_terms, eta_value, exact_pair, frobenius_series,
+                       half_nome, hyp2f1_series, theta_const, waypoint_strings,
+                       working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
 _PAD = 8  # extra exact-series slots so residuals stay provable at the asked order
@@ -203,12 +207,21 @@ class QuadMapResult(NamedTuple):
     psi: mpc
 
 
-def _series_terms(absx, digits: int) -> int:
-    """Terms needed for a tail ~ |x|^N to drop below the guarded target."""
-    if absx == 0:
+def _binary2(x: mpf) -> Fraction:
+    """The square of an mpf's exact binary value."""
+    man, exp = x.man_exp
+    return Fraction(man * man) * Fraction(2) ** (2 * exp)
+
+
+def _series_terms(abs2: Fraction, digits: int) -> int:
+    """Terms needed for a tail ~ |x|^N to drop below the guarded target,
+    from the exact abs2 = |x|^2 (a Fraction for an exact x, else the square
+    of the mpf |x|'s binary value): the least N with
+    |x|^N <= 10^-(digits + GUARD_DIGITS + 5), decided on integers
+    (hyperfun.decay_terms), plus 10, and at least 12."""
+    if abs2 == 0:
         return 2
-    n = int(mp.ceil((digits + hyperfun.GUARD_DIGITS + 5) * mp.log(10) / -mp.log(absx)))
-    return max(n + 10, 12)
+    return max(decay_terms(abs2, digits + hyperfun.GUARD_DIGITS + 5) + 10, 12)
 
 
 def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
@@ -226,7 +239,9 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
 
     so the derivatives are sum m d_m and sum m e_m, and the values
     1 + lam sum d_m and lam sum e_m need no division by lam (which would
-    cost |log2 lam| bits of the fixed-point sums).  An exact lam (Fraction,
+    cost |log2 lam| bits of the fixed-point sums).  With S_m the partial
+    sums and T the sum of S_1, ..., S_N, sum_(m<=N) m d_m = (N+1) S_N - T,
+    so the weighted sums cost one addition per term.  An exact lam (Fraction,
     int, decimal string or a pair of those) enters as a Gaussian integer
     over its denominator, which joins the small divisor 4(m+1)^2, so each
     term costs O(P) bit operations; any other lam as a 2^P fixed-point pair
@@ -240,7 +255,8 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             raise PrecisionError("legendre periods are singular at lambda = 0")
         if abs(lam) > mpf("0.9"):
             raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
-        n = _series_terms(abs(lam), digits)
+        n = _series_terms(_binary2(abs(lam)) if exact is None
+                          else exact[0] ** 2 + exact[1] ** 2, digits)
         prec = mp.prec + GUARD_BITS
         if exact is None:
             lre, lim, ldiv, shift = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec), 1, prec
@@ -249,30 +265,33 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             lre, lim, shift = int(exact[0] * ldiv), int(exact[1] * ldiv), 0
         dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
         ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
-        sdre = sdim = sddre = sddim = sere = seim = sdere = sdeim = 0
+        # the partial sums S_m of d and e, and the running sums T of the S_m
+        sdre = sdim = tdre = tdim = sere = seim = tere = teim = 0
         for m in range(1, n):
             sdre += dre
             sdim += dim
-            sddre += m * dre
-            sddim += m * dim
+            tdre += sdre
+            tdim += sdim
             sere += ere
             seim += eim
-            sdere += m * ere
-            sdeim += m * eim
+            tere += sere
+            teim += seim
             k, m1 = 2 * m + 1, m + 1
             den = 4 * m1 * m1 * ldiv
             xre = (lre * dre - lim * dim) >> shift
             xim = (lre * dim + lim * dre) >> shift
             yre = (lre * ere - lim * eim) >> shift
             yim = (lre * eim + lim * ere) >> shift
-            ere = (k * m1 * yre + 2 * xre) * k // (den * m1)
-            eim = (k * m1 * yim + 2 * xim) * k // (den * m1)
-            dre = xre * k * k // den
-            dim = xim * k * k // den
+            kmk, k2 = k * m1 * k, 2 * k
+            ere = (kmk * yre + k2 * xre) // (den * m1)
+            eim = (kmk * yim + k2 * xim) // (den * m1)
+            kk = k * k
+            dre = xre * kk // den
+            dim = xim * kk // den
         w0 = 1 + lam * _from_fixed(sdre, sdim, prec)
-        dw0 = _from_fixed(sddre, sddim, prec)
+        dw0 = _from_fixed(n * sdre - tdre, n * sdim - tdim, prec)
         hval = lam * _from_fixed(sere, seim, prec)
-        dh = _from_fixed(sdere, sdeim, prec)
+        dh = _from_fixed(n * sere - tere, n * seim - teim, prec)
         pii = mp.pi * mp.mpc(0, 1)
         lg = mp.log(lam) - mp.log(mpf(16))
         w1 = (w0 * lg + hval) / pii
@@ -353,7 +372,7 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
             raise PrecisionError("dwork series requires |psi^4| >= 1.2")
         u = (4 * psi) ** -4
         log4psi = mp.log(4 * psi)
-        nterms = _series_terms(at, digits) + 10
+        nterms = _series_terms(_binary2(at), digits) + 10
         prec = mp.prec + GUARD_BITS
         one = 1 << prec
         with mp.workprec(prec):

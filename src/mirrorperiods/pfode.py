@@ -7,15 +7,22 @@ transported along polygonal complex paths by repeated local Taylor
 expansion with step size at most half the distance to the nearest
 singularity.  Each step runs the Taylor recurrence once for all columns on
 Python integers (the scheme of mpmath's hypsum; van der Hoeven, "Fast
-evaluation of holonomic functions", TCS 210, 1999); mpmath only sets up the
-step and reads off the result.  The recurrence's coefficient rows and
-divisors are built for every term before the first, and the derivatives
-are read off suffix sums of the terms, both by additions only.  A step
-takes as many terms as its own ratio rho = |h| / (distance to the nearest
-singular point) asks for: a full step (rho = 1/2) as many as ever, a
-segment's shorter last step fewer.  Every waypoint is stored as an exact
-(re, im) Fraction pair; an mpf, mpc, float or complex coordinate is stored
-as its exact binary value (_dyadic), which loses nothing.  So every expansion
+evaluation of holonomic functions", TCS 210, 1999); mpmath only converts
+the frame in and reads off the result.  The recurrence's coefficient rows
+and divisors are built for every term before the first, and the
+derivatives are read off suffix sums of the terms, both by additions only.
+A step takes as many terms as its own ratio rho = |h| / (distance to the
+nearest singular point) asks for: a full step (rho = 1/2) as many as ever,
+a segment's shorter last step fewer.  Every decision around the steps is
+made on exact rationals and Python ints, with no mpmath call: the step
+sizes and rho^2 from squared distances to the exact singular points and
+isqrt (_steps), the term counts from integer power comparisons
+(_step_terms), the clearance from squared distances to each segment
+(_check_clearance), and the recurrence coefficients from Gaussian-integer
+numerators over one denominator (_recurrence).  Every waypoint is stored
+as an exact (re, im) Fraction pair; an mpf, mpc, float or complex
+coordinate is stored as its exact binary value (_dyadic), which loses
+nothing.  So every expansion
 point and step is an exact Gaussian rational (the step in the segment's
 parameter is rounded down to STEP_BITS significant binary digits), and the
 recurrence coefficients are Gaussian integers over one positive divisor:
@@ -45,17 +52,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from math import factorial, lcm, perm, prod
+from math import factorial, gcd, isqrt, lcm, perm, prod
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
-                       _to_fixed, as_mpc, exact_pair, working_precision)
+                       _to_fixed, as_mpc, decay_terms, exact_pair, working_precision)
 from .qseries import SeriesError
-
-Poly = tuple  # tuple[Fraction, ...], low degree first
 
 # Significant binary digits kept in the parameter step dt of a segment
 # between exact waypoints (see _steps): few enough that the exact expansion
@@ -88,7 +93,7 @@ class FuchsianOperator:
 
     singular_points are the finite singular points, the roots of the
     leading coefficient, as exact (re, im) Fraction pairs like waypoints;
-    continuation realizes them with as_mpc at its working precision.
+    continuation measures its distances to them exactly.
     Infinity is implicitly singular for the operators in scope.
     """
 
@@ -192,15 +197,19 @@ class SolutionFrame:
     error_estimate: mpf = mpf(0)
 
 
-def _segment_min_distance(a, b, p) -> mpf:
-    """Distance from point p to segment [a, b]."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0:
-        return abs(p - a)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
-    t = max(mpf(0), min(mpf(1), t))
-    return abs(a + t * ab - p)
+def _distance2(p, s) -> Fraction:
+    """Squared distance between exact points p and s."""
+    return (p[0] - s[0]) ** 2 + (p[1] - s[1]) ** 2
+
+
+def _segment_distance2(a, b, p) -> Fraction:
+    """Squared distance from the exact point p to the segment [a, b]."""
+    ab = (b[0] - a[0], b[1] - a[1])
+    denom = ab[0] ** 2 + ab[1] ** 2
+    t = 0
+    if denom:
+        t = min(1, max(0, ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / denom))
+    return _distance2((a[0] + t * ab[0], a[1] + t * ab[1]), p)
 
 
 def _step_precision(r: int, h) -> int:
@@ -210,15 +219,23 @@ def _step_precision(r: int, h) -> int:
     return mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
 
 
+def _gaussian(z):
+    """An exact point (re, im) as (a, b, den): (a + i b) / den with ints a, b
+    and den > 0."""
+    re, im = z
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
 def _gmul(a, b):
-    """Product of two Gaussian rationals given as (re, im) Fraction pairs."""
+    """Product of two Gaussian integers given as (re, im) int pairs."""
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _shift_poly_exact(poly: Poly, z) -> list:
-    """Coefficients of p(z0 + u) as (re, im) Fraction pairs, exactly, for a
-    Gaussian rational z0 = (re, im)."""
-    c = [(Fraction(p), Fraction(0)) for p in poly]
+def _shift_poly(coeffs, z) -> list:
+    """Coefficients of c(z + v) as (re, im) int pairs, for integer
+    coefficients c (low degree first) and a Gaussian integer z = (re, im)."""
+    c = [(int(ci), 0) for ci in coeffs]
     n = len(c)
     for i in range(n):
         for j in range(n - 2, i - 1, -1):
@@ -232,28 +249,49 @@ def _recurrence(op: FuchsianOperator, z, h):
     exact point z by the exact step h (Fraction pairs), as
     _taylor_transport takes them: (groups, divisor), where groups[s] lists
     (k, re, im) and (re + i im) / divisor is the coefficient
-    q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0, computed exactly with
-    1/p_r0 = conj(p_r0)/|p_r0|^2.  The divisor is their least common
-    denominator, so the (re, im) are Gaussian integers.
+    q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0, with p_kj the Taylor coefficients
+    of the k-th operator coefficient at z.  The divisor is their least
+    common denominator, so the (re, im) are Gaussian integers.
+
+    Everything runs on Python ints.  With z = Z / zd, h = H / hd (Gaussian
+    integers over positive ints), every coefficient times their common
+    denominator D, and G the largest degree, R_k(v) = sum_i D p_ki zd^(G-i)
+    (Z + v)^i has Gaussian-integer coefficients R_kj = D zd^(G-j) p_kj(z)
+    (a Taylor shift by additions and products of ints), and with L = R_r0
+
+        q_(k,s) = -R_kj conj(L) zd^j H^e / (|L|^2 hd^e),   e = j - k + r,
+
+    so all numerators share the denominator |L|^2 hd^E, E the largest e.
+    Divided by their gcd with it, that is the divisor: the lcm of every
+    part's reduced denominator.
     """
     r = op.order
-    shifted = [_shift_poly_exact(p, z) for p in op.coeff_polys]
-    lead = shifted[r][0]
-    norm = lead[0] * lead[0] + lead[1] * lead[1]
-    inv = (-lead[0] / norm, lead[1] / norm)  # -1/p_r0
-    hpow = [(Fraction(1), Fraction(0))]
-    for _ in range(max(len(p) for p in shifted) + r):
-        hpow.append(_gmul(hpow[-1], h))
-    coeffs = {}
+    zre, zim, zd = _gaussian(z)
+    hre, him, hd = _gaussian(h)
+    cden = lcm(*(c.denominator for p in op.coeff_polys for c in p))
+    top = max(len(p) for p in op.coeff_polys) - 1
+    shifted = [_shift_poly([c * cden * zd ** (top - i) for i, c in enumerate(p)], (zre, zim))
+               for p in op.coeff_polys]
+    lre, lim = shifted[r][0]
+    neg_conj = (-lre, lim)  # -conj(L)
+    exps = top + r
+    hpow = [(1, 0)]
+    for _ in range(exps):
+        hpow.append(_gmul(hpow[-1], (hre, him)))
+    den = (lre * lre + lim * lim) * hd ** exps
+    nums = {}
     for k, pk in enumerate(shifted):
         for j, pkj in enumerate(pk):
             if any(pkj) and not (k == r and j == 0):
-                coeffs[k, j] = _gmul(_gmul(pkj, hpow[j - k + r]), inv)
-    divisor = lcm(*(c.denominator for q in coeffs.values() for c in q))
+                e = j - k + r
+                scale = zd ** j * hd ** (exps - e)
+                nre, nim = _gmul(_gmul(pkj, neg_conj), hpow[e])
+                nums[k, j] = (nre * scale, nim * scale)
+    common = gcd(den, *(c for q in nums.values() for c in q))
     groups = {}
-    for (k, j), (qre, qim) in coeffs.items():
-        groups.setdefault(k - j, []).append((k, int(qre * divisor), int(qim * divisor)))
-    return groups, divisor
+    for (k, j), (nre, nim) in nums.items():
+        groups.setdefault(k - j, []).append((k, nre // common, nim // common))
+    return groups, den // common
 
 
 def _poly_row(q, s: int, n: int):
@@ -351,9 +389,23 @@ def _taylor_transport(recurrence, columns, h, nterms):
     return out, mp.ldexp(mp.sqrt(worst), unit)
 
 
+def _sqrt_bits(x: Fraction, bits: int) -> Fraction:
+    """sqrt(x) for a Fraction x >= 0, cut toward zero to its leading `bits`
+    significant binary digits, exactly:
+    floor(sqrt(x) 2^k) = isqrt(floor(x 4^k))."""
+    p, q = x.numerator, x.denominator
+    if not p:
+        return Fraction(0)
+    k = bits + 1 - (p.bit_length() - q.bit_length()) // 2  # sqrt(x) 2^k >= 2^bits
+    m = isqrt((p << 2 * k) // q if k >= 0 else p // (q << -2 * k))
+    cut = m.bit_length() - bits
+    m, k = m >> cut, k - cut
+    return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
+
+
 def _steps(waypoints, sing, digits: int):
-    """The Taylor steps (z, h) along a polygon of exact waypoints, segment
-    by segment.
+    """The Taylor steps (z, h, rho2) along a polygon of exact waypoints,
+    segment by segment, for exact singular points `sing`.
 
     A step from z goes STEP_FACTOR times the distance d from z to the
     nearest singular point, or to the segment's end if that is nearer.  On
@@ -361,51 +413,63 @@ def _steps(waypoints, sing, digits: int):
     exact: dt is that reach in units of |w - a|, cut down to its leading
     STEP_BITS binary digits, or the rest 1 - t of the segment, so z and h
     are exact Gaussian rationals and no step is longer than the full reach.
+    Every decision is exact, on squares: the rest is compared with the
+    reach by rest^2 > d^2 STEP_FACTOR^2 / |w - a|^2, the reach's leading
+    bits come from isqrt (_sqrt_bits), and a step with
+    |h|^2 < 10^(-2 digits) raises PathError.  rho2 = |h|^2 / d^2, at most
+    STEP_FACTOR^2 (exactly that without singular points), is the squared
+    ratio by which the step's terms fall (_step_terms).
     """
+    factor2 = Fraction(STEP_FACTOR) ** 2
+    least2 = Fraction(1, 10 ** (2 * digits))
     for a, w in zip(waypoints, waypoints[1:]):
         delta = (w[0] - a[0], w[1] - a[1])
         if delta == (0, 0):
             continue
-        length = abs(as_mpc(delta))
+        length2 = delta[0] ** 2 + delta[1] ** 2
         t = Fraction(0)
         while t < 1:
             z = (a[0] + t * delta[0], a[1] + t * delta[1])
             rest = 1 - t
-            if sing:
-                d = min(abs(as_mpc(z) - s) for s in sing)
-                reach = d * mpf(STEP_FACTOR) / length
-                if rest > _dyadic(reach):
-                    rest = _dyadic(reach, STEP_BITS)
-            if as_mpc(rest).real * length < mpf(10) ** (-digits):
+            d2 = min((_distance2(z, s) for s in sing), default=None)
+            if d2 is not None and rest * rest * length2 > d2 * factor2:
+                rest = _sqrt_bits(d2 * factor2 / length2, STEP_BITS)
+            h2 = rest * rest * length2
+            if h2 < least2:
                 raise PathError("step size underflow near a singular point")
-            yield z, (rest * delta[0], rest * delta[1])
+            rho2 = factor2 if d2 is None else min(factor2, h2 / d2)
+            yield z, (rest * delta[0], rest * delta[1]), rho2
             t += rest
 
 
-def _step_terms(z, h, sing, digits: int) -> int:
-    """Taylor terms of the step h from z:
-    ceil((digits + GUARD_DIGITS + 10) ln 10 / ln(1/rho)) + 16, where
-    rho = |h| / (distance from z to the nearest singular point) <= STEP_FACTOR
-    is the ratio by which the step's terms fall.  A full step (rho =
-    STEP_FACTOR) gets the most terms; a shorter one, such as the last step
-    of a segment, fewer."""
-    rho = mpf(STEP_FACTOR)
-    if sing:
-        rho = min(rho, abs(as_mpc(h)) / min(abs(as_mpc(z) - s) for s in sing))
-    return int(mp.ceil((digits + GUARD_DIGITS + 10) * mp.log(10) / -mp.log(rho))) + 16
+def _step_terms(rho2: Fraction, digits: int) -> int:
+    """Taylor terms of a step whose terms fall by the ratio
+    rho = |h| / (distance from z to the nearest singular point)
+    <= STEP_FACTOR, given as the exact rho2 = rho^2 that _steps yields:
+    the least n with rho^n <= 10^-(digits + GUARD_DIGITS + 10), that is
+    ceil((digits + GUARD_DIGITS + 10) ln 10 / ln(1/rho)), plus 16, decided
+    on integers (hyperfun.decay_terms).  A full step (rho = STEP_FACTOR)
+    gets the most terms; a shorter one, such as the last step of a
+    segment, fewer."""
+    return decay_terms(rho2, digits + GUARD_DIGITS + 10) + 16
+
+
+def _show(p) -> str:
+    """An exact point as a complex number for messages."""
+    return str(complex(float(p[0]), float(p[1])))
 
 
 def _check_clearance(waypoints, sing):
     """Raise PathError if a segment of the polygon comes nearer than
-    CLEARANCE to a singular point."""
-    clr = mpf(CLEARANCE)
-    points = [as_mpc(w) for w in waypoints]
-    for a, b in zip(points, points[1:]):
+    CLEARANCE (1 - 10^-12) to a singular point, decided exactly on squared
+    distances."""
+    bound2 = (Fraction(CLEARANCE) * (1 - Fraction(1, 10 ** 12))) ** 2
+    for a, b in zip(waypoints, waypoints[1:]):
         for s in sing:
-            if _segment_min_distance(a, b, s) < clr * (1 - mpf(10) ** -12):
+            if _segment_distance2(a, b, s) < bound2:
                 raise PathError(
-                    f"path segment [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}] passes within "
-                    f"clearance {CLEARANCE} of singular point {mp.nstr(s, 8)}")
+                    f"path segment [{_show(a)}, {_show(b)}] passes within "
+                    f"clearance {CLEARANCE} of singular point {_show(s)}")
 
 
 def continue_solution(op: FuchsianOperator, path: ContinuationPath,
@@ -417,7 +481,9 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     below 10^-(digits+10) at its own ratio rho = |h| / (that distance)
     (_step_terms): ceil((digits + GUARD_DIGITS + 10) ln 10 / ln(1/rho)) + 16,
     the count of a full step at rho = 1/2 and fewer for a shorter one, such
-    as a segment's last.  The waypoints are exact (Fraction
+    as a segment's last.  _steps yields the exact rho^2 with each step; the
+    step sizes, term counts and clearance are decided on exact rationals
+    and ints, never on rounded values.  The waypoints are exact (Fraction
     pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON, or the exact
     binary value of an mpf such as 2 sqrt 2 - 2), so every expansion point
     z = a + t (w - a) and step h = dt (w - a) is an exact Gaussian
@@ -441,18 +507,17 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     for any operator.  continue_legendre calls it from a later seed point,
     with the Legendre frame there from the series.
     """
+    _check_clearance(path.waypoints, op.singular_points)
     with working_precision(digits):
-        sing = [as_mpc(s) for s in op.singular_points]
-        _check_clearance(path.waypoints, sing)
         waypoints = [as_mpc(w) for w in path.waypoints]
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
             raise PathError("initial frame is not anchored at the first waypoint")
         eps = mpf(10) ** (-(digits + 10))
         cols = [tuple(col) for col in initial.columns]
         err = mpf(initial.error_estimate)
-        for z, h in _steps(path.waypoints, sing, digits):
+        for z, h, rho2 in _steps(path.waypoints, op.singular_points, digits):
             recurrence = _recurrence(op, z, h)
-            nterms = _step_terms(z, h, sing, digits)
+            nterms = _step_terms(rho2, digits)
             for attempt in range(6):
                 new_cols, tail_worst = _taylor_transport(recurrence, cols, h, nterms)
                 scale = max(max(abs(v) for v in col) for col in new_cols)
@@ -530,7 +595,7 @@ def _seed(waypoints, sing, digits: int):
     if not _in_slit_disk(seed):
         return seed, rest
     for j, w in enumerate(waypoints[1:]):
-        for z, h in _steps((waypoints[j], w), sing, digits):
+        for z, h, _ in _steps((waypoints[j], w), sing, digits):
             end = (z[0] + h[0], z[1] + h[1])
             if not _in_slit_disk(end) or _crosses_cut(z, end):
                 return seed, rest
@@ -553,10 +618,8 @@ def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> S
     ends inside the slit disk is the series frame at its end; one that
     starts outside it is transported from its first waypoint."""
     op = legendre_operator()
-    with working_precision(digits):
-        sing = [as_mpc(s) for s in op.singular_points]
-        _check_clearance(path.waypoints, sing)
-        seed, rest = _seed(path.waypoints, sing, digits)
+    _check_clearance(path.waypoints, op.singular_points)
+    seed, rest = _seed(path.waypoints, op.singular_points, digits)
     frame = legendre_frame(seed, digits)
     if not rest:
         return frame

@@ -2,16 +2,18 @@
 implementations used to cross-check the package's own routines."""
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from operator import mul
 
 from mpmath import mp, mpc, mpf
 
 from mirrorperiods.arith import BadReductionError
-from mirrorperiods.hyperfun import (DEFAULT_DIGITS, PrecisionError, _from_fixed, _to_fixed,
-                                   as_mpc, eta_value, working_precision)
-from mirrorperiods.periods import DworkPeriods, LegendreJet, _series_terms, varpi0_series
-from mirrorperiods.pfode import FuchsianOperator, PathError, _step_precision
+from mirrorperiods.hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError,
+                                   _from_fixed, _to_fixed, as_mpc, eta_value, exact_pair,
+                                   working_precision)
+from mirrorperiods.periods import DworkPeriods, LegendreJet, varpi0_series
+from mirrorperiods.pfode import (STEP_BITS, STEP_FACTOR, FuchsianOperator, PathError, _dyadic,
+                                 _step_precision)
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 
@@ -293,6 +295,137 @@ def reference_taylor_transport(shifted, r, inits, h, nterms):
 
 
 # ---------------------------------------------------------------------------
+# mpmath and Fraction references for the exact step control
+#
+# pfode's steps, term counts and recurrence setup, and periods' term counts
+# and Legendre jet loop, as they were before their decisions were made on
+# exact rationals and Python ints.  The package must return equal steps,
+# counts, recurrences and jets; sing is a list of mpc singular points.
+# ---------------------------------------------------------------------------
+
+
+def reference_series_terms(absx, digits: int) -> int:
+    """periods._series_terms from mpmath logs of the mpf |x|."""
+    if absx == 0:
+        return 2
+    n = int(mp.ceil((digits + GUARD_DIGITS + 5) * mp.log(10) / -mp.log(absx)))
+    return max(n + 10, 12)
+
+
+def reference_steps(waypoints, sing, digits: int):
+    """pfode._steps measuring the reach in mpmath: the (z, h) it yields."""
+    for a, w in zip(waypoints, waypoints[1:]):
+        delta = (w[0] - a[0], w[1] - a[1])
+        if delta == (0, 0):
+            continue
+        length = abs(as_mpc(delta))
+        t = Fraction(0)
+        while t < 1:
+            z = (a[0] + t * delta[0], a[1] + t * delta[1])
+            rest = 1 - t
+            if sing:
+                d = min(abs(as_mpc(z) - s) for s in sing)
+                reach = d * mpf(STEP_FACTOR) / length
+                if rest > _dyadic(reach):
+                    rest = _dyadic(reach, STEP_BITS)
+            if as_mpc(rest).real * length < mpf(10) ** (-digits):
+                raise PathError("step size underflow near a singular point")
+            yield z, (rest * delta[0], rest * delta[1])
+            t += rest
+
+
+def reference_step_terms(z, h, sing, digits: int) -> int:
+    """pfode._step_terms from mpmath logs of rho = |h| / distance."""
+    rho = mpf(STEP_FACTOR)
+    if sing:
+        rho = min(rho, abs(as_mpc(h)) / min(abs(as_mpc(z) - s) for s in sing))
+    return int(mp.ceil((digits + GUARD_DIGITS + 10) * mp.log(10) / -mp.log(rho))) + 16
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def reference_shift_poly_exact(poly, z) -> list:
+    """Coefficients of p(z0 + u) as (re, im) Fraction pairs."""
+    c = [(Fraction(p), Fraction(0)) for p in poly]
+    n = len(c)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            zc = _gmul(z, c[j + 1])
+            c[j] = (c[j][0] + zc[0], c[j][1] + zc[1])
+    return c
+
+
+def reference_recurrence(op, z, h):
+    """pfode._recurrence in Fraction arithmetic: (groups, divisor)."""
+    r = op.order
+    shifted = [reference_shift_poly_exact(p, z) for p in op.coeff_polys]
+    lead = shifted[r][0]
+    norm = lead[0] * lead[0] + lead[1] * lead[1]
+    inv = (-lead[0] / norm, lead[1] / norm)  # -1/p_r0
+    hpow = [(Fraction(1), Fraction(0))]
+    for _ in range(max(len(p) for p in shifted) + r):
+        hpow.append(_gmul(hpow[-1], h))
+    coeffs = {}
+    for k, pk in enumerate(shifted):
+        for j, pkj in enumerate(pk):
+            if any(pkj) and not (k == r and j == 0):
+                coeffs[k, j] = _gmul(_gmul(pkj, hpow[j - k + r]), inv)
+    divisor = lcm(*(c.denominator for q in coeffs.values() for c in q))
+    groups = {}
+    for (k, j), (qre, qim) in coeffs.items():
+        groups.setdefault(k - j, []).append((k, int(qre * divisor), int(qim * divisor)))
+    return groups, divisor
+
+
+def reference_int_legendre_jet(lam, digits: int) -> LegendreJet:
+    """periods.legendre_jet with its term count from mpmath logs and
+    sum m x_m summed term by term: the same integer recurrences."""
+    exact = exact_pair(lam)
+    with working_precision(digits):
+        lam = as_mpc(lam)
+        n = reference_series_terms(abs(lam), digits)
+        prec = mp.prec + GUARD_BITS
+        if exact is None:
+            lre, lim, ldiv, shift = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec), 1, prec
+        else:
+            ldiv = lcm(exact[0].denominator, exact[1].denominator)
+            lre, lim, shift = int(exact[0] * ldiv), int(exact[1] * ldiv), 0
+        dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
+        ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
+        sdre = sdim = sddre = sddim = sere = seim = sdere = sdeim = 0
+        for m in range(1, n):
+            sdre += dre
+            sdim += dim
+            sddre += m * dre
+            sddim += m * dim
+            sere += ere
+            seim += eim
+            sdere += m * ere
+            sdeim += m * eim
+            k, m1 = 2 * m + 1, m + 1
+            den = 4 * m1 * m1 * ldiv
+            xre = (lre * dre - lim * dim) >> shift
+            xim = (lre * dim + lim * dre) >> shift
+            yre = (lre * ere - lim * eim) >> shift
+            yim = (lre * eim + lim * ere) >> shift
+            ere = (k * m1 * yre + 2 * xre) * k // (den * m1)
+            eim = (k * m1 * yim + 2 * xim) * k // (den * m1)
+            dre = xre * k * k // den
+            dim = xim * k * k // den
+        w0 = 1 + lam * _from_fixed(sdre, sdim, prec)
+        dw0 = _from_fixed(sddre, sddim, prec)
+        hval = lam * _from_fixed(sere, seim, prec)
+        dh = _from_fixed(sdere, sdeim, prec)
+        pii = mp.pi * mp.mpc(0, 1)
+        lg = mp.log(lam) - mp.log(mpf(16))
+        w1 = (w0 * lg + hval) / pii
+        dw1 = (dw0 * lg + w0 / lam + dh) / pii
+        return LegendreJet(w0, dw0, w1, dw1)
+
+
+# ---------------------------------------------------------------------------
 # mpmath references for the fixed-point period series
 #
 # The term-by-term mpf/mpc summations that periods.legendre_jet and
@@ -346,7 +479,7 @@ def reference_legendre_jet(lam, digits: int):
             raise PrecisionError("legendre periods are singular at lambda = 0")
         if abs(lam) > mpf("0.9"):
             raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
-        n = _series_terms(abs(lam), digits)
+        n = reference_series_terms(abs(lam), digits)
         c0 = _varpi0_coeff_floats(n)
         gh = _h_coeff_floats(n)
         w0 = _horner(c0, lam)
@@ -371,7 +504,7 @@ def reference_dwork_periods(psi, digits: int):
             raise PrecisionError("dwork series requires |psi^4| >= 1.2")
         u = (4 * psi) ** -4
         log4psi = mp.log(4 * psi)
-        nterms = _series_terms(at, digits) + 10
+        nterms = reference_series_terms(at, digits) + 10
         pi2_8 = mp.pi ** 2 / 8
         w0 = mpc(0)
         s1 = mpc(0)

@@ -229,10 +229,18 @@ def test_timings_flag_adds_data(capsys):
     assert code == 0
     rep = json.loads(out)
     assert "total_seconds" in rep
+    assert list(rep["selection_seconds"]) == ["lambda-series"]
     code, out = run_main(["identities", "--ids", "QT1,THETA-V", "--timings"], capsys)
     assert code == 0
     entries = json.loads(out)["entries"]
     assert [list(e)[-1] for e in entries] == ["seconds", "seconds"]
+    # `all` times each of its selections, in report order
+    code, out = run_main(["all", "--digits", "40", "--pmax", "50", "--timings"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep["selection_seconds"]) == [" ".join(sel) for sel in cli.ALL]
+    assert all(t >= 0 for t in rep["selection_seconds"].values())
+    assert sum(rep["selection_seconds"].values()) <= rep["total_seconds"] + 0.01
 
 
 def test_text_format(capsys):

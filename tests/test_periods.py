@@ -6,7 +6,8 @@ from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, lambda_from_t, pi0_series, reference_dwork_periods,
-                     reference_legendre_jet, reference_w_series_t)
+                     reference_int_legendre_jet, reference_legendre_jet, reference_series_terms,
+                     reference_w_series_t)
 from mirrorperiods.hyperfun import PrecisionError, as_mpc, frobenius_series, working_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
@@ -319,6 +320,45 @@ def test_dwork_periods_matches_reference(kind, point, digits):
     psi = periods.quad_map(point, digits).psi if kind == "lambda" else point
     _assert_relative(periods.dwork_periods(psi, digits),
                      reference_dwork_periods(psi, digits), digits)
+
+
+# |lambda| = 1/10 or 1/100: the term count's target 10^-(digits + 20) is a
+# power of |lambda| exactly, so a rounded |lambda| can tip the count
+TIE_POINTS = [(F(1, 10), F(0)), (F(0), F(1, 10)), (F(-1, 10), F(0)), (F(0), F(-1, 10)),
+              (F(3, 50), F(2, 25)), (F(1, 100), F(0))]
+# where the mpf |lambda| rounds above 1/10 and the mpmath count took one more
+ROUNDED_UP = [((F(3, 50), F(2, 25)), 400)]
+
+
+@pytest.mark.parametrize("digits", [40, 60, 120, 200, 400])
+@pytest.mark.parametrize("lam", TIE_POINTS)
+def test_series_terms_equal_mpmath_reference(lam, digits):
+    # the least N with |lambda|^N <= 10^-(digits + 20), plus 10, from the
+    # exact |lambda|^2, as for the mpf |lambda|'s binary value; the mpmath
+    # count of the mpf |lambda| is the same but where it rounds above 1/10
+    target = 10 ** (2 * digits + 40)
+
+    def fits(abs2, n):  # |lambda|^(2n) <= 10^-(2 digits + 40)
+        return abs2.numerator ** n * target <= abs2.denominator ** n
+
+    exact = lam[0] ** 2 + lam[1] ** 2
+    n = periods._series_terms(exact, digits) - 10
+    assert fits(exact, n) and not fits(exact, n - 1)
+    with working_precision(digits):
+        absx = abs(as_mpc(lam))
+        ref = reference_series_terms(absx, digits)
+    assert ref == n + 10 + ((lam, digits) in ROUNDED_UP)
+    binary = periods._binary2(absx)
+    m = periods._series_terms(binary, digits) - 10
+    assert fits(binary, m) and not fits(binary, m - 1) and abs(m - n) <= 1
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_legendre_jet_equals_int_reference(digits):
+    # the running sums of partial sums and the fused small factors change
+    # no integer: the jets are equal to the term-by-term loop's
+    for lam in periods.MIRROR_GRID + periods.W_PI_GRID:
+        assert periods.legendre_jet(lam, digits) == reference_int_legendre_jet(lam, digits)
 
 
 def _assert_doubling(lo, hi):

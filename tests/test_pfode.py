@@ -1,4 +1,6 @@
+import cmath
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -6,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (D_LEGENDRE_OPERATOR, PULLBACK_OPERATOR, reference_int_transport,
-                     reference_taylor_transport)
+                     reference_recurrence, reference_shift_poly_exact, reference_step_terms,
+                     reference_steps, reference_taylor_transport)
 from mpmath import mp, mpc, mpf
 
+import mirrorperiods.hyperfun as hyperfun
 import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
 from mirrorperiods.hyperfun import as_mpc, theta_const, waypoint_strings, working_precision
@@ -128,7 +132,7 @@ def _kernel_step(name, z, direction, digits):
     dt = pfode._dyadic(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
     h = (dt * direction[0], dt * direction[1])
     recurrence = pfode._recurrence(op, z, h)
-    shifted = [[as_mpc(c) for c in pfode._shift_poly_exact(p, z)] for p in op.coeff_polys]
+    shifted = [[as_mpc(c) for c in reference_shift_poly_exact(p, z)] for p in op.coeff_polys]
     nterms = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
     return recurrence, h, shifted, as_mpc(h), nterms
 
@@ -187,6 +191,153 @@ def test_taylor_kernel_equals_int_reference(name, z, direction, digits):
                 reference_int_transport(recurrence, cols, h, count)
 
 
+@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("name, z, direction", KERNEL_STEPS + [
+    ("d-legendre", (F(1, 10), F(-3, 5)), (1, 0)),
+])
+def test_recurrence_equals_fraction_reference(name, z, direction, digits):
+    # Gaussian-integer numerators over one denominator give the same
+    # (groups, divisor) as the Fraction arithmetic, for every test operator
+    with working_precision(digits):
+        _, h, _, _, _ = _kernel_step(name, z, direction, digits)
+    for op in KERNEL_OPERATORS.values():
+        if min(pfode._distance2(z, s) for s in op.singular_points):
+            assert pfode._recurrence(op, z, h) == reference_recurrence(op, z, h)
+
+
+def _reference_steps_and_terms(waypoints, digits):
+    """(z, h) and term count of every step, in mpmath as before."""
+    with working_precision(digits):
+        sing = [as_mpc(s) for s in pfode.legendre_operator().singular_points]
+        steps = list(reference_steps(waypoints, sing, digits))
+        return steps, [reference_step_terms(z, h, sing, digits) for z, h in steps]
+
+
+def _steps_and_terms(waypoints, digits):
+    steps = list(pfode._steps(waypoints, pfode.legendre_operator().singular_points, digits))
+    return [(z, h) for z, h, _ in steps], [pfode._step_terms(r, digits) for _, _, r in steps]
+
+
+def _assert_equal_but_for_ties(waypoints, digits):
+    """The steps and term counts equal the mpmath ones up to the first step
+    where an exact decision sits on a tie that the rounded one missed.  A
+    step tie: the reach d STEP_FACTOR / |w - a| is a binary fraction of at
+    most STEP_BITS digits, so the exact step is the full reach (rho =
+    STEP_FACTOR) where the rounded reach fell just below it and was cut one
+    unit shorter; the walks diverge there.  A count tie: rho^(n - 16) is
+    10^-(digits + 25) exactly."""
+    sing = pfode.legendre_operator().singular_points
+    steps = list(pfode._steps(waypoints, sing, digits))
+    ref_steps, ref_terms = _reference_steps_and_terms(waypoints, digits)
+    for (z, h, rho2), (ref_z, ref_h), ref_n in zip(steps, ref_steps, ref_terms):
+        assert z == ref_z
+        if h != ref_h:
+            assert rho2 == F(pfode.STEP_FACTOR) ** 2
+            assert ref_h[0] ** 2 + ref_h[1] ** 2 < h[0] ** 2 + h[1] ** 2
+            return
+        n = pfode._step_terms(rho2, digits)
+        if n != ref_n:
+            assert (n + 1, rho2 ** (n - 16)) == (ref_n, F(1, 10 ** (2 * digits + 50)))
+    assert len(steps) == len(ref_steps)
+
+
+def _detour(seed):
+    """A lower detour built like perfbench's high-precision inputs: from 1/10
+    past a point w near |lambda| = 1 below the axis to a point b in the
+    lower half of the series disk, three-decimal coordinates."""
+    rng = random.Random(seed)
+
+    def rat(x):
+        return F(f"{x:.3f}")
+
+    while True:
+        w = rng.uniform(0.95, 1.05) * cmath.exp(-1j * rng.uniform(1.0, 1.2))
+        b = rng.uniform(0.2, 0.45) * cmath.exp(-1j * rng.uniform(0.3, 1.0))
+        points = ((F(1, 10), F(0)), (rat(w.real), rat(w.imag)), (rat(b.real), rat(b.imag)))
+        if abs(w) > 0.9 and 0.1 <= abs(b) <= 0.5:
+            try:
+                pfode._check_clearance(points, pfode.legendre_operator().singular_points)
+                return pfode.ContinuationPath(points)
+            except pfode.PathError:
+                pass
+
+
+@pytest.mark.parametrize("digits", [120, 200])
+@pytest.mark.parametrize("target", ["2", "2sqrt2-2"])
+def test_steps_and_terms_equal_mpmath_reference(target, digits):
+    # exact squared distances, isqrt and integer term counts decide every
+    # step (z, h) and term count as the mpmath logs and roots did
+    path = (pfode.CANONICAL_PATH_TO_TWO if target == "2"
+            else pfode.default_path(_psi_one_point(digits), digits))
+    assert _steps_and_terms(path.waypoints, digits) == \
+        _reference_steps_and_terms(path.waypoints, digits)
+
+
+def test_detour_steps_and_terms_equal_mpmath_reference():
+    for seed in range(10):
+        path = _detour(seed)
+        assert _steps_and_terms(path.waypoints, 200) == \
+            _reference_steps_and_terms(path.waypoints, 200), path.waypoints
+
+
+def test_clearance_boundary_is_exact():
+    # the canonical path's first segment runs at exactly 1/10 from 0 and
+    # passes, as does one inside the 10^-12 slack; one 10^-11 nearer fails
+    sing = pfode.legendre_operator().singular_points
+    first = pfode.CANONICAL_PATH_TO_TWO.waypoints[:2]
+    assert pfode._segment_distance2(*first, sing[0]) == F(1, 100)
+    pfode._check_clearance(pfode.CANONICAL_PATH_TO_TWO.waypoints, sing)
+
+    def vertical(x):
+        return (x, F(0)), (x, F(-6, 5)), (F(2), F(0))
+
+    pfode._check_clearance(vertical(F(1, 10) * (1 - F(1, 10 ** 13))), sing)
+    near = vertical(F(1, 10) * (1 - F(1, 10 ** 11)))
+    with pytest.raises(pfode.PathError):
+        pfode._check_clearance(near, sing)
+    with pytest.raises(pfode.PathError):
+        pfode.continue_legendre(pfode.ContinuationPath(near), 40)
+
+
+def test_step_at_an_exact_tie_takes_the_full_reach():
+    # from (1/4, -1/4) towards (7/6, -1/7) the third step's reach is a
+    # binary fraction of STEP_BITS digits: the exact step is that reach,
+    # rho = STEP_FACTOR, where the rounded mpmath reach fell just below it
+    # and was cut to a shorter step
+    waypoints = ((F(1, 4), F(-1, 4)), (F(7, 6), F(-1, 7)))
+    steps = list(pfode._steps(waypoints, pfode.legendre_operator().singular_points, 40))
+    (ref_steps, _) = _reference_steps_and_terms(waypoints, 40)
+    assert [z for z, _, _ in steps[:3]] == [z for z, _ in ref_steps[:3]]
+    assert steps[2][2] == F(pfode.STEP_FACTOR) ** 2
+    assert steps[2][1] != ref_steps[2][1]
+    _assert_equal_but_for_ties(waypoints, 40)
+
+
+def test_step_control_makes_no_mpmath_call(monkeypatch):
+    # clearance, seed, steps, term counts and recurrences are decided on
+    # rationals and ints alone
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath used: {name}")
+
+        def __call__(self, *args):
+            raise AssertionError("mpmath used")
+
+    for module in (pfode, periods, hyperfun):
+        for name in ("mp", "mpc", "mpf", "as_mpc"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, NoMpmath())
+    op = pfode.legendre_operator()
+    sing = op.singular_points
+    for path in (pfode.CANONICAL_PATH_TO_TWO, _detour(0)):
+        pfode._check_clearance(path.waypoints, sing)
+        seed, rest = pfode._seed(path.waypoints, sing, 200)
+        for z, h, rho2 in pfode._steps((seed, *rest), sing, 200):
+            pfode._recurrence(op, z, h)
+            pfode._step_terms(rho2, 200)
+    periods._series_terms(F(1, 100), 200)
+
+
 def _walk_clear(points, clearance=0.1):
     # a float pre-check with a margin; the transport checks exactly
     for a, b in zip(points, points[1:]):
@@ -212,32 +363,32 @@ _rational_walk = st.tuples(
 def test_rational_walk_steps_and_frame(points):
     op = pfode.legendre_operator()
     path = pfode.ContinuationPath(points)
-    with working_precision(40):
-        sing = [as_mpc(s) for s in op.singular_points]
-        steps = list(pfode._steps(path.waypoints, sing, 40))
-        # the steps chain exactly from the first waypoint to the last
-        z = path.waypoints[0]
-        for zi, h in steps:
-            assert zi == z
-            z = (z[0] + h[0], z[1] + h[1])
-        assert z == path.waypoints[-1]
-        for zi, h in steps:
-            # zi and zi + h lie on one segment [a, w]: zi = a + t (w - a),
-            # 0 <= t <= t + dt <= 1, all exact
-            on = False
-            for a, w in zip(path.waypoints, path.waypoints[1:]):
-                dx, dy = w[0] - a[0], w[1] - a[1]
-                n2 = dx * dx + dy * dy
-                if n2 == 0:
-                    continue
-                rx, ry = zi[0] - a[0], zi[1] - a[1]
-                t = (rx * dx + ry * dy) / n2
-                dt = (h[0] * dx + h[1] * dy) / n2
-                if rx * dy == ry * dx and h[0] * dy == h[1] * dx and 0 <= t < t + dt <= 1:
-                    on = True
-            assert on
-            d = min(abs(as_mpc(zi) - s) for s in sing)
-            assert abs(as_mpc(h)) <= d / 2 * (1 + mpf(10) ** -30)
+    # every step and term count as the mpmath decisions gave them, up to a tie
+    _assert_equal_but_for_ties(path.waypoints, 40)
+    steps, _ = _steps_and_terms(path.waypoints, 40)
+    # the steps chain exactly from the first waypoint to the last
+    z = path.waypoints[0]
+    for zi, h in steps:
+        assert zi == z
+        z = (z[0] + h[0], z[1] + h[1])
+    assert z == path.waypoints[-1]
+    for zi, h in steps:
+        # zi and zi + h lie on one segment [a, w]: zi = a + t (w - a),
+        # 0 <= t <= t + dt <= 1, all exact
+        on = False
+        for a, w in zip(path.waypoints, path.waypoints[1:]):
+            dx, dy = w[0] - a[0], w[1] - a[1]
+            n2 = dx * dx + dy * dy
+            if n2 == 0:
+                continue
+            rx, ry = zi[0] - a[0], zi[1] - a[1]
+            t = (rx * dx + ry * dy) / n2
+            dt = (h[0] * dx + h[1] * dy) / n2
+            if rx * dy == ry * dx and h[0] * dy == h[1] * dx and 0 <= t < t + dt <= 1:
+                on = True
+        assert on
+        d2 = min(pfode._distance2(zi, s) for s in op.singular_points)
+        assert h[0] ** 2 + h[1] ** 2 <= d2 / 4
     frames = [pfode.continue_solution(op, path, pfode.legendre_frame(points[0], digits), digits)
               for digits in (40, 80)]
     with working_precision(80):
@@ -407,12 +558,12 @@ def test_step_terms_pass_the_tail_test_at_once(monkeypatch, target, digits):
             else pfode.default_path(_psi_one_point(digits), digits))
     calls = _count_steps(monkeypatch)
     pfode.continue_legendre(path, digits)
+    sing = pfode.legendre_operator().singular_points
+    seed, rest = pfode._seed(path.waypoints, sing, digits)
+    steps = list(pfode._steps((seed, *rest), sing, digits))
     with working_precision(digits):
-        sing = [as_mpc(s) for s in pfode.legendre_operator().singular_points]
-        seed, rest = pfode._seed(path.waypoints, sing, digits)
-        steps = list(pfode._steps((seed, *rest), sing, digits))
         full = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
-    assert [h for h, _ in calls] == [h for _, h in steps]
+    assert [h for h, _ in calls] == [h for _, h, _ in steps]
     assert max(n for _, n in calls) <= full
     assert min(n for _, n in calls) < full
 
@@ -443,6 +594,18 @@ def test_short_last_step_keeps_derivatives():
         dev = max(abs(a - b) for ca, cb in zip(moved.columns, series.columns)
                   for a, b in zip(ca, cb))
         assert dev < mpf(10) ** -DIGITS
+
+
+def test_step_underflow_is_exact():
+    # a step raises PathError exactly when |h| < 10^-digits
+    sing = pfode.legendre_operator().singular_points
+
+    def segment(length):
+        return (F(1, 10), F(0)), (F(1, 10) + length, F(0))
+
+    assert len(list(pfode._steps(segment(F(1, 10 ** 40)), sing, 40))) == 1
+    with pytest.raises(pfode.PathError):
+        list(pfode._steps(segment(F(1, 10 ** 40) * (1 - F(1, 10 ** 30))), sing, 40))
 
 
 def test_non_finite_frame_raises():
