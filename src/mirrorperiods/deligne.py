@@ -78,17 +78,9 @@ class DelignePeriodSet:
     crosscheck_tolerance: mpf
 
 
-def _gamma_upper(s: int, x):
-    """Gamma(s, x) for s in {1, 2}: e^-x and (1+x) e^-x."""
-    if s == 1:
-        return mp.exp(-x)
-    if s == 2:
-        return (1 + x) * mp.exp(-x)
-    raise ValueError("only s in {1, 2} arises here")
-
-
 def _lambda_termwise(s: int, digits: int):
-    """Lambda(s) by termwise incomplete-gamma integration of both halves."""
+    """Lambda(s) by termwise incomplete-gamma integration of both halves:
+    Gamma(1, x) = e^-x and Gamma(2, x) = (1+x) e^-x, one exp per term."""
     nmax = int(mpf(2) * (digits + 20) * mp.log(10) / mp.pi) + 30
     coeffs = arith.eta6_coefficients(nmax)
     total = mpf(0)
@@ -98,8 +90,10 @@ def _lambda_termwise(s: int, digits: int):
         if not b:
             continue
         x = mp.pi * n / 2  # = 2 pi n * (1/4)
-        upper = _gamma_upper(s, x) / (twopi * n) ** s
-        lower = 64 * mpf(16) ** (-s) * _gamma_upper(3 - s, x) / (twopi * n) ** (3 - s)
+        e = mp.exp(-x)
+        gamma = {1: e, 2: (1 + x) * e}  # Gamma(s, x) for s in {1, 2}
+        upper = gamma[s] / (twopi * n) ** s
+        lower = 64 * mpf(16) ** (-s) * gamma[3 - s] / (twopi * n) ** (3 - s)
         total += b * (upper + lower)
     # first omitted term bounds the tail up to a geometric factor
     tail = mpf(nmax + 1) * mp.exp(-mp.pi * (nmax + 1) / 2)

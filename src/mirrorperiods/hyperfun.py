@@ -3,8 +3,11 @@
 mpmath supplies the arbitrary-precision substrate: "PrecFloat/PrecComplex"
 values are plain ``mpf``/``mpc`` computed at a caller-chosen number of decimal
 digits (default 120, minimum 30) plus guard digits.  Everything here is a
-direct series or product evaluation with an explicit geometric tail bound;
-analytic continuation beyond the convergence disks is pfode's job.
+direct series evaluation with an explicit geometric tail bound, its powers
+taken by running products (the theta series, and eta by Euler's pentagonal
+series) rather than by mpc powers, which mpmath takes as exp(n log z) at
+high precision; analytic continuation beyond the convergence disks is
+pfode's job.
 
 Nome conventions, distinguished everywhere downstream:
 
@@ -220,10 +223,15 @@ def hyp2f1_series(a: Fraction, b: Fraction, order: int) -> RationalSeries:
 def theta_const(kind: int, q, digits: int = DEFAULT_DIGITS):
     """Theta constant theta_kind(0, q) for kind in {2, 3, 4}, |q| < 1.
 
-    theta2 = 2 * q^(1/4) * sum q^(n(n+1)), with the principal quarter root;
-    only fourth powers of theta2 are consumed downstream, which kills the
-    root-of-unity ambiguity.  Truncated once |q|^(N^2) drops below
-    10^-(digits+10).
+    theta3 = 1 + 2 sum q^(n^2), theta4 the same with (-1)^n, and
+    theta2 = 2 q^(1/4) sum q^(n(n+1)), truncated at n = nmax once
+    |q|^((nmax+1)^2) / (1 - |q|) drops below 10^-(digits+10).  The powers
+    come from running products, q^((n+1)^2) = q^(n^2) q^(2n+1) and
+    q^((n+1)(n+2)) = q^(n(n+1)) q^(2n+2), the odd and even strides stepping
+    by q^2, and are summed largest n first.  q^(1/4) is sqrt(sqrt(q)):
+    Im(Log(z)/2) lies in (-pi/2, pi/2], so that is exactly the principal
+    quarter root.  Only fourth powers of theta2 are consumed downstream,
+    which kills the root-of-unity ambiguity anyway.
     """
     if kind not in (2, 3, 4):
         raise PrecisionError(f"theta kind must be 2, 3 or 4, got {kind}")
@@ -238,14 +246,22 @@ def theta_const(kind: int, q, digits: int = DEFAULT_DIGITS):
         nmax = int(mp.ceil(mp.sqrt((digits + 12) * mp.log(10) / -mp.log(aq)))) + 2
         if aq ** ((nmax + 1) ** 2) / (1 - aq) > eps:
             raise PrecisionError("theta truncation bound not met")
+        q2 = q * q
+        # powers[n] = q^(n(n+1)) for theta2, q^(n^2) otherwise
+        power, stride = mpc(1), (q2 if kind == 2 else q)
+        powers = [power]
+        for _ in range(nmax):
+            power *= stride
+            stride *= q2
+            powers.append(power)
         if kind == 2:
             s = mpc(0)
             for n in range(nmax, -1, -1):
-                s += q ** (n * (n + 1))
-            return 2 * q ** mpf("0.25") * s
+                s += powers[n]
+            return 2 * mp.sqrt(mp.sqrt(q)) * s
         s = mpc(1)
         for n in range(nmax, 0, -1):
-            t = 2 * q ** (n * n)
+            t = 2 * powers[n]
             s += -t if (kind == 4 and n % 2 == 1) else t
         return s
 
@@ -253,8 +269,17 @@ def theta_const(kind: int, q, digits: int = DEFAULT_DIGITS):
 def eta_value(tau, digits: int = DEFAULT_DIGITS):
     """Dedekind eta(tau) = Q^(1/24) * prod(1 - Q^n), Q = exp(2*pi*i*tau).
 
-    Requires Im(tau) > 0.  The prefactor is computed as exp(pi*i*tau/12)
-    directly from tau, so no root extraction of Q is involved.
+    Requires Im(tau) > 0.  The product is summed by Euler's pentagonal
+    number theorem, prod(1 - Q^n) = 1 + sum_(k>=1) (-1)^k (Q^(k(3k-1)/2) +
+    Q^(k(3k+1)/2)), over the exponents <= nmax, about 2 sqrt(2 nmax / 3)
+    terms; the powers come from running products, each exponent the last
+    plus 2k - 1 or plus k, those strides stepping by Q^2 and Q.  The
+    omitted terms have distinct exponents > nmax, so they sum to at most
+    |Q|^(nmax+1) / (1 - |Q|); the check demands 2 |Q|^(nmax+1) / (1 - |Q|)
+    <= 10^-(digits+10).  nmax is the term count of the product form,
+    ceil(((digits+12) ln 10 + 2 |ln(1-|Q|)|) / (2 pi Im tau)) + 3.  The
+    prefactor is computed as exp(pi*i*tau/12) directly from tau, so no root
+    extraction of Q is involved.
     """
     with working_precision(digits):
         tau = mpc(tau)
@@ -262,16 +287,25 @@ def eta_value(tau, digits: int = DEFAULT_DIGITS):
             raise PrecisionError("eta requires Im(tau) > 0")
         bigq = mp.exp(2 * mp.pi * mp.mpc(0, 1) * tau)
         aq = abs(bigq)
-        # tail: |log prod_{n>N}(1-Q^n)| <= |Q|^(N+1) / ((1-|Q|)^2)
         eps = mpf(10) ** (-(digits + 10))
         nmax = int(mp.ceil(((digits + 12) * mp.log(10) + 2 * abs(mp.log(1 - aq)))
                            / (2 * mp.pi * tau.imag))) + 3
-        prod = mpc(1)
-        qp = bigq
-        for _ in range(1, nmax + 1):
-            prod *= 1 - qp
-            qp *= bigq
-        if aq ** (nmax + 1) / (1 - aq) ** 2 > eps:
+        if 2 * aq ** (nmax + 1) / (1 - aq) > eps:
             raise PrecisionError("eta truncation bound not met")
-        return mp.exp(mp.pi * mp.mpc(0, 1) * tau / 12) * prod
-
+        # exponents 1, 2, 5, 7, 12, 15, ...: k(3k-1)/2 is (k-1)(3k-2)/2 +
+        # (2k-1) and k(3k+1)/2 is k(3k-1)/2 + k
+        total, power, odd, lin = mpc(1), mpc(1), bigq, bigq
+        q2 = bigq * bigq
+        for k in range(1, nmax + 1):
+            if k * (3 * k - 1) // 2 > nmax:
+                break
+            sign = -1 if k % 2 else 1
+            power *= odd
+            total += sign * power
+            if k * (3 * k + 1) // 2 > nmax:
+                break
+            power *= lin
+            total += sign * power
+            odd *= q2
+            lin *= bigq
+        return mp.exp(mp.pi * mp.mpc(0, 1) * tau / 12) * total

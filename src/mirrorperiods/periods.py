@@ -302,9 +302,12 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
 def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
     """(t, psi) from lam: t = lam^2(1-lam)(1-lam/2)^-4, psi = t^(-1/4) branch.
 
-    Principal roots throughout; t*psi^4 = 1 identically.  lam = 2 is the
-    pole of t and the zero of psi and is returned tagged as (inf, 0) rather
-    than raising.
+    psi = lam^(-1/2) (1-lam)^(-1/4) (1-lam/2) with principal powers,
+    computed as (1-lam/2) / (sqrt(lam) sqrt(sqrt(1-lam))): Im(Log(z)/2) lies
+    in (-pi/2, pi/2], so sqrt(sqrt(z)) is exactly the principal z^(1/4) for
+    every lam other than 0 and 1, and no complex log is taken.
+    t*psi^4 = 1 identically.  lam = 2 is the pole of t and the zero of psi
+    and is returned tagged as (inf, 0) rather than raising.
     """
     with working_precision(digits):
         lam = as_mpc(lam)
@@ -314,7 +317,7 @@ def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
             return QuadMapResult(mpc(0), mp.inf)
         one = mpf(1)
         t = lam ** 2 * (one - lam) / (one - lam / 2) ** 4
-        psi = lam ** mpf("-0.5") * (one - lam) ** mpf("-0.25") * (one - lam / 2)
+        psi = (one - lam / 2) / (mp.sqrt(lam) * mp.sqrt(mp.sqrt(one - lam)))
         return QuadMapResult(t, psi)
 
 
@@ -355,7 +358,7 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
 
     The `_series_terms` + 10 terms are summed on fixed-point Python
     integers scaled by 2^P, P = mp.prec + GUARD_BITS: the terms
-    T_n = a_n u^n, u = (4 psi)^-4, as (re, im) int pairs advanced by
+    T_n = a_n u^n, u = t/256 = (4 psi)^-4, as (re, im) int pairs advanced by
     T_(n+1) = T_n u (4n+1)(4n+2)(4n+3)(4n+4)/(n+1)^4, times the brackets
     b_n = H_4n - H_n and c_n = b_n^2 - H2_4n + H2_n/4 as real ints, and
     pi^2/8 as one fixed-point constant times sum T_n.  The brackets come
@@ -370,7 +373,7 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
         at = abs(t)
         if at > 1 / mpf("1.2"):
             raise PrecisionError("dwork series requires |psi^4| >= 1.2")
-        u = (4 * psi) ** -4
+        u = t / 256
         log4psi = mp.log(4 * psi)
         nterms = _series_terms(_binary2(at), digits) + 10
         prec = mp.prec + GUARD_BITS
@@ -615,7 +618,8 @@ def _delta_theta_check(digits) -> Entry:
     with working_precision(digits):
         for tau in map(as_mpc, DELTA_THETA_POINTS):
             q = half_nome(tau, digits)
-            lhs = eta_value(tau, digits) ** 24
+            eta3 = eta_value(tau, digits) ** 3
+            lhs = ((eta3 * eta3) ** 2) ** 2  # eta^24 without mpc_pow_int's exp(24 log)
             rhs = mpf(2) ** -8 * (theta_const(2, q, digits) * theta_const(3, q, digits)
                                   * theta_const(4, q, digits)) ** 8
             worst = max(worst, abs(lhs - rhs))

@@ -504,10 +504,17 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     error estimate.  Precision doubling is the intended cross-check.
 
     The transport runs from the first waypoint, where `initial` must sit,
-    for any operator.  continue_legendre calls it from a later seed point,
-    with the Legendre frame there from the series.
+    for any operator.  continue_legendre runs the same transport from a
+    later seed point, with the Legendre frame there from the series.
     """
     _check_clearance(path.waypoints, op.singular_points)
+    return _transport(op, path, initial, digits)
+
+
+def _transport(op: FuchsianOperator, path: ContinuationPath,
+               initial: SolutionFrame, digits: int) -> SolutionFrame:
+    """continue_solution's Taylor steps on a path whose clearance the caller
+    has checked."""
     with working_precision(digits):
         waypoints = [as_mpc(w) for w in path.waypoints]
         if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
@@ -614,16 +621,18 @@ def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> S
     (legendre_frame).  The slit disk is simply connected and legendre_jet
     takes the principal log on it, so that frame is the one the steps
     before the seed would have carried there; they are skipped, and
-    continue_solution runs on (seed, *remaining waypoints).  A path that
-    ends inside the slit disk is the series frame at its end; one that
-    starts outside it is transported from its first waypoint."""
+    continue_solution's transport runs on (seed, *remaining waypoints).
+    Its segments lie on the path's, so the one clearance check of the whole
+    path covers them.  A path that ends inside the slit disk is the series
+    frame at its end; one that starts outside it is transported from its
+    first waypoint."""
     op = legendre_operator()
     _check_clearance(path.waypoints, op.singular_points)
     seed, rest = _seed(path.waypoints, op.singular_points, digits)
     frame = legendre_frame(seed, digits)
     if not rest:
         return frame
-    return continue_solution(op, ContinuationPath((seed, *rest)), frame, digits)
+    return _transport(op, ContinuationPath((seed, *rest)), frame, digits)
 
 
 def frame_tau(frame: SolutionFrame, digits: int = DEFAULT_DIGITS):

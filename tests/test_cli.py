@@ -187,22 +187,29 @@ def test_output_file(tmp_path, capsys):
     assert rep["command"] == "lambda-series"
 
 
-def test_usage_errors_exit_2():
-    r = run_subprocess(["no-such-command"])
-    assert r.returncode == 2
-    r = run_subprocess(["lambda-series", "--digits", "10"])
-    assert r.returncode == 2
-    r = run_subprocess(["deligne", "--format", "tsv"])
-    assert r.returncode == 2
-    for argv in (["fermat-count", "--primes", "2"], ["fermat-count", "--primes", "103"],
+def test_usage_errors_exit_2(capsys):
+    for argv in (["no-such-command"], ["lambda-series", "--digits", "10"],
+                 ["deligne", "--format", "tsv"],
+                 ["fermat-count", "--primes", "2"], ["fermat-count", "--primes", "103"],
                  ["identities", "--ids", "NOPE"], ["continue", "--target", "abc"],
                  ["continue", "--target", "1"], ["continue", "--path", "[1"],
                  ["continue", "--target", "2", "--path", '[["0.1","0"],["0.5","0"]]'],
                  ["deligne", "--digits", "35"]):
-        r = run_subprocess(argv)
-        assert r.returncode == 2
-        assert r.stderr.startswith(f"usage: mirrorperiods {argv[0]}")
-        assert "Traceback" not in r.stderr
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if argv[0] != "no-such-command":
+            assert err.startswith(f"usage: mirrorperiods {argv[0]}")
+        assert "Traceback" not in err
+
+
+def test_usage_error_is_the_process_exit_code():
+    argv = ["deligne", "--digits", "35"]
+    r = run_subprocess(argv)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"usage: mirrorperiods {argv[0]}")
+    assert "Traceback" not in r.stderr
 
 
 def test_package_runs_as_a_module():

@@ -48,6 +48,28 @@ def test_lvalue_methods_agree(fricke_verified):
             assert abs(a.value - b) < mpf(10) ** -35
 
 
+@pytest.mark.parametrize("digits", [40, 120])
+def test_lvalue_equals_two_exp_termwise_sum(digits):
+    # one exp per term gives exactly the sum that took Gamma(1, x) and
+    # Gamma(2, x) with an exp each
+    for s in (1, 2):
+        with working_precision(digits):
+            nmax = int(mpf(2) * (digits + 20) * mp.log(10) / mp.pi) + 30
+            coeffs = arith.eta6_coefficients(nmax)
+            total = mpf(0)
+            twopi = 2 * mp.pi
+            for n in range(1, nmax + 1, 4):
+                if not coeffs[n]:
+                    continue
+                x = mp.pi * n / 2
+                gamma = {1: mp.exp(-x), 2: (1 + x) * mp.exp(-x)}
+                upper = gamma[s] / (twopi * n) ** s
+                lower = 64 * mpf(16) ** (-s) * gamma[3 - s] / (twopi * n) ** (3 - s)
+                total += coeffs[n] * (upper + lower)
+            expected = (2 * mp.pi) ** s * total.real
+        assert deligne.lvalue(s, digits).value == expected
+
+
 def test_lvalue_validation():
     with pytest.raises(ValueError):
         deligne.lvalue(3, 40)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import mpmath
+import mpmath.libmp.libmpc as libmpc
 import pytest
 from mpmath import mp, mpc, mpf
 
 from helpers import hyp2f1, round_decimals, to_mp
-from mirrorperiods import periods
-from mirrorperiods.hyperfun import (GUARD_DIGITS, PrecisionError, eta_value, hyp2f1_series,
-                                    theta_const, working_precision)
+from mirrorperiods import deligne, periods
+from mirrorperiods.hyperfun import (GUARD_DIGITS, PrecisionError, as_mpc, eta_value,
+                                    half_nome, hyp2f1_series, theta_const, working_precision)
 
 DIGITS = 60
 
@@ -171,6 +172,66 @@ def test_eta_at_i_vs_theta_product():
 def test_eta_requires_upper_half_plane():
     with pytest.raises(PrecisionError):
         eta_value(mpc(1, -1), digits=40)
+
+
+# ---------------------------------------------------------------------------
+# no hidden complex logs, and agreement with mpmath's own routes
+# ---------------------------------------------------------------------------
+
+# tau where the theta and eta kernels are checked: both sides of the Fricke
+# relation, the DELTA-THETA points, and one point off the imaginary axis
+KERNEL_TAUS = [(F(0), F(10, 12)), (F(0), F(10, 28)), (F(0), F(1, 6)),
+               (F(0), F(6, 5)), (F(0), F(14, 5)), (F(0), F(6)),
+               *periods.DELTA_THETA_POINTS, (F(1, 5), F(4, 5))]
+
+
+@pytest.fixture
+def mpc_log_calls(monkeypatch):
+    """A list that counts the mpc_log calls mpmath makes inside its complex
+    powers: mpc_pow_int (once n times the mantissa bits reach 10000) and
+    mpc_pow_mpf (for exponents other than integers and halves) look
+    mpc_log up in libmpc at call time, so exp(n log z) shows here."""
+    calls = []
+    real = libmpc.mpc_log
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(libmpc, "mpc_log", counting)
+    return calls
+
+
+@pytest.mark.parametrize("digits", [120, 200])
+def test_kernels_take_no_complex_log(digits, mpc_log_calls):
+    with working_precision(digits):
+        mpc("0.3", "0.2") ** mpf("0.25")  # the counter sees mpmath's own powers
+        assert len(mpc_log_calls) == 1
+        mpc_log_calls.clear()
+        nomes = [half_nome(as_mpc(tau), digits) for tau in KERNEL_TAUS]
+        nomes.append(-mp.mpc(0, 1) * mp.exp(-mp.pi / 2))
+    for q in nomes:
+        for kind in (2, 3, 4):
+            theta_const(kind, q, digits)
+    eta_value(mp.mpc(0, 1) / 6, digits)
+    for lam in periods.MIRROR_GRID + periods.W_PI_GRID:
+        periods.quad_map(lam, digits)
+    deligne.fricke_residual(F(3, 2), digits)
+    assert periods.check_identity("DELTA-THETA", digits=digits).passed
+    assert mpc_log_calls == []
+
+
+def test_eta_and_theta_against_mpmath_at_200_digits():
+    digits = 200
+    with mp.workdps(digits + 30):
+        tol = mpf(10) ** -(digits + 5)
+        taus = [as_mpc(tau) for tau in KERNEL_TAUS]
+        for tau in taus:
+            assert abs(eta_value(tau, digits) - mpmath.eta(tau)) < tol
+        nomes = [mp.exp(mp.pi * mp.mpc(0, 1) * tau) for tau in taus]
+        for q in nomes + [-mp.mpc(0, 1) * mp.exp(-mp.pi / 2)]:
+            for kind in (2, 3, 4):
+                assert abs(theta_const(kind, q, digits) - mpmath.jtheta(kind, 0, q)) < tol
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,20 @@ def test_quad_map_product_relation():
             assert abs(r.t * r.psi ** 4 - 1) < mpf(10) ** (-DIGITS + 10)
 
 
+def test_quad_map_psi_is_the_principal_power():
+    # psi = lam^(-1/2) (1-lam)^(-1/4) (1-lam/2) as mpmath's principal
+    # powers take it, on the grids and beside the negative real axis
+    digits = 200
+    with mp.workdps(digits + 30):
+        points = [as_mpc(lam) for lam in periods.MIRROR_GRID + periods.W_PI_GRID]
+        points += [r * mp.expjpi(sign * mpf("0.85")) for r in (mpf("0.05"), mpf("0.3"))
+                   for sign in (1, -1)]
+        for lam in points:
+            psi = periods.quad_map(lam, digits).psi
+            ref = lam ** mpf("-0.5") * (1 - lam) ** mpf("-0.25") * (1 - lam / 2)
+            assert abs(psi - ref) < mpf(10) ** -(digits + 5)
+
+
 def test_lambda_from_t_small_branch():
     with working_precision(DIGITS):
         lam0 = mpf("0.07")

@@ -580,6 +580,25 @@ def test_clearance_violation_raises():
     with pytest.raises(pfode.PathError):
         pfode.continue_solution(pfode.legendre_operator(), bad,
                                 pfode.legendre_frame(F(1, 20), 40), 40)
+    # 10^-11 nearer than CLEARANCE to 0, nowhere through a singular point
+    near = pfode.ContinuationPath(((F(1, 10) * (1 - F(1, 10 ** 11)), F(0)),
+                                   (F(1, 10), F(-6, 5))))
+    start = pfode.legendre_frame(near.waypoints[0], 40)
+    with pytest.raises(pfode.PathError, match="clearance"):
+        pfode.continue_solution(pfode.legendre_operator(), near, start, 40)
+
+
+def test_tau_at_two_checks_clearance_once(monkeypatch):
+    calls = []
+    check = pfode._check_clearance
+
+    def counting(waypoints, sing):
+        calls.append(waypoints)
+        return check(waypoints, sing)
+
+    monkeypatch.setattr(pfode, "_check_clearance", counting)
+    pfode.tau_at(2, digits=40)
+    assert calls == [pfode.CANONICAL_PATH_TO_TWO.waypoints]
 
 
 def test_short_last_step_keeps_derivatives():
