@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil, log
+from math import ceil, gcd, lcm, log
 
 from mpmath import mp, mpc, mpf
 
@@ -188,26 +188,42 @@ def frobenius_series(upper, order: int, mu: int = 1) -> tuple:
     to eps^m z^eps (m = len(upper), theta = z d/dz).  So k = 0 is the
     mF(m-1) series with lower parameters 1, and for k < m the eps^k
     coefficient of z^eps times it is a log solution.  Each step takes the
-    ratio as integer polynomials in eps: with a = p/d, (n+a+eps)/(n+1+eps)
-    = (dn+p+d eps)/(dn+d+d eps).  c_n(eps) is multiplied by the numerator and
-    divided by the denominator as a truncated series, one Fraction division
-    per eps-coefficient and term.
+    ratio as integer polynomials N(eps) / D(eps): with a = p/d,
+    (n+a+eps)/(n+1+eps) = (dn+p+d eps)/(dn+d+d eps).  c_n(eps) is held as
+    int numerators C over one denominator e in lowest terms; c_(n+1) is
+    C N / (e D) truncated below eps^mu, over e D_0^mu, where its
+    numerators M_k = (D_0^mu [eps^k] C N - sum_(j>=1) D_j M_(k-j)) / D_0
+    are exact divisions.  One gcd over (e D_0^mu, M) brings the term back
+    to lowest terms, so each term costs one exact division per
+    eps-coefficient and one vector gcd.  Each eps^k series is put over the
+    lcm of the term denominators and reduced by one more vector gcd.
     """
     dp = [(Fraction(a).denominator, Fraction(a).numerator) for a in upper]
-    c = [Fraction(1)] + [Fraction(0)] * (mu - 1)
-    rows = []
+    c, e = [1] + [0] * (mu - 1), 1
+    rows, dens = [], []
     for n in range(order):
         rows.append(c)
+        dens.append(e)
         num = _linear_product([(d * n + p, d) for d, p in dp], mu)
         den = _linear_product([(d * n + d, d) for d, _ in dp], mu)
+        d0, scale = den[0], den[0] ** mu
         new = []
         for k in range(mu):
-            t = num[0] * c[k]
+            t = 0
+            for j in range(k + 1):
+                t += num[j] * c[k - j]
+            t *= scale
             for j in range(1, k + 1):
-                t += num[j] * c[k - j] - den[j] * new[k - j]
-            new.append(t / den[0])
-        c = new
-    return tuple(RationalSeries([row[k] for row in rows], 0, order) for k in range(mu))
+                t -= den[j] * new[k - j]
+            new.append(t // d0)
+        e *= scale
+        g = gcd(e, *new)
+        c, e = [x // g for x in new], e // g
+    common = lcm(*dens)
+    lift = [common // de for de in dens]
+    return tuple(RationalSeries.from_numerators([row[k] * f for row, f in zip(rows, lift)],
+                                                common)
+                 for k in range(mu))
 
 
 def hyp2f1_series(a: Fraction, b: Fraction, order: int) -> RationalSeries:

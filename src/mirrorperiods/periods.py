@@ -1,8 +1,10 @@
 """Period objects and the identity registry.
 
-Exact q- and lambda-expansions live on RationalSeries; numeric values are
-mpmath complex numbers at a requested precision.  The two Legendre periods
-are
+Exact q- and lambda-expansions live on RationalSeries, int numerators over
+one denominator; the theta q-series are built in that form and
+w_series_t's S and T are scalar multiples of Frobenius eps-slices, so no
+Fraction is made per coefficient.  Numeric values are mpmath complex
+numbers at a requested precision.  The two Legendre periods are
 
     varpi0(lam) = 2F1(1/2, 1/2; 1; lam),
     varpi1(lam) = (varpi0*log(lam) + h(lam))/(pi*i) - (log 16/(pi*i))*varpi0,
@@ -145,34 +147,34 @@ def bps_series(order: int) -> RationalSeries:
 
 def theta3_qseries(order: int) -> RationalSeries:
     """theta3(0,q) = 1 + 2q + 2q^4 + 2q^9 + ... as an exact q-series."""
-    coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * order
+    coeffs[0] = 1
     n = 1
     while n * n < order:
-        coeffs[n * n] = Fraction(2)
+        coeffs[n * n] = 2
         n += 1
-    return RationalSeries(coeffs, 0, order)
+    return RationalSeries.from_numerators(coeffs)
 
 
 def theta4_qseries(order: int) -> RationalSeries:
     """theta4(0,q) = 1 - 2q + 2q^4 - 2q^9 + ... as an exact q-series."""
-    coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * order
+    coeffs[0] = 1
     n = 1
     while n * n < order:
-        coeffs[n * n] = Fraction(2 if n % 2 == 0 else -2)
+        coeffs[n * n] = 2 if n % 2 == 0 else -2
         n += 1
-    return RationalSeries(coeffs, 0, order)
+    return RationalSeries.from_numerators(coeffs)
 
 
 def theta2_pow4_qseries(order: int) -> RationalSeries:
     """theta2(0,q)^4 = 16 q (sum_n q^(n(n+1)))^4; offset 1, exact."""
-    coeffs = [Fraction(0)] * order
+    coeffs = [0] * order
     n = 0
     while n * (n + 1) < order:
-        coeffs[n * (n + 1)] = Fraction(1)
+        coeffs[n * (n + 1)] = 1
         n += 1
-    s = RationalSeries(coeffs, 0, order)
+    s = RationalSeries.from_numerators(coeffs)
     return (s ** 4 * 16).shifted(1)
 
 
@@ -417,8 +419,7 @@ def w_series_t(order: int):
     T*W0 = S^2 exactly, which makes W0*W2 - W1^2 = -W0^2/2.
     """
     w0, s, t = frobenius_series((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), order, 3)
-    return (w0, RationalSeries([c / 4 for c in s.coeffs], 0, order),
-            RationalSeries([c / 8 for c in t.coeffs], 0, order))
+    return w0, s * Fraction(1, 4), t * Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,30 @@
 """Exact truncated power series over Q, with a fractional leading exponent.
 
-Coefficients are ``fractions.Fraction``.  A series knows its coefficients for
-exponent shifts ``0 .. order-1`` relative to a leading exponent ``offset``;
-everything beyond is *unknown*, not zero.  Binary operations compute the
-tightest provable truncation, so identity checks downstream can assert exact
-zero residuals instead of small ones.
+A series knows its coefficients for exponent shifts ``0 .. order-1`` relative
+to a leading exponent ``offset``; everything beyond is *unknown*, not zero.
+Binary operations compute the tightest provable truncation, so identity
+checks downstream can assert exact zero residuals instead of small ones.
 
-The quadratic and cubic kernels (``*``, ``**``, ``reciprocal``, ``exp``,
-``log``, ``compose`` and ``revert``) never add or multiply ``Fraction``s,
-which would take a gcd per operation.  They work on integer numerators over
-one common denominator: each operand is scaled once by the lcm of its
-coefficient denominators, and the convolutions run on Python ints.  ``*``
-and ``compose`` build the canonical ``Fraction``s once, at return;
-``compose`` needs only about 2 sqrt(order) convolutions (baby steps and
-giant steps) and first rescales its inner series so that small primes leave
-its denominators.  The recurrences of ``**`` (Miller's, one pass for any
-exponent), ``reciprocal``, ``exp``, ``log`` and ``revert`` make one
-canonical ``Fraction`` per new coefficient and keep the terms found so far
-over the lcm of their reduced denominators, so the integers stay as small as
-the answer (1/varpi0 has 2-power denominators, lambda(q) integer
-coefficients) instead of growing with powers of the input's common
-denominator.  ``Fraction`` is canonical, so every result is identical to the
-schoolbook ``Fraction`` computation; ``pow_rational`` is ``exp(r log)``.
+A series is held as integer numerators over one positive denominator in
+lowest terms: coefficient k is num[k] / den with gcd(den, *num) = 1, so den
+is the lcm of the coefficients' reduced denominators.  Every kernel (``+``,
+``-``, scalar and series ``*``, ``**``, ``reciprocal``, ``exp``, ``log``,
+``pow_rational``, ``compose``, ``revert``, ``theta_derivative``, the frame
+helpers and the eta generators) runs on these Python ints and never adds or
+multiplies ``Fraction``s, which would take a gcd and an object per
+coefficient.  The kernels that are not recurrences reduce their result
+once, by one gcd over the vector; ``compose`` needs only about
+2 sqrt(order) convolutions (baby steps and giant steps) and first rescales
+its inner series so that small primes leave its denominators.  The
+recurrences of ``**`` (Miller's, one pass for any exponent),
+``reciprocal``, ``exp``, ``log`` and ``revert`` reduce each new coefficient
+as an int pair (p, q) and keep the terms found so far over the lcm of those
+q, so the integers stay as small as the answer (1/varpi0 has 2-power
+denominators, lambda(q) integer coefficients) instead of growing with
+powers of the input's denominator; ``pow_rational`` is ``exp(r log)``.
+Fractions appear only at the edges: the constructor takes ints and
+Fractions, and ``coeffs``, ``coefficient()`` and ``max_abs_coefficient()``
+build canonical Fractions on demand.  The offset is a Fraction too.
 
 The offset lives on the 1/24 grid, which is enough to carry the q^(1/24)
 prefactor of eta products and the q^(-1) prefactor of their reciprocals.
@@ -41,35 +44,49 @@ OFFSET_GRID = 24  # admissible offset denominators divide this
 # compose rescales its inner series to clear these primes from its
 # denominators; any other prime stays on the common denominator
 _RESCALE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_ZERO = Fraction(0)
 
 
 class SeriesError(ValueError):
     """Raised on precondition violations in series arithmetic."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational scalar."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise SeriesError(f"coefficients must be exact rationals, got {type(x).__name__}")
 
 
-def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(nums, den) with coeffs[k] == nums[k] / den, den the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
-def _push(num: list[int], e: int, c: Fraction) -> int:
-    """Append c to the numerators num over e and return the new common
-    denominator: e grows to lcm(e, c.denominator), rescaling num, only when
-    c needs it."""
-    if e % c.denominator:
-        grow = c.denominator // gcd(e, c.denominator)
+def _offset(x) -> Fraction:
+    off = _frac(x)
+    if OFFSET_GRID % off.denominator != 0:
+        raise SeriesError(f"offset {off} is not on the 1/{OFFSET_GRID} grid")
+    return off
+
+
+def _lowest(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms with a positive denominator; q != 0."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def _push(num: list[int], e: int, p: int, q: int) -> int:
+    """Append p/q to the numerators num over e and return the new common
+    denominator: p/q is reduced first, and e grows to lcm(e, q), rescaling
+    num, only when the reduced q needs it."""
+    p, q = _lowest(p, q)
+    if e % q:
+        grow = q // gcd(e, q)
         num[:] = [x * grow for x in num]
         e *= grow
-    num.append(c.numerator * (e // c.denominator))
+    num.append(p * (e // q))
     return e
 
 
@@ -111,29 +128,64 @@ def _clearing_scale(dens: Sequence[int]) -> int:
     return s
 
 
-class RationalSeries:
-    """Truncated series  sum_k coeffs[k] * x**(offset + k)  with k < order."""
+def _series(num: Sequence[int], den: int, offset: Fraction) -> "RationalSeries":
+    """The series num[k]/den x^(offset+k), k < len(num), for numerators in
+    lowest terms over den > 0 and an offset on the grid."""
+    s = object.__new__(RationalSeries)
+    s._num, s._den, s.offset, s.order = tuple(num), den, offset, len(num)
+    return s
 
-    __slots__ = ("offset", "coeffs", "order")
+
+def _lowest_terms(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """num/den in lowest terms, by one gcd over the vector; den > 0."""
+    g = gcd(den, *num)
+    if g > 1:
+        return [x // g for x in num], den // g
+    return num, den
+
+
+def _reduced(num: Sequence[int], den: int, offset: Fraction) -> "RationalSeries":
+    """_series of num/den brought to lowest terms."""
+    return _series(*_lowest_terms(num, den), offset)
+
+
+def _head(s: "RationalSeries", n: int) -> tuple[Sequence[int], int]:
+    """The numerators of s's first n coefficients over their own lowest
+    common denominator."""
+    if n >= s.order:
+        return s._num, s._den
+    return _lowest_terms(s._num[:n], s._den)
+
+
+class RationalSeries:
+    """Truncated series  sum_k coeffs[k] * x**(offset + k)  with k < order,
+    held as numerators over one denominator (see the module docstring)."""
+
+    __slots__ = ("offset", "order", "_num", "_den")
 
     def __init__(self, coeffs: Iterable, offset: Scalar = 0, order: int | None = None):
-        coeffs = tuple(_frac(c) for c in coeffs)
+        pairs = [_ratio(c) for c in coeffs]
         if order is None:
-            order = len(coeffs)
+            order = len(pairs)
         if order < 0:
             raise SeriesError("order must be >= 0")
-        if len(coeffs) < order:
-            coeffs = coeffs + (Fraction(0),) * (order - len(coeffs))
-        elif len(coeffs) > order:
-            coeffs = coeffs[:order]
-        off = _frac(offset)
-        if OFFSET_GRID % off.denominator != 0:
-            raise SeriesError(f"offset {off} is not on the 1/{OFFSET_GRID} grid")
-        self.offset = off
-        self.coeffs = coeffs
+        del pairs[order:]
+        den = lcm(*(q for _, q in pairs))
+        num = [p * (den // q) for p, q in pairs]
+        num += [0] * (order - len(num))
+        self.offset = _offset(offset)
         self.order = order
+        self._num = tuple(num)
+        self._den = den
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_numerators(cls, num: Sequence[int], den: int = 1,
+                        offset: Scalar = 0) -> "RationalSeries":
+        """sum_k num[k]/den x^(offset+k) for k < len(num), ints over an int
+        den > 0, brought to lowest terms by one gcd."""
+        return _reduced(num, den, _offset(offset))
 
     @classmethod
     def zero(cls, order: int, offset: Scalar = 0) -> "RationalSeries":
@@ -141,14 +193,20 @@ class RationalSeries:
 
     @classmethod
     def one(cls, order: int) -> "RationalSeries":
-        return cls((Fraction(1),), 0, order)
+        return cls((1,), 0, order)
 
     @classmethod
     def identity(cls, order: int) -> "RationalSeries":
         """The series x."""
-        return cls((Fraction(0), Fraction(1)), 0, order)
+        return cls((0, 1), 0, order)
 
     # -- inspection --------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The known coefficients as canonical Fractions, built on each read."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     def coefficient(self, exponent: Scalar) -> Fraction:
         """Coefficient of x**exponent; raises if beyond the known window."""
@@ -160,20 +218,17 @@ class RationalSeries:
             return Fraction(0)
         if k >= self.order:
             raise SeriesError(f"coefficient of x^{exponent} is beyond truncation order")
-        return self.coeffs[k]
+        return Fraction(self._num[k], self._den)
 
     def valuation(self) -> int:
         """Shift of the first known nonzero coefficient (= order if all zero)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order
+        return next((k for k, x in enumerate(self._num) if x), self.order)
 
     def is_provably_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def max_abs_coefficient(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self._num), default=0), self._den)
 
     # -- frame helpers -----------------------------------------------------
 
@@ -182,19 +237,24 @@ class RationalSeries:
         v = self.valuation()
         if v == 0:
             return self
-        return RationalSeries(self.coeffs[v:], self.offset + v, self.order - v)
+        return _series(self._num[v:], self._den, self.offset + v)
 
     def truncate(self, order: int) -> "RationalSeries":
         if order > self.order:
             raise SeriesError("cannot extend a truncated series")
-        return RationalSeries(self.coeffs[:order], self.offset, order)
+        if order < 0:
+            raise SeriesError("order must be >= 0")
+        if order == self.order:
+            return self
+        return _reduced(self._num[:order], self._den, self.offset)
 
     def shifted(self, delta: Scalar) -> "RationalSeries":
         """Multiply by x**delta."""
-        return RationalSeries(self.coeffs, self.offset + _frac(delta), self.order)
+        return _series(self._num, self._den, _offset(self.offset + _frac(delta)))
 
-    def _integer_frame(self) -> tuple[list[Fraction], int]:
-        """Coefficient list indexed by absolute integer exponent, plus its length.
+    def _integer_frame(self) -> tuple[list[int], int]:
+        """Numerators (over self's denominator) indexed by absolute integer
+        exponent, plus their count.
 
         Requires integer offset >= 0.  The returned list has length
         offset + order: exponents 0 .. offset+order-1 are known.
@@ -202,21 +262,25 @@ class RationalSeries:
         if self.offset.denominator != 1 or self.offset < 0:
             raise SeriesError(f"operation requires integer exponents >= 0, offset={self.offset}")
         pad = int(self.offset)
-        return [Fraction(0)] * pad + list(self.coeffs), pad + self.order
+        return [0] * pad + list(self._num), pad + self.order
 
     def substitute_power(self, k: int) -> "RationalSeries":
         """Substitute x -> x**k (k >= 1), e.g. to re-express a 2*pi*i*tau nome
         series in the exp(pi*i*tau) nome."""
         if k < 1:
             raise SeriesError("substitute_power requires k >= 1")
-        coeffs = [Fraction(0)] * (k * (self.order - 1) + 1 if self.order else 0)
-        for i, c in enumerate(self.coeffs):
-            coeffs[k * i] = c
-        return RationalSeries(coeffs, self.offset * k, k * self.order)
+        num = [0] * (k * self.order)
+        num[::k] = self._num
+        return _series(num, self._den, self.offset * k)
 
     # -- ring operations ---------------------------------------------------
 
-    def _aligned(self, other: "RationalSeries"):
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p, q = _ratio(other)
+            other = _series([p] + [0] * (max(self.order, 1) - 1), q, _ZERO)
+        if not isinstance(other, RationalSeries):
+            return NotImplemented
         diff = self.offset - other.offset
         if diff.denominator != 1:
             raise SeriesError(
@@ -229,29 +293,22 @@ class RationalSeries:
         order = min(a_pad + self.order, b_pad + other.order)
         if order < 1:
             raise SeriesError("aligned truncation order fell below 1")
-        a = [Fraction(0)] * a_pad + list(self.coeffs)
-        b = [Fraction(0)] * b_pad + list(other.coeffs)
-        return a, b, off, order
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalSeries((_frac(other),), 0, max(self.order, 1))
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        a, b, off, order = self._aligned(other)
-        a += [Fraction(0)] * (order - len(a))
-        b += [Fraction(0)] * (order - len(b))
-        return RationalSeries([a[k] + b[k] for k in range(order)], off, order)
+        den = lcm(self._den, other._den)
+        out = [0] * order
+        for pad, s in ((a_pad, self), (b_pad, other)):
+            scale = den // s._den
+            for i, x in enumerate(s._num[:max(order - pad, 0)], pad):
+                if x:
+                    out[i] += x * scale
+        return _reduced(out, den, off)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalSeries([-c for c in self.coeffs], self.offset, self.order)
+        return _series([-x for x in self._num], self._den, self.offset)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-_frac(other))
-        if not isinstance(other, RationalSeries):
+        if not isinstance(other, (int, Fraction, RationalSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -260,47 +317,41 @@ class RationalSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return RationalSeries([c * a for a in self.coeffs], self.offset, self.order)
+            p, q = _ratio(other)
+            return _reduced([x * p for x in self._num], self._den * q, self.offset)
         if not isinstance(other, RationalSeries):
             return NotImplemented
         va, vb = self.valuation(), other.valuation()
         order = min(self.order + vb, other.order + va)
         if order < 1:
             raise SeriesError("product truncation order fell below 1")
-        a, da = _numerators(self.coeffs[:order])
-        b, db = _numerators(other.coeffs[:order])
+        (a, da), (b, db) = _head(self, order), _head(other, order)
         out = [0] * order
         _convolve_into(out, a, _nonzero(b, order))
-        den = da * db
-        return RationalSeries([Fraction(c, den) for c in out],
-                              self.offset + other.offset, order)
+        return _reduced(out, da * db, self.offset + other.offset)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalSeries":
         """Multiplicative inverse; the shift-0 coefficient must be nonzero."""
-        if self.order < 1 or self.coeffs[0] == 0:
+        a = self._num
+        if self.order < 1 or a[0] == 0:
             raise SeriesError("reciprocal of a series with zero leading coefficient")
-        # With a = A/d over integers and the known terms of 1/a held as O/e
-        # (e the lcm of their reduced denominators), the next term is
-        # -(sum_{j>=1} A_j O_{k-j}) / (A_0 e): one gcd per coefficient.
-        n = self.order
-        a, _ = _numerators(self.coeffs)
+        # With self = A/d over integers and the known terms of 1/self held
+        # as num/e (e the lcm of their reduced denominators), the next term
+        # is -(sum_{j>=1} A_j num[k-j]) / (A_0 e).
         a0 = a[0]
-        tail = _nonzero(a, n)[1:]
-        out = [Fraction(1) / self.coeffs[0]]
-        num, e = [out[0].numerator], out[0].denominator
-        for k in range(1, n):
+        tail = _nonzero(a, self.order)[1:]
+        num = []
+        e = _push(num, 1, self._den, a0)
+        for k in range(1, self.order):
             s = 0
             for j, aj in tail:
                 if j > k:
                     break
                 s += aj * num[k - j]
-            c = Fraction(-s, a0 * e)
-            out.append(c)
-            e = _push(num, e, c)
-        return RationalSeries(out, -self.offset, n)
+            e = _push(num, e, -s, a0 * e)
+        return _series(num, e, -self.offset)
 
     def __pow__(self, n: int):
         """self**n for an integer n, by J. C. P. Miller's recurrence (Knuth,
@@ -322,30 +373,29 @@ class RationalSeries:
         if v == self.order:
             if order < 1:
                 raise SeriesError("product truncation order fell below 1")
-            return RationalSeries.zero(order, n * self.offset)
+            return _series([0] * order, 1, n * self.offset)
         # With h = H/d over integers and g_0 .. g_(k-1) held as num/e,
         # g_k = (sum_j ((n+1) j - k) H_j num[k-j]) / (k H_0 e).
-        h, _ = _numerators(self.coeffs[v:])
+        h = self._num[v:]
         h0, tail = h[0], _nonzero(h, len(h))[1:]
-        out = [Fraction(0)] * (n * v) + [self.coeffs[v] ** n]
-        num, e = [out[-1].numerator], out[-1].denominator
+        num = []
+        e = _push(num, 1, h0 ** n, self._den ** n)
         for k in range(1, len(h)):
             s = 0
             for j, hj in tail:
                 if j > k:
                     break
                 s += ((n + 1) * j - k) * hj * num[k - j]
-            c = Fraction(s, k * h0 * e)
-            out.append(c)
-            e = _push(num, e, c)
-        return RationalSeries(out, n * self.offset, order)
+            e = _push(num, e, s, k * h0 * e)
+        return _series([0] * (n * v) + num, e, n * self.offset)
 
     # -- calculus ----------------------------------------------------------
 
     def theta_derivative(self) -> "RationalSeries":
         """x*d/dx ("theta-operator mode"): multiplies each term by its exponent."""
-        out = [(self.offset + k) * c for k, c in enumerate(self.coeffs)]
-        return RationalSeries(out, self.offset, self.order)
+        p, q = self.offset.numerator, self.offset.denominator
+        return _reduced([(p + k * q) * x for k, x in enumerate(self._num)],
+                        self._den * q, self.offset)
 
     # -- transcendental / compositional ------------------------------------
 
@@ -354,12 +404,11 @@ class RationalSeries:
         a, n = self._integer_frame()
         if n < 1 or a[0] != 0:
             raise SeriesError("exp requires a zero constant term")
-        # With a = A/d over integers and E_0 .. E_(k-1) held as num/e, the
-        # recurrence k E_k = sum_j j a_j E_(k-j) gives
+        # With self = A/d over integers and E_0 .. E_(k-1) held as num/e,
+        # the recurrence k E_k = sum_j j a_j E_(k-j) gives
         # E_k = (sum_j j A_j num[k-j]) / (k d e).
-        an, d = _numerators(a)
-        ja = [(j, j * aj) for j, aj in _nonzero(an, n)]
-        out = [Fraction(1)]
+        d = self._den
+        ja = [(j, j * aj) for j, aj in _nonzero(a, n)]
         num, e = [1], 1
         for k in range(1, n):
             s = 0
@@ -367,33 +416,28 @@ class RationalSeries:
                 if j > k:
                     break
                 s += jaj * num[k - j]
-            c = Fraction(s, k * d * e)
-            out.append(c)
-            e = _push(num, e, c)
-        return RationalSeries(out, 0, n)
+            e = _push(num, e, s, k * d * e)
+        return _series(num, e, _ZERO)
 
     def log(self) -> "RationalSeries":
         """log of a series with constant term 1 (integer exponents)."""
         a, n = self._integer_frame()
-        if n < 1 or a[0] != 1:
+        d = self._den
+        if n < 1 or a[0] != d:
             raise SeriesError("log requires constant term 1")
-        # With a = A/d over integers and L_1 .. L_(k-1) held as num/e, the
-        # recurrence k L_k = k a_k - sum_(j<k) (k-j) L_(k-j) a_j gives
+        # With self = A/d over integers and L_1 .. L_(k-1) held as num/e,
+        # the recurrence k L_k = k a_k - sum_(j<k) (k-j) L_(k-j) a_j gives
         # L_k = (k A_k e - sum_j (k-j) A_j num[k-j]) / (k d e).
-        an, d = _numerators(a)
-        tail = _nonzero(an, n)[1:]
-        out = [Fraction(0)]
+        tail = _nonzero(a, n)[1:]
         num, e = [0], 1
         for k in range(1, n):
-            s = k * an[k] * e
+            s = k * a[k] * e
             for j, aj in tail:
                 if j >= k:
                     break
                 s -= (k - j) * aj * num[k - j]
-            c = Fraction(s, k * d * e)
-            out.append(c)
-            e = _push(num, e, c)
-        return RationalSeries(out, 0, n)
+            e = _push(num, e, s, k * d * e)
+        return _series(num, e, _ZERO)
 
     def pow_rational(self, r: Scalar) -> "RationalSeries":
         """Raise to an exact rational power; requires constant term 1."""
@@ -413,17 +457,17 @@ class RationalSeries:
         Before that, the variable is rescaled: the kernel composes with
         g(s x), whose k-th coefficient is g_k s^k, and divides coefficient m
         of the result by s^m at the end (x -> x/s).  s = _clearing_scale of
-        the denominators of g removes every prime of _RESCALE_PRIMES from
-        those of g(s x): for t(lambda) = lambda^2 (1 - lambda)
+        the reduced denominators of g removes every prime of _RESCALE_PRIMES
+        from those of g(s x): for t(lambda) = lambda^2 (1 - lambda)
         (1 - lambda/2)^(-4), s = 2 and the powers keep their natural size
         instead of carrying d^i for the common denominator d = 2^65 (at
         order 68).  f(g(s x)) is the series f(g(x)) evaluated at s x for
         every s, so any s >= 1 gives the same exact result; a denominator
         cofactor that is not rescaled stays on the common denominator.
         """
-        f, nf = self._integer_frame()
-        g, ng = inner._integer_frame()
-        vg = next((i for i, c in enumerate(g) if c), ng)
+        fn, nf = self._integer_frame()
+        gn, ng = inner._integer_frame()
+        vg = next((i for i, c in enumerate(gn) if c), ng)
         if vg == 0:
             raise SeriesError("composition requires inner constant term 0")
         order = min(vg * nf, ng)
@@ -431,12 +475,12 @@ class RationalSeries:
             raise SeriesError("composition truncation order fell below 1")
         # Only f_0 .. f_top reach the window: g^i has valuation i*vg.
         top = min(nf - 1, (order - 1) // vg)
-        fn, df = _numerators(f[:top + 1])
-        g = g[:order]
-        s = _clearing_scale([c.denominator for c in g])
+        fn, df = _lowest_terms(fn[:top + 1], self._den)
+        gn, d = gn[:order], inner._den
+        s = _clearing_scale([d // gcd(d, c) for c in gn])
         if s > 1:
-            g = [c * s ** i for i, c in enumerate(g)]
-        gn, d = _numerators(g)
+            gn = [c * s ** i for i, c in enumerate(gn)]
+        gn, d = _lowest_terms(gn, d)
         # Baby steps: pw[j] = d^j g(s x)^j over the integers, j <= k.
         k = isqrt(top - 1) + 1 if top else 1
         pw = [[1], gn]
@@ -466,12 +510,16 @@ class RationalSeries:
                     lo, hi = j * vg, min(n, len(pw[j]))
                     new[lo:hi] = [x + c * y for x, y in zip(new[lo:hi], pw[j][lo:hi])]
             acc = new
+        # coefficient m is acc[m] / (den s^m): over den s^(order-1), it
+        # takes s^(order-1-m)
         den = df * d_pow[k - 1] * d_pow[k] ** (blocks - 1)
-        out = []
-        for c in acc:
-            out.append(Fraction(c, den))
-            den *= s
-        return RationalSeries(out, 0, order)
+        if s > 1:
+            up = 1
+            for m in range(order - 1, -1, -1):
+                acc[m] *= up
+                up *= s
+            den *= up // s
+        return _reduced(acc, den, _ZERO)
 
     def revert(self) -> "RationalSeries":
         """Compositional inverse: returns b with self(b(x)) = x = b(self(x)).
@@ -484,23 +532,21 @@ class RationalSeries:
         sum(map(mul, ...)) of a slice of b against a reversed slice of the
         row for b^(j-1); zero b_i cost a product by zero.
         """
-        a, n = self._integer_frame()
-        if n < 2 or a[0] != 0:
+        an, n = self._integer_frame()
+        if n < 2 or an[0] != 0:
             raise SeriesError("reversion requires zero constant term")
-        if a[1] == 0:
+        if an[1] == 0:
             raise SeriesError("reversion requires a nonzero linear coefficient")
-        # With a = A/d over integers, pw[j][m] = [x^m] b(x)^j is held as
+        # With self = A/d over integers, pw[j][m] = [x^m] b(x)^j is held as
         # p[j][m] / e^j and b_i as bn[i] / e, where e is the lcm of the reduced
         # denominators of b_1 .. b_{k-1}; a new b_k that needs a larger e
         # rescales the rows.  Then b_k = -(sum_j A_j e^(k-j) p[j][k]) / (A_1 e^k).
-        an, d = _numerators(a)
         a_nz = [(j, aj) for j, aj in _nonzero(an, n) if j >= 2]
-        b = [Fraction(0), Fraction(d, an[1])]
-        e = b[1].denominator
-        bn = [0, b[1].numerator]
+        b1, e = _lowest(self._den, an[1])
+        bn = [0, b1]
         p = [[0] * n for _ in range(n)]
         p[0][0] = 1
-        p[1][1] = bn[1]
+        p[1][1] = b1
         for k in range(2, n):
             for j in range(2, k + 1):
                 row = p[j - 1]
@@ -509,19 +555,18 @@ class RationalSeries:
             for _ in range(k):
                 e_pow.append(e_pow[-1] * e)
             s = sum(aj * p[j][k] * e_pow[k - j] for j, aj in a_nz if j <= k)
-            bk = Fraction(-s, an[1] * e_pow[k])
-            b.append(bk)
-            if e % bk.denominator:
-                grow = bk.denominator // gcd(e, bk.denominator)
+            bk, q = _lowest(-s, an[1] * e_pow[k])
+            if e % q:
+                grow = q // gcd(e, q)
                 bn = [x * grow for x in bn]
                 scale = 1
                 for j in range(1, k + 1):
                     scale *= grow
                     p[j] = [x * scale for x in p[j]]
                 e *= grow
-            bn.append(bk.numerator * (e // bk.denominator))
+            bn.append(bk * (e // q))
             p[1][k] = bn[k]
-        return RationalSeries(b, 0, n)
+        return _series(bn, e, _ZERO)
 
 
 # -- generators -------------------------------------------------------------
@@ -531,15 +576,15 @@ def euler_product(m: int, order: int) -> RationalSeries:
     """prod_{n>=1} (1 - x^(m*n)) truncated at the given order."""
     if m < 1 or order < 1:
         raise SeriesError("euler_product requires m >= 1 and order >= 1")
-    c = [Fraction(0)] * order
-    c[0] = Fraction(1)
+    c = [0] * order
+    c[0] = 1
     n = m
     while n < order:
         for i in range(order - 1 - n, -1, -1):
             if c[i]:
                 c[i + n] -= c[i]
         n += m
-    return RationalSeries(c, 0, order)
+    return _series(c, 1, _ZERO)
 
 
 def eta_product(m: int, e: int, order: int) -> RationalSeries:
@@ -556,6 +601,6 @@ def eta_product(m: int, e: int, order: int) -> RationalSeries:
     if OFFSET_GRID % offset.denominator != 0:
         raise SeriesError(f"eta prefactor exponent {offset} leaves the 1/24 grid")
     if e == 0:
-        return RationalSeries((Fraction(1),), 0, order)
+        return RationalSeries.one(order)
     body = euler_product(m, order) ** e
-    return RationalSeries(body.coeffs, offset + body.offset, body.order)
+    return _series(body._num, body._den, offset + body.offset)

@@ -9,8 +9,8 @@ from mpmath import mp, mpc, mpf
 
 from mirrorperiods.arith import BadReductionError
 from mirrorperiods.hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError,
-                                   _from_fixed, _to_fixed, as_mpc, eta_value, exact_pair,
-                                   working_precision)
+                                   _from_fixed, _linear_product, _to_fixed, as_mpc, eta_value,
+                                   exact_pair, working_precision)
 from mirrorperiods.periods import DworkPeriods, LegendreJet, varpi0_series
 from mirrorperiods.pfode import (STEP_BITS, STEP_FACTOR, FuchsianOperator, PathError, _dyadic,
                                  _step_precision)
@@ -186,6 +186,28 @@ def reference_log(a):
                 s += j * out[j] * ac[k - j]
         out[k] = ac[k] - s / k
     return out, Fraction(0), n
+
+
+def reference_frobenius_series(upper, order: int, mu: int = 1) -> tuple:
+    """hyperfun.frobenius_series with c_n(eps) as mu Fractions: each step
+    multiplies by the ratio's numerator polynomial and divides by its
+    denominator polynomial below eps^mu, one Fraction division per
+    eps-coefficient and term.  One (coefficients, offset, order) per k < mu."""
+    dp = [(Fraction(a).denominator, Fraction(a).numerator) for a in upper]
+    c = [Fraction(1)] + [Fraction(0)] * (mu - 1)
+    rows = []
+    for n in range(order):
+        rows.append(c)
+        num = _linear_product([(d * n + p, d) for d, p in dp], mu)
+        den = _linear_product([(d * n + d, d) for d, _ in dp], mu)
+        new = []
+        for k in range(mu):
+            t = num[0] * c[k]
+            for j in range(1, k + 1):
+                t += num[j] * c[k - j] - den[j] * new[k - j]
+            new.append(t / den[0])
+        c = new
+    return tuple(([row[k] for row in rows], Fraction(0), order) for k in range(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, lambda_from_t, pi0_series, reference_dwork_periods,
-                     reference_int_legendre_jet, reference_legendre_jet, reference_series_terms,
-                     reference_w_series_t)
+                     reference_frobenius_series, reference_int_legendre_jet,
+                     reference_legendre_jet, reference_series_terms, reference_w_series_t)
 from mirrorperiods.hyperfun import PrecisionError, as_mpc, frobenius_series, working_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
@@ -41,6 +41,20 @@ def test_h_series_matches_recurrence_on_varpi0(order):
         g.append((F(2 * m + 1, 2) ** 2 * g[m] + r_m) / F(m + 1) ** 2)
     h = frobenius_series(periods.LEGENDRE, order, 2)[1]
     assert (list(h.coeffs), h.offset, h.order) == (g, 0, order)
+
+
+# every (upper parameters, mu) the package builds Frobenius series for
+FROBENIUS_CASES = [(periods.LEGENDRE, 1), (periods.LEGENDRE, 2),
+                   ((F(1, 4), F(1, 2), F(3, 4)), 3), ((F(1, 4), F(1, 4)), 1),
+                   ((F(1, 8), F(3, 8)), 1)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 41, 69])
+@pytest.mark.parametrize("upper, mu", FROBENIUS_CASES)
+def test_frobenius_series_matches_fraction_reference(upper, mu, order):
+    mine = frobenius_series(upper, order, mu)
+    assert [(list(s.coeffs), s.offset, s.order) for s in mine] == \
+        list(reference_frobenius_series(upper, order, mu))
 
 
 @pytest.mark.parametrize("order", [1, 2, 48, 81])

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -228,9 +228,19 @@ def _series_strategy(draw, orders=(1, 12), offsets=st.just(F(0)), leading_zeros=
     return RationalSeries([F(0)] * zeros + body, draw(offsets), order)
 
 
+def _assert_lowest_terms(r):
+    """r's numerators over its denominator are the minimal int form: one
+    numerator per known coefficient, den > 0, gcd(den, *num) = 1, and the
+    constructor rebuilds the same ints from r's Fractions."""
+    assert r._den > 0 and gcd(r._den, *r._num) == 1
+    assert len(r._num) == r.order
+    rebuilt = RationalSeries(r.coeffs, r.offset, r.order)
+    assert (rebuilt._num, rebuilt._den) == (r._num, r._den)
+
+
 def _matches_reference(kernel, reference, *args):
     """kernel(*args) equals the schoolbook reference in coefficients, order
-    and offset, or both refuse with SeriesError."""
+    and offset, or both refuse with SeriesError; its int form is minimal."""
     try:
         coeffs, offset, order = reference(*args)
     except SeriesError:
@@ -240,6 +250,7 @@ def _matches_reference(kernel, reference, *args):
     got = kernel(*args)
     assert all(type(c) is F for c in got.coeffs)
     assert (list(got.coeffs), got.offset, got.order) == (coeffs, offset, order)
+    _assert_lowest_terms(got)
 
 
 @given(a=_series_strategy(), b=_series_strategy(), c=_series_strategy())
@@ -455,3 +466,31 @@ def test_pow_makes_no_products(monkeypatch):
     for base, n in ((pi0, 6), (eta, 24), (lam, 2), (lam, 1), (unit, -3)):
         base ** n
     assert not calls
+
+
+@pytest.mark.parametrize("name", ["_mirror_exact_residuals", "_qt1_residual",
+                                  "_qt3_residual", "_bps_residual"])
+def test_kernels_build_no_fraction_per_coefficient(monkeypatch, name):
+    # the kernels run on int numerators over one denominator: the Fractions
+    # an identity's residuals build (offsets, scalars) do not grow with the
+    # order, where one per coefficient would triple them from 20 to 60
+    from mirrorperiods import periods
+    check = getattr(periods, name)
+    real = F.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(1)
+        return real(cls, *args, **kwargs)
+
+    def fractions_made(order):
+        for table in (periods.lambda_q_series, periods.varpi0_q_series):
+            table.cache_clear()
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", counting)
+            check(order)
+        return len(made)
+
+    low, high = fractions_made(20), fractions_made(60)
+    assert 0 < high <= low
