@@ -32,7 +32,7 @@ from math import isqrt
 from mpmath import mp, mpf
 
 from . import __version__, arith, deligne, periods, pfode
-from .hyperfun import PrecisionError, as_mpc, waypoint_strings, working_precision
+from .hyperfun import PrecisionError, waypoint_strings, working_precision
 from .periods import Entry, judged
 from .qseries import SeriesError
 
@@ -73,16 +73,10 @@ class RunConfig:
             parser.error(f"--primes: p = {', '.join(beyond)} beyond "
                          f"--quartic-bound {self.quartic_bound}")
         path, target = getattr(args, "path", None), getattr(args, "target", None)
-        if path is not None:
+        if path is not None and not pfode.ends_at(path, _target_lambda(target, self.digits),
+                                                  self.digits):
             end = path.waypoints[-1]
-            if target != "2sqrt2-2":
-                at_target = end == (Fraction(target), 0)
-            else:  # tau_at's end test, at the run's precision
-                with working_precision(self.digits):
-                    lam = 2 * mp.sqrt(2) - 2
-                    at_target = abs(as_mpc(end) - lam) <= mpf(10) ** (5 - self.digits)
-            if not at_target:
-                parser.error(f"--path ends at [{end[0]}, {end[1]}], not at --target {target}")
+            parser.error(f"--path ends at [{end[0]}, {end[1]}], not at --target {target}")
 
     def to_dict(self) -> dict:
         return {"digits": self.digits, "order": self.order, "pmax": self.pmax,
@@ -130,15 +124,22 @@ def _run_mirror_map(cfg: RunConfig, args) -> list[Entry]:
             for lam, res in periods.mirror_map_residuals(cfg.digits)]
 
 
+def _target_lambda(target: str, digits: int):
+    """--target's lambda: its exact value, or the mpf 2 sqrt 2 - 2."""
+    if target != "2sqrt2-2":
+        return Fraction(target)
+    with working_precision(digits):
+        return 2 * mp.sqrt(2) - 2
+
+
 def _run_continue(cfg: RunConfig, args) -> list[Entry]:
     target, path = args.target, args.path
+    lam = _target_lambda(target, cfg.digits)
     with working_precision(cfg.digits):
         if target == "2sqrt2-2":
-            lam = 2 * mp.sqrt(2) - 2
             expected = mp.mpc(0, 1) / mp.sqrt(2)
             label = "tau(2*sqrt(2)-2)"
         else:
-            lam = Fraction(target)
             expected = mp.mpc(-1, 1) / 2 if lam == 2 else None
             label = f"tau({target})"
     if path is None:

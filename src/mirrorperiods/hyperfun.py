@@ -67,14 +67,39 @@ def as_mpc(x) -> mpc:
     return mpc(x)
 
 
+def _parts(x) -> tuple:
+    """The (re, im) coordinates of a point, as given."""
+    if isinstance(x, str):
+        return x, 0
+    return x if isinstance(x, tuple) else (x.real, x.imag)
+
+
+def _exact(c) -> Fraction:
+    if isinstance(c, (int, Fraction, str)):
+        return Fraction(c)
+    if not mp.isfinite(c):
+        raise PrecisionError(f"non-finite coordinate {c}")
+    if isinstance(c, float):
+        return Fraction(c)
+    sign, man, exp, _ = c._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def exact_point(x) -> tuple:
+    """A point as its exact (re, im) Fraction pair, the one conversion of a
+    point for the series kernels, paths and frames: an int, Fraction or
+    decimal-string coordinate as its value, an mpf or float one (also a
+    part of an mpc, a complex or a pair) as its exact binary value, which
+    loses nothing.  A non-finite coordinate raises PrecisionError."""
+    return tuple(map(_exact, _parts(x)))
+
+
 def exact_pair(x):
-    """(re, im) Fractions for an exact input (int, Fraction, decimal string,
-    or an (re, im) pair of those); None for mpmath, float and complex
-    values, which carry their own rounding."""
-    parts = x if isinstance(x, tuple) else (x, 0)
-    if all(isinstance(p, (int, Fraction, str)) for p in parts):
-        return Fraction(parts[0]), Fraction(parts[1])
-    return None
+    """exact_point(x) for an exact input (int, Fraction, decimal string, or
+    an (re, im) pair of those); None for mpmath, float and complex values,
+    which carry their own rounding."""
+    exact = all(isinstance(p, (int, Fraction, str)) for p in _parts(x))
+    return exact_point(x) if exact else None
 
 
 def waypoint_strings(w) -> list:

@@ -27,14 +27,14 @@ Both numeric series (legendre_jet, dwork_periods) run their term
 recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
 (80) bits beyond the working precision, in the style of mpmath's hypsum;
 mpmath only converts the argument in and combines the sums with log and pi.
-legendre_jet multiplies by an exact lambda's integer numerator and divides
-by its denominator along with the term ratio's, and takes the weighted
-sums sum m x_m of its derivatives from running sums of partial sums, by
-additions.  dwork_periods takes its harmonic brackets, which do not depend
-on psi, from one table per fixed-point scale that every call shares
-(_harmonic_terms).  The term counts are those of `_series_terms` (plus 10
-for the Dwork side), decided exactly on |x|^2: a Fraction for an exact
-lambda, the exact binary value of the mpf |x| otherwise.
+legendre_jet multiplies by the Gaussian-integer numerator of lambda's
+exact point (hyperfun.exact_point) and divides by its denominator along
+with the term ratio's, and takes the weighted sums sum m x_m of its
+derivatives from running sums of partial sums, by additions.  dwork_periods
+takes its harmonic brackets, which do not depend on psi, from one table per
+fixed-point scale that every call shares (_harmonic_terms).  The term
+counts are those of `_series_terms` (plus 10 for the Dwork side), decided
+exactly on |x|^2 from the exact point of lambda or of the mpf |t|.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from mpmath import mp, mpc, mpf
 
 from . import hyperfun
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed, _to_fixed,
-                       as_mpc, decay_terms, eta_value, exact_pair, frobenius_series,
+                       as_mpc, decay_terms, eta_value, exact_point, frobenius_series,
                        half_nome, hyp2f1_series, theta_const, waypoint_strings,
                        working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
@@ -209,16 +209,9 @@ class QuadMapResult(NamedTuple):
     psi: mpc
 
 
-def _binary2(x: mpf) -> Fraction:
-    """The square of an mpf's exact binary value."""
-    man, exp = x.man_exp
-    return Fraction(man * man) * Fraction(2) ** (2 * exp)
-
-
 def _series_terms(abs2: Fraction, digits: int) -> int:
     """Terms needed for a tail ~ |x|^N to drop below the guarded target,
-    from the exact abs2 = |x|^2 (a Fraction for an exact x, else the square
-    of the mpf |x|'s binary value): the least N with
+    from the exact abs2 = |x|^2 of hyperfun.exact_point: the least N with
     |x|^N <= 10^-(digits + GUARD_DIGITS + 5), decided on integers
     (hyperfun.decay_terms), plus 10, and at least 12."""
     if abs2 == 0:
@@ -243,28 +236,24 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     1 + lam sum d_m and lam sum e_m need no division by lam (which would
     cost |log2 lam| bits of the fixed-point sums).  With S_m the partial
     sums and T the sum of S_1, ..., S_N, sum_(m<=N) m d_m = (N+1) S_N - T,
-    so the weighted sums cost one addition per term.  An exact lam (Fraction,
-    int, decimal string or a pair of those) enters as a Gaussian integer
-    over its denominator, which joins the small divisor 4(m+1)^2, so each
-    term costs O(P) bit operations; any other lam as a 2^P fixed-point pair
-    multiplied in and shifted back.  mpmath converts lam in and applies the
-    log/pi combination to the four sums.
+    so the weighted sums cost one addition per term.  lam enters as its
+    exact point (hyperfun.exact_point), a Gaussian integer over its
+    denominator, which joins the small divisor 4(m+1)^2, so each term costs
+    O(P) bit operations at a short rational lam, and the sums are rounded
+    only by the floors of the divisions.  mpmath converts lam in and
+    applies the log/pi combination to the four sums.
     """
-    exact = exact_pair(lam)
+    re, im = exact_point(lam)
     with working_precision(digits):
-        lam = as_mpc(lam)
+        lam = as_mpc((re, im))
         if lam == 0:
             raise PrecisionError("legendre periods are singular at lambda = 0")
         if abs(lam) > mpf("0.9"):
             raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
-        n = _series_terms(_binary2(abs(lam)) if exact is None
-                          else exact[0] ** 2 + exact[1] ** 2, digits)
+        n = _series_terms(re ** 2 + im ** 2, digits)
         prec = mp.prec + GUARD_BITS
-        if exact is None:
-            lre, lim, ldiv, shift = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec), 1, prec
-        else:
-            ldiv = lcm(exact[0].denominator, exact[1].denominator)
-            lre, lim, shift = int(exact[0] * ldiv), int(exact[1] * ldiv), 0
+        ldiv = lcm(re.denominator, im.denominator)
+        lre, lim = int(re * ldiv), int(im * ldiv)
         dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
         ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
         # the partial sums S_m of d and e, and the running sums T of the S_m
@@ -280,10 +269,10 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             teim += seim
             k, m1 = 2 * m + 1, m + 1
             den = 4 * m1 * m1 * ldiv
-            xre = (lre * dre - lim * dim) >> shift
-            xim = (lre * dim + lim * dre) >> shift
-            yre = (lre * ere - lim * eim) >> shift
-            yim = (lre * eim + lim * ere) >> shift
+            xre = lre * dre - lim * dim
+            xim = lre * dim + lim * dre
+            yre = lre * ere - lim * eim
+            yim = lre * eim + lim * ere
             kmk, k2 = k * m1 * k, 2 * k
             ere = (kmk * yre + k2 * xre) // (den * m1)
             eim = (kmk * yim + k2 * xim) // (den * m1)
@@ -377,7 +366,7 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
             raise PrecisionError("dwork series requires |psi^4| >= 1.2")
         u = t / 256
         log4psi = mp.log(4 * psi)
-        nterms = _series_terms(_binary2(at), digits) + 10
+        nterms = _series_terms(exact_point(at)[0] ** 2, digits) + 10
         prec = mp.prec + GUARD_BITS
         one = 1 << prec
         with mp.workprec(prec):
@@ -637,7 +626,6 @@ W_PI_WHERE = "lambda in {" + ", ".join(map(_label, W_PI_GRID)) + "}"
 def _w_pi_check(digits) -> Entry:
     # W0 = Pi0, W1 = Pi1 and W2 = Pi2 - Pi0/2, Pi_i = (1 - lam/2) varpi0^(2-i)
     # varpi1^i: W0*W2 - W1^2 = -W0^2/2 (see w_series_t) and Pi0*Pi2 = Pi1^2.
-    # The exact points reach legendre_jet as they are, for its exact path.
     worst = mpf(0)
     with working_precision(digits):
         for lam in W_PI_GRID:

@@ -19,18 +19,18 @@ sizes and rho^2 from squared distances to the exact singular points and
 isqrt (_steps), the term counts from integer power comparisons
 (_step_terms), the clearance from squared distances to each segment
 (_check_clearance), and the recurrence coefficients from Gaussian-integer
-numerators over one denominator (_recurrence).  Every waypoint is stored
-as an exact (re, im) Fraction pair; an mpf, mpc, float or complex
-coordinate is stored as its exact binary value (_dyadic), which loses
-nothing.  So every expansion
-point and step is an exact Gaussian rational (the step in the segment's
-parameter is rounded down to STEP_BITS significant binary digits), and the
-recurrence coefficients are Gaussian integers over one positive divisor:
-small at short rational points, where a term costs O(P) bit operations
-instead of a P-bit product -- the rational-parameter case of hypsum
-(Mezzarobba, arXiv:1607.01967).  The conversions `_to_fixed`/`_from_fixed`
-and GUARD_BITS live in hyperfun, shared with the period series of
-`periods`.
+numerators over one denominator (_recurrence), and so are a frame's
+anchor, a path's end and default_path's choice: every waypoint, frame
+point and target is its exact (re, im) Fraction pair, an mpf or float
+coordinate its exact binary value (hyperfun.exact_point).  So every
+expansion point and step is an exact Gaussian rational (the step in the
+segment's parameter is rounded down to STEP_BITS significant binary
+digits), and the recurrence coefficients are Gaussian integers over one
+positive divisor: small at short rational points, where a term costs O(P)
+bit operations instead of a P-bit product -- the rational-parameter case
+of hypsum (Mezzarobba, arXiv:1607.01967).  The conversions
+`_to_fixed`/`_from_fixed` and GUARD_BITS live in hyperfun, shared with the
+period series of `periods`.
 
 The Legendre frame is not transported through the disk
 |lambda| <= SERIES_RADIUS (1/2), where periods.legendre_jet sums it
@@ -38,9 +38,9 @@ directly with term ratio at most 1/2, so one series frame costs about one
 Taylor step.  continue_legendre seeds the transport at the last step point
 its path reaches in that disk from the start without meeting the cut
 (-inf, 0] of the principal log (an exact test on exact steps), takes the
-series frame there and runs continue_solution on the rest of the path.
-The canonical path to lambda = 2 takes 9 Taylor steps, the default path
-to 2 sqrt 2 - 2 two.
+series frame there and runs the Taylor steps (_transport) on the rest of
+the path.  The canonical path to lambda = 2 takes 9 Taylor steps, the
+default path to 2 sqrt 2 - 2 two.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -55,11 +55,11 @@ from itertools import accumulate, islice, repeat
 from math import factorial, gcd, isqrt, lcm, perm, prod
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_float
 
 from . import periods
-from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, _from_fixed,
-                       _to_fixed, as_mpc, decay_terms, exact_pair, working_precision)
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError, _from_fixed,
+                       _to_fixed, as_mpc, decay_terms, exact_pair, exact_point,
+                       working_precision)
 from .qseries import SeriesError
 
 # Significant binary digits kept in the parameter step dt of a segment
@@ -135,45 +135,23 @@ def legendre_operator() -> FuchsianOperator:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic(x, bits: int | None = None) -> Fraction:
-    """A finite mpf or float as its exact binary value, cut toward zero to
-    its leading `bits` significant bits when given.  A non-finite value
-    raises PathError."""
-    if not mp.isfinite(x):
-        raise PathError(f"non-finite coordinate {x}")
-    sign, man, exp, bc = from_float(x) if isinstance(x, float) else x._mpf_
-    if bits is not None and bc > bits:
-        man >>= bc - bits
-        exp += bc - bits
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
-
-
-def _normalize_waypoint(w) -> tuple:
-    """A point as its exact (re, im) Fraction pair, to be realized at
-    whatever precision a continuation runs at: an int, Fraction or decimal
-    string coordinate as its value, an mpf or float one (also the parts of
-    an mpc or complex) as its exact binary value."""
-    if isinstance(w, str):
-        w = Fraction(w)
-    re, im = w if isinstance(w, tuple) else (w.real, w.imag)
-    return tuple(Fraction(c) if isinstance(c, (int, Fraction, str)) else _dyadic(c)
-                 for c in (re, im))
-
-
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Polygonal path in the complex plane through exact waypoints (see
-    _normalize_waypoint); continuation requires it to keep CLEARANCE from
-    every singular point."""
+    """Polygonal path in the complex plane through waypoints stored as
+    their exact points (hyperfun.exact_point; a non-finite one raises
+    PathError); continuation requires it to keep CLEARANCE from every
+    singular point."""
 
     waypoints: tuple
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise PathError("a path needs at least two waypoints")
-        object.__setattr__(self, "waypoints",
-                           tuple(_normalize_waypoint(w) for w in self.waypoints))
+        try:
+            waypoints = tuple(exact_point(w) for w in self.waypoints)
+        except PrecisionError as exc:
+            raise PathError(str(exc)) from None
+        object.__setattr__(self, "waypoints", waypoints)
 
     @classmethod
     def from_json(cls, text: str) -> "ContinuationPath":
@@ -186,13 +164,13 @@ class ContinuationPath:
 
 @dataclass(frozen=True)
 class SolutionFrame:
-    """Values and derivatives of a fundamental system at a point.
+    """Values and derivatives of a fundamental system at an exact point.
 
     columns[i] = (y_i, y_i', ..., y_i^(order-1)); the frame matrix must stay
     nonsingular along any continuation.
     """
 
-    point: mpc
+    point: tuple
     columns: tuple
     error_estimate: mpf = mpf(0)
 
@@ -483,12 +461,11 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     the count of a full step at rho = 1/2 and fewer for a shorter one, such
     as a segment's last.  _steps yields the exact rho^2 with each step; the
     step sizes, term counts and clearance are decided on exact rationals
-    and ints, never on rounded values.  The waypoints are exact (Fraction
-    pairs, as in CANONICAL_PATH_TO_TWO and `--path` JSON, or the exact
-    binary value of an mpf such as 2 sqrt 2 - 2), so every expansion point
-    z = a + t (w - a) and step h = dt (w - a) is an exact Gaussian
-    rational: dt is that step in units of |w - a| rounded down to STEP_BITS
-    significant binary digits (see _steps), so no step is longer.  Each
+    and ints, never on rounded values.  The waypoints are exact points
+    (ContinuationPath), so every expansion point z = a + t (w - a) and step
+    h = dt (w - a) is an exact Gaussian rational: dt is that step in units
+    of |w - a| rounded down to STEP_BITS significant binary digits (see
+    _steps), so no step is longer.  Each
     step advances all columns together through one Taylor recurrence on
     Python integers (`_taylor_transport`): the step is rescaled to end at
     t = 1, the scaled terms c_n h^n are ints carrying GUARD_BITS (80) bits
@@ -503,9 +480,10 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     terms, and the accepted tails are summed into the returned frame's
     error estimate.  Precision doubling is the intended cross-check.
 
-    The transport runs from the first waypoint, where `initial` must sit,
-    for any operator.  continue_legendre runs the same transport from a
-    later seed point, with the Legendre frame there from the series.
+    The transport runs from the first waypoint, which must be the exact
+    point of `initial.point`, for any operator.  continue_legendre runs the
+    same transport from a later seed point, with the Legendre frame there
+    from the series.
     """
     _check_clearance(path.waypoints, op.singular_points)
     return _transport(op, path, initial, digits)
@@ -515,10 +493,9 @@ def _transport(op: FuchsianOperator, path: ContinuationPath,
                initial: SolutionFrame, digits: int) -> SolutionFrame:
     """continue_solution's Taylor steps on a path whose clearance the caller
     has checked."""
+    if exact_point(initial.point) != path.waypoints[0]:
+        raise PathError("initial frame is not anchored at the first waypoint")
     with working_precision(digits):
-        waypoints = [as_mpc(w) for w in path.waypoints]
-        if abs(initial.point - waypoints[0]) > mpf(10) ** (-digits + 5):
-            raise PathError("initial frame is not anchored at the first waypoint")
         eps = mpf(10) ** (-(digits + 10))
         cols = [tuple(col) for col in initial.columns]
         err = mpf(initial.error_estimate)
@@ -535,17 +512,15 @@ def _transport(op: FuchsianOperator, path: ContinuationPath,
                 raise PathError("Taylor step failed to reach target accuracy")
             cols = new_cols
             err += tail_worst
-        return SolutionFrame(waypoints[-1], tuple(cols), err)
+        return SolutionFrame(path.waypoints[-1], tuple(cols), err)
 
 
 def legendre_frame(base, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
     """Fundamental frame (varpi0, varpi1) of the Legendre operator at a base
-    point inside the series disk; an exact base (a waypoint's Fraction pair)
-    reaches legendre_jet exactly."""
+    point inside the series disk, at the base's exact point."""
     jet = periods.legendre_jet(base, digits)
-    with working_precision(digits):
-        return SolutionFrame(as_mpc(base), ((jet.varpi0, jet.dvarpi0),
-                                            (jet.varpi1, jet.dvarpi1)))
+    return SolutionFrame(exact_point(base), ((jet.varpi0, jet.dvarpi0),
+                                             (jet.varpi1, jet.dvarpi1)))
 
 
 # The homotopy class matters at lambda = 2: the detour through Im(lambda) < 0
@@ -564,14 +539,14 @@ def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath | Non
     """The route tau_at takes to `target` when given no path: None inside
     the series disk 0 < |target| <= 1/2, where legendre_jet evaluates at
     the target itself; the canonical lower detour for lambda = 2; else the
-    straight path from the canonical base."""
-    with working_precision(digits):
-        t = as_mpc(target)
-        if 0 < abs(t) <= as_mpc(SERIES_RADIUS).real:
-            return None
-        if abs(t - 2) < mpf(10) ** -25:
-            return CANONICAL_PATH_TO_TWO
-        return ContinuationPath((CANONICAL_BASE, target))
+    straight path from the canonical base.  The choice is exact, the same
+    at every `digits`."""
+    point = exact_point(target)
+    if 0 < point[0] ** 2 + point[1] ** 2 <= SERIES_RADIUS ** 2:
+        return None
+    if point == (2, 0):
+        return CANONICAL_PATH_TO_TWO
+    return ContinuationPath((CANONICAL_BASE, point))
 
 
 def _in_slit_disk(z) -> bool:
@@ -641,19 +616,28 @@ def frame_tau(frame: SolutionFrame, digits: int = DEFAULT_DIGITS):
         return frame.columns[1][0] / frame.columns[0][0]
 
 
+def ends_at(path: ContinuationPath, target, digits: int = DEFAULT_DIGITS) -> bool:
+    """Whether the path ends at `target`: an exact target (see exact_pair)
+    is its last waypoint, a rounded one such as the mpf 2 sqrt 2 - 2 lies
+    within 10^(5 - digits) max(1, |target|) of it, decided exactly on
+    squared distances."""
+    end, point = path.waypoints[-1], exact_point(target)
+    if exact_pair(target) is not None:
+        return end == point
+    return _distance2(end, point) * 10 ** (2 * digits - 10) <= max(1, _distance2(point, (0, 0)))
+
+
 def tau_at(lambda_target, path: ContinuationPath | None = None,
            digits: int = DEFAULT_DIGITS):
     """tau = varpi1/varpi0 at the target after continuation along the path,
     by default along default_path(lambda_target), or from the series there
-    when that is None."""
-    with working_precision(digits):
-        target = as_mpc(lambda_target)
-        if path is None:
-            path = default_path(lambda_target, digits)
-        if path is None:
-            jet = periods.legendre_jet(lambda_target, digits)
+    when that is None.  A given path must end at the target (ends_at)."""
+    if path is None:
+        path = default_path(lambda_target, digits)
+    if path is None:
+        jet = periods.legendre_jet(lambda_target, digits)
+        with working_precision(digits):
             return jet.varpi1 / jet.varpi0
-        end = as_mpc(path.waypoints[-1])
-        if abs(end - target) > mpf(10) ** (-digits + 5) * max(mpf(1), abs(target)):
-            raise PathError("path does not end at the requested target")
-        return frame_tau(continue_legendre(path, digits), digits)
+    if not ends_at(path, lambda_target, digits):
+        raise PathError("path does not end at the requested target")
+    return frame_tau(continue_legendre(path, digits), digits)

@@ -10,9 +10,9 @@ from mpmath import mp, mpc, mpf
 from mirrorperiods.arith import BadReductionError
 from mirrorperiods.hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError,
                                    _from_fixed, _linear_product, _to_fixed, as_mpc, eta_value,
-                                   exact_pair, working_precision)
+                                   exact_point, working_precision)
 from mirrorperiods.periods import DworkPeriods, LegendreJet, varpi0_series
-from mirrorperiods.pfode import (STEP_BITS, STEP_FACTOR, FuchsianOperator, PathError, _dyadic,
+from mirrorperiods.pfode import (STEP_BITS, STEP_FACTOR, FuchsianOperator, PathError,
                                  _step_precision)
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
@@ -334,6 +334,16 @@ def reference_series_terms(absx, digits: int) -> int:
     return max(n + 10, 12)
 
 
+def binary_cut(x, bits: int) -> Fraction:
+    """The exact binary value of the finite mpf x cut toward zero to its
+    leading `bits` significant bits: the STEP_BITS cut of a step's reach,
+    taken on an mpf reach as pfode did before its reach was exact."""
+    sign, man, exp, bc = x._mpf_
+    cut = max(0, bc - bits)
+    v = Fraction(man >> cut) * Fraction(2) ** (exp + cut)
+    return -v if sign else v
+
+
 def reference_steps(waypoints, sing, digits: int):
     """pfode._steps measuring the reach in mpmath: the (z, h) it yields."""
     for a, w in zip(waypoints, waypoints[1:]):
@@ -348,8 +358,8 @@ def reference_steps(waypoints, sing, digits: int):
             if sing:
                 d = min(abs(as_mpc(z) - s) for s in sing)
                 reach = d * mpf(STEP_FACTOR) / length
-                if rest > _dyadic(reach):
-                    rest = _dyadic(reach, STEP_BITS)
+                if rest > exact_point(reach)[0]:
+                    rest = binary_cut(reach, STEP_BITS)
             if as_mpc(rest).real * length < mpf(10) ** (-digits):
                 raise PathError("step size underflow near a singular point")
             yield z, (rest * delta[0], rest * delta[1])
@@ -404,16 +414,13 @@ def reference_recurrence(op, z, h):
 def reference_int_legendre_jet(lam, digits: int) -> LegendreJet:
     """periods.legendre_jet with its term count from mpmath logs and
     sum m x_m summed term by term: the same integer recurrences."""
-    exact = exact_pair(lam)
+    re, im = exact_point(lam)
     with working_precision(digits):
         lam = as_mpc(lam)
         n = reference_series_terms(abs(lam), digits)
         prec = mp.prec + GUARD_BITS
-        if exact is None:
-            lre, lim, ldiv, shift = _to_fixed(lam.real, prec), _to_fixed(lam.imag, prec), 1, prec
-        else:
-            ldiv = lcm(exact[0].denominator, exact[1].denominator)
-            lre, lim, shift = int(exact[0] * ldiv), int(exact[1] * ldiv), 0
+        ldiv = lcm(re.denominator, im.denominator)
+        lre, lim = int(re * ldiv), int(im * ldiv)
         dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
         ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
         sdre = sdim = sddre = sddim = sere = seim = sdere = sdeim = 0
@@ -428,10 +435,10 @@ def reference_int_legendre_jet(lam, digits: int) -> LegendreJet:
             sdeim += m * eim
             k, m1 = 2 * m + 1, m + 1
             den = 4 * m1 * m1 * ldiv
-            xre = (lre * dre - lim * dim) >> shift
-            xim = (lre * dim + lim * dre) >> shift
-            yre = (lre * ere - lim * eim) >> shift
-            yim = (lre * eim + lim * ere) >> shift
+            xre = lre * dre - lim * dim
+            xim = lre * dim + lim * dre
+            yre = lre * ere - lim * eim
+            yim = lre * eim + lim * ere
             ere = (k * m1 * yre + 2 * xre) * k // (den * m1)
             eim = (k * m1 * yim + 2 * xim) * k // (den * m1)
             dre = xre * k * k // den

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import mpmath.libmp.libmpc as libmpc
@@ -274,3 +275,13 @@ def test_min_digits_enforced():
     with pytest.raises(PrecisionError):
         with working_precision(20):
             pass
+
+
+def test_only_hyperfun_reads_binary_parts():
+    # every point becomes exact through hyperfun.exact_point, and the
+    # fixed-point conversions sit beside it: no other module takes an mpf
+    # or float apart
+    src = Path(__file__).resolve().parents[1] / "src" / "mirrorperiods"
+    readers = {f.name for f in src.glob("*.py")
+               if any(word in f.read_text() for word in ("._mpf_", ".man_exp", "from_float"))}
+    assert readers == {"hyperfun.py"}

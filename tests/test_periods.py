@@ -8,7 +8,8 @@ import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, lambda_from_t, pi0_series, reference_dwork_periods,
                      reference_frobenius_series, reference_int_legendre_jet,
                      reference_legendre_jet, reference_series_terms, reference_w_series_t)
-from mirrorperiods.hyperfun import PrecisionError, as_mpc, frobenius_series, working_precision
+from mirrorperiods.hyperfun import (PrecisionError, as_mpc, exact_point, frobenius_series,
+                                   working_precision)
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 DIGITS = 50
@@ -334,12 +335,25 @@ def test_legendre_jet_matches_reference(lam, digits):
 @pytest.mark.parametrize("digits", [40, 200])
 @pytest.mark.parametrize("lam", JET_POINTS)
 def test_legendre_jet_at_exact_lambda_matches_mpc(lam, digits):
-    # an exact lambda enters as a Gaussian integer over its denominator, an
-    # mpc one as 2^P fixed-point values: the same jet either way
+    # every lambda enters as its exact point, a Gaussian integer over its
+    # denominator: an mpc, float or complex lambda gives the jet of its
+    # exact binary value, and the rounded mpc the exact lambda's jet
     with working_precision(digits):
         rounded = as_mpc(lam)
-    _assert_relative(periods.legendre_jet(lam, digits),
-                     periods.legendre_jet(rounded, digits), digits)
+    jet = periods.legendre_jet(rounded, digits)
+    assert jet == periods.legendre_jet(exact_point(rounded), digits)
+    _assert_relative(periods.legendre_jet(lam, digits), jet, digits)
+    z = complex(float(lam[0]), float(lam[1]))
+    for x in (z, z.real) if z.imag == 0 else (z,):
+        assert _jet_or_error(x, digits) == _jet_or_error(exact_point(x), digits)
+
+
+def _jet_or_error(lam, digits):
+    # the float 0.9 lies above 9/10, so both of its jets raise
+    try:
+        return periods.legendre_jet(lam, digits)
+    except PrecisionError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("digits", [40, 200])
@@ -376,7 +390,7 @@ def test_series_terms_equal_mpmath_reference(lam, digits):
         absx = abs(as_mpc(lam))
         ref = reference_series_terms(absx, digits)
     assert ref == n + 10 + ((lam, digits) in ROUNDED_UP)
-    binary = periods._binary2(absx)
+    binary = exact_point(absx)[0] ** 2
     m = periods._series_terms(binary, digits) - 10
     assert fits(binary, m) and not fits(binary, m - 1) and abs(m - n) <= 1
 

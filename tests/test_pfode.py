@@ -7,15 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import (D_LEGENDRE_OPERATOR, PULLBACK_OPERATOR, reference_int_transport,
-                     reference_recurrence, reference_shift_poly_exact, reference_step_terms,
-                     reference_steps, reference_taylor_transport)
+from helpers import (D_LEGENDRE_OPERATOR, PULLBACK_OPERATOR, binary_cut,
+                     reference_int_transport, reference_recurrence, reference_shift_poly_exact,
+                     reference_step_terms, reference_steps, reference_taylor_transport)
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.hyperfun as hyperfun
 import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
-from mirrorperiods.hyperfun import as_mpc, theta_const, waypoint_strings, working_precision
+from mirrorperiods.hyperfun import (PrecisionError, as_mpc, exact_point, theta_const,
+                                   waypoint_strings, working_precision)
 from mirrorperiods.qseries import SeriesError
 
 DIGITS = 50
@@ -129,7 +130,7 @@ def _kernel_step(name, z, direction, digits):
     z, exact and realized in mpmath, for the reference."""
     op = KERNEL_OPERATORS[name]
     d = min(abs(as_mpc(z) - as_mpc(s)) for s in op.singular_points)
-    dt = pfode._dyadic(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
+    dt = binary_cut(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
     h = (dt * direction[0], dt * direction[1])
     recurrence = pfode._recurrence(op, z, h)
     shifted = [[as_mpc(c) for c in reference_shift_poly_exact(p, z)] for p in op.coeff_polys]
@@ -568,6 +569,29 @@ def test_step_terms_pass_the_tail_test_at_once(monkeypatch, target, digits):
     assert min(n for _, n in calls) < full
 
 
+@pytest.mark.parametrize("digits", [40, 120, 200])
+@pytest.mark.parametrize("point", [(F(3, 10), F(2, 5)), (F(-3, 10), F(2, 5)),
+                                   (F(3, 10), F(-2, 5)), (F(-3, 10), F(-2, 5))])
+def test_default_path_decides_on_the_exact_point(point, digits):
+    # |z|^2 = 1/4 exactly is inside the series disk at every precision
+    assert pfode.default_path(point, digits) is None
+    with working_precision(digits):
+        two = mpf(2)
+        near_two = two + mpf(2) ** -100
+    assert pfode.default_path(two, digits) is pfode.CANONICAL_PATH_TO_TWO
+    assert pfode.default_path(2.0, digits) is pfode.CANONICAL_PATH_TO_TWO
+    # within 10^-25 of 2 but not 2: the straight path to that point
+    assert pfode.default_path(near_two, digits).waypoints == (
+        (F(1, 10), F(0)), (2 + F(1, 2 ** 100), F(0)))
+
+
+def test_tau_at_exact_target_needs_the_exact_end():
+    off = pfode.ContinuationPath(((F(1, 10), F(0)), (F(1, 10), F(-6, 5)),
+                                  (2 + F(1, 10 ** DIGITS), F(0))))
+    with pytest.raises(pfode.PathError, match="does not end"):
+        pfode.tau_at(2, path=off, digits=DIGITS)
+
+
 def test_tau_at_degenerate_path_matches_series():
     tau = pfode.tau_at(F(1, 20), digits=DIGITS)
     jet = periods.legendre_jet(F(1, 20), DIGITS)
@@ -628,10 +652,10 @@ def test_step_underflow_is_exact():
 
 
 def test_non_finite_frame_raises():
-    with working_precision(40):
-        frame = pfode.SolutionFrame(as_mpc(F(1, 10)), ((mpc(1), mpc(0)), (mpc(0), mp.inf)))
+    # anchored at the exact first waypoint, so the frame's values are checked
+    frame = pfode.SolutionFrame((F(1, 10), F(0)), ((mpc(1), mpc(0)), (mpc(0), mp.inf)))
     path = pfode.ContinuationPath((F(1, 10), F(1, 5)))
-    with pytest.raises(pfode.PathError):
+    with pytest.raises(pfode.PathError, match="non-finite"):
         pfode.continue_solution(pfode.legendre_operator(), path, frame, 40)
 
 
@@ -672,6 +696,8 @@ def test_waypoint_normalization():
 def test_non_finite_waypoint_raises(point):
     with pytest.raises(pfode.PathError):
         pfode.ContinuationPath((F(1, 10), point))
+    with pytest.raises(PrecisionError):
+        exact_point(point)
 
 
 def test_frame_anchoring_checked():
@@ -679,3 +705,10 @@ def test_frame_anchoring_checked():
     path = pfode.ContinuationPath((F(1, 4), F(1, 2)))
     with pytest.raises(pfode.PathError):
         pfode.continue_solution(pfode.legendre_operator(), path, frame, 40)
+    # the anchor is exact: a frame at the 40-digit mpc of 1/10 is not at 1/10
+    with working_precision(40):
+        rounded = pfode.legendre_frame(as_mpc(F(1, 10)), 40)
+    assert rounded.point != (F(1, 10), F(0))
+    with pytest.raises(pfode.PathError, match="anchored"):
+        pfode.continue_solution(pfode.legendre_operator(),
+                                pfode.ContinuationPath((F(1, 10), F(1, 5))), rounded, 40)
