@@ -143,7 +143,7 @@ def _run_continue(cfg: RunConfig, args) -> list[Entry]:
             expected = mp.mpc(-1, 1) / 2 if lam == 2 else None
             label = f"tau({target})"
     if path is None:
-        path = pfode.default_path(lam, cfg.digits)  # None: the series at lam
+        path = pfode.default_path(lam)  # None: the series at lam
     if path is pfode.CANONICAL_PATH_TO_TWO:
         tau = pfode.frame_tau(cfg.frame_at_two, cfg.digits)
     else:

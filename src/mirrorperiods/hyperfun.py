@@ -68,10 +68,14 @@ def as_mpc(x) -> mpc:
 
 
 def _parts(x) -> tuple:
-    """The (re, im) coordinates of a point, as given."""
+    """The (re, im) coordinates of a point, as given; a tuple must be a
+    pair."""
     if isinstance(x, str):
         return x, 0
-    return x if isinstance(x, tuple) else (x.real, x.imag)
+    if isinstance(x, tuple):
+        re, im = x
+        return re, im
+    return x.real, x.imag
 
 
 def _exact(c) -> Fraction:

@@ -535,12 +535,12 @@ CANONICAL_PATH_TO_TWO = ContinuationPath((
 ))
 
 
-def default_path(target, digits: int = DEFAULT_DIGITS) -> ContinuationPath | None:
+def default_path(target) -> ContinuationPath | None:
     """The route tau_at takes to `target` when given no path: None inside
     the series disk 0 < |target| <= 1/2, where legendre_jet evaluates at
     the target itself; the canonical lower detour for lambda = 2; else the
-    straight path from the canonical base.  The choice is exact, the same
-    at every `digits`."""
+    straight path from the canonical base.  The choice is exact, made on
+    exact_point(target)."""
     point = exact_point(target)
     if 0 < point[0] ** 2 + point[1] ** 2 <= SERIES_RADIUS ** 2:
         return None
@@ -621,9 +621,10 @@ def ends_at(path: ContinuationPath, target, digits: int = DEFAULT_DIGITS) -> boo
     is its last waypoint, a rounded one such as the mpf 2 sqrt 2 - 2 lies
     within 10^(5 - digits) max(1, |target|) of it, decided exactly on
     squared distances."""
-    end, point = path.waypoints[-1], exact_point(target)
-    if exact_pair(target) is not None:
-        return end == point
+    end, exact = path.waypoints[-1], exact_pair(target)
+    if exact is not None:
+        return end == exact
+    point = exact_point(target)
     return _distance2(end, point) * 10 ** (2 * digits - 10) <= max(1, _distance2(point, (0, 0)))
 
 
@@ -633,7 +634,7 @@ def tau_at(lambda_target, path: ContinuationPath | None = None,
     by default along default_path(lambda_target), or from the series there
     when that is None.  A given path must end at the target (ends_at)."""
     if path is None:
-        path = default_path(lambda_target, digits)
+        path = default_path(lambda_target)
     if path is None:
         jet = periods.legendre_jet(lambda_target, digits)
         with working_precision(digits):

@@ -138,7 +138,7 @@ def test_continue_reports_the_route_it_takes(capsys):
     assert code == 0
     [entry] = json.loads(out)["entries"]
     assert entry["path"] == [waypoint_strings(w)
-                             for w in pfode.default_path(Fraction(3, 5), 40).waypoints] \
+                             for w in pfode.default_path(Fraction(3, 5)).waypoints] \
         == [["0.1", "0.0"], ["0.6", "0.0"]]
 
 

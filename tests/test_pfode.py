@@ -269,7 +269,7 @@ def test_steps_and_terms_equal_mpmath_reference(target, digits):
     # exact squared distances, isqrt and integer term counts decide every
     # step (z, h) and term count as the mpmath logs and roots did
     path = (pfode.CANONICAL_PATH_TO_TWO if target == "2"
-            else pfode.default_path(_psi_one_point(digits), digits))
+            else pfode.default_path(_psi_one_point(digits)))
     assert _steps_and_terms(path.waypoints, digits) == \
         _reference_steps_and_terms(path.waypoints, digits)
 
@@ -432,7 +432,7 @@ def test_psi_one_point_frame_is_bit_identical(digits):
     # exact and seeded like any other path's
     want = json.loads((DATA / "frame_2sqrt2m2.json").read_text())["frames"][str(digits)]
     lam = _psi_one_point(digits)
-    frame = pfode.continue_legendre(pfode.default_path(lam, digits), digits)
+    frame = pfode.continue_legendre(pfode.default_path(lam), digits)
     values = [v for col in frame.columns for v in col] + [pfode.tau_at(lam, digits=digits)]
     assert [_mpf_bits(x) for v in values for x in (v.real, v.imag)] == want
 
@@ -441,7 +441,7 @@ def test_psi_one_point_frame_is_bit_identical(digits):
 def test_psi_one_point_varpi0_matches_theta(digits):
     # tau(2 sqrt 2 - 2) = i/sqrt 2, so varpi0 there is theta3(0, e^(-pi/sqrt 2))^2
     lam = _psi_one_point(digits)
-    frame = pfode.continue_legendre(pfode.default_path(lam, digits), digits)
+    frame = pfode.continue_legendre(pfode.default_path(lam), digits)
     with working_precision(digits):
         th2 = theta_const(3, mp.exp(-mp.pi / mp.sqrt(2)), digits) ** 2
         assert abs(frame.columns[0][0] - th2) < mpf(10) ** (-(digits - 10))
@@ -545,7 +545,7 @@ def test_psi_one_point_path_is_seeded(monkeypatch, digits):
     # takes 2 Taylor steps (6 from the first waypoint)
     lam = _psi_one_point(digits)
     steps = _count_steps(monkeypatch)
-    pfode.continue_legendre(pfode.default_path(lam, digits), digits)
+    pfode.continue_legendre(pfode.default_path(lam), digits)
     assert len(steps) <= 2
 
 
@@ -556,7 +556,7 @@ def test_step_terms_pass_the_tail_test_at_once(monkeypatch, target, digits):
     # to the nearest singular point: no step is redone with more terms, and
     # none gets more than a full step at rho = 1/2 gets
     path = (pfode.CANONICAL_PATH_TO_TWO if target == "2"
-            else pfode.default_path(_psi_one_point(digits), digits))
+            else pfode.default_path(_psi_one_point(digits)))
     calls = _count_steps(monkeypatch)
     pfode.continue_legendre(path, digits)
     sing = pfode.legendre_operator().singular_points
@@ -569,19 +569,20 @@ def test_step_terms_pass_the_tail_test_at_once(monkeypatch, target, digits):
     assert min(n for _, n in calls) < full
 
 
-@pytest.mark.parametrize("digits", [40, 120, 200])
 @pytest.mark.parametrize("point", [(F(3, 10), F(2, 5)), (F(-3, 10), F(2, 5)),
                                    (F(3, 10), F(-2, 5)), (F(-3, 10), F(-2, 5))])
-def test_default_path_decides_on_the_exact_point(point, digits):
-    # |z|^2 = 1/4 exactly is inside the series disk at every precision
-    assert pfode.default_path(point, digits) is None
-    with working_precision(digits):
-        two = mpf(2)
-        near_two = two + mpf(2) ** -100
-    assert pfode.default_path(two, digits) is pfode.CANONICAL_PATH_TO_TWO
-    assert pfode.default_path(2.0, digits) is pfode.CANONICAL_PATH_TO_TWO
+def test_default_path_takes_the_series_on_the_disk_edge(point):
+    # |z|^2 = 1/4 exactly is inside the series disk
+    assert pfode.default_path(point) is None
+
+
+def test_default_path_takes_the_canonical_path_only_at_two():
+    assert pfode.default_path(mpf(2)) is pfode.CANONICAL_PATH_TO_TWO
+    assert pfode.default_path(2.0) is pfode.CANONICAL_PATH_TO_TWO
     # within 10^-25 of 2 but not 2: the straight path to that point
-    assert pfode.default_path(near_two, digits).waypoints == (
+    with working_precision(40):
+        near_two = mpf(2) + mpf(2) ** -100
+    assert pfode.default_path(near_two).waypoints == (
         (F(1, 10), F(0)), (2 + F(1, 2 ** 100), F(0)))
 
 
@@ -662,6 +663,14 @@ def test_non_finite_frame_raises():
 def test_path_needs_two_waypoints():
     with pytest.raises(pfode.PathError):
         pfode.ContinuationPath((F(1, 10),))
+
+
+@pytest.mark.parametrize("point", [(F(1, 2),), (F(1, 2), F(0), F(0))])
+def test_waypoint_needs_two_coordinates(point):
+    with pytest.raises(ValueError):
+        pfode.ContinuationPath((F(1, 10), point))
+    with pytest.raises(ValueError):
+        exact_point(point)
 
 
 def test_path_json_roundtrip():
