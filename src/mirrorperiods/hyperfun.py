@@ -68,14 +68,11 @@ def as_mpc(x) -> mpc:
 
 
 def _parts(x) -> tuple:
-    """The (re, im) coordinates of a point, as given; a tuple must be a
-    pair."""
+    """The (re, im) coordinates of a point, as given; a tuple must be a pair."""
     if isinstance(x, str):
         return x, 0
-    if isinstance(x, tuple):
-        re, im = x
-        return re, im
-    return x.real, x.imag
+    re, im = x if isinstance(x, tuple) else (x.real, x.imag)
+    return re, im
 
 
 def _exact(c) -> Fraction:
@@ -96,6 +93,14 @@ def exact_point(x) -> tuple:
     part of an mpc, a complex or a pair) as its exact binary value, which
     loses nothing.  A non-finite coordinate raises PrecisionError."""
     return tuple(map(_exact, _parts(x)))
+
+
+def _gaussian(z):
+    """An exact point (re, im) as (a, b, den): (a + i b) / den with ints a, b
+    and den > 0."""
+    re, im = z
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
 def exact_pair(x):

@@ -42,14 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from math import lcm
 from typing import NamedTuple, Optional
 
 from mpmath import mp, mpc, mpf
 
 from . import hyperfun
-from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed, _to_fixed,
-                       as_mpc, decay_terms, eta_value, exact_point, frobenius_series,
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed, _gaussian,
+                       _to_fixed, as_mpc, decay_terms, eta_value, exact_point, frobenius_series,
                        half_nome, hyp2f1_series, theta_const, waypoint_strings,
                        working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
@@ -252,8 +251,7 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
         n = _series_terms(re ** 2 + im ** 2, digits)
         prec = mp.prec + GUARD_BITS
-        ldiv = lcm(re.denominator, im.denominator)
-        lre, lim = int(re * ldiv), int(im * ldiv)
+        lre, lim, ldiv = _gaussian((re, im))
         dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
         ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
         # the partial sums S_m of d and e, and the running sums T of the S_m

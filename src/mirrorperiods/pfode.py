@@ -58,7 +58,7 @@ from mpmath import mp, mpc, mpf
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError, _from_fixed,
-                       _to_fixed, as_mpc, decay_terms, exact_pair, exact_point,
+                       _gaussian, _to_fixed, as_mpc, decay_terms, exact_pair, exact_point,
                        working_precision)
 from .qseries import SeriesError
 
@@ -195,14 +195,6 @@ def _step_precision(r: int, h) -> int:
     GUARD_BITS, and (r-1) log2(1/|h|) more for a short step, whose
     derivatives are divided by powers of h."""
     return mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
-
-
-def _gaussian(z):
-    """An exact point (re, im) as (a, b, den): (a + i b) / den with ints a, b
-    and den > 0."""
-    re, im = z
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
 def _gmul(a, b):
