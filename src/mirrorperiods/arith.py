@@ -23,11 +23,10 @@ Z[i]) for p = 3 mod 4.  That match is checked at every good prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class BadReductionError(ValueError):
@@ -184,8 +183,7 @@ def fermat_quartic_count(p: int, bound: int = 101) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ZetaRecord:
+class ZetaRecord(NamedTuple):
     """Per-prime zeta data for a Legendre fiber and the quartic surface.
 
     elliptic_factor is (1, -a_p, p) for 1 - a_p T + p T^2; sym2_factor is the

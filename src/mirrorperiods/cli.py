@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -43,18 +43,25 @@ ALL = (("identities",), ("lambda-series",), ("mirror-map",), ("continue",),
        ("deligne",), ("bps",))
 # failed computations: each ends its selection as one FAIL entry
 COMPUTATION_ERRORS = (PrecisionError, pfode.PathError, SeriesError, ArithmeticError)
+# options whose value may be a negative rational, and a word that starts
+# like a negative number (-1/3, -.5, -1e3)
+RATIONAL_OPTIONS = ("--target", "--lambda")
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-@dataclass
 class RunConfig:
     """The options of one run, and the expensive objects its stages share."""
-    digits: int = 120
-    order: int = 40
-    pmax: int = 500
-    quartic_bound: int = 101
-    fmt: str = "json"
-    output: str | None = None
-    timings: bool = False
+
+    def __init__(self, digits: int = 120, order: int = 40, pmax: int = 500,
+                 quartic_bound: int = 101, fmt: str = "json", output: str | None = None,
+                 timings: bool = False):
+        self.digits = digits
+        self.order = order
+        self.pmax = pmax
+        self.quartic_bound = quartic_bound
+        self.fmt = fmt
+        self.output = output
+        self.timings = timings
 
     def validate(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
         """Reject, through parser.error, a run of the selection `args`."""
@@ -101,7 +108,7 @@ def _run_identities(cfg: RunConfig, args) -> list[Entry]:
         order = periods.identity_order(name, cfg.order)
         e = periods.check_identity(name, order, digits=cfg.digits)
         if cfg.timings:
-            e = replace(e, data={**e.data, "seconds": round(time.perf_counter() - t0, 3)})
+            e = e._replace(data={**e.data, "seconds": round(time.perf_counter() - t0, 3)})
         entries.append(e)
     return entries
 
@@ -157,7 +164,7 @@ def _run_continue(cfg: RunConfig, args) -> list[Entry]:
             return [Entry(label, im_positive, data=e)]
         entry = judged(label, abs(tau - expected), mpf(10) ** -30,
                        data={"expected": mp.nstr(expected, 30), **e})
-        return [replace(entry, passed=entry.passed and im_positive)]
+        return [entry._replace(passed=entry.passed and im_positive)]
 
 
 def _run_zeta(cfg: RunConfig, args) -> list[Entry]:
@@ -304,6 +311,19 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """argv with a negative number after --target or --lambda attached to
+    it (--target=-1/3): argparse takes -3 and -0.25 as values but reads a
+    separate word like -1/3 as an unknown option."""
+    out = []
+    for word in argv:
+        if out and out[-1] in RATIONAL_OPTIONS and NEGATIVE_NUMBER.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorperiods",
@@ -351,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     cfg = RunConfig(digits=args.digits, order=args.order, pmax=args.pmax,
                     quartic_bound=args.quartic_bound, fmt=args.fmt,
                     output=args.output, timings=args.timings)

@@ -32,8 +32,8 @@ periods.judged like every other numeric check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -53,15 +53,13 @@ class ReconstructionError(ArithmeticError):
     """No small rational within tolerance; indicates a computation bug."""
 
 
-@dataclass(frozen=True)
-class LValueResult:
+class LValueResult(NamedTuple):
     s: int
     value: mpf
     error_estimate: mpf
 
 
-@dataclass(frozen=True)
-class DelignePeriodSet:
+class DelignePeriodSet(NamedTuple):
     """c^+ and c^- of the base motive and the two critical Tate twists.
 
     c_plus is real, c_minus purely imaginary; theta4_value is the underlying

@@ -39,7 +39,6 @@ exactly on |x|^2 from the exact point of lambda or of the mpf |t|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from typing import NamedTuple, Optional
@@ -442,16 +441,7 @@ def mirror_map_residuals(digits: int = DEFAULT_DIGITS, points=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One report entry: the record every check of the package returns.
-
-    `identity` is printed as "name".  An informational entry records data
-    without asserting anything.  `residual` and `tolerance` are decimal
-    strings (exact checks use "0" and demand literal zero), `where` says
-    where the check ran and `exact` whether it ran over Q; the fields left
-    None are not printed.  `data` holds the rest, printed after them.
-    """
+class _EntryFields(NamedTuple):
     identity: str
     passed: bool
     informational: bool = False
@@ -459,7 +449,24 @@ class Entry:
     residual: Optional[str] = None
     tolerance: Optional[str] = None
     exact: Optional[bool] = None
-    data: dict = field(default_factory=dict)
+    data: Optional[dict] = None
+
+
+class Entry(_EntryFields):
+    """One report entry: the record every check of the package returns.
+
+    `identity` is printed as "name".  An informational entry records data
+    without asserting anything.  `residual` and `tolerance` are decimal
+    strings (exact checks use "0" and demand literal zero), `where` says
+    where the check ran and `exact` whether it ran over Q; the fields left
+    None are not printed.  `data` holds the rest, printed after them; an
+    entry built without it gets a dict of its own.
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        entry = super().__new__(cls, *args, **kwargs)
+        return entry if entry.data is not None else entry._replace(data={})
 
     def to_dict(self) -> dict:
         d = {"name": self.identity, "passed": self.passed, "informational": self.informational}

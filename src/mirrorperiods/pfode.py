@@ -49,10 +49,10 @@ strings), which is the only external data format of this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import factorial, gcd, isqrt, lcm, perm, prod
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -87,8 +87,12 @@ class PathError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuchsianOperator:
+class _OperatorFields(NamedTuple):
+    coeff_polys: tuple
+    singular_points: tuple
+
+
+class FuchsianOperator(_OperatorFields):
     """sum_k coeff_polys[k](x) * (d/dx)^k with exact rational polynomials.
 
     singular_points are the finite singular points, the roots of the
@@ -96,24 +100,21 @@ class FuchsianOperator:
     continuation measures its distances to them exactly.
     Infinity is implicitly singular for the operators in scope.
     """
+    __slots__ = ()
 
-    coeff_polys: tuple
-    singular_points: tuple
-
-    def __post_init__(self):
+    def __new__(cls, coeff_polys, singular_points):
         polys = []
-        for p in self.coeff_polys:
+        for p in coeff_polys:
             p = [Fraction(c) for c in p]
             while p and p[-1] == 0:
                 p.pop()
             polys.append(tuple(p))
         if not polys or not polys[-1]:
             raise SeriesError("leading coefficient must not vanish identically")
-        points = tuple(exact_pair(s) for s in self.singular_points)
+        points = tuple(exact_pair(s) for s in singular_points)
         if None in points:
             raise SeriesError("singular points must be exact")
-        object.__setattr__(self, "coeff_polys", tuple(polys))
-        object.__setattr__(self, "singular_points", points)
+        return super().__new__(cls, tuple(polys), points)
 
     @property
     def order(self) -> int:
@@ -135,23 +136,25 @@ def legendre_operator() -> FuchsianOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuationPath:
+class _PathFields(NamedTuple):
+    waypoints: tuple
+
+
+class ContinuationPath(_PathFields):
     """Polygonal path in the complex plane through waypoints stored as
     their exact points (hyperfun.exact_point; a non-finite one raises
     PathError); continuation requires it to keep CLEARANCE from every
     singular point."""
+    __slots__ = ()
 
-    waypoints: tuple
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
+    def __new__(cls, waypoints):
+        if len(waypoints) < 2:
             raise PathError("a path needs at least two waypoints")
         try:
-            waypoints = tuple(exact_point(w) for w in self.waypoints)
+            waypoints = tuple(exact_point(w) for w in waypoints)
         except PrecisionError as exc:
             raise PathError(str(exc)) from None
-        object.__setattr__(self, "waypoints", waypoints)
+        return super().__new__(cls, waypoints)
 
     @classmethod
     def from_json(cls, text: str) -> "ContinuationPath":
@@ -162,8 +165,7 @@ class ContinuationPath:
         return cls(tuple(pts))
 
 
-@dataclass(frozen=True)
-class SolutionFrame:
+class SolutionFrame(NamedTuple):
     """Values and derivatives of a fundamental system at an exact point.
 
     columns[i] = (y_i, y_i', ..., y_i^(order-1)); the frame matrix must stay

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpf
 
-from mirrorperiods import cli, deligne, hyperfun, periods, pfode
+from mirrorperiods import arith, cli, deligne, hyperfun, periods, pfode
 from mirrorperiods.hyperfun import PrecisionError, exact_pair, waypoint_strings, working_precision
 from mirrorperiods.periods import Entry
 from mirrorperiods.qseries import RationalSeries
@@ -241,6 +241,10 @@ def test_timings_flag_adds_data(capsys):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert [list(e)[-1] for e in entries] == ["seconds", "seconds"]
+    # and changes nothing else in them
+    _, plain = run_main(["identities", "--ids", "QT1,THETA-V"], capsys)
+    assert [{k: v for k, v in e.items() if k != "seconds"} for e in entries] \
+        == json.loads(plain)["entries"]
     # `all` times each of its selections, in report order
     code, out = run_main(["all", "--digits", "40", "--pmax", "50", "--timings"], capsys)
     assert code == 0
@@ -647,3 +651,67 @@ def test_w_pi_fails_on_a_w2_mutant(monkeypatch, capsys):
     [entry] = json.loads(out)["entries"]
     assert entry["name"] == "W-PI" and entry["passed"] is False
     assert (entry["residual"], entry["tolerance"]) == ("1.0e-20", "1.0e-25")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["continue", "--digits", "40", "--target"], "tau(-1/3)"),
+    (["zeta", "--pmax", "30", "--lambda"], "p=5"),
+])
+def test_negative_rational_as_a_separate_word(argv, name, capsys):
+    # argparse takes -3 and -0.25 as values, but reads a separate -1/3 as an
+    # option unless main attaches it to the option before it
+    attached = run_main(argv[:-1] + [f"{argv[-1]}=-1/3"], capsys)
+    separate = run_main(argv + ["-1/3"], capsys)
+    assert separate == attached
+    code, out = separate
+    assert code == 0 and json.loads(out)["entries"][0]["name"] == name
+
+
+def test_tau_below_the_real_axis_fails(monkeypatch, capsys):
+    # even where its residual would pass
+    monkeypatch.setattr(cli, "judged",
+                        lambda *a, **k: periods.judged(*a, **k)._replace(passed=True))
+    monkeypatch.setattr(pfode, "frame_tau", lambda frame, digits: mp.mpc(-1, -1) / 2)
+    code, out = run_main(["continue", "--target", "2", "--digits", "40"], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert (entry["name"], entry["passed"], entry["im_positive"]) == ("tau(2)", False, False)
+    assert (entry["residual"], entry["tolerance"]) == ("1.0", "1.0e-30")
+
+
+def _records():
+    with working_precision(40):
+        one, zero = mp.mpc(1), mp.mpf(0)
+        return [Entry("x", True), arith.zeta_table(2, 20)[0],
+                deligne.LValueResult(1, one.real, zero),
+                deligne.DelignePeriodSet(one, one, one, one, one, zero, one.real),
+                pfode.SolutionFrame((Fraction(1, 10), Fraction(0)), ((one, one), (zero, one))),
+                pfode.ContinuationPath((Fraction(1, 10), Fraction(2))),
+                pfode.legendre_operator()]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # slotted: no instance dict takes new attributes
+
+
+def test_entries_without_data_have_their_own_dict():
+    a, b = Entry("a", True), Entry("b", False, where="here")
+    assert a.data == b.data == {} and a.data is not b.data
+    data = {"k": 1}
+    assert Entry("c", True, data=data).data is data
+
+
+def test_a_run_imports_no_dataclasses():
+    # pytest itself loads dataclasses, so a fresh interpreter runs the
+    # command and reports which of these modules the run added
+    code = ("import os, sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "from mirrorperiods import cli; "
+            "cli.main(['identities', '--ids', 'QT1', '--order', '4', '--output', os.devnull]); "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))")
+    r = subprocess.run([sys.executable, "-I", "-c", code, SRC], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
