@@ -1,16 +1,18 @@
 """Command-line front end: deterministic JSON/TSV verification reports.
 
 One runner produces every report.  COMMANDS maps each subcommand to
-run(cfg, args) -> list of periods.Entry: `args` holds the subcommand's own
-options, `cfg` (RunConfig) the shared ones and the objects a run computes
-once.  Numeric checks pass by the one rule periods.judged applies.  `all`
-is ALL, a tuple of subcommand argv selections, each parsed by the same
-parser, so the battery gets every subcommand's own defaults and validation.
-main serializes the collected entries once, through Entry.to_dict.
+run(args, frame_at_two) -> list of periods.Entry: `args` is the parsed
+selection, its own options and the shared ones, and frame_at_two() the
+Legendre frame at lambda = 2, transported once per run on first use.
+Numeric checks pass by the one rule periods.judged applies.  `all` is ALL,
+a tuple of subcommand argv selections, each parsed by the same parser and
+then given the run's shared options, so the battery gets every
+subcommand's own defaults and validation.  main serializes the collected
+entries once, through Entry.to_dict.
 
 Exit codes: 0 every non-informational entry passed, 1 some check failed,
 2 bad input.  Input is checked before anything runs (argparse and
-RunConfig.validate, with the typed command's usage line).  After that, a
+_validate, with the typed command's usage line).  After that, a
 computation error in a selection is one FAIL entry named after it.
 Identical configuration and version produce byte-identical output;
 --timings adds wall-clock data and deliberately breaks that: seconds on
@@ -26,13 +28,13 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, partial
 from math import isqrt
 
 from mpmath import mp, mpf
 
 from . import __version__, arith, deligne, periods, pfode
-from .hyperfun import PrecisionError, waypoint_strings, working_precision
+from .hyperfun import DEFAULT_DIGITS, PrecisionError, waypoint_strings, working_precision
 from .periods import Entry, judged
 from .qseries import SeriesError
 
@@ -49,71 +51,49 @@ RATIONAL_OPTIONS = ("--target", "--lambda")
 NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
-class RunConfig:
-    """The options of one run, and the expensive objects its stages share."""
-
-    def __init__(self, digits: int = 120, order: int = 40, pmax: int = 500,
-                 quartic_bound: int = 101, fmt: str = "json", output: str | None = None,
-                 timings: bool = False):
-        self.digits = digits
-        self.order = order
-        self.pmax = pmax
-        self.quartic_bound = quartic_bound
-        self.fmt = fmt
-        self.output = output
-        self.timings = timings
-
-    def validate(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
-        """Reject, through parser.error, a run of the selection `args`."""
-        if self.digits < 30:
-            parser.error("--digits must be >= 30")
-        if self.order < 4:
-            parser.error("--order must be >= 4")
-        if self.pmax <= 0 or self.quartic_bound <= 0:
-            parser.error("prime bounds must be positive")
-        if self.fmt == "tsv" and args.command not in TABULAR_COMMANDS:
-            parser.error(f"tsv output is only available for {sorted(TABULAR_COMMANDS)}")
-        if args.command == "deligne" and not 40 <= self.digits <= deligne.MAX_DIGITS:
-            parser.error(f"deligne needs 40 <= --digits <= {deligne.MAX_DIGITS}")
-        beyond = [str(p) for p in getattr(args, "primes", ()) if p > self.quartic_bound]
-        if beyond:
-            parser.error(f"--primes: p = {', '.join(beyond)} beyond "
-                         f"--quartic-bound {self.quartic_bound}")
-        path, target = getattr(args, "path", None), getattr(args, "target", None)
-        if path is not None and not pfode.ends_at(path, _target_lambda(target, self.digits),
-                                                  self.digits):
-            end = path.waypoints[-1]
-            parser.error(f"--path ends at [{end[0]}, {end[1]}], not at --target {target}")
-
-    def to_dict(self) -> dict:
-        return {"digits": self.digits, "order": self.order, "pmax": self.pmax,
-                "quartic_bound": self.quartic_bound, "format": self.fmt}
-
-    @cached_property
-    def frame_at_two(self) -> pfode.SolutionFrame:
-        """The Legendre frame transported to lambda = 2 along the canonical
-        path, computed on first use and shared by every stage of the run."""
-        return pfode.continue_legendre(pfode.CANONICAL_PATH_TO_TWO, self.digits)
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """Reject, through parser.error, a run of the selection `args`."""
+    if args.digits < 30:
+        parser.error("--digits must be >= 30")
+    if args.order < 4:
+        parser.error("--order must be >= 4")
+    if args.pmax <= 0 or args.quartic_bound <= 0:
+        parser.error("prime bounds must be positive")
+    if args.fmt == "tsv" and args.command not in TABULAR_COMMANDS:
+        parser.error(f"tsv output is only available for {sorted(TABULAR_COMMANDS)}")
+    if args.command == "deligne" and not 40 <= args.digits <= deligne.MAX_DIGITS:
+        parser.error(f"deligne needs 40 <= --digits <= {deligne.MAX_DIGITS}")
+    if getattr(args, "with_quartic_counts", False) and args.lam != 2:
+        parser.error(f"--with-quartic-counts needs --lambda 2, got --lambda {args.lam}")
+    beyond = [str(p) for p in getattr(args, "primes", ()) if p > args.quartic_bound]
+    if beyond:
+        parser.error(f"--primes: p = {', '.join(beyond)} beyond "
+                     f"--quartic-bound {args.quartic_bound}")
+    path, target = getattr(args, "path", None), getattr(args, "target", None)
+    if path is not None and not pfode.ends_at(path, _target_lambda(target, args.digits),
+                                              args.digits):
+        end = path.waypoints[-1]
+        parser.error(f"--path ends at [{end[0]}, {end[1]}], not at --target {target}")
 
 
 # ---------------------------------------------------------------------------
-# command handlers: run(cfg, args) -> list of Entry
+# command handlers: run(args, frame_at_two) -> list of Entry
 # ---------------------------------------------------------------------------
 
 
-def _run_identities(cfg: RunConfig, args) -> list[Entry]:
+def _run_identities(args, frame_at_two) -> list[Entry]:
     entries = []
     for name in args.ids or periods.identity_ids():
         t0 = time.perf_counter()
-        order = periods.identity_order(name, cfg.order)
-        e = periods.check_identity(name, order, digits=cfg.digits)
-        if cfg.timings:
+        order = periods.identity_order(name, args.order)
+        e = periods.check_identity(name, order, digits=args.digits)
+        if args.timings:
             e = e._replace(data={**e.data, "seconds": round(time.perf_counter() - t0, 3)})
         entries.append(e)
     return entries
 
 
-def _run_lambda_series(cfg: RunConfig, args) -> list[Entry]:
+def _run_lambda_series(args, frame_at_two) -> list[Entry]:
     series = periods.lambda_q_series(args.terms + 1)
     coeffs = [series.coefficient(k) for k in range(1, args.terms + 1)]
     all_divisible = all(c.denominator == 1 and int(c) % 16 == 0 for c in coeffs)
@@ -124,11 +104,11 @@ def _run_lambda_series(cfg: RunConfig, args) -> list[Entry]:
     ]
 
 
-def _run_mirror_map(cfg: RunConfig, args) -> list[Entry]:
-    with working_precision(cfg.digits):
-        tol = mpf(10) ** (-(cfg.digits - 15))
+def _run_mirror_map(args, frame_at_two) -> list[Entry]:
+    with working_precision(args.digits):
+        tol = mpf(10) ** (-(args.digits - 15))
     return [judged("mirror-vs-period", res, tol, data={"point": waypoint_strings(lam)})
-            for lam, res in periods.mirror_map_residuals(cfg.digits)]
+            for lam, res in periods.mirror_map_residuals(args.digits)]
 
 
 def _target_lambda(target: str, digits: int):
@@ -139,10 +119,10 @@ def _target_lambda(target: str, digits: int):
         return 2 * mp.sqrt(2) - 2
 
 
-def _run_continue(cfg: RunConfig, args) -> list[Entry]:
+def _run_continue(args, frame_at_two) -> list[Entry]:
     target, path = args.target, args.path
-    lam = _target_lambda(target, cfg.digits)
-    with working_precision(cfg.digits):
+    lam = _target_lambda(target, args.digits)
+    with working_precision(args.digits):
         if target == "2sqrt2-2":
             expected = mp.mpc(0, 1) / mp.sqrt(2)
             label = "tau(2*sqrt(2)-2)"
@@ -152,12 +132,12 @@ def _run_continue(cfg: RunConfig, args) -> list[Entry]:
     if path is None:
         path = pfode.default_path(lam)  # None: the series at lam
     if path is pfode.CANONICAL_PATH_TO_TWO:
-        tau = pfode.frame_tau(cfg.frame_at_two, cfg.digits)
+        tau = pfode.frame_tau(frame_at_two(), args.digits)
     else:
-        tau = pfode.tau_at(lam, path=path, digits=cfg.digits)
-    with working_precision(cfg.digits):
+        tau = pfode.tau_at(lam, path=path, digits=args.digits)
+    with working_precision(args.digits):
         im_positive = bool(tau.imag > 0)
-        e = {"tau": mp.nstr(tau, cfg.digits),
+        e = {"tau": mp.nstr(tau, args.digits),
              "path": None if path is None else [waypoint_strings(w) for w in path.waypoints],
              "im_positive": im_positive}
         if expected is None:
@@ -167,39 +147,40 @@ def _run_continue(cfg: RunConfig, args) -> list[Entry]:
         return [entry._replace(passed=entry.passed and im_positive)]
 
 
-def _run_zeta(cfg: RunConfig, args) -> list[Entry]:
+def _run_zeta(args, frame_at_two) -> list[Entry]:
     lam = args.lam
     entries = []
-    for rec in arith.zeta_table(lam, cfg.pmax):
+    for rec in arith.zeta_table(lam, args.pmax):
         ok = rec.weil_ok and rec.sym2_match is not False
         extra = rec.to_dict()
-        if args.with_quartic_counts and lam == 2 and rec.p <= cfg.quartic_bound:
-            extra["n_p_fermat"] = arith.fermat_quartic_count(rec.p, cfg.quartic_bound)
+        if args.with_quartic_counts and rec.p <= args.quartic_bound:
+            extra["n_p_fermat"] = arith.fermat_quartic_count(rec.p, args.quartic_bound)
         entries.append(Entry(f"p={rec.p}", ok, data=extra))
     if not entries:
         # every prime below pmax is bad for this fiber: nothing was checked
-        return [Entry("no-good-primes", False, data={"lambda": str(lam), "pmax": cfg.pmax})]
+        return [Entry("no-good-primes", False, data={"lambda": str(lam), "pmax": args.pmax})]
     return entries
 
 
-def _run_fermat_count(cfg: RunConfig, args) -> list[Entry]:
+def _run_fermat_count(args, frame_at_two) -> list[Entry]:
     entries = []
     for p in args.primes:
-        chk = arith.fermat_decomposition_check(p, cfg.quartic_bound)
+        chk = arith.fermat_decomposition_check(p, args.quartic_bound)
         entries.append(Entry(f"p={p}", chk["match"] is not False, chk["match"] is None, data=chk))
     return entries
 
 
-def _run_deligne(cfg: RunConfig, args) -> list[Entry]:
-    return deligne.report(cfg.frame_at_two, cfg.digits)
+def _run_deligne(args, frame_at_two) -> list[Entry]:
+    return deligne.report(frame_at_two(), args.digits)
 
 
-def _run_bps(cfg: RunConfig, args) -> list[Entry]:
+def _run_bps(args, frame_at_two) -> list[Entry]:
     series = periods.bps_series(args.terms)
     return [
         Entry("bps-coefficients", True, True, data={
             "offset": str(series.offset), "coefficients": [str(c) for c in series.coeffs]}),
-        periods.check_identity("BPS", min(args.terms, 16), digits=cfg.digits),
+        periods.check_identity("BPS", min(args.terms, periods.IDENTITIES["BPS"][1]),
+                               digits=args.digits),
     ]
 
 
@@ -357,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.set_defaults(subparser=p)  # validation errors show this usage line
-        p.add_argument("--digits", type=int, default=120)
+        p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
         p.add_argument("--order", type=int, default=40)
         p.add_argument("--pmax", type=int, default=500)
         p.add_argument("--quartic-bound", type=int, default=101)
@@ -372,20 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    cfg = RunConfig(digits=args.digits, order=args.order, pmax=args.pmax,
-                    quartic_bound=args.quartic_bound, fmt=args.fmt,
-                    output=args.output, timings=args.timings)
-    selections = ([(" ".join(sel), parser.parse_args(sel)) for sel in ALL]
-                  if args.command == "all" else [(args.command, args)])
+    selections = [(args.command, args)]
+    if args.command == "all":
+        # `all` takes only the shared options, and every selection runs with them
+        shared = {k: v for k, v in vars(args).items() if k not in ("command", "subparser")}
+        selections = [(" ".join(sel), parser.parse_args(sel)) for sel in ALL]
+        for _, sel in selections:
+            vars(sel).update(shared)
     for _, sel in selections:
-        cfg.validate(args.subparser, sel)
+        _validate(args.subparser, sel)
+    # the Legendre frame at lambda = 2, transported on first use and shared
+    # by every selection of this run
+    frame_at_two = cache(partial(pfode.continue_legendre, pfode.CANONICAL_PATH_TO_TWO,
+                                 args.digits))
     t0 = time.perf_counter()
     entries = []
     seconds = {}
     for name, sel in selections:
         start = time.perf_counter()
         try:
-            entries += COMMANDS[sel.command](cfg, sel)
+            entries += COMMANDS[sel.command](sel, frame_at_two)
         except COMPUTATION_ERRORS as exc:
             entries.append(Entry(name, False, data={"error": f"{type(exc).__name__}: {exc}"}))
         seconds[name] = round(time.perf_counter() - start, 3)
@@ -395,21 +382,22 @@ def main(argv=None) -> int:
         "tool": "mirrorperiods",
         "version": __version__,
         "command": args.command,
-        "config": cfg.to_dict(),
+        "config": {"digits": args.digits, "order": args.order, "pmax": args.pmax,
+                   "quartic_bound": args.quartic_bound, "format": args.fmt},
         "entries": entries,
         "overall_pass": overall,
     }
-    if cfg.timings:
+    if args.timings:
         report["total_seconds"] = round(time.perf_counter() - t0, 3)
         report["selection_seconds"] = seconds
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
-    elif cfg.fmt == "tsv":
+    elif args.fmt == "tsv":
         text = _to_tsv(args.command, entries)
     else:
         text = _to_text(report)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

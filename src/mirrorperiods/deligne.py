@@ -145,7 +145,7 @@ def deligne_periods(frame, digits: int = DEFAULT_DIGITS) -> DelignePeriodSet:
         )
 
 
-def rationalize(x, tol=None) -> Fraction:
+def rationalize(x, tol) -> Fraction:
     """Continued-fraction reconstruction of a small rational from an mpf.
 
     Fails loudly if no convergent with denominator <= MAX_DENOMINATOR lands
@@ -153,8 +153,6 @@ def rationalize(x, tol=None) -> Fraction:
     bug, not a refutation.
     """
     x = mpf(x)
-    if tol is None:
-        tol = mpf(10) ** (-mp.dps + 10)
     h2, h1 = 0, 1
     k2, k1 = 1, 0
     y = x

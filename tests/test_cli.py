@@ -50,6 +50,20 @@ def test_zeta_tsv_row(capsys):
     assert row5 == ["5", "-2", "-6", "True", "True"]
 
 
+def test_zeta_tsv_with_quartic_counts(capsys):
+    code, out = run_main(["zeta", "--lambda", "2", "--pmax", "20", "--quartic-bound", "17",
+                          "--format", "tsv", "--with-quartic-counts"], capsys)
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows[0] == ["p", "a_p", "b_p", "sym2_match", "weil_ok", "n_p_fermat"]
+    counts = {int(r[0]): r[5] for r in rows[1:]}
+    assert list(counts) == [3, 5, 7, 11, 13, 17, 19]
+    assert counts.pop(19) == ""  # beyond --quartic-bound: not counted
+    assert all(int(n) == arith.fermat_quartic_count(p) for p, n in counts.items())
+    b17 = int(next(r for r in rows if r[0] == "17")[2])
+    assert int(counts[17]) == 600 == 1 + 20 * 17 + b17 + 17 ** 2
+
+
 def test_zeta_without_good_primes_fails(capsys):
     # 2 and 3 are both bad primes for lambda = 1/3, so nothing is checked
     code, out = run_main(["zeta", "--lambda", "1/3", "--pmax", "4"], capsys)
@@ -403,6 +417,10 @@ def test_nonpositive_terms_is_a_usage_error(command, terms, capsys):
     (["continue", "--path", '[["0.1","x"],["2","0"]]'], "at least two [re, im] pairs"),
     (["all", "--digits", "35"], "deligne needs 40 <= --digits <= 300"),
     (["all", "--quartic-bound", "50"], "p = 73, 89, 97 beyond --quartic-bound 50"),
+    (["zeta", "--lambda", "3", "--pmax", "12", "--with-quartic-counts", "--format", "tsv"],
+     "--with-quartic-counts needs --lambda 2, got --lambda 3"),
+    (["zeta", "--lambda", "-1/3", "--with-quartic-counts"],
+     "--with-quartic-counts needs --lambda 2, got --lambda -1/3"),
     (["continue", "--target", "2", "--path", '[["0.1","0"],["0.5","0"]]'],
      "--path ends at [1/2, 0], not at --target 2"),
     (["continue", "--target", "1/2", "--path", '[["0.1","0"],["0.5","0.1"]]'],
@@ -470,6 +488,25 @@ def test_all_keeps_only_the_tables_it_reuses(capsys):
                 if isinstance(obj, (list, dict, set)) and not name.startswith("__")]
 
 
+def test_every_selection_sees_the_run_options(monkeypatch, tmp_path):
+    # `all`'s shared options reach every selection, not each selection's
+    # own defaults, and every selection gets the run's one frame memo
+    seen = []
+
+    def recorded(args, frame_at_two):
+        seen.append((args, frame_at_two))
+        return []
+
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name, recorded)
+    argv = ["all", "--digits", "40", "--order", "20", "--pmax", "100",
+            "--output", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert [a.command for a, _ in seen] == [sel[0] for sel in cli.ALL]
+    assert all((a.digits, a.order, a.pmax) == (40, 20, 100) for a, _ in seen)
+    assert len({id(f) for _, f in seen}) == 1
+
+
 @pytest.fixture(scope="module")
 def battery_and_parts(tmp_path_factory):
     """`all --digits 40`, each of its selections run on its own, and the
@@ -478,8 +515,8 @@ def battery_and_parts(tmp_path_factory):
     returned = []
 
     def recorded(name, handler):
-        def run(cfg, args):
-            returned.append((name, handler(cfg, args)))
+        def run(args, frame_at_two):
+            returned.append((name, handler(args, frame_at_two)))
             return returned[-1][1]
         return run
 
