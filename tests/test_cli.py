@@ -417,14 +417,14 @@ def test_nonpositive_terms_is_a_usage_error(command, terms, capsys):
     (["continue", "--path", '[["0.1","x"],["2","0"]]'], "at least two [re, im] pairs"),
     (["all", "--digits", "35"], "deligne needs 40 <= --digits <= 300"),
     (["all", "--quartic-bound", "50"], "p = 73, 89, 97 beyond --quartic-bound 50"),
-    (["zeta", "--lambda", "3", "--pmax", "12", "--with-quartic-counts", "--format", "tsv"],
-     "--with-quartic-counts needs --lambda 2, got --lambda 3"),
-    (["zeta", "--lambda", "-1/3", "--with-quartic-counts"],
-     "--with-quartic-counts needs --lambda 2, got --lambda -1/3"),
     (["continue", "--target", "2", "--path", '[["0.1","0"],["0.5","0"]]'],
      "--path ends at [1/2, 0], not at --target 2"),
     (["continue", "--target", "1/2", "--path", '[["0.1","0"],["0.5","0.1"]]'],
      "--path ends at [1/2, 1/10], not at --target 1/2"),
+    (["zeta", "--lambda", "3", "--pmax", "12", "--with-quartic-counts", "--format", "tsv"],
+     "--with-quartic-counts needs --lambda 2, got --lambda 3"),
+    (["zeta", "--lambda", "-1/3", "--with-quartic-counts"],
+     "--with-quartic-counts needs --lambda 2, got --lambda -1/3"),
 ])
 def test_bad_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
