@@ -4,8 +4,12 @@ Three counting routines feed the zeta records:
 
 * a_p of the Legendre fiber y^2 = x(x-1)(x-lam) from the Hasse invariant:
   the period varpi0(lam) = sum C(2k,k)^2 (lam/16)^k truncated at
-  m = (p-1)/2 is (-1)^m a_p mod p, and one exact pass over its partial
-  sums reads that residue for every prime of a table;
+  m = (p-1)/2 is (-1)^m a_p mod p, and one pass over its partial sums
+  reads that residue for every prime of a table.  The steps between two
+  primes are multiplied out as one 2x2 block on small ints, so each prime
+  costs one update modulo the product of the primes still to be read, and
+  the partial sum's denominator (4b)^m (m!)^2 is a sign mod p by Wilson's
+  theorem and Euler's criterion, so no modular inverse is taken;
 * b_p, the p-th coefficient of the weight-3 level-16 newform
   eta(4 tau)^6 = Q prod(1-Q^(4n))^6 (zero unless p = 1 mod 4), from the
   square of Jacobi's identity for eta^3: an integer double sum over pairs
@@ -73,10 +77,15 @@ def ap_legendre(lam, primes: Sequence[int]) -> list[int]:
     AEC V.4.1), and C(m,k) = (-1/4)^k C(2k,k) (mod p) turns the sum into
     the partial sum S_m of varpi0(lam) = sum C(2k,k)^2 (lam/16)^k.  Its
     terms satisfy t_n / t_(n-1) = (2n-1)^2 a / (4 n^2 b) for lam = a/b, a
-    ratio free of p, so one pass over n serves every prime: S_n = num/den
-    and t_n = term/den, and at n = m_p the residue num/den mod p is read.
-    num, den and term are kept modulo the product of the primes not yet
-    read; every such prime divides it, so that is exact.
+    ratio free of p, so one pass over n serves every prime: S_n = num/den_n
+    and t_n = term/den_n with den_n = (4b)^n (n!)^2, and step n maps
+    (num, term) by the matrix [[4n^2 b, (2n-1)^2 a], [0, (2n-1)^2 a]].  The
+    steps between two consecutive m_p are multiplied out exactly, on small
+    ints, and the block is applied to (num, term) once, modulo the product
+    of the primes not yet read; every such prime divides it, so that is
+    exact.  At n = m_p the denominator needs no inverse: Wilson's theorem
+    gives (m!)^2 = (-1)^(m+1) and Euler's criterion (4b)^(-m) = b^m (mod p),
+    so (-1)^m S_m = -num b^m (mod p).
 
     The residue fixes a_p mod p.  E has full rational 2-torsion, so
     4 | #E(F_p), i.e. a_p = p + 1 (mod 4), and |a_p| <= 2 sqrt(p) < 2p
@@ -91,15 +100,19 @@ def ap_legendre(lam, primes: Sequence[int]) -> list[int]:
     pending = sorted(set(primes))
     modulus = prod(pending)
     residue = {}
-    n, num, den, term = 0, 1, 1, 1
+    n, num, term = 0, 1, 1
     for p in pending:
-        while n < (p - 1) // 2:
-            n += 1
-            step = 4 * n * n * b
-            term = term * (2 * n - 1) ** 2 * a % modulus
-            num = (num * step + term) % modulus
-            den = den * step % modulus
-        residue[p] = (-1) ** n * num * pow(den, -1, p) % p
+        m = (p - 1) // 2
+        top, corner, bottom = 1, 0, 1  # the block [[top, corner], [0, bottom]]
+        for k in range(n + 1, m + 1):
+            step, ratio = 4 * k * k * b, (2 * k - 1) ** 2 * a
+            corner = corner * step + bottom * ratio
+            top *= step
+            bottom *= ratio
+        n = m
+        num = (top * num + corner * term) % modulus
+        term = bottom * term % modulus
+        residue[p] = -num * pow(b, m, p) % p
         modulus //= p
     out = []
     for p in primes:

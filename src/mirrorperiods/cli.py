@@ -142,7 +142,9 @@ def _run_continue(args, frame_at_two) -> list[Entry]:
              "im_positive": im_positive}
         if expected is None:
             return [Entry(label, im_positive, data=e)]
-        entry = judged(label, abs(tau - expected), mpf(10) ** -30,
+        # the working precision's tolerance, never looser than 10^-30
+        tol = mpf(10) ** -max(30, args.digits - 15)
+        entry = judged(label, abs(tau - expected), tol,
                        data={"expected": mp.nstr(expected, 30), **e})
         return [entry._replace(passed=entry.passed and im_positive)]
 

@@ -224,9 +224,6 @@ class RationalSeries:
         """Shift of the first known nonzero coefficient (= order if all zero)."""
         return next((k for k, x in enumerate(self._num) if x), self.order)
 
-    def is_provably_zero(self) -> bool:
-        return not any(self._num)
-
     def max_abs_coefficient(self) -> Fraction:
         return Fraction(max(map(abs, self._num), default=0), self._den)
 

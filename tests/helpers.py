@@ -81,6 +81,11 @@ def long_division_reciprocal(a: list, order: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def is_provably_zero(s: RationalSeries) -> bool:
+    """Every known coefficient of the exact series s is a literal 0."""
+    return s.valuation() == s.order
+
+
 def _valuation(coeffs: list) -> int:
     return next((k for k, c in enumerate(coeffs) if c), len(coeffs))
 

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import mirrorperiods.arith as arith
@@ -135,6 +137,18 @@ def test_ap_one_pass_keeps_input_order():
     with pytest.raises(arith.BadReductionError, match="lambda has a pole mod 13"):
         arith.ap_legendre(lam, primes + [13])
     assert arith.ap_legendre(lam, []) == []
+
+
+@given(lam=st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9))
+       .filter(lambda l: l not in (0, 1)),
+       primes=st.lists(st.sampled_from(arith.primes_below(2000)), min_size=1, max_size=24))
+@example(lam=F(2), primes=[3])  # one block of one step
+@example(lam=F(-7, 13), primes=[4999])  # one block of 2499 steps
+@settings(max_examples=40, deadline=None)
+def test_ap_blocked_pass_matches_mask_oracle(lam, primes):
+    # an unsorted list with repeats; its bad primes are dropped
+    primes = [p for p in primes if arith._bad_reduction(lam, p) is None]
+    assert arith.ap_legendre(lam, primes) == [mask_ap_legendre(lam, p) for p in primes]
 
 
 @pytest.mark.parametrize("lam", TABLE_LAMBDAS, ids=str)
