@@ -83,7 +83,8 @@ def ap_legendre(lam, primes: Sequence[int]) -> list[int]:
     steps between two consecutive m_p are multiplied out exactly, on small
     ints, and the block is applied to (num, term) once, modulo the product
     of the primes not yet read; every such prime divides it, so that is
-    exact.  At n = m_p the denominator needs no inverse: Wilson's theorem
+    exact.  A gap whose block would outgrow that product (a sparse list,
+    or the last primes of a table) is split into blocks that do not.  At n = m_p the denominator needs no inverse: Wilson's theorem
     gives (m!)^2 = (-1)^(m+1) and Euler's criterion (4b)^(-m) = b^m (mod p),
     so (-1)^m S_m = -num b^m (mod p).
 
@@ -101,17 +102,23 @@ def ap_legendre(lam, primes: Sequence[int]) -> list[int]:
     modulus = prod(pending)
     residue = {}
     n, num, term = 0, 1, 1
+    size = (4 * max(abs(a), b)).bit_length()
     for p in pending:
         m = (p - 1) // 2
-        top, corner, bottom = 1, 0, 1  # the block [[top, corner], [0, bottom]]
-        for k in range(n + 1, m + 1):
-            step, ratio = 4 * k * k * b, (2 * k - 1) ** 2 * a
-            corner = corner * step + bottom * ratio
-            top *= step
-            bottom *= ratio
-        n = m
-        num = (top * num + corner * term) % modulus
-        term = bottom * term % modulus
+        # a step adds at most size + 2 log2(m) bits to a block, and a block
+        # larger than the modulus would cost more than it saves
+        width = max(1, modulus.bit_length() // (size + 2 * m.bit_length()))
+        while n < m:
+            stop = min(m, n + width)
+            top, corner, bottom = 1, 0, 1  # the block [[top, corner], [0, bottom]]
+            for k in range(n + 1, stop + 1):
+                step, ratio = 4 * k * k * b, (2 * k - 1) ** 2 * a
+                corner = corner * step + bottom * ratio
+                top *= step
+                bottom *= ratio
+            n = stop
+            num = (top * num + corner * term) % modulus
+            term = bottom * term % modulus
         residue[p] = -num * pow(b, m, p) % p
         modulus //= p
     out = []
