@@ -9,8 +9,7 @@ from .hyperfun import (DEFAULT_DIGITS, PrecisionError, eta_value, hyp2f1_series,
                        theta_const, working_precision)
 from .periods import (DworkPeriods, Entry, check_identity, dwork_periods,
                       identity_ids, lambda_q_series, quad_map)
-from .pfode import (ContinuationPath, FuchsianOperator, PathError, SolutionFrame,
-                    continue_solution, tau_at)
+from .pfode import ContinuationPath, PathError, SolutionFrame, continue_solution, tau_at
 from .arith import (BadReductionError, ZetaRecord, ap_legendre, bp_eta,
                     fermat_quartic_count, zeta_table)
 from .deligne import (DelignePeriodSet, LValueResult, ReconstructionError,

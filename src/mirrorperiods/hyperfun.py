@@ -116,9 +116,13 @@ def waypoint_strings(w) -> list:
     strings, the form of --path waypoints: each coordinate as its float
     repr when that is exact, else as p/q, except that a binary fraction too
     long for a float (the exact value of an mpf waypoint) prints to 30
-    digits, as mp.nstr prints that mpf."""
+    digits, as mp.nstr prints that mpf.  A coordinate beyond a float's
+    range prints exactly, as p or p/q."""
     def fmt(x):
-        f = float(x)
+        try:
+            f = float(x)
+        except OverflowError:
+            return str(x)
         if Fraction(str(f)) == x:
             return str(f)
         if x.denominator & (x.denominator - 1):

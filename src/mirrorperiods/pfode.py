@@ -1,14 +1,16 @@
-"""The Legendre operator and Taylor-method continuation.
+"""Taylor-method continuation of the Legendre periods.
 
-Operators are stored in d/dx form with exact rational polynomial
-coefficients, and each states its finite singular points as exact data (0
-and 1 for the Legendre operator).  A fundamental solution system is
-transported along polygonal complex paths by repeated local Taylor
-expansion with step size at most half the distance to the nearest
-singularity.  Each step runs the Taylor recurrence once for all columns on
-Python integers (the scheme of mpmath's hypsum; van der Hoeven, "Fast
-evaluation of holonomic functions", TCS 210, 1999); mpmath only converts
-the frame in and reads off the result.  The recurrence's coefficient rows
+One equation is solved: the Legendre operator
+lam(1-lam) D^2 + (1-2 lam) D - 1/4, which annihilates varpi0 and varpi1
+and is singular at 0, 1 and infinity (SINGULAR_POINTS holds the finite
+two, exactly).  At an expansion point z its Taylor coefficients obey
+one three-term recurrence, written out in _recurrence.  A fundamental
+solution system is transported along polygonal complex paths by repeated
+local Taylor expansion with step size at most half the distance to the
+nearest singularity.  Each step runs the Taylor recurrence once for all
+columns on Python integers (the scheme of mpmath's hypsum; van der Hoeven,
+"Fast evaluation of holonomic functions", TCS 210, 1999); mpmath only
+converts the frame in and reads off the result.  The recurrence's coefficient rows
 and divisors are built for every term before the first, and the
 derivatives are read off suffix sums of the terms, both by additions only.
 A step takes as many terms as its own ratio rho = |h| / (distance to the
@@ -51,7 +53,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from math import factorial, gcd, isqrt, lcm, perm, prod
+from math import factorial, gcd, isqrt, perm, prod
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
@@ -60,7 +62,6 @@ from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError, _from_fixed,
                        _gaussian, _to_fixed, as_mpc, decay_terms, exact_pair, exact_point,
                        working_precision)
-from .qseries import SeriesError
 
 # Significant binary digits kept in the parameter step dt of a segment
 # between exact waypoints (see _steps): few enough that the exact expansion
@@ -69,6 +70,10 @@ STEP_BITS = 5
 # A Taylor step goes at most this fraction of the distance to the nearest
 # singular point.
 STEP_FACTOR = 0.5
+# The finite singular points 0 and 1 of the Legendre operator, as exact
+# (re, im) pairs like waypoints; continuation measures its distances to
+# them exactly.
+SINGULAR_POINTS = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 # Least distance a continuation path keeps from every singular point.
 CLEARANCE = 0.1
 # Radius of the disk |lambda| <= SERIES_RADIUS in which periods.legendre_jet
@@ -80,55 +85,6 @@ SERIES_RADIUS = Fraction(1, 2)
 
 class PathError(ValueError):
     """Raised when a continuation path violates clearance or fails to converge."""
-
-
-# ---------------------------------------------------------------------------
-# Operators
-# ---------------------------------------------------------------------------
-
-
-class _OperatorFields(NamedTuple):
-    coeff_polys: tuple
-    singular_points: tuple
-
-
-class FuchsianOperator(_OperatorFields):
-    """sum_k coeff_polys[k](x) * (d/dx)^k with exact rational polynomials.
-
-    singular_points are the finite singular points, the roots of the
-    leading coefficient, as exact (re, im) Fraction pairs like waypoints;
-    continuation measures its distances to them exactly.
-    Infinity is implicitly singular for the operators in scope.
-    """
-    __slots__ = ()
-
-    def __new__(cls, coeff_polys, singular_points):
-        polys = []
-        for p in coeff_polys:
-            p = [Fraction(c) for c in p]
-            while p and p[-1] == 0:
-                p.pop()
-            polys.append(tuple(p))
-        if not polys or not polys[-1]:
-            raise SeriesError("leading coefficient must not vanish identically")
-        points = tuple(exact_pair(s) for s in singular_points)
-        if None in points:
-            raise SeriesError("singular points must be exact")
-        return super().__new__(cls, tuple(polys), points)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeff_polys) - 1
-
-
-def legendre_operator() -> FuchsianOperator:
-    """lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating varpi0 and varpi1,
-    singular at 0, 1 and infinity."""
-    return FuchsianOperator((
-        (Fraction(-1, 4),),
-        (Fraction(1), Fraction(-2)),
-        (Fraction(0), Fraction(1), Fraction(-1)),
-    ), ((0, 0), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,65 +160,41 @@ def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _shift_poly(coeffs, z) -> list:
-    """Coefficients of c(z + v) as (re, im) int pairs, for integer
-    coefficients c (low degree first) and a Gaussian integer z = (re, im)."""
-    c = [(int(ci), 0) for ci in coeffs]
-    n = len(c)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            zc = _gmul(z, c[j + 1])
-            c[j] = (c[j][0] + zc[0], c[j][1] + zc[1])
-    return c
+def _recurrence(z, h):
+    """The normalized coefficients of the Legendre recurrence for one
+    Taylor step from the exact point z by the exact step h (Fraction
+    pairs), as _taylor_transport takes them: (groups, divisor), where
+    groups[s] lists (k, re, im) and (re + i im) / divisor is q_(k,s).
 
+    At z the Taylor coefficients c_n of a solution obey
+    z(1-z)(n+1)(n+2) c_(n+2) = -(1-2z)(n+1)^2 c_(n+1) + (n+1/2)^2 c_n, that
+    is, with L = z(1-z),
 
-def _recurrence(op: FuchsianOperator, z, h):
-    """The normalized recurrence coefficients of one Taylor step from the
-    exact point z by the exact step h (Fraction pairs), as
-    _taylor_transport takes them: (groups, divisor), where groups[s] lists
-    (k, re, im) and (re + i im) / divisor is the coefficient
-    q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0, with p_kj the Taylor coefficients
-    of the k-th operator coefficient at z.  The divisor is their least
-    common denominator, so the (re, im) are Gaussian integers.
+        q_(2,1) = q_(1,1) = -(1-2z) h / L,
+        q_(2,0) = h^2 / L,  q_(1,0) = 2 h^2 / L,  q_(0,0) = h^2 / (4 L).
 
     Everything runs on Python ints.  With z = Z / zd, h = H / hd (Gaussian
-    integers over positive ints), every coefficient times their common
-    denominator D, and G the largest degree, R_k(v) = sum_i D p_ki zd^(G-i)
-    (Z + v)^i has Gaussian-integer coefficients R_kj = D zd^(G-j) p_kj(z)
-    (a Taylor shift by additions and products of ints), and with L = R_r0
-
-        q_(k,s) = -R_kj conj(L) zd^j H^e / (|L|^2 hd^e),   e = j - k + r,
-
-    so all numerators share the denominator |L|^2 hd^E, E the largest e.
-    Divided by their gcd with it, that is the divisor: the lcm of every
-    part's reduced denominator.
+    integers over positive ints) and M = Z (zd - Z), L = M / zd^2, so the
+    numerators over the common denominator 4 hd^2 |M|^2 are
+    -4 hd zd (zd - 2Z) H conj(M) for s = 1 and 4, 8 and 1 times
+    zd^2 H^2 conj(M) for (k, s) = (2, 0), (1, 0) and (0, 0).  The s = 1 group
+    vanishes at z = 1/2 and is dropped there.  Divided by their gcd with
+    it, that denominator is the divisor: the lcm of every part's reduced
+    denominator.
     """
-    r = op.order
     zre, zim, zd = _gaussian(z)
     hre, him, hd = _gaussian(h)
-    cden = lcm(*(c.denominator for p in op.coeff_polys for c in p))
-    top = max(len(p) for p in op.coeff_polys) - 1
-    shifted = [_shift_poly([c * cden * zd ** (top - i) for i, c in enumerate(p)], (zre, zim))
-               for p in op.coeff_polys]
-    lre, lim = shifted[r][0]
-    neg_conj = (-lre, lim)  # -conj(L)
-    exps = top + r
-    hpow = [(1, 0)]
-    for _ in range(exps):
-        hpow.append(_gmul(hpow[-1], (hre, him)))
-    den = (lre * lre + lim * lim) * hd ** exps
-    nums = {}
-    for k, pk in enumerate(shifted):
-        for j, pkj in enumerate(pk):
-            if any(pkj) and not (k == r and j == 0):
-                e = j - k + r
-                scale = zd ** j * hd ** (exps - e)
-                nre, nim = _gmul(_gmul(pkj, neg_conj), hpow[e])
-                nums[k, j] = (nre * scale, nim * scale)
+    conj_m = _gmul((zre, -zim), (zd - zre, zim))
+    nre, nim = _gmul(_gmul((hre, him), (hre, him)), conj_m)
+    nums = {(k, 0): (c * zd * zd * nre, c * zd * zd * nim) for k, c in ((0, 1), (1, 8), (2, 4))}
+    nre, nim = _gmul(_gmul((zd - 2 * zre, -2 * zim), (hre, him)), conj_m)
+    if nre or nim:
+        nums[1, 1] = nums[2, 1] = (-4 * hd * zd * nre, -4 * hd * zd * nim)
+    den = 4 * hd * hd * (conj_m[0] ** 2 + conj_m[1] ** 2)
     common = gcd(den, *(c for q in nums.values() for c in q))
     groups = {}
-    for (k, j), (nre, nim) in nums.items():
-        groups.setdefault(k - j, []).append((k, nre // common, nim // common))
+    for (k, s), (nre, nim) in nums.items():
+        groups.setdefault(s, []).append((k, nre // common, nim // common))
     return groups, den // common
 
 
@@ -375,9 +307,9 @@ def _sqrt_bits(x: Fraction, bits: int) -> Fraction:
     return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
 
 
-def _steps(waypoints, sing, digits: int):
+def _steps(waypoints, digits: int):
     """The Taylor steps (z, h, rho2) along a polygon of exact waypoints,
-    segment by segment, for exact singular points `sing`.
+    segment by segment.
 
     A step from z goes STEP_FACTOR times the distance d from z to the
     nearest singular point, or to the segment's end if that is nearer.  On
@@ -389,8 +321,8 @@ def _steps(waypoints, sing, digits: int):
     reach by rest^2 > d^2 STEP_FACTOR^2 / |w - a|^2, the reach's leading
     bits come from isqrt (_sqrt_bits), and a step with
     |h|^2 < 10^(-2 digits) raises PathError.  rho2 = |h|^2 / d^2, at most
-    STEP_FACTOR^2 (exactly that without singular points), is the squared
-    ratio by which the step's terms fall (_step_terms).
+    STEP_FACTOR^2, is the squared ratio by which the step's terms fall
+    (_step_terms).
     """
     factor2 = Fraction(STEP_FACTOR) ** 2
     least2 = Fraction(1, 10 ** (2 * digits))
@@ -403,14 +335,13 @@ def _steps(waypoints, sing, digits: int):
         while t < 1:
             z = (a[0] + t * delta[0], a[1] + t * delta[1])
             rest = 1 - t
-            d2 = min((_distance2(z, s) for s in sing), default=None)
-            if d2 is not None and rest * rest * length2 > d2 * factor2:
+            d2 = min(_distance2(z, s) for s in SINGULAR_POINTS)
+            if rest * rest * length2 > d2 * factor2:
                 rest = _sqrt_bits(d2 * factor2 / length2, STEP_BITS)
             h2 = rest * rest * length2
             if h2 < least2:
                 raise PathError("step size underflow near a singular point")
-            rho2 = factor2 if d2 is None else min(factor2, h2 / d2)
-            yield z, (rest * delta[0], rest * delta[1]), rho2
+            yield z, (rest * delta[0], rest * delta[1]), min(factor2, h2 / d2)
             t += rest
 
 
@@ -427,46 +358,53 @@ def _step_terms(rho2: Fraction, digits: int) -> int:
 
 
 def _show(p) -> str:
-    """An exact point as a complex number for messages."""
-    return str(complex(float(p[0]), float(p[1])))
+    """An exact point as a complex number for messages; one with a
+    coordinate beyond a float's range exactly, as (re+imj) with each part
+    p or p/q."""
+    try:
+        return str(complex(float(p[0]), float(p[1])))
+    except OverflowError:
+        return f"({p[0]}{'' if p[1] < 0 else '+'}{p[1]}j)"
 
 
-def _check_clearance(waypoints, sing):
+def _check_clearance(waypoints):
     """Raise PathError if a segment of the polygon comes nearer than
     CLEARANCE (1 - 10^-12) to a singular point, decided exactly on squared
     distances."""
     bound2 = (Fraction(CLEARANCE) * (1 - Fraction(1, 10 ** 12))) ** 2
     for a, b in zip(waypoints, waypoints[1:]):
-        for s in sing:
+        for s in SINGULAR_POINTS:
             if _segment_distance2(a, b, s) < bound2:
                 raise PathError(
                     f"path segment [{_show(a)}, {_show(b)}] passes within "
                     f"clearance {CLEARANCE} of singular point {_show(s)}")
 
 
-def continue_solution(op: FuchsianOperator, path: ContinuationPath,
-                      initial: SolutionFrame, digits: int = DEFAULT_DIGITS) -> SolutionFrame:
-    """Transport a fundamental system along the path by local Taylor steps.
+def continue_solution(path: ContinuationPath, initial: SolutionFrame,
+                      digits: int = DEFAULT_DIGITS) -> SolutionFrame:
+    """Transport a fundamental system of the Legendre operator
+    lam(1-lam) D^2 + (1-2 lam) D - 1/4 along the path by local Taylor steps.
 
     Step size is at most STEP_FACTOR (one half) times the distance to the
-    nearest singular point, and each step's term count targets a truncation
-    below 10^-(digits+10) at its own ratio rho = |h| / (that distance)
-    (_step_terms): ceil((digits + GUARD_DIGITS + 10) ln 10 / ln(1/rho)) + 16,
-    the count of a full step at rho = 1/2 and fewer for a shorter one, such
-    as a segment's last.  _steps yields the exact rho^2 with each step; the
-    step sizes, term counts and clearance are decided on exact rationals
-    and ints, never on rounded values.  The waypoints are exact points
-    (ContinuationPath), so every expansion point z = a + t (w - a) and step
-    h = dt (w - a) is an exact Gaussian rational: dt is that step in units
-    of |w - a| rounded down to STEP_BITS significant binary digits (see
-    _steps), so no step is longer.  Each
-    step advances all columns together through one Taylor recurrence on
-    Python integers (`_taylor_transport`): the step is rescaled to end at
-    t = 1, the scaled terms c_n h^n are ints carrying GUARD_BITS (80) bits
-    beyond the working precision, relative to the largest entry of the
-    frame, and the operator's normalized coefficients are exact Gaussian
-    integers over one divisor (_recurrence).  Only the final sums and the
-    division by h^d run in mpmath.
+    nearest singular point, 0 or 1, and each step's term count targets a
+    truncation below 10^-(digits+10) at its own ratio rho = |h| / (that
+    distance) (_step_terms): ceil((digits + GUARD_DIGITS + 10) ln 10 /
+    ln(1/rho)) + 16, the count of a full step at rho = 1/2 and fewer for a
+    shorter one, such as a segment's last.  _steps yields the exact rho^2
+    with each step; the step sizes, term counts and clearance are decided
+    on exact rationals and ints, never on rounded values.  The waypoints
+    are exact points (ContinuationPath), so every expansion point
+    z = a + t (w - a) and step h = dt (w - a) is an exact Gaussian
+    rational: dt is that step in units of |w - a| rounded down to STEP_BITS
+    significant binary digits (see _steps), so no step is longer.  Each
+    step advances all columns together through the Legendre three-term
+    recurrence at z on Python integers (`_taylor_transport`): the step is
+    rescaled to end at t = 1, the scaled terms c_n h^n are ints carrying
+    GUARD_BITS (80) bits beyond the working precision, relative to the
+    largest entry of the frame, and the recurrence's normalized
+    coefficients are exact Gaussian integers over one divisor
+    (_recurrence).  Only the final sums and the division by h^d run in
+    mpmath.
 
     The tail of a step is the largest |c_n h^n| among its last 6 terms.
     That is a heuristic, not a bound: a step whose tail exceeds
@@ -475,16 +413,14 @@ def continue_solution(op: FuchsianOperator, path: ContinuationPath,
     error estimate.  Precision doubling is the intended cross-check.
 
     The transport runs from the first waypoint, which must be the exact
-    point of `initial.point`, for any operator.  continue_legendre runs the
-    same transport from a later seed point, with the Legendre frame there
-    from the series.
+    point of `initial.point`.  continue_legendre runs the same transport
+    from a later seed point, with the Legendre frame there from the series.
     """
-    _check_clearance(path.waypoints, op.singular_points)
-    return _transport(op, path, initial, digits)
+    _check_clearance(path.waypoints)
+    return _transport(path, initial, digits)
 
 
-def _transport(op: FuchsianOperator, path: ContinuationPath,
-               initial: SolutionFrame, digits: int) -> SolutionFrame:
+def _transport(path: ContinuationPath, initial: SolutionFrame, digits: int) -> SolutionFrame:
     """continue_solution's Taylor steps on a path whose clearance the caller
     has checked."""
     if exact_point(initial.point) != path.waypoints[0]:
@@ -493,8 +429,8 @@ def _transport(op: FuchsianOperator, path: ContinuationPath,
         eps = mpf(10) ** (-(digits + 10))
         cols = [tuple(col) for col in initial.columns]
         err = mpf(initial.error_estimate)
-        for z, h, rho2 in _steps(path.waypoints, op.singular_points, digits):
-            recurrence = _recurrence(op, z, h)
+        for z, h, rho2 in _steps(path.waypoints, digits):
+            recurrence = _recurrence(z, h)
             nterms = _step_terms(rho2, digits)
             for attempt in range(6):
                 new_cols, tail_worst = _taylor_transport(recurrence, cols, h, nterms)
@@ -559,7 +495,7 @@ def _crosses_cut(a, b) -> bool:
     return (a[0] * b[1] - b[0] * a[1]) / (b[1] - a[1]) <= 0
 
 
-def _seed(waypoints, sing, digits: int):
+def _seed(waypoints, digits: int):
     """(seed, rest): the last Taylor step point (as _steps takes them) that
     the path reaches from its start without leaving the slit disk
     |lambda| <= SERIES_RADIUS, and the waypoints after it.
@@ -571,7 +507,7 @@ def _seed(waypoints, sing, digits: int):
     if not _in_slit_disk(seed):
         return seed, rest
     for j, w in enumerate(waypoints[1:]):
-        for z, h, _ in _steps((waypoints[j], w), sing, digits):
+        for z, h, _ in _steps((waypoints[j], w), digits):
             end = (z[0] + h[0], z[1] + h[1])
             if not _in_slit_disk(end) or _crosses_cut(z, end):
                 return seed, rest
@@ -595,13 +531,12 @@ def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> S
     path covers them.  A path that ends inside the slit disk is the series
     frame at its end; one that starts outside it is transported from its
     first waypoint."""
-    op = legendre_operator()
-    _check_clearance(path.waypoints, op.singular_points)
-    seed, rest = _seed(path.waypoints, op.singular_points, digits)
+    _check_clearance(path.waypoints)
+    seed, rest = _seed(path.waypoints, digits)
     frame = legendre_frame(seed, digits)
     if not rest:
         return frame
-    return _transport(op, ContinuationPath((seed, *rest)), frame, digits)
+    return _transport(ContinuationPath((seed, *rest)), frame, digits)
 
 
 def frame_tau(frame: SolutionFrame, digits: int = DEFAULT_DIGITS):

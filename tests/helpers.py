@@ -12,8 +12,7 @@ from mirrorperiods.hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, Pr
                                    _from_fixed, _linear_product, _to_fixed, as_mpc, eta_value,
                                    exact_point, working_precision)
 from mirrorperiods.periods import DworkPeriods, LegendreJet, varpi0_series
-from mirrorperiods.pfode import (STEP_BITS, STEP_FACTOR, FuchsianOperator, PathError,
-                                 _step_precision)
+from mirrorperiods.pfode import STEP_BITS, STEP_FACTOR, PathError, _step_precision
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 
@@ -395,9 +394,15 @@ def reference_shift_poly_exact(poly, z) -> list:
 
 
 def reference_recurrence(op, z, h):
-    """pfode._recurrence in Fraction arithmetic: (groups, divisor)."""
-    r = op.order
-    shifted = [reference_shift_poly_exact(p, z) for p in op.coeff_polys]
+    """The normalized recurrence coefficients (groups, divisor) of a Taylor
+    step from z by h, as pfode._taylor_transport takes them, in Fraction
+    arithmetic for any operator op: a tuple of polynomial coefficients,
+    op[k] those of D^k, low degree first.  groups[s] lists (k, re, im) with
+    (re + i im) / divisor = -p_(k,k-s) h^(r-s) / p_(r,0), p_kj the Taylor
+    coefficients of op[k] at z; the divisor is their least common
+    denominator."""
+    r = len(op) - 1
+    shifted = [reference_shift_poly_exact(p, z) for p in op]
     lead = shifted[r][0]
     norm = lead[0] * lead[0] + lead[1] * lead[1]
     inv = (-lead[0] / norm, lead[1] / norm)  # -1/p_r0
@@ -853,23 +858,34 @@ def pi0_series(order: int) -> RationalSeries:
     return half * varpi0_series(order) ** 2
 
 
-# A second operator for the continuation kernel and singular point tests:
+# Operators for reference_recurrence and the continuation kernel tests, as
+# tuples of exact polynomial coefficients: op[k] holds those of D^k, low
+# degree first.
+#
+# The Legendre operator lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating
+# varpi0 and varpi1, singular at 0, 1 and infinity: the one equation
+# pfode._recurrence writes out.
+LEGENDRE_OPERATOR = (
+    (Fraction(-1, 4),),
+    (1, -2),
+    (0, 1, -1),
+)
+
 # lam(1-lam)(2-lam)^2 D^2 + (2-lam)(2-4lam+lam^2) D - (3/4) lam, the order-2
 # operator of 2F1(1/8, 3/8; 1; t) pulled back along t(lam), with regular
 # singular points 0, 1, 2 and infinity.
-PULLBACK_OPERATOR = FuchsianOperator((
+PULLBACK_OPERATOR = (
     (0, Fraction(-3, 4)),
     (4, -10, 6, -1),
     (0, 4, -8, 5, -1),
-), ((0, 0), (1, 0), (2, 0)))
-
+)
 
 # D o (Legendre operator), of order 3: lam(1-lam) D^3 + 2(1-2 lam) D^2 - (9/4) D,
 # singular at 0, 1 and infinity; its solutions are varpi0, varpi1 and the
 # solutions of (Legendre operator) y = 1.
-D_LEGENDRE_OPERATOR = FuchsianOperator((
+D_LEGENDRE_OPERATOR = (
     (0,),
     (Fraction(-9, 4),),
     (2, -4),
     (0, 1, -1),
-), ((0, 0), (1, 0)))
+)

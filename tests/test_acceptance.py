@@ -192,7 +192,7 @@ def test_c10_property_suites():
             F(2, 5), (F(2, 5), F(1, 5)), (F(3, 5), F(1, 5)),
             (F(3, 5), F(-1, 5)), (F(2, 5), F(-1, 5)), F(2, 5)))
         start = pfode.legendre_frame(F(2, 5), digits)
-        end = pfode.continue_solution(pfode.legendre_operator(), square, start, digits)
+        end = pfode.continue_solution(square, start, digits)
         with working_precision(digits):
             dev = max(abs(p - q) for cp, cq in zip(end.columns, start.columns)
                       for p, q in zip(cp, cq))
@@ -202,7 +202,7 @@ def test_c10_property_suites():
         loop = pfode.ContinuationPath((
             F(1, 4), (F(0), F(1, 4)), (F(-1, 4), F(0)), (F(0), F(-1, 4)), F(1, 4)))
         start = pfode.legendre_frame(F(1, 4), digits)
-        end = pfode.continue_solution(pfode.legendre_operator(), loop, start, digits)
+        end = pfode.continue_solution(loop, start, digits)
         with working_precision(digits):
             tau0 = start.columns[1][0] / start.columns[0][0]
             tau1 = end.columns[1][0] / end.columns[0][0]

@@ -651,6 +651,35 @@ def test_transport_refusal_is_a_failed_entry(capsys):
     assert entry["error"].startswith("PathError: path segment")
 
 
+HUGE = "1" + "0" * 400  # 10^400, beyond a float's range
+
+
+def test_huge_waypoints_print_exactly(monkeypatch, capsys):
+    # a coordinate beyond a float's range prints as its exact value, every
+    # other as before, and the printed path parses back to the same path.
+    # The transport to 10^400 takes 2332 Taylor steps (37 s at 30 digits
+    # on a 2-core x86_64 box), so tau is stubbed: the report is what this
+    # test checks.
+    monkeypatch.setattr(pfode, "tau_at", lambda lam, path, digits: mp.mpc(0, 1))
+    waypoints = [["0.1", "0"], ["0.1", "-1e400"], ["1e400", "0"]]
+    code, out = run_main(["continue", "--target", "1e400", "--digits", "30",
+                          "--path", json.dumps(waypoints)], capsys)
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    assert entry["path"] == [["0.1", "0.0"], ["0.1", "-" + HUGE], [HUGE, "0.0"]]
+    assert pfode.ContinuationPath.from_json(json.dumps(entry["path"])) == \
+        pfode.ContinuationPath.from_json(json.dumps(waypoints))
+
+
+def test_huge_target_reports_its_clearance_failure(capsys):
+    # the straight default path to 10^400 runs through the singular point 1
+    code, out = run_main(["continue", "--target", "1e400", "--digits", "40"], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert entry["error"] == (f"PathError: path segment [(0.1+0j), ({HUGE}+0j)] passes "
+                              "within clearance 0.1 of singular point (1+0j)")
+
+
 def test_w_pi_grid_is_evaluated_once(monkeypatch, capsys):
     # one Dwork evaluation per grid point, and every Legendre jet of the grid
     # gets its exact point
@@ -724,8 +753,7 @@ def _records():
                 deligne.LValueResult(1, one.real, zero),
                 deligne.DelignePeriodSet(one, one, one, one, one, zero, one.real),
                 pfode.SolutionFrame((Fraction(1, 10), Fraction(0)), ((one, one), (zero, one))),
-                pfode.ContinuationPath((Fraction(1, 10), Fraction(2))),
-                pfode.legendre_operator()]
+                pfode.ContinuationPath((Fraction(1, 10), Fraction(2)))]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

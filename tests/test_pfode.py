@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import (D_LEGENDRE_OPERATOR, PULLBACK_OPERATOR, binary_cut,
+from helpers import (D_LEGENDRE_OPERATOR, LEGENDRE_OPERATOR, PULLBACK_OPERATOR, binary_cut,
                      reference_int_transport, reference_recurrence, reference_shift_poly_exact,
                      reference_step_terms, reference_steps, reference_taylor_transport)
 from mpmath import mp, mpc, mpf
@@ -17,7 +17,6 @@ import mirrorperiods.periods as periods
 import mirrorperiods.pfode as pfode
 from mirrorperiods.hyperfun import (PrecisionError, as_mpc, exact_point, theta_const,
                                    waypoint_strings, working_precision)
-from mirrorperiods.qseries import SeriesError
 
 DIGITS = 50
 DATA = Path(__file__).resolve().parent / "data"
@@ -26,20 +25,15 @@ DATA = Path(__file__).resolve().parent / "data"
 def test_singular_points():
     # the stated points are exactly the roots of the leading coefficient,
     # lead = lead[-1] * prod (x - s)^m over Q, with the multiplicities here
-    for op, multiplicity in ((pfode.legendre_operator(), {0: 1, 1: 1}),
-                             (PULLBACK_OPERATOR, {0: 1, 1: 1, 2: 2})):
-        assert op.singular_points == tuple((F(s), F(0)) for s in multiplicity)
-        lead = op.coeff_polys[-1]
+    assert pfode.SINGULAR_POINTS == tuple((s, 0) for s in KERNEL_SINGULAR_POINTS["legendre"])
+    assert all(type(c) is F for s in pfode.SINGULAR_POINTS for c in s)
+    for name, multiplicity in KERNEL_SINGULAR_POINTS.items():
+        lead = tuple(F(c) for c in KERNEL_OPERATORS[name][-1])
         product = [lead[-1]]
         for s, m in multiplicity.items():
             for _ in range(m):
                 product = [a - s * b for a, b in zip([F(0)] + product, product + [F(0)])]
         assert tuple(product) == lead
-
-
-def test_singular_points_must_be_exact():
-    with pytest.raises(SeriesError):
-        pfode.FuchsianOperator(pfode.legendre_operator().coeff_polys, ((0, 0), mpf(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +46,7 @@ def test_contractible_loop_is_identity():
         F(2, 5), (F(2, 5), F(1, 5)), (F(3, 5), F(1, 5)),
         (F(3, 5), F(-1, 5)), (F(2, 5), F(-1, 5)), F(2, 5)))
     start = pfode.legendre_frame(F(2, 5), DIGITS)
-    end = pfode.continue_solution(pfode.legendre_operator(), sq, start, DIGITS)
+    end = pfode.continue_solution(sq, start, DIGITS)
     with working_precision(DIGITS):
         dev = max(abs(a - b) for ca, cb in zip(end.columns, start.columns)
                   for a, b in zip(ca, cb))
@@ -65,7 +59,7 @@ def test_loop_around_zero_monodromy():
     loop = pfode.ContinuationPath((
         base, (F(0), F(1, 4)), -base, (F(0), F(-1, 4)), base))
     start = pfode.legendre_frame(base, DIGITS)
-    end = pfode.continue_solution(pfode.legendre_operator(), loop, start, DIGITS)
+    end = pfode.continue_solution(loop, start, DIGITS)
     with working_precision(DIGITS):
         w0a, w1a = start.columns[0][0], start.columns[1][0]
         w0b, w1b = end.columns[0][0], end.columns[1][0]
@@ -82,9 +76,9 @@ def test_transport_is_path_multiplicative():
     p_a = pfode.ContinuationPath((F(1, 10), mid))
     p_b = pfode.ContinuationPath((mid, F(2)))
     start = pfode.legendre_frame(F(1, 10), DIGITS)
-    one_pass = pfode.continue_solution(pfode.legendre_operator(), p_full, start, DIGITS)
-    half = pfode.continue_solution(pfode.legendre_operator(), p_a, start, DIGITS)
-    two_pass = pfode.continue_solution(pfode.legendre_operator(), p_b, half, DIGITS)
+    one_pass = pfode.continue_solution(p_full, start, DIGITS)
+    half = pfode.continue_solution(p_a, start, DIGITS)
+    two_pass = pfode.continue_solution(p_b, half, DIGITS)
     with working_precision(DIGITS):
         dev = max(abs(a - b) for ca, cb in zip(one_pass.columns, two_pass.columns)
                   for a, b in zip(ca, cb))
@@ -94,8 +88,7 @@ def test_transport_is_path_multiplicative():
 def test_wronskian_invariant_along_path():
     # for the Legendre operator, W(lam) * lam (1 - lam) is constant
     start = pfode.legendre_frame(F(1, 10), DIGITS)
-    end = pfode.continue_solution(pfode.legendre_operator(),
-                                  pfode.CANONICAL_PATH_TO_TWO, start, DIGITS)
+    end = pfode.continue_solution(pfode.CANONICAL_PATH_TO_TWO, start, DIGITS)
     def wronskian(frame):
         (y0, dy0), (y1, dy1) = frame.columns
         return y0 * dy1 - y1 * dy0
@@ -119,21 +112,28 @@ KERNEL_STEPS = [
     ("pullback", (F(2), F(1, 10)), (-1, 3)),
 ]
 KERNEL_COLUMNS = ((mpc(1, "0.5"), mpc("-0.25", 2)), (mpc(0, -3), mpc("1.5", 0)))
-KERNEL_OPERATORS = {"legendre": pfode.legendre_operator(), "pullback": PULLBACK_OPERATOR,
+KERNEL_OPERATORS = {"legendre": LEGENDRE_OPERATOR, "pullback": PULLBACK_OPERATOR,
                     "d-legendre": D_LEGENDRE_OPERATOR}
+# the finite singular points of each, all real, with their multiplicities
+# as roots of the leading coefficient
+KERNEL_SINGULAR_POINTS = {"legendre": {0: 1, 1: 1}, "pullback": {0: 1, 1: 1, 2: 2},
+                          "d-legendre": {0: 1, 1: 1}}
 
 
 def _kernel_step(name, z, direction, digits):
     """(recurrence, h, shifted, mpc h, nterms) for one step from z as
     _steps takes it: half the reach cut to STEP_BITS binary digits, an
-    exact Gaussian rational.  shifted holds the operator's coefficients at
-    z, exact and realized in mpmath, for the reference."""
+    exact Gaussian rational.  The recurrence is pfode._recurrence's for the
+    Legendre operator, and the Fraction reference's for the others.
+    shifted holds the operator's coefficients at z, exact and realized in
+    mpmath, for the reference."""
     op = KERNEL_OPERATORS[name]
-    d = min(abs(as_mpc(z) - as_mpc(s)) for s in op.singular_points)
+    d = min(abs(as_mpc(z) - s) for s in KERNEL_SINGULAR_POINTS[name])
     dt = binary_cut(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
     h = (dt * direction[0], dt * direction[1])
-    recurrence = pfode._recurrence(op, z, h)
-    shifted = [[as_mpc(c) for c in reference_shift_poly_exact(p, z)] for p in op.coeff_polys]
+    recurrence = (pfode._recurrence(z, h) if op is LEGENDRE_OPERATOR
+                  else reference_recurrence(op, z, h))
+    shifted = [[as_mpc(c) for c in reference_shift_poly_exact(p, z)] for p in op]
     nterms = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
     return recurrence, h, shifted, as_mpc(h), nterms
 
@@ -185,7 +185,7 @@ def test_taylor_kernel_equals_int_reference(name, z, direction, digits):
     # full term count and at a short one
     with working_precision(digits):
         recurrence, h, _, _, nterms = _kernel_step(name, z, direction, digits)
-        r = KERNEL_OPERATORS[name].order
+        r = len(KERNEL_OPERATORS[name]) - 1
         cols = [tuple(mpc(k + 1, i - k) / (k + 2) for k in range(r)) for i in range(r)]
         for count in (nterms, 40):
             assert pfode._taylor_transport(recurrence, cols, h, count) == \
@@ -195,27 +195,51 @@ def test_taylor_kernel_equals_int_reference(name, z, direction, digits):
 @pytest.mark.parametrize("digits", [50, 200])
 @pytest.mark.parametrize("name, z, direction", KERNEL_STEPS + [
     ("d-legendre", (F(1, 10), F(-3, 5)), (1, 0)),
+    # at z = 1/2 the s = 1 group, -(1-2z) h / L, vanishes and is dropped
+    ("legendre", (F(1, 2), F(0)), (1, 0)),
+    ("legendre", (F(1, 3), F(0)), (0, -1)),
+    ("legendre", (F(1, 2), F(1, 3)), (5, 7)),
 ])
 def test_recurrence_equals_fraction_reference(name, z, direction, digits):
-    # Gaussian-integer numerators over one denominator give the same
-    # (groups, divisor) as the Fraction arithmetic, for every test operator
+    # the written-out Legendre recurrence, Gaussian-integer numerators over
+    # one denominator, gives the (groups, divisor) of the Fraction
+    # arithmetic on the operator's polynomials
     with working_precision(digits):
         _, h, _, _, _ = _kernel_step(name, z, direction, digits)
-    for op in KERNEL_OPERATORS.values():
-        if min(pfode._distance2(z, s) for s in op.singular_points):
-            assert pfode._recurrence(op, z, h) == reference_recurrence(op, z, h)
+    assert _canonical(pfode._recurrence(z, h)) == \
+        _canonical(reference_recurrence(LEGENDRE_OPERATOR, z, h))
+
+
+def _canonical(recurrence):
+    """(groups, divisor) with each group's entries sorted: their order does
+    not matter to _taylor_transport."""
+    groups, divisor = recurrence
+    return {s: sorted(terms) for s, terms in groups.items()}, divisor
+
+
+@pytest.mark.parametrize("path, digits", [("2", 120), ("2", 200), ("2sqrt2-2", 200)])
+def test_recurrence_on_every_path_step_equals_fraction_reference(path, digits):
+    # every step of the canonical path to 2 and of the default path to
+    # 2 sqrt 2 - 2 (unseeded), whose end carries a long binary denominator
+    path = (pfode.CANONICAL_PATH_TO_TWO if path == "2"
+            else pfode.default_path(_psi_one_point(digits)))
+    steps = list(pfode._steps(path.waypoints, digits))
+    assert len(steps) >= 6
+    for z, h, _ in steps:
+        assert _canonical(pfode._recurrence(z, h)) == \
+            _canonical(reference_recurrence(LEGENDRE_OPERATOR, z, h))
 
 
 def _reference_steps_and_terms(waypoints, digits):
     """(z, h) and term count of every step, in mpmath as before."""
     with working_precision(digits):
-        sing = [as_mpc(s) for s in pfode.legendre_operator().singular_points]
+        sing = [as_mpc(s) for s in pfode.SINGULAR_POINTS]
         steps = list(reference_steps(waypoints, sing, digits))
         return steps, [reference_step_terms(z, h, sing, digits) for z, h in steps]
 
 
 def _steps_and_terms(waypoints, digits):
-    steps = list(pfode._steps(waypoints, pfode.legendre_operator().singular_points, digits))
+    steps = list(pfode._steps(waypoints, digits))
     return [(z, h) for z, h, _ in steps], [pfode._step_terms(r, digits) for _, _, r in steps]
 
 
@@ -227,8 +251,7 @@ def _assert_equal_but_for_ties(waypoints, digits):
     STEP_FACTOR) where the rounded reach fell just below it and was cut one
     unit shorter; the walks diverge there.  A count tie: rho^(n - 16) is
     10^-(digits + 25) exactly."""
-    sing = pfode.legendre_operator().singular_points
-    steps = list(pfode._steps(waypoints, sing, digits))
+    steps = list(pfode._steps(waypoints, digits))
     ref_steps, ref_terms = _reference_steps_and_terms(waypoints, digits)
     for (z, h, rho2), (ref_z, ref_h), ref_n in zip(steps, ref_steps, ref_terms):
         assert z == ref_z
@@ -257,7 +280,7 @@ def _detour(seed):
         points = ((F(1, 10), F(0)), (rat(w.real), rat(w.imag)), (rat(b.real), rat(b.imag)))
         if abs(w) > 0.9 and 0.1 <= abs(b) <= 0.5:
             try:
-                pfode._check_clearance(points, pfode.legendre_operator().singular_points)
+                pfode._check_clearance(points)
                 return pfode.ContinuationPath(points)
             except pfode.PathError:
                 pass
@@ -284,18 +307,17 @@ def test_detour_steps_and_terms_equal_mpmath_reference():
 def test_clearance_boundary_is_exact():
     # the canonical path's first segment runs at exactly 1/10 from 0 and
     # passes, as does one inside the 10^-12 slack; one 10^-11 nearer fails
-    sing = pfode.legendre_operator().singular_points
     first = pfode.CANONICAL_PATH_TO_TWO.waypoints[:2]
-    assert pfode._segment_distance2(*first, sing[0]) == F(1, 100)
-    pfode._check_clearance(pfode.CANONICAL_PATH_TO_TWO.waypoints, sing)
+    assert pfode._segment_distance2(*first, pfode.SINGULAR_POINTS[0]) == F(1, 100)
+    pfode._check_clearance(pfode.CANONICAL_PATH_TO_TWO.waypoints)
 
     def vertical(x):
         return (x, F(0)), (x, F(-6, 5)), (F(2), F(0))
 
-    pfode._check_clearance(vertical(F(1, 10) * (1 - F(1, 10 ** 13))), sing)
+    pfode._check_clearance(vertical(F(1, 10) * (1 - F(1, 10 ** 13))))
     near = vertical(F(1, 10) * (1 - F(1, 10 ** 11)))
     with pytest.raises(pfode.PathError):
-        pfode._check_clearance(near, sing)
+        pfode._check_clearance(near)
     with pytest.raises(pfode.PathError):
         pfode.continue_legendre(pfode.ContinuationPath(near), 40)
 
@@ -306,7 +328,7 @@ def test_step_at_an_exact_tie_takes_the_full_reach():
     # rho = STEP_FACTOR, where the rounded mpmath reach fell just below it
     # and was cut to a shorter step
     waypoints = ((F(1, 4), F(-1, 4)), (F(7, 6), F(-1, 7)))
-    steps = list(pfode._steps(waypoints, pfode.legendre_operator().singular_points, 40))
+    steps = list(pfode._steps(waypoints, 40))
     (ref_steps, _) = _reference_steps_and_terms(waypoints, 40)
     assert [z for z, _, _ in steps[:3]] == [z for z, _ in ref_steps[:3]]
     assert steps[2][2] == F(pfode.STEP_FACTOR) ** 2
@@ -328,13 +350,11 @@ def test_step_control_makes_no_mpmath_call(monkeypatch):
         for name in ("mp", "mpc", "mpf", "as_mpc"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, NoMpmath())
-    op = pfode.legendre_operator()
-    sing = op.singular_points
     for path in (pfode.CANONICAL_PATH_TO_TWO, _detour(0)):
-        pfode._check_clearance(path.waypoints, sing)
-        seed, rest = pfode._seed(path.waypoints, sing, 200)
-        for z, h, rho2 in pfode._steps((seed, *rest), sing, 200):
-            pfode._recurrence(op, z, h)
+        pfode._check_clearance(path.waypoints)
+        seed, rest = pfode._seed(path.waypoints, 200)
+        for z, h, rho2 in pfode._steps((seed, *rest), 200):
+            pfode._recurrence(z, h)
             pfode._step_terms(rho2, 200)
     periods._series_terms(F(1, 100), 200)
 
@@ -362,7 +382,6 @@ _rational_walk = st.tuples(
 @given(points=_rational_walk)
 @settings(max_examples=6, deadline=None)
 def test_rational_walk_steps_and_frame(points):
-    op = pfode.legendre_operator()
     path = pfode.ContinuationPath(points)
     # every step and term count as the mpmath decisions gave them, up to a tie
     _assert_equal_but_for_ties(path.waypoints, 40)
@@ -388,9 +407,9 @@ def test_rational_walk_steps_and_frame(points):
             if rx * dy == ry * dx and h[0] * dy == h[1] * dx and 0 <= t < t + dt <= 1:
                 on = True
         assert on
-        d2 = min(pfode._distance2(zi, s) for s in op.singular_points)
+        d2 = min(pfode._distance2(zi, s) for s in pfode.SINGULAR_POINTS)
         assert h[0] ** 2 + h[1] ** 2 <= d2 / 4
-    frames = [pfode.continue_solution(op, path, pfode.legendre_frame(points[0], digits), digits)
+    frames = [pfode.continue_solution(path, pfode.legendre_frame(points[0], digits), digits)
               for digits in (40, 80)]
     with working_precision(80):
         scale = max(mpf(1), max(abs(v) for col in frames[1].columns for v in col))
@@ -490,7 +509,7 @@ def test_seeded_transport_matches_unseeded(name, digits):
     # unseeded route transports the frame at the first waypoint all the way
     path = SEED_PATHS[name]
     seeded = pfode.continue_legendre(path, digits)
-    unseeded = pfode.continue_solution(pfode.legendre_operator(), path,
+    unseeded = pfode.continue_solution(path,
                                        pfode.legendre_frame(path.waypoints[0], digits), digits)
     with working_precision(digits):
         assert seeded.point == unseeded.point
@@ -559,9 +578,8 @@ def test_step_terms_pass_the_tail_test_at_once(monkeypatch, target, digits):
             else pfode.default_path(_psi_one_point(digits)))
     calls = _count_steps(monkeypatch)
     pfode.continue_legendre(path, digits)
-    sing = pfode.legendre_operator().singular_points
-    seed, rest = pfode._seed(path.waypoints, sing, digits)
-    steps = list(pfode._steps((seed, *rest), sing, digits))
+    seed, rest = pfode._seed(path.waypoints, digits)
+    steps = list(pfode._steps((seed, *rest), digits))
     with working_precision(digits):
         full = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
     assert [h for h, _ in calls] == [h for _, h, _ in steps]
@@ -603,23 +621,23 @@ def test_tau_at_degenerate_path_matches_series():
 def test_clearance_violation_raises():
     bad = pfode.ContinuationPath((F(1, 20), F(2)))  # passes through lam = 1
     with pytest.raises(pfode.PathError):
-        pfode.continue_solution(pfode.legendre_operator(), bad,
+        pfode.continue_solution(bad,
                                 pfode.legendre_frame(F(1, 20), 40), 40)
     # 10^-11 nearer than CLEARANCE to 0, nowhere through a singular point
     near = pfode.ContinuationPath(((F(1, 10) * (1 - F(1, 10 ** 11)), F(0)),
                                    (F(1, 10), F(-6, 5))))
     start = pfode.legendre_frame(near.waypoints[0], 40)
     with pytest.raises(pfode.PathError, match="clearance"):
-        pfode.continue_solution(pfode.legendre_operator(), near, start, 40)
+        pfode.continue_solution(near, start, 40)
 
 
 def test_tau_at_two_checks_clearance_once(monkeypatch):
     calls = []
     check = pfode._check_clearance
 
-    def counting(waypoints, sing):
+    def counting(waypoints):
         calls.append(waypoints)
-        return check(waypoints, sing)
+        return check(waypoints)
 
     monkeypatch.setattr(pfode, "_check_clearance", counting)
     pfode.tau_at(2, digits=40)
@@ -632,7 +650,7 @@ def test_short_last_step_keeps_derivatives():
     end = F(1, 10) + F(1, 10 ** 45)
     path = pfode.ContinuationPath((F(1, 10), end))
     start = pfode.legendre_frame(F(1, 10), DIGITS)
-    moved = pfode.continue_solution(pfode.legendre_operator(), path, start, DIGITS)
+    moved = pfode.continue_solution(path, start, DIGITS)
     series = pfode.legendre_frame(end, DIGITS)
     with working_precision(DIGITS):
         dev = max(abs(a - b) for ca, cb in zip(moved.columns, series.columns)
@@ -642,14 +660,12 @@ def test_short_last_step_keeps_derivatives():
 
 def test_step_underflow_is_exact():
     # a step raises PathError exactly when |h| < 10^-digits
-    sing = pfode.legendre_operator().singular_points
-
     def segment(length):
         return (F(1, 10), F(0)), (F(1, 10) + length, F(0))
 
-    assert len(list(pfode._steps(segment(F(1, 10 ** 40)), sing, 40))) == 1
+    assert len(list(pfode._steps(segment(F(1, 10 ** 40)), 40))) == 1
     with pytest.raises(pfode.PathError):
-        list(pfode._steps(segment(F(1, 10 ** 40) * (1 - F(1, 10 ** 30))), sing, 40))
+        list(pfode._steps(segment(F(1, 10 ** 40) * (1 - F(1, 10 ** 30))), 40))
 
 
 def test_non_finite_frame_raises():
@@ -657,7 +673,7 @@ def test_non_finite_frame_raises():
     frame = pfode.SolutionFrame((F(1, 10), F(0)), ((mpc(1), mpc(0)), (mpc(0), mp.inf)))
     path = pfode.ContinuationPath((F(1, 10), F(1, 5)))
     with pytest.raises(pfode.PathError, match="non-finite"):
-        pfode.continue_solution(pfode.legendre_operator(), path, frame, 40)
+        pfode.continue_solution(path, frame, 40)
 
 
 def test_path_needs_two_waypoints():
@@ -709,11 +725,10 @@ def test_frame_anchoring_checked():
     frame = pfode.legendre_frame(F(1, 10), 40)
     path = pfode.ContinuationPath((F(1, 4), F(1, 2)))
     with pytest.raises(pfode.PathError):
-        pfode.continue_solution(pfode.legendre_operator(), path, frame, 40)
+        pfode.continue_solution(path, frame, 40)
     # the anchor is exact: a frame at the 40-digit mpc of 1/10 is not at 1/10
     with working_precision(40):
         rounded = pfode.legendre_frame(as_mpc(F(1, 10)), 40)
     assert rounded.point != (F(1, 10), F(0))
     with pytest.raises(pfode.PathError, match="anchored"):
-        pfode.continue_solution(pfode.legendre_operator(),
-                                pfode.ContinuationPath((F(1, 10), F(1, 5))), rounded, 40)
+        pfode.continue_solution(pfode.ContinuationPath((F(1, 10), F(1, 5))), rounded, 40)
