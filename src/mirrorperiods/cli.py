@@ -65,10 +65,18 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace):
         parser.error(f"deligne needs 40 <= --digits <= {deligne.MAX_DIGITS}")
     if getattr(args, "with_quartic_counts", False) and args.lam != 2:
         parser.error(f"--with-quartic-counts needs --lambda 2, got --lambda {args.lam}")
-    beyond = [str(p) for p in getattr(args, "primes", ()) if p > args.quartic_bound]
+    primes = getattr(args, "primes", ())
+    beyond = [str(p) for p in primes if p > args.quartic_bound]
     if beyond:
         parser.error(f"--primes: p = {', '.join(beyond)} beyond "
                      f"--quartic-bound {args.quartic_bound}")
+    # after the bound check, so trial division stops at sqrt(--quartic-bound)
+    composite = [str(p) for p in primes
+                 if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))]
+    if composite:
+        parser.error(f"--primes: not prime: {', '.join(composite)}")
+    if 2 in primes:
+        parser.error("--primes: p = 2 is a bad prime for the quartic surface")
     path, target = getattr(args, "path", None), getattr(args, "target", None)
     if path is not None and not pfode.ends_at(path, _target_lambda(target, args.digits),
                                               args.digits):
@@ -269,18 +277,12 @@ def _identity_list(text: str) -> list[str]:
 
 
 def _prime_list(text: str) -> list[int]:
-    """--primes: a comma-separated list of primes."""
+    """--primes: a comma-separated list of integers; _validate checks them
+    against --quartic-bound, then for primality."""
     try:
-        primes = [int(p) for p in text.split(",")]
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
-    composite = [str(p) for p in primes
-                 if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))]
-    if composite:
-        raise argparse.ArgumentTypeError(f"not prime: {', '.join(composite)}")
-    if 2 in primes:
-        raise argparse.ArgumentTypeError("p = 2 is a bad prime for the quartic surface")
-    return primes
 
 
 def _positive_int(text: str) -> int:

@@ -181,6 +181,25 @@ def fricke_residual(y, digits: int = DEFAULT_DIGITS):
         return abs(lhs - rhs)
 
 
+def _ratios(periods: DelignePeriodSet, digits: int):
+    """(ratio1, ratio2, L1, L2): the two Deligne ratios c^+(twist s) / L(twist s)
+    as complex numbers, and the two L-values they divide."""
+    if digits < 40:
+        raise PrecisionError("ratio verification needs digits >= 40")
+    l1 = lvalue(1, digits)
+    l2 = lvalue(2, digits)
+    with working_precision(digits):
+        return (periods.c_plus_tate1 / l1.value, periods.c_plus_tate2 / l2.value,
+                l1.value, l2.value)
+
+
+def _reconstruct(ratio, tol) -> Fraction:
+    """The small rational a real ratio is, within tol (rationalize)."""
+    if abs(ratio.imag) > tol:
+        raise ReconstructionError("period ratio failed to be real")
+    return rationalize(ratio.real, tol=tol)
+
+
 def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
     """(r1, r2, L1, L2): the two Deligne ratios as exact rationals, and the
     two L-values they divide.
@@ -190,19 +209,23 @@ def verify_ratios(periods: DelignePeriodSet, digits: int = DEFAULT_DIGITS):
     fractions with denominator bound MAX_DENOMINATOR and residual tolerance
     10^-(digits-10).
     """
-    if digits < 40:
-        raise PrecisionError("ratio verification needs digits >= 40")
-    l1 = lvalue(1, digits)
-    l2 = lvalue(2, digits)
+    ratio1, ratio2, l1, l2 = _ratios(periods, digits)
     with working_precision(digits):
         tol = mpf(10) ** (-(digits - 10))
-        ratio1 = periods.c_plus_tate1 / l1.value
-        ratio2 = periods.c_plus_tate2 / l2.value
-        if abs(ratio1.imag) > tol or abs(ratio2.imag) > tol:
-            raise ReconstructionError("period ratios failed to be real")
-        r1 = rationalize(ratio1.real, tol=tol)
-        r2 = rationalize(ratio2.real, tol=tol)
-        return r1, r2, l1.value, l2.value
+        return _reconstruct(ratio1, tol), _reconstruct(ratio2, tol), l1, l2
+
+
+def _ratio_entry(name: str, ratio, expected: int, tol, digits: int) -> Entry:
+    """The check that `ratio` reconstructs to `expected`.  A ratio that is
+    not real or has no small rational fails it, with its decimal value and
+    the error."""
+    try:
+        r = _reconstruct(ratio, tol)
+    except ReconstructionError as exc:
+        value = ratio.real if abs(ratio.imag) <= tol else ratio
+        return Entry(name, False, data={"value": mp.nstr(value, digits),
+                                        "error": f"ReconstructionError: {exc}"})
+    return Entry(name, r == expected, data={"value": str(r)})
 
 
 def report(frame, digits: int = DEFAULT_DIGITS) -> list[Entry]:
@@ -210,14 +233,20 @@ def report(frame, digits: int = DEFAULT_DIGITS) -> list[Entry]:
     theta value, L-values, twisted periods and ratios as decimal strings),
     the Fricke and theta-vs-continuation self-checks that gate them, and
     the two ratio checks; `frame` is the Legendre frame transported to
-    lambda = 2 (see deligne_periods)."""
+    lambda = 2 (see deligne_periods).  The self-checks are built before the
+    ratios are reconstructed, and a ratio that does not reconstruct fails
+    its own check, so a fault in one layer leaves the others' entries."""
     with working_precision(digits):
         tol = mpf(10) ** (-(digits - 10))
         fricke = [judged(f"fricke-eta6-y={y}", fricke_residual(y, digits), tol)
                   for y in (Fraction(3, 10), Fraction(7, 10), Fraction(3, 2))]
     periods = deligne_periods(frame, digits)
-    r1, r2, l1, l2 = verify_ratios(periods, digits)
+    crosscheck = judged("theta-vs-continuation", periods.crosscheck_residual,
+                        periods.crosscheck_tolerance)
+    ratio1, ratio2, l1, l2 = _ratios(periods, digits)
     with working_precision(digits):
+        ratios = [_ratio_entry("ratio1-is-16", ratio1, 16, tol, digits),
+                  _ratio_entry("ratio2-is-minus-64", ratio2, -64, tol, digits)]
         summary = {
             "digits": digits,
             "theta4_value": mp.nstr(periods.theta4_value, digits),
@@ -225,11 +254,7 @@ def report(frame, digits: int = DEFAULT_DIGITS) -> list[Entry]:
             "L2": mp.nstr(l2, digits),
             "c_plus_tate1": mp.nstr(periods.c_plus_tate1, digits),
             "c_plus_tate2": mp.nstr(periods.c_plus_tate2, digits),
-            "ratio1": str(r1),
-            "ratio2": str(r2),
+            "ratio1": ratios[0].data["value"],
+            "ratio2": ratios[1].data["value"],
         }
-    return [Entry("deligne-summary", True, True, data=summary), *fricke,
-            judged("theta-vs-continuation", periods.crosscheck_residual,
-                   periods.crosscheck_tolerance),
-            Entry("ratio1-is-16", r1 == 16, data={"value": str(r1)}),
-            Entry("ratio2-is-minus-64", r2 == -64, data={"value": str(r2)})]
+    return [Entry("deligne-summary", True, True, data=summary), *fricke, crosscheck, *ratios]

@@ -10,11 +10,12 @@ local Taylor expansion with step size at most half the distance to the
 nearest singularity.  Each step runs the Taylor recurrence once for all
 columns on Python integers (the scheme of mpmath's hypsum; van der Hoeven,
 "Fast evaluation of holonomic functions", TCS 210, 1999); mpmath only
-converts the frame in and reads off the result.  The recurrence's coefficient rows
-and divisors are built for every term before the first, and the
-derivatives are read off suffix sums of the terms, both by additions only.
-A step takes as many terms as its own ratio rho = |h| / (distance to the
-nearest singular point) asks for: a full step (rho = 1/2) as many as ever,
+converts the frame in and reads off the result.  A new term is the two
+Gaussian-integer coefficients u (2m+1)^2 and v (m+1)^2 times the last two
+terms, floored by divisor (m+1)(m+2), and the derivative is read off
+suffix sums of the terms by additions only.  A step takes as many terms
+as its own ratio rho = |h| / (distance to the nearest singular point)
+asks for: a full step (rho = 1/2) as many as ever,
 a segment's shorter last step fewer.  Every decision around the steps is
 made on exact rationals and Python ints, with no mpmath call: the step
 sizes and rho^2 from squared distances to the exact singular points and
@@ -52,11 +53,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
-from math import factorial, gcd, isqrt, perm, prod
+from itertools import accumulate
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError, _from_fixed,
@@ -122,10 +123,11 @@ class ContinuationPath(_PathFields):
 
 
 class SolutionFrame(NamedTuple):
-    """Values and derivatives of a fundamental system at an exact point.
+    """Values and derivatives of a fundamental system of the Legendre
+    operator at an exact point.
 
-    columns[i] = (y_i, y_i', ..., y_i^(order-1)); the frame matrix must stay
-    nonsingular along any continuation.
+    columns[i] = (y_i, y_i'); the 2x2 frame matrix must stay nonsingular
+    along any continuation.
     """
 
     point: tuple
@@ -148,11 +150,11 @@ def _segment_distance2(a, b, p) -> Fraction:
     return _distance2((a[0] + t * ab[0], a[1] + t * ab[1]), p)
 
 
-def _step_precision(r: int, h) -> int:
+def _step_precision(h) -> int:
     """Working bits P of a Taylor step: the working precision plus
-    GUARD_BITS, and (r-1) log2(1/|h|) more for a short step, whose
-    derivatives are divided by powers of h."""
-    return mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
+    GUARD_BITS, and log2(1/|h|) more for a short step, whose derivative is
+    divided by h."""
+    return mp.prec + GUARD_BITS + max(0, -mp.mag(h))
 
 
 def _gmul(a, b):
@@ -161,134 +163,86 @@ def _gmul(a, b):
 
 
 def _recurrence(z, h):
-    """The normalized coefficients of the Legendre recurrence for one
-    Taylor step from the exact point z by the exact step h (Fraction
-    pairs), as _taylor_transport takes them: (groups, divisor), where
-    groups[s] lists (k, re, im) and (re + i im) / divisor is q_(k,s).
+    """The Legendre recurrence for one Taylor step from the exact point z
+    by the exact step h (Fraction pairs), as _taylor_transport takes it:
+    (u, v, divisor), two Gaussian integers as (re, im) int pairs and one
+    positive int.
 
     At z the Taylor coefficients c_n of a solution obey
-    z(1-z)(n+1)(n+2) c_(n+2) = -(1-2z)(n+1)^2 c_(n+1) + (n+1/2)^2 c_n, that
-    is, with L = z(1-z),
+    z(1-z)(n+1)(n+2) c_(n+2) = -(1-2z)(n+1)^2 c_(n+1) + (n+1/2)^2 c_n, so
+    with L = z(1-z) the scaled terms b_n = c_n h^n obey
 
-        q_(2,1) = q_(1,1) = -(1-2z) h / L,
-        q_(2,0) = h^2 / L,  q_(1,0) = 2 h^2 / L,  q_(0,0) = h^2 / (4 L).
+        (m+1)(m+2) b_(m+2) = (u (2m+1)^2 b_m + v (m+1)^2 b_(m+1)) / divisor,
+        u / divisor = h^2 / (4 L),  v / divisor = -(1-2z) h / L.
 
     Everything runs on Python ints.  With z = Z / zd, h = H / hd (Gaussian
-    integers over positive ints) and M = Z (zd - Z), L = M / zd^2, so the
-    numerators over the common denominator 4 hd^2 |M|^2 are
-    -4 hd zd (zd - 2Z) H conj(M) for s = 1 and 4, 8 and 1 times
-    zd^2 H^2 conj(M) for (k, s) = (2, 0), (1, 0) and (0, 0).  The s = 1 group
-    vanishes at z = 1/2 and is dropped there.  Divided by their gcd with
-    it, that denominator is the divisor: the lcm of every part's reduced
-    denominator.
+    integers over positive ints) and M = Z (zd - Z), L = M / zd^2, so over
+    the common denominator 4 hd^2 |M|^2 the numerators are
+    zd^2 H^2 conj(M) for u and -4 hd zd (zd - 2Z) H conj(M) for v, which
+    vanishes at z = 1/2.  Divided by their gcd with it, that denominator is
+    the divisor.
     """
     zre, zim, zd = _gaussian(z)
     hre, him, hd = _gaussian(h)
     conj_m = _gmul((zre, -zim), (zd - zre, zim))
-    nre, nim = _gmul(_gmul((hre, him), (hre, him)), conj_m)
-    nums = {(k, 0): (c * zd * zd * nre, c * zd * zd * nim) for k, c in ((0, 1), (1, 8), (2, 4))}
-    nre, nim = _gmul(_gmul((zd - 2 * zre, -2 * zim), (hre, him)), conj_m)
-    if nre or nim:
-        nums[1, 1] = nums[2, 1] = (-4 * hd * zd * nre, -4 * hd * zd * nim)
+    ure, uim = _gmul(_gmul((hre, him), (hre, him)), conj_m)
+    vre, vim = _gmul(_gmul((zd - 2 * zre, -2 * zim), (hre, him)), conj_m)
+    u = (zd * zd * ure, zd * zd * uim)
+    v = (-4 * hd * zd * vre, -4 * hd * zd * vim)
     den = 4 * hd * hd * (conj_m[0] ** 2 + conj_m[1] ** 2)
-    common = gcd(den, *(c for q in nums.values() for c in q))
-    groups = {}
-    for (k, s), (nre, nim) in nums.items():
-        groups.setdefault(s, []).append((k, nre // common, nim // common))
-    return groups, den // common
-
-
-def _poly_row(q, s: int, n: int):
-    """The values sum_k q[k] (m+s)_k for m = 0, ..., n-1 (an iterator), with
-    (i)_k the falling factorial: the polynomial's forward differences at
-    m = 0, Delta^j = sum_k q[k] (k)_j (s)_(k-j), summed up len(q) - 1
-    times, so the row costs additions only."""
-    deg = len(q) - 1
-    diffs = [sum(qk * perm(k, j) * prod(range(s, s - k + j, -1))
-                 for k, qk in enumerate(q) if k >= j) for j in range(deg + 1)]
-    row = repeat(diffs[deg], n - deg)
-    for d in reversed(diffs[:deg]):
-        row = accumulate(row, initial=d)
-    return row
+    common = gcd(den, *u, *v)
+    return ((u[0] // common, u[1] // common), (v[0] // common, v[1] // common),
+            den // common)
 
 
 def _taylor_transport(recurrence, columns, h, nterms):
     """One Taylor step for every column at once, on Python integers.
 
-    columns[i] = (y_i, ..., y_i^(r-1)) at the expansion point.  With u = h t
-    the step ends at t = 1, and the scaled terms b_n = c_n h^n of
-    y = sum c_n u^n obey
+    columns[i] = (y_i, y_i') at the expansion point z.  The scaled terms
+    b_n = c_n h^n of y(z + x) = sum c_n x^n, b_0 = y and b_1 = h y', obey
+    the three-term recurrence of _recurrence: `recurrence` is
+    (u, v, divisor), and each new term
 
-        (m+r)_r b_(m+r) = sum_(s<r) A_s(m) b_(m+s),
-        A_s(m) = sum_k q_(k,s) (m+s)_k,   q_(k,s) = -p_(k,k-s) h^(r-s) / p_r0,
+        b_(m+2) = floor((u (2m+1)^2 b_m + v (m+1)^2 b_(m+1)) / (divisor (m+1)(m+2)))
 
-    with p_kj the Taylor coefficients of the k-th operator coefficient at
-    the expansion point and (i)_k the falling factorial.  `recurrence` is
-    (groups, divisor) from _recurrence: groups[s] lists the (k, re, im)
-    with q_(k,s) = (re + i im) / divisor, so each A_s(m) is a Gaussian
-    integer.  The rows A_s(m) and the divisors divisor (m+r)_r are built
-    for every m before the first term, by additions only (_poly_row), and
-    each new term is one product sum floored by its divisor, shared by all
-    columns.  At a short rational point the divisor is a small integer, so
-    a term costs O(P) bit operations rather than a P-bit product.  h is the
-    step as an exact Fraction pair.  Every b_n is an int pair scaled by
-    2^(P-E), where P is the step's working bits (_step_precision) and 2^E
-    bounds the largest entry of the input frame; b_n for n < 0 is a
-    leading zero of the column's lists, so every row applies from m = 0.
-    The value is sum b_n, and the d-th derivative times h^d is
-    sum (n)_d b_n = d! times the (d+1)-fold suffix sum of the b_n at n = d,
-    formed by additions.  Returns (columns at offset h, tail), where tail
-    is max |b_n| over the last 6 terms of every column.
+    is one Gaussian-integer product sum floored by one int, its real and
+    imaginary parts apart, with the coefficients shared by all columns.  At
+    a short rational point the divisor is a small integer, so a term costs
+    O(P) bit operations rather than a P-bit product.  h is the step as an
+    exact Fraction pair.  Every b_n is an int pair scaled by 2^(P-E), where
+    P is the step's working bits (_step_precision) and 2^E bounds the
+    largest entry of the input frame.  The value is sum b_n, and h times
+    the derivative is sum n b_n: the sum of the suffix sums of the b_n from
+    n = 1 on, formed by additions.  Returns (columns at offset h, tail),
+    where tail is max |b_n| over the last 6 terms of every column.
     """
     if not all(mp.isfinite(v) for col in columns for v in col):
         raise PathError("non-finite value in the frame")
-    groups, divisor = recurrence
-    r = len(columns[0])
+    (ure, uim), (vre, vim), divisor = recurrence
     h = as_mpc(h)
-    hpow = [mpc(1)]
-    for _ in range(r):
-        hpow.append(hpow[-1] * h)
-    prec = _step_precision(r, h)
+    prec = _step_precision(h)
     frame_mag = max((mp.mag(v) for col in columns for v in col if v), default=0)
     scale = prec - frame_mag
-    pad = max(0, -min(groups))  # b_n sits at index n + pad
-    n = nterms - r
-    rows = []  # per s: (index of b_(m+s), A_s(m).re, A_s(m).im) for m = 0, 1, ...
-    for s, terms in groups.items():
-        qre, qim = [0] * (r + 1), [0] * (r + 1)
-        for k, re, im in terms:
-            qre[k], qim[k] = re, im
-        rows.append(zip(range(s + pad, s + pad + n), _poly_row(qre, s, n), _poly_row(qim, s, n)))
-    divisors = _poly_row([0] * r + [divisor], r, n)
     cols = []
-    for col in columns:
-        bre, bim = [0] * pad, [0] * pad
-        for k in range(r):
-            b = col[k] * hpow[k] / mp.factorial(k)
-            bre.append(_to_fixed(b.real, scale))
-            bim.append(_to_fixed(b.imag, scale))
-        cols.append((bre, bim))
-    for coefs, div in zip(zip(*rows), divisors):
+    for y, dy in columns:
+        y, hdy = +y, dy * h  # both rounded to the working precision
+        cols.append(([_to_fixed(y.real, scale), _to_fixed(hdy.real, scale)],
+                     [_to_fixed(y.imag, scale), _to_fixed(hdy.imag, scale)]))
+    for m in range(nterms - 2):
+        a, c = (2 * m + 1) ** 2, (m + 1) ** 2
+        are, aim, cre, cim = ure * a, uim * a, vre * c, vim * c
+        div = divisor * (m + 1) * (m + 2)
         for bre, bim in cols:
-            xre = xim = 0
-            for i, are, aim in coefs:
-                yre, yim = bre[i], bim[i]
-                xre += are * yre - aim * yim
-                xim += are * yim + aim * yre
-            bre.append(xre // div)
-            bim.append(xim // div)
+            xre, xim, yre, yim = bre[m], bim[m], bre[m + 1], bim[m + 1]
+            bre.append((are * xre - aim * xim + cre * yre - cim * yim) // div)
+            bim.append((are * xim + aim * xre + cre * yim + cim * yre) // div)
     unit = frame_mag - prec
     out = []
     for bre, bim in cols:
-        derivs = []
-        for d in range(r):
-            sre, sim = reversed(bre), reversed(bim)
-            for _ in range(d):
-                sre, sim = accumulate(sre), accumulate(sim)
-            derivs.append(_from_fixed(sum(islice(sre, nterms - d)) * factorial(d),
-                                      sum(islice(sim, nterms - d)) * factorial(d),
-                                      -unit) / hpow[d])
-        out.append(tuple(derivs))
+        # bre[:0:-1] runs from the last term down to b_1
+        out.append((_from_fixed(sum(bre), sum(bim), -unit),
+                    _from_fixed(sum(accumulate(bre[:0:-1])), sum(accumulate(bim[:0:-1])),
+                                -unit) / h))
     worst = max(bre[i] ** 2 + bim[i] ** 2 for bre, bim in cols for i in range(-6, 0))
     return out, mp.ldexp(mp.sqrt(worst), unit)
 
@@ -397,13 +351,14 @@ def continue_solution(path: ContinuationPath, initial: SolutionFrame,
     z = a + t (w - a) and step h = dt (w - a) is an exact Gaussian
     rational: dt is that step in units of |w - a| rounded down to STEP_BITS
     significant binary digits (see _steps), so no step is longer.  Each
-    step advances all columns together through the Legendre three-term
-    recurrence at z on Python integers (`_taylor_transport`): the step is
-    rescaled to end at t = 1, the scaled terms c_n h^n are ints carrying
-    GUARD_BITS (80) bits beyond the working precision, relative to the
-    largest entry of the frame, and the recurrence's normalized
-    coefficients are exact Gaussian integers over one divisor
-    (_recurrence).  Only the final sums and the division by h^d run in
+    step advances all columns (y, y') together through the Legendre
+    three-term recurrence at z on Python integers (`_taylor_transport`):
+    the step is rescaled to end at t = 1, the scaled terms c_n h^n are ints
+    carrying GUARD_BITS (80) bits beyond the working precision, relative to
+    the largest entry of the frame, and each new term is
+    (u (2m+1)^2 b_m + v (m+1)^2 b_(m+1)) floored by divisor (m+1)(m+2),
+    with u and v exact Gaussian integers over one int divisor
+    (_recurrence).  Only the final sums and the division by h run in
     mpmath.
 
     The tail of a step is the largest |c_n h^n| among its last 6 terms.

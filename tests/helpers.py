@@ -12,7 +12,7 @@ from mirrorperiods.hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, Pr
                                    _from_fixed, _linear_product, _to_fixed, as_mpc, eta_value,
                                    exact_point, working_precision)
 from mirrorperiods.periods import DworkPeriods, LegendreJet, varpi0_series
-from mirrorperiods.pfode import STEP_BITS, STEP_FACTOR, PathError, _step_precision
+from mirrorperiods.pfode import STEP_BITS, STEP_FACTOR, PathError
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 
@@ -220,11 +220,13 @@ def reference_frobenius_series(upper, order: int, mu: int = 1) -> tuple:
 
 
 def reference_int_transport(recurrence, columns, h, nterms):
-    """pfode._taylor_transport before its rows and divisors were built
-    ahead of the terms: the same integer recurrence, with A_s(m) formed
-    per term from a table of falling factorials (i)_k and every derivative
-    summed with its weights (n)_d.  The kernel must return equal columns
-    and tail."""
+    """pfode._taylor_transport for an operator of any order r, fed by
+    reference_recurrence's (groups, divisor): the scaled terms b_n obey
+    (m+r)_r b_(m+r) = sum_s A_s(m) b_(m+s) with A_s(m) = sum_k q_(k,s) (m+s)_k
+    formed per term from a table of falling factorials (i)_k, each new term
+    floored by divisor (m+r)_r, and every derivative summed with its weights
+    (n)_d, on P = mp.prec + GUARD_BITS + (r-1) log2(1/|h|) working bits.  The
+    kernel must return equal columns and tail."""
     if not all(mp.isfinite(v) for col in columns for v in col):
         raise PathError("non-finite value in the frame")
     groups, divisor = recurrence
@@ -233,7 +235,7 @@ def reference_int_transport(recurrence, columns, h, nterms):
     hpow = [mpc(1)]
     for _ in range(r):
         hpow.append(hpow[-1] * h)
-    prec = _step_precision(r, h)
+    prec = mp.prec + GUARD_BITS + (r - 1) * max(0, -mp.mag(h))
     frame_mag = max((mp.mag(v) for col in columns for v in col if v), default=0)
     scale = prec - frame_mag
     fall = [[1] * (r + 1) for _ in range(nterms)]
@@ -395,7 +397,7 @@ def reference_shift_poly_exact(poly, z) -> list:
 
 def reference_recurrence(op, z, h):
     """The normalized recurrence coefficients (groups, divisor) of a Taylor
-    step from z by h, as pfode._taylor_transport takes them, in Fraction
+    step from z by h, as reference_int_transport takes them, in Fraction
     arithmetic for any operator op: a tuple of polynomial coefficients,
     op[k] those of D^k, low degree first.  groups[s] lists (k, re, im) with
     (re + i im) / divisor = -p_(k,k-s) h^(r-s) / p_(r,0), p_kj the Taylor
@@ -858,34 +860,13 @@ def pi0_series(order: int) -> RationalSeries:
     return half * varpi0_series(order) ** 2
 
 
-# Operators for reference_recurrence and the continuation kernel tests, as
-# tuples of exact polynomial coefficients: op[k] holds those of D^k, low
-# degree first.
-#
 # The Legendre operator lam(1-lam) D^2 + (1-2 lam) D - 1/4, annihilating
 # varpi0 and varpi1, singular at 0, 1 and infinity: the one equation
-# pfode._recurrence writes out.
+# pfode._recurrence writes out, for reference_recurrence and the continuation
+# kernel tests, as a tuple of exact polynomial coefficients: op[k] holds those
+# of D^k, low degree first.
 LEGENDRE_OPERATOR = (
     (Fraction(-1, 4),),
     (1, -2),
-    (0, 1, -1),
-)
-
-# lam(1-lam)(2-lam)^2 D^2 + (2-lam)(2-4lam+lam^2) D - (3/4) lam, the order-2
-# operator of 2F1(1/8, 3/8; 1; t) pulled back along t(lam), with regular
-# singular points 0, 1, 2 and infinity.
-PULLBACK_OPERATOR = (
-    (0, Fraction(-3, 4)),
-    (4, -10, 6, -1),
-    (0, 4, -8, 5, -1),
-)
-
-# D o (Legendre operator), of order 3: lam(1-lam) D^3 + 2(1-2 lam) D^2 - (9/4) D,
-# singular at 0, 1 and infinity; its solutions are varpi0, varpi1 and the
-# solutions of (Legendre operator) y = 1.
-D_LEGENDRE_OPERATOR = (
-    (0,),
-    (Fraction(-9, 4),),
-    (2, -4),
     (0, 1, -1),
 )

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -314,6 +315,35 @@ def test_deligne_crosscheck_mismatch_exits_1(monkeypatch, capsys):
     assert entries["ratio1-is-16"]["passed"] and entries["ratio2-is-minus-64"]["passed"]
 
 
+@pytest.mark.parametrize("fault, value, error", [
+    (1, "", "no rational with denominator <= 1000000 within 1.0e-110"),
+    (1j, "(", "period ratio failed to be real"),
+])
+def test_theta_fault_keeps_the_deligne_self_checks(fault, value, error, monkeypatch, capsys):
+    # theta3^4 at the quartic point off in its 60th digit: the ratios no
+    # longer reconstruct (or are not real) and each fails its own entry,
+    # while the Fricke checks pass and theta-vs-continuation fails, naming
+    # the faulty layer
+    theta = deligne.theta_quartic_point
+
+    def faulty(digits):
+        v = theta(digits)
+        with mp.workdps(400):
+            return v * (1 + fault * mpf(10) ** -60)
+
+    monkeypatch.setattr(deligne, "theta_quartic_point", faulty)
+    code, out = run_main(["deligne"], capsys)
+    assert code == 1
+    entries = {e["name"]: e for e in json.loads(out)["entries"]}
+    assert "deligne" not in entries
+    assert entries["theta-vs-continuation"]["passed"] is False
+    assert all(entries[f"fricke-eta6-y={y}"]["passed"] for y in ("3/10", "7/10", "3/2"))
+    for name, ratio in (("ratio1-is-16", "16.0"), ("ratio2-is-minus-64", "-64.0")):
+        assert entries[name]["passed"] is False
+        assert entries[name]["value"].startswith(value + ratio)
+        assert entries[name]["error"] == f"ReconstructionError: {error}"
+
+
 @pytest.mark.parametrize("digits", ["35", "301"])
 def test_deligne_digit_range_is_a_usage_error(digits, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -390,6 +420,17 @@ def test_uncountable_prime_is_a_usage_error(argv, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: mirrorperiods fermat-count") and message in err
+
+
+def test_huge_prime_is_rejected_by_the_bound_first(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would take
+    # minutes, so the bound is checked first
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fermat-count", "--primes", "2305843009213693951"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "beyond --quartic-bound" in capsys.readouterr().err
 
 
 def test_prime_at_quartic_bound_is_counted(capsys):

@@ -2,14 +2,15 @@ import cmath
 import json
 import random
 from fractions import Fraction as F
+from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import (D_LEGENDRE_OPERATOR, LEGENDRE_OPERATOR, PULLBACK_OPERATOR, binary_cut,
-                     reference_int_transport, reference_recurrence, reference_shift_poly_exact,
-                     reference_step_terms, reference_steps, reference_taylor_transport)
+from helpers import (LEGENDRE_OPERATOR, binary_cut, reference_int_transport, reference_recurrence,
+                     reference_shift_poly_exact, reference_step_terms, reference_steps,
+                     reference_taylor_transport)
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.hyperfun as hyperfun
@@ -23,17 +24,16 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_singular_points():
-    # the stated points are exactly the roots of the leading coefficient,
-    # lead = lead[-1] * prod (x - s)^m over Q, with the multiplicities here
-    assert pfode.SINGULAR_POINTS == tuple((s, 0) for s in KERNEL_SINGULAR_POINTS["legendre"])
+    # the stated points are exactly the roots of the Legendre operator's
+    # leading coefficient lam (1 - lam), each simple:
+    # lead = lead[-1] * prod (x - s) over Q
+    assert pfode.SINGULAR_POINTS == ((0, 0), (1, 0))
     assert all(type(c) is F for s in pfode.SINGULAR_POINTS for c in s)
-    for name, multiplicity in KERNEL_SINGULAR_POINTS.items():
-        lead = tuple(F(c) for c in KERNEL_OPERATORS[name][-1])
-        product = [lead[-1]]
-        for s, m in multiplicity.items():
-            for _ in range(m):
-                product = [a - s * b for a, b in zip([F(0)] + product, product + [F(0)])]
-        assert tuple(product) == lead
+    lead = tuple(F(c) for c in LEGENDRE_OPERATOR[-1])
+    product = [lead[-1]]
+    for s, _ in pfode.SINGULAR_POINTS:
+        product = [a - s * b for a, b in zip([F(0)] + product, product + [F(0)])]
+    assert tuple(product) == lead
 
 
 # ---------------------------------------------------------------------------
@@ -103,39 +103,26 @@ def test_wronskian_invariant_along_path():
 # Taylor steps as continue_solution takes them: half the distance d to the
 # nearest singular point, from an expansion point z, in a direction given as
 # a complex number.  (1, 0.1, ...) rows sit exactly at the 0.1 clearance.
+# Each row's first field, the operator's name, is part of its test id.
 KERNEL_STEPS = [
     ("legendre", (F(1, 10), F(-3, 5)), (1, 0)),
     ("legendre", (F(1, 10), F(-6, 5)), (19, 12)),
     ("legendre", (F(1), F(-1, 10)), (1, 1)),
-    ("pullback", (F(3, 10), F(0)), (1, 0)),
-    ("pullback", (F(3, 2), F(-1, 2)), (1, 2)),
-    ("pullback", (F(2), F(1, 10)), (-1, 3)),
 ]
 KERNEL_COLUMNS = ((mpc(1, "0.5"), mpc("-0.25", 2)), (mpc(0, -3), mpc("1.5", 0)))
-KERNEL_OPERATORS = {"legendre": LEGENDRE_OPERATOR, "pullback": PULLBACK_OPERATOR,
-                    "d-legendre": D_LEGENDRE_OPERATOR}
-# the finite singular points of each, all real, with their multiplicities
-# as roots of the leading coefficient
-KERNEL_SINGULAR_POINTS = {"legendre": {0: 1, 1: 1}, "pullback": {0: 1, 1: 1, 2: 2},
-                          "d-legendre": {0: 1, 1: 1}}
 
 
-def _kernel_step(name, z, direction, digits):
-    """(recurrence, h, shifted, mpc h, nterms) for one step from z as
-    _steps takes it: half the reach cut to STEP_BITS binary digits, an
-    exact Gaussian rational.  The recurrence is pfode._recurrence's for the
-    Legendre operator, and the Fraction reference's for the others.
-    shifted holds the operator's coefficients at z, exact and realized in
-    mpmath, for the reference."""
-    op = KERNEL_OPERATORS[name]
-    d = min(abs(as_mpc(z) - s) for s in KERNEL_SINGULAR_POINTS[name])
+def _kernel_step(z, direction, digits):
+    """(h, shifted, mpc h, nterms) for one step from z as _steps takes it:
+    half the reach cut to STEP_BITS binary digits, an exact Gaussian
+    rational.  shifted holds the Legendre operator's coefficients at z,
+    exact and realized in mpmath, for the reference."""
+    d = min(abs(as_mpc(z) - s) for s in (0, 1))
     dt = binary_cut(d / 2 / abs(mpc(*direction)), pfode.STEP_BITS)
     h = (dt * direction[0], dt * direction[1])
-    recurrence = (pfode._recurrence(z, h) if op is LEGENDRE_OPERATOR
-                  else reference_recurrence(op, z, h))
-    shifted = [[as_mpc(c) for c in reference_shift_poly_exact(p, z)] for p in op]
+    shifted = [[as_mpc(c) for c in reference_shift_poly_exact(p, z)] for p in LEGENDRE_OPERATOR]
     nterms = int(mp.ceil((digits + 25) * mp.log(10) / mp.log(2))) + 16
-    return recurrence, h, shifted, as_mpc(h), nterms
+    return h, shifted, as_mpc(h), nterms
 
 
 def _kernel_deviation(recurrence, cols, h, ref, nterms):
@@ -153,68 +140,111 @@ def test_taylor_kernel_matches_reference(name, z, direction, digits):
     # a step made of mpc operations only
     with working_precision(digits):
         cols = [tuple(mpc(v) for v in col) for col in KERNEL_COLUMNS]
-        recurrence, h, shifted, hm, nterms = _kernel_step(name, z, direction, digits)
+        h, shifted, hm, nterms = _kernel_step(z, direction, digits)
+        recurrence = pfode._recurrence(z, h)
         ref = [reference_taylor_transport(shifted, 2, col, hm, nterms) for col in cols]
         ref_tail = max(t for _, t in ref)
         scale = max(abs(v) for vals, _ in ref for v in vals)
         dev, tail = _kernel_deviation(recurrence, cols, h, ref, nterms)
         assert dev < mpf(10) ** -digits * scale
         assert ref_tail / 2 <= tail <= 2 * ref_tail
-        # mutation check: one unit more in any integer coefficient, or in
-        # the divisor, must fail the same comparison
-        groups, divisor = recurrence
-        mutants = [(groups, divisor + 1)]
-        for s, terms in groups.items():
-            for t, (k, qre, qim) in enumerate(terms):
-                for bumped in ((k, qre + 1, qim), (k, qre, qim + 1)):
-                    mutant = dict(groups)
-                    mutant[s] = terms[:t] + [bumped] + terms[t + 1:]
-                    mutants.append((mutant, divisor))
+        # mutation check: one unit more in either part of u or v, or in the
+        # divisor, must fail the same comparison
+        (ure, uim), (vre, vim), divisor = recurrence
+        mutants = [((ure + 1, uim), (vre, vim), divisor), ((ure, uim + 1), (vre, vim), divisor),
+                   ((ure, uim), (vre + 1, vim), divisor), ((ure, uim), (vre, vim + 1), divisor),
+                   ((ure, uim), (vre, vim), divisor + 1)]
         for mutant in mutants:
             dev, _ = _kernel_deviation(mutant, cols, h, ref, nterms)
             assert dev >= mpf(10) ** -digits * scale
 
 
+def _int_reference_step(z, h, nterms):
+    """The kernel's step and the generic-order integer reference's, fed by
+    the Fraction recurrence, on one fixed frame carrying twice the working
+    bits: both round it to the working precision first."""
+    with mp.workprec(2 * mp.prec):
+        cols = [tuple(mpc(k + 1, i - k) / (k + 3) for k in range(2)) for i in range(2)]
+    return (pfode._taylor_transport(pfode._recurrence(z, h), cols, h, nterms),
+            reference_int_transport(reference_recurrence(LEGENDRE_OPERATOR, z, h), cols, h,
+                                    nterms))
+
+
 @pytest.mark.parametrize("digits", [50, 200])
-@pytest.mark.parametrize("name, z, direction", KERNEL_STEPS + [
-    ("d-legendre", (F(1, 10), F(-3, 5)), (1, 0)),
-])
+@pytest.mark.parametrize("name, z, direction", KERNEL_STEPS)
 def test_taylor_kernel_equals_int_reference(name, z, direction, digits):
-    # the rows built ahead of the terms and the suffix sums change no
-    # integer: columns and tail are equal to the per-term kernel's, at the
-    # full term count and at a short one
+    # the two-coefficient step changes no integer of the order-r recurrence
+    # on the operator's polynomials: columns and tail are equal, at the full
+    # term count and at a short one
     with working_precision(digits):
-        recurrence, h, _, _, nterms = _kernel_step(name, z, direction, digits)
-        r = len(KERNEL_OPERATORS[name]) - 1
-        cols = [tuple(mpc(k + 1, i - k) / (k + 2) for k in range(r)) for i in range(r)]
+        h, _, _, nterms = _kernel_step(z, direction, digits)
         for count in (nterms, 40):
-            assert pfode._taylor_transport(recurrence, cols, h, count) == \
-                reference_int_transport(recurrence, cols, h, count)
+            kernel, reference = _int_reference_step(z, h, count)
+            assert kernel == reference
+
+
+def _clear_point(z):
+    return z[0] ** 2 + z[1] ** 2 >= F(1, 100) and (1 - z[0]) ** 2 + z[1] ** 2 >= F(1, 100)
+
+
+_point = st.tuples(st.fractions(-3, 4, max_denominator=24),
+                   st.fractions(-3, 3, max_denominator=24)).filter(_clear_point)
+_direction = st.tuples(st.fractions(-1, 1, max_denominator=16),
+                       st.fractions(-1, 1, max_denominator=16)).filter(
+                           lambda d: 0 < d[0] ** 2 + d[1] ** 2 <= 1)
+
+
+@given(z=_point, direction=_direction, fraction=st.fractions(F(1, 64), 1, max_denominator=64),
+       digits=st.sampled_from([40, 120]))
+@example(z=(F(1, 2), F(0)), direction=(F(1), F(0)), fraction=F(1), digits=40)  # v = 0
+@settings(max_examples=30, deadline=None)
+def test_step_at_random_rational_points_equals_int_reference(z, direction, fraction, digits):
+    # a rational z at least 1/10 from 0 and 1, and a rational step h at most
+    # half the distance d to the nearer one: floor(100 d) / 200 <= d / 2
+    # times a direction in the unit disk and a fraction in (0, 1]
+    d2 = min(z[0] ** 2 + z[1] ** 2, (1 - z[0]) ** 2 + z[1] ** 2)
+    reach = F(isqrt(int(d2 * 10 ** 4)), 200) * fraction
+    h = (reach * direction[0], reach * direction[1])
+    nterms = pfode._step_terms((h[0] ** 2 + h[1] ** 2) / d2, digits)
+    with working_precision(digits):
+        kernel, reference = _int_reference_step(z, h, nterms)
+        assert kernel == reference
+
+
+def _groups(recurrence):
+    """(u, v, divisor) as reference_recurrence's (groups, divisor), where
+    q_(k,s) = (re + i im) / divisor: u (2m+1)^2 = u (1 + 8 (m)_1 + 4 (m)_2)
+    and v (m+1)^2 = v ((m+1)_1 + (m+1)_2), with (i)_k the falling factorial;
+    the s = 1 group is dropped where v = 0."""
+    (ure, uim), (vre, vim), divisor = recurrence
+    groups = {0: [(0, ure, uim), (1, 8 * ure, 8 * uim), (2, 4 * ure, 4 * uim)]}
+    if vre or vim:
+        groups[1] = [(1, vre, vim), (2, vre, vim)]
+    return groups, divisor
+
+
+def _canonical(recurrence):
+    """(groups, divisor) with each group's entries sorted: their order does
+    not matter to the recurrence."""
+    groups, divisor = recurrence
+    return {s: sorted(terms) for s, terms in groups.items()}, divisor
 
 
 @pytest.mark.parametrize("digits", [50, 200])
 @pytest.mark.parametrize("name, z, direction", KERNEL_STEPS + [
-    ("d-legendre", (F(1, 10), F(-3, 5)), (1, 0)),
     # at z = 1/2 the s = 1 group, -(1-2z) h / L, vanishes and is dropped
     ("legendre", (F(1, 2), F(0)), (1, 0)),
     ("legendre", (F(1, 3), F(0)), (0, -1)),
     ("legendre", (F(1, 2), F(1, 3)), (5, 7)),
 ])
 def test_recurrence_equals_fraction_reference(name, z, direction, digits):
-    # the written-out Legendre recurrence, Gaussian-integer numerators over
-    # one denominator, gives the (groups, divisor) of the Fraction
+    # the written-out Legendre recurrence, two Gaussian-integer numerators
+    # over one denominator, expands to the (groups, divisor) of the Fraction
     # arithmetic on the operator's polynomials
     with working_precision(digits):
-        _, h, _, _, _ = _kernel_step(name, z, direction, digits)
-    assert _canonical(pfode._recurrence(z, h)) == \
+        h, _, _, _ = _kernel_step(z, direction, digits)
+    assert _canonical(_groups(pfode._recurrence(z, h))) == \
         _canonical(reference_recurrence(LEGENDRE_OPERATOR, z, h))
-
-
-def _canonical(recurrence):
-    """(groups, divisor) with each group's entries sorted: their order does
-    not matter to _taylor_transport."""
-    groups, divisor = recurrence
-    return {s: sorted(terms) for s, terms in groups.items()}, divisor
 
 
 @pytest.mark.parametrize("path, digits", [("2", 120), ("2", 200), ("2sqrt2-2", 200)])
@@ -226,7 +256,7 @@ def test_recurrence_on_every_path_step_equals_fraction_reference(path, digits):
     steps = list(pfode._steps(path.waypoints, digits))
     assert len(steps) >= 6
     for z, h, _ in steps:
-        assert _canonical(pfode._recurrence(z, h)) == \
+        assert _canonical(_groups(pfode._recurrence(z, h))) == \
             _canonical(reference_recurrence(LEGENDRE_OPERATOR, z, h))
 
 
