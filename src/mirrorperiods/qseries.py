@@ -1,50 +1,54 @@
-"""Exact truncated power series over Q, with a fractional leading exponent.
+"""Exact truncated power series over Q, on integer exponents.
 
-A series knows its coefficients for exponent shifts ``0 .. order-1`` relative
-to a leading exponent ``offset``; everything beyond is *unknown*, not zero.
-Binary operations compute the tightest provable truncation, so identity
-checks downstream can assert exact zero residuals instead of small ones.
+A series knows its coefficients for exponent shifts ``0 .. order-1``
+relative to an integer leading exponent ``offset`` (negative for the q^(-1)
+of 1/eta^24); everything beyond is *unknown*, not zero.  Binary operations
+compute the tightest provable truncation, so identity checks downstream can
+assert exact zero residuals instead of small ones.
 
 A series is held as integer numerators over one positive denominator in
 lowest terms: coefficient k is num[k] / den with gcd(den, *num) = 1, so den
 is the lcm of the coefficients' reduced denominators.  Every kernel (``+``,
-``-``, scalar and series ``*``, ``**``, ``reciprocal``, ``exp``, ``log``,
-``pow_rational``, ``compose``, ``revert``, ``theta_derivative``, the frame
-helpers and the eta generators) runs on these Python ints and never adds or
-multiplies ``Fraction``s, which would take a gcd and an object per
-coefficient.  The kernels that are not recurrences reduce their result
-once, by one gcd over the vector; ``compose`` needs only about
-2 sqrt(order) convolutions (baby steps and giant steps) and first rescales
-its inner series so that small primes leave its denominators.  The
-recurrences of ``**`` (Miller's, one pass for any exponent),
-``reciprocal``, ``exp``, ``log`` and ``revert`` reduce each new coefficient
+``-``, scalar and series ``*``, ``**``, ``exp``, ``log``, ``compose``,
+``revert``, ``theta_derivative``, the frame helpers and the eta generators)
+runs on these Python ints and never adds or multiplies ``Fraction``s, which
+would take a gcd and an object per coefficient.  Three kernels do most of
+the work:
+
+- ``**`` runs Miller's recurrence for every integer exponent and for every
+  rational one of a series 1 + O(x), so ``reciprocal()`` is ``self ** -1``
+  and ``pow_rational(r)`` is ``self ** r``;
+- ``compose`` needs only about 2 sqrt(order) convolutions (baby steps and
+  giant steps) and first rescales its inner series so that small primes
+  leave its denominators;
+- ``revert`` is Newton's iteration over ``compose``.
+
+The recurrences of ``**``, ``exp`` and ``log`` reduce each new coefficient
 as an int pair (p, q) and keep the terms found so far over the lcm of those
 q, so the integers stay as small as the answer (1/varpi0 has 2-power
-denominators, lambda(q) integer coefficients) instead of growing with
-powers of the input's denominator; ``pow_rational`` is ``exp(r log)``.
+denominators) instead of growing with powers of the input's denominator;
+the other kernels reduce their result once, by one gcd over the vector.
 Fractions appear only at the edges: the constructor takes ints and
 Fractions, and ``coeffs``, ``coefficient()`` and ``max_abs_coefficient()``
-build canonical Fractions on demand.  The offset is a Fraction too.
+build canonical Fractions on demand.
 
-The offset lives on the 1/24 grid, which is enough to carry the q^(1/24)
-prefactor of eta products and the q^(-1) prefactor of their reciprocals.
-General Puiseux series are deliberately out of scope.
+Offsets, shifts and the exponents ``coefficient()`` reads are integers; a
+non-integer one raises SeriesError.  So ``eta_product`` takes only the
+(m, e) whose prefactor q^(m e/24) is an integer power.  Puiseux series are
+deliberately out of scope.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-OFFSET_GRID = 24  # admissible offset denominators divide this
 # compose rescales its inner series to clear these primes from its
 # denominators; any other prime stays on the common denominator
 _RESCALE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_ZERO = Fraction(0)
 
 
 class SeriesError(ValueError):
@@ -58,15 +62,15 @@ def _ratio(x) -> tuple[int, int]:
     raise SeriesError(f"coefficients must be exact rationals, got {type(x).__name__}")
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
-
-
-def _offset(x) -> Fraction:
-    off = _frac(x)
-    if OFFSET_GRID % off.denominator != 0:
-        raise SeriesError(f"offset {off} is not on the 1/{OFFSET_GRID} grid")
-    return off
+def _integer(x, what: str) -> int:
+    """x as an int: an int passes untouched, a whole Fraction is converted
+    and anything else raises SeriesError naming `what`."""
+    if type(x) is int:
+        return x
+    p, q = _ratio(x)
+    if q != 1:
+        raise SeriesError(f"{what} {x} is not an integer")
+    return p
 
 
 def _lowest(p: int, q: int) -> tuple[int, int]:
@@ -128,9 +132,9 @@ def _clearing_scale(dens: Sequence[int]) -> int:
     return s
 
 
-def _series(num: Sequence[int], den: int, offset: Fraction) -> "RationalSeries":
+def _series(num: Sequence[int], den: int, offset: int) -> "RationalSeries":
     """The series num[k]/den x^(offset+k), k < len(num), for numerators in
-    lowest terms over den > 0 and an offset on the grid."""
+    lowest terms over den > 0 and an integer offset."""
     s = object.__new__(RationalSeries)
     s._num, s._den, s.offset, s.order = tuple(num), den, offset, len(num)
     return s
@@ -144,7 +148,7 @@ def _lowest_terms(num: Sequence[int], den: int) -> tuple[Sequence[int], int]:
     return num, den
 
 
-def _reduced(num: Sequence[int], den: int, offset: Fraction) -> "RationalSeries":
+def _reduced(num: Sequence[int], den: int, offset: int) -> "RationalSeries":
     """_series of num/den brought to lowest terms."""
     return _series(*_lowest_terms(num, den), offset)
 
@@ -155,6 +159,11 @@ def _head(s: "RationalSeries", n: int) -> tuple[Sequence[int], int]:
     if n >= s.order:
         return s._num, s._den
     return _lowest_terms(s._num[:n], s._den)
+
+
+def _derivative(s: "RationalSeries", n: int) -> "RationalSeries":
+    """The first n coefficients of s' for an s with offset 0, known to x^n."""
+    return _reduced([k * c for k, c in enumerate(s._num[:n + 1])][1:], s._den, 0)
 
 
 class RationalSeries:
@@ -173,7 +182,7 @@ class RationalSeries:
         den = lcm(*(q for _, q in pairs))
         num = [p * (den // q) for p, q in pairs]
         num += [0] * (order - len(num))
-        self.offset = _offset(offset)
+        self.offset = _integer(offset, "offset")
         self.order = order
         self._num = tuple(num)
         self._den = den
@@ -185,7 +194,7 @@ class RationalSeries:
                         offset: Scalar = 0) -> "RationalSeries":
         """sum_k num[k]/den x^(offset+k) for k < len(num), ints over an int
         den > 0, brought to lowest terms by one gcd."""
-        return _reduced(num, den, _offset(offset))
+        return _reduced(num, den, _integer(offset, "offset"))
 
     @classmethod
     def zero(cls, order: int, offset: Scalar = 0) -> "RationalSeries":
@@ -210,10 +219,7 @@ class RationalSeries:
 
     def coefficient(self, exponent: Scalar) -> Fraction:
         """Coefficient of x**exponent; raises if beyond the known window."""
-        shift = _frac(exponent) - self.offset
-        if shift.denominator != 1:
-            return Fraction(0)
-        k = int(shift)
+        k = _integer(exponent, "exponent") - self.offset
         if k < 0:
             return Fraction(0)
         if k >= self.order:
@@ -247,18 +253,18 @@ class RationalSeries:
 
     def shifted(self, delta: Scalar) -> "RationalSeries":
         """Multiply by x**delta."""
-        return _series(self._num, self._den, _offset(self.offset + _frac(delta)))
+        return _series(self._num, self._den, self.offset + _integer(delta, "shift"))
 
     def _integer_frame(self) -> tuple[list[int], int]:
-        """Numerators (over self's denominator) indexed by absolute integer
-        exponent, plus their count.
+        """Numerators (over self's denominator) indexed by absolute exponent,
+        plus their count.
 
-        Requires integer offset >= 0.  The returned list has length
-        offset + order: exponents 0 .. offset+order-1 are known.
+        Requires offset >= 0.  The returned list has length offset + order:
+        exponents 0 .. offset+order-1 are known.
         """
-        if self.offset.denominator != 1 or self.offset < 0:
-            raise SeriesError(f"operation requires integer exponents >= 0, offset={self.offset}")
-        pad = int(self.offset)
+        pad = self.offset
+        if pad < 0:
+            raise SeriesError(f"operation requires exponents >= 0, offset={pad}")
         return [0] * pad + list(self._num), pad + self.order
 
     def substitute_power(self, k: int) -> "RationalSeries":
@@ -275,14 +281,10 @@ class RationalSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             p, q = _ratio(other)
-            other = _series([p] + [0] * (max(self.order, 1) - 1), q, _ZERO)
+            other = _series([p] + [0] * (max(self.order, 1) - 1), q, 0)
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        diff = self.offset - other.offset
-        if diff.denominator != 1:
-            raise SeriesError(
-                f"cannot align offsets {self.offset} and {other.offset} (non-integer gap)")
-        d = int(diff)
+        d = self.offset - other.offset
         if d >= 0:
             a_pad, b_pad, off = d, 0, other.offset
         else:
@@ -331,73 +333,66 @@ class RationalSeries:
 
     def reciprocal(self) -> "RationalSeries":
         """Multiplicative inverse; the shift-0 coefficient must be nonzero."""
-        a = self._num
-        if self.order < 1 or a[0] == 0:
-            raise SeriesError("reciprocal of a series with zero leading coefficient")
-        # With self = A/d over integers and the known terms of 1/self held
-        # as num/e (e the lcm of their reduced denominators), the next term
-        # is -(sum_{j>=1} A_j num[k-j]) / (A_0 e).
-        a0 = a[0]
-        tail = _nonzero(a, self.order)[1:]
-        num = []
-        e = _push(num, 1, self._den, a0)
-        for k in range(1, self.order):
-            s = 0
-            for j, aj in tail:
-                if j > k:
-                    break
-                s += aj * num[k - j]
-            e = _push(num, e, -s, a0 * e)
-        return _series(num, e, -self.offset)
+        return self ** -1
 
-    def __pow__(self, n: int):
-        """self**n for an integer n, by J. C. P. Miller's recurrence (Knuth,
-        TAOCP vol. 2, 4.7): one O(order^2) pass instead of log2(n) products.
+    def __pow__(self, r):
+        """self**r by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
+        4.7): one O(order^2) pass for any exponent, with no products.
 
-        With self = x^v h(x), h_0 != 0, g = h^n satisfies g' h = n h' g,
-        i.e. k h_0 g_k = sum_(1<=j<=k) ((n+1) j - k) h_j g_(k-j).  The
-        result is what the product self * ... * self returns: n*v leading
-        zeros, offset n*offset and order self.order + (n-1)*v.
+        With self = x^v h(x), h_0 != 0, g = h^r satisfies g' h = r h' g,
+        i.e. k h_0 g_k = (r+1) sum_j j h_j g_(k-j) - k sum_j h_j g_(k-j)
+        over 1 <= j <= k; at r = -1 the first sum drops out.  An integer r
+        gives what the product self * ... * self (of 1/self for r < 0)
+        returns: r*v leading zeros, offset r*offset and order
+        self.order + (r-1)*v, where r < 0 needs v = 0.  A non-integer
+        rational r needs offset 0 and constant term 1.
         """
-        if not isinstance(n, int):
+        if isinstance(r, int):
+            p, q = r, 1
+        elif isinstance(r, Fraction):
+            p, q = r.numerator, r.denominator
+            if q > 1 and (self.offset or not self.order or self._num[0] != self._den):
+                raise SeriesError(f"power {r} requires offset 0 and constant term 1")
+        else:
             return NotImplemented
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        if n == 0:
+        if p == 0:
             return RationalSeries.one(self.order)
         v = self.valuation()
-        order = self.order + (n - 1) * v
+        order = self.order + (p - 1) * v
+        if p < 0 and (v or not self.order):
+            raise SeriesError(f"power {r} of a series with zero leading coefficient")
         if v == self.order:
             if order < 1:
                 raise SeriesError("product truncation order fell below 1")
-            return _series([0] * order, 1, n * self.offset)
-        # With h = H/d over integers and g_0 .. g_(k-1) held as num/e,
-        # g_k = (sum_j ((n+1) j - k) H_j num[k-j]) / (k H_0 e).
-        h = self._num[v:]
-        h0, tail = h[0], _nonzero(h, len(h))[1:]
+            return _series([0] * order, 1, p * self.offset)
+        # With h = H/d over integers, a = (r+1) q and g_0 .. g_(k-1) held
+        # as num/e, g_k = (sum_j (a j - q k) H_j num[k-j]) / (q k H_0 e);
+        # at a = 0 the weight q k cancels: g_k = -(sum_j H_j num[k-j]) / (H_0 e).
+        h, d = self._num[v:], self._den
+        h0, tail, a = h[0], _nonzero(h, len(h))[1:], p + q
         num = []
-        e = _push(num, 1, h0 ** n, self._den ** n)
+        e = _push(num, 1, h0 ** p, d ** p) if p > 0 else _push(num, 1, d ** -p, h0 ** -p)
         for k in range(1, len(h)):
+            qk = q * k
             s = 0
             for j, hj in tail:
                 if j > k:
                     break
-                s += ((n + 1) * j - k) * hj * num[k - j]
-            e = _push(num, e, s, k * h0 * e)
-        return _series([0] * (n * v) + num, e, n * self.offset)
+                s += (a * j - qk) * hj * num[k - j] if a else hj * num[k - j]
+            e = _push(num, e, s, qk * h0 * e) if a else _push(num, e, -s, h0 * e)
+        return _series([0] * (p * v) + num, e, p * self.offset)
 
     # -- calculus ----------------------------------------------------------
 
     def theta_derivative(self) -> "RationalSeries":
         """x*d/dx ("theta-operator mode"): multiplies each term by its exponent."""
-        p, q = self.offset.numerator, self.offset.denominator
-        return _reduced([(p + k * q) * x for k, x in enumerate(self._num)],
-                        self._den * q, self.offset)
+        return _reduced([k * x for k, x in enumerate(self._num, self.offset)],
+                        self._den, self.offset)
 
     # -- transcendental / compositional ------------------------------------
 
     def exp(self) -> "RationalSeries":
-        """exp of a series with zero constant term (integer exponents)."""
+        """exp of a series with zero constant term (offset >= 0)."""
         a, n = self._integer_frame()
         if n < 1 or a[0] != 0:
             raise SeriesError("exp requires a zero constant term")
@@ -414,10 +409,10 @@ class RationalSeries:
                     break
                 s += jaj * num[k - j]
             e = _push(num, e, s, k * d * e)
-        return _series(num, e, _ZERO)
+        return _series(num, e, 0)
 
     def log(self) -> "RationalSeries":
-        """log of a series with constant term 1 (integer exponents)."""
+        """log of a series with constant term 1 (offset >= 0)."""
         a, n = self._integer_frame()
         d = self._den
         if n < 1 or a[0] != d:
@@ -434,11 +429,11 @@ class RationalSeries:
                     break
                 s -= (k - j) * aj * num[k - j]
             e = _push(num, e, s, k * d * e)
-        return _series(num, e, _ZERO)
+        return _series(num, e, 0)
 
     def pow_rational(self, r: Scalar) -> "RationalSeries":
-        """Raise to an exact rational power; requires constant term 1."""
-        return (self.log() * _frac(r)).exp()
+        """Raise to an exact rational power: self ** r (see __pow__)."""
+        return self ** r
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(x)); inner must have zero constant term.
@@ -516,54 +511,38 @@ class RationalSeries:
                 acc[m] *= up
                 up *= s
             den *= up // s
-        return _reduced(acc, den, _ZERO)
+        return _reduced(acc, den, 0)
 
     def revert(self) -> "RationalSeries":
         """Compositional inverse: returns b with self(b(x)) = x = b(self(x)).
 
-        Requires zero constant term and a nonzero linear coefficient.  Solved
-        order by order: since b has valuation 1, the x^k coefficient of b^j
-        for j >= 2 only involves b_1 .. b_{k-1}, so each new b_k appears
-        linearly through the a_1 * b term.  The power table costs O(order^3)
-        products: [x^k] b^j = sum_(i>=1) b_i [x^(k-i)] b^(j-1) is one
-        sum(map(mul, ...)) of a slice of b against a reversed slice of the
-        row for b^(j-1); zero b_i cost a product by zero.
+        Requires zero constant term and a nonzero linear coefficient.
+        Newton's iteration b <- b - (f(b) - x) / f'(b), from b = x / f_1,
+        doubles the number of exact coefficients of b per round: if b is
+        exact below x^m, f(b) - x is O(x^m), so 1/f'(b) is needed only below
+        x^m, where the chain rule gives it as b' / f(b)' from the f(b) just
+        composed.  A round from m to 2m is one composition at order 2m,
+        ceil(log2(order)) - 1 compositions in all.
         """
         an, n = self._integer_frame()
         if n < 2 or an[0] != 0:
             raise SeriesError("reversion requires zero constant term")
         if an[1] == 0:
             raise SeriesError("reversion requires a nonzero linear coefficient")
-        # With self = A/d over integers, pw[j][m] = [x^m] b(x)^j is held as
-        # p[j][m] / e^j and b_i as bn[i] / e, where e is the lcm of the reduced
-        # denominators of b_1 .. b_{k-1}; a new b_k that needs a larger e
-        # rescales the rows.  Then b_k = -(sum_j A_j e^(k-j) p[j][k]) / (A_1 e^k).
-        a_nz = [(j, aj) for j, aj in _nonzero(an, n) if j >= 2]
-        b1, e = _lowest(self._den, an[1])
-        bn = [0, b1]
-        p = [[0] * n for _ in range(n)]
-        p[0][0] = 1
-        p[1][1] = b1
-        for k in range(2, n):
-            for j in range(2, k + 1):
-                row = p[j - 1]
-                p[j][k] = sum(map(mul, bn[1:k - j + 2], row[k - 1:j - 2:-1]))
-            e_pow = [1]
-            for _ in range(k):
-                e_pow.append(e_pow[-1] * e)
-            s = sum(aj * p[j][k] * e_pow[k - j] for j, aj in a_nz if j <= k)
-            bk, q = _lowest(-s, an[1] * e_pow[k])
-            if e % q:
-                grow = q // gcd(e, q)
-                bn = [x * grow for x in bn]
-                scale = 1
-                for j in range(1, k + 1):
-                    scale *= grow
-                    p[j] = [x * scale for x in p[j]]
-                e *= grow
-            bn.append(bk * (e // q))
-            p[1][k] = bn[k]
-        return _series(bn, e, _ZERO)
+        d = self._den
+        f = _series(an, d, 0)
+        b1, e = _lowest(d, an[1])
+        b, m = _series((0, b1), e, 0), 2
+        while m < n:
+            top = min(2 * m, n)
+            b = _series(b._num + (0,) * (top - m), b._den, 0)
+            fb = f.truncate(top).compose(b)
+            # by the chain rule, 1/f'(b) = b' / f(b)'
+            inv_slope = _derivative(b, m) * _derivative(fb, m) ** -1
+            # f(b) - x = O(x^m) is read from x^m on, so b keeps order top
+            err = _reduced(fb._num[m:], fb._den, m)
+            b, m = b - err * inv_slope, top
+        return b
 
 
 # -- generators -------------------------------------------------------------
@@ -581,23 +560,19 @@ def euler_product(m: int, order: int) -> RationalSeries:
             if c[i]:
                 c[i + n] -= c[i]
         n += m
-    return _series(c, 1, _ZERO)
+    return _series(c, 1, 0)
 
 
 def eta_product(m: int, e: int, order: int) -> RationalSeries:
     """q^(m*e/24) * prod_{n>=1} (1 - q^(m*n))^e, truncated at the given order.
 
-    The fractional prefactor is carried in the offset, so e.g. (m, e) = (4, 6)
-    yields offset 1 and (1, -24) yields offset -1.
+    The prefactor is carried in the offset and must be an integer power, so
+    24 must divide m*e: (m, e) = (4, 6) yields offset 1 and (1, -24) offset -1.
     """
     if m < 1:
         raise SeriesError("eta_product requires m >= 1")
     if order < 1:
         raise SeriesError("eta_product requires order >= 1")
-    offset = Fraction(m * e, 24)
-    if OFFSET_GRID % offset.denominator != 0:
-        raise SeriesError(f"eta prefactor exponent {offset} leaves the 1/24 grid")
-    if e == 0:
-        return RationalSeries.one(order)
-    body = euler_product(m, order) ** e
-    return _series(body._num, body._den, offset + body.offset)
+    if m * e % 24:
+        raise SeriesError(f"eta prefactor exponent {m * e}/24 is not an integer")
+    return (euler_product(m, order) ** e).shifted(m * e // 24)

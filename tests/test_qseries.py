@@ -92,7 +92,7 @@ def test_exp_precondition():
     with pytest.raises(SeriesError):
         RationalSeries.one(4).exp()
     with pytest.raises(SeriesError):
-        series([0, 1], offset=F(1, 2), order=4).exp()
+        series([0, 1], offset=-1, order=4).exp()
 
 
 def test_exp_of_h_over_varpi0():
@@ -168,18 +168,28 @@ def test_eta_product_inverse_discriminant():
     assert list(e.coeffs) == [F(1), F(24), F(324), F(3200), F(25650)]
 
 
-@pytest.mark.parametrize("m", [1, 4])
-@pytest.mark.parametrize("e", [6, -6, 24, -24])
-def test_eta_product_times_inverse(m, e):
+@pytest.mark.parametrize("e, m", [(6, 4), (-6, 4), (24, 1), (-24, 1), (24, 4), (-24, 4)])
+def test_eta_product_times_inverse(e, m):
     a = eta_product(m, e, 14)
     b = eta_product(m, -e, 14)
     assert is_provably_zero((a * b) - RationalSeries.one(10))
 
 
-def test_eta_offset_grid():
-    assert eta_product(1, 1, 5).offset == F(1, 24)
-    with pytest.raises(SeriesError):
-        RationalSeries([1], offset=F(1, 5))
+def test_non_integer_exponents_refused():
+    s = series([1, 2, 3], offset=-1)
+    refused = [lambda: RationalSeries([1], offset=F(1, 5)),
+               lambda: RationalSeries.from_numerators([1, 2], 1, F(-1, 24)),
+               lambda: RationalSeries.zero(3, F(3, 2)),
+               lambda: s.shifted(F(1, 24)),
+               lambda: s.coefficient(F(1, 2)),
+               lambda: eta_product(1, 1, 5),
+               lambda: eta_product(2, 6, 5)]
+    for build in refused:
+        with pytest.raises(SeriesError):
+            build()
+    whole = RationalSeries([1], offset=F(-2))
+    assert type(whole.offset) is int and whole.offset == -2
+    assert type(s.shifted(F(3)).offset) is int and s.coefficient(F(1)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +218,27 @@ def test_pow_rational_binomial():
     assert list(s.coeffs[:4]) == [F(1), F(1, 4), F(5, 32), F(15, 128)]
 
 
+@pytest.mark.parametrize("base", [series([0, 1, 2]),             # leading zero
+                                  series([1, 2], offset=1),       # nonzero offset
+                                  series([2, 1]),                 # constant term 2
+                                  RationalSeries.zero(0)])        # nothing known
+def test_rational_power_needs_constant_term_one(base):
+    with pytest.raises(SeriesError):
+        base ** F(1, 2)
+
+
+@pytest.mark.parametrize("n", [39, 70])
+def test_revert_inverts_q_of_lambda(n):
+    # the orders the battery and the exact-series benchmark reach
+    from mirrorperiods.periods import q_of_lambda_series
+    q = q_of_lambda_series(n)
+    lam = q.revert()
+    x = RationalSeries.identity(lam.order)
+    assert lam.order == n + 1 and lam.coefficient(1) == 16
+    assert is_provably_zero(q.compose(lam) - x)
+    assert is_provably_zero(lam.compose(q) - x)
+
+
 # ---------------------------------------------------------------------------
 # properties (hypothesis)
 # ---------------------------------------------------------------------------
@@ -217,11 +248,11 @@ def test_pow_rational_binomial():
 # are drawn often, so the kernels' zero-skipping paths run.
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
 coefficients = st.one_of(st.just(F(0)), rationals)
-grid_offsets = st.integers(-48, 48).map(lambda k: F(k, 24))
+int_offsets = st.integers(-3, 3)
 
 
 @st.composite
-def _series_strategy(draw, orders=(1, 12), offsets=st.just(F(0)), leading_zeros=(0, 0)):
+def _series_strategy(draw, orders=(1, 12), offsets=st.just(0), leading_zeros=(0, 0)):
     order = draw(st.integers(*orders))
     zeros = min(draw(st.integers(*leading_zeros)), order)
     body = draw(st.lists(coefficients, min_size=order - zeros, max_size=order - zeros))
@@ -263,6 +294,20 @@ def test_ring_axioms(a, b, c):
     assert is_provably_zero((a * (b + c)) - (a * b + a * c))
 
 
+@given(tail=st.lists(coefficients, min_size=0, max_size=11), p=st.integers(-7, 7),
+       q=st.integers(2, 6))
+@example(tail=[F(-1, 2)], p=-1, q=2)                                  # (1 - x/2)^(-1/2)
+@example(tail=[F(7, 59), 0, F(-3, 53), F(1, 43)] * 2, p=5, q=3)
+@settings(max_examples=100, deadline=None)
+def test_rational_power_to_the_denominator(tail, p, q):
+    # (s^(p/q))^q = s^p exactly, for s = 1 + O(x): both sides by Miller's
+    # recurrence, with no exp/log reference
+    s = RationalSeries([1] + tail)
+    root, power = (s ** F(p, q)) ** q, s ** p
+    assert (root._num, root._den, root.offset, root.order) == \
+        (power._num, power._den, power.offset, power.order)
+
+
 @given(a1=rationals.filter(bool), tail=st.lists(rationals, min_size=0, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_revert_two_sided_inverse(a1, tail):
@@ -290,30 +335,32 @@ def test_mul_respects_truncation_window(a, b):
 # integer-numerator kernels against the schoolbook Fraction references
 # ---------------------------------------------------------------------------
 
-_mul_operands = _series_strategy(offsets=grid_offsets, leading_zeros=(0, 3))
+_mul_operands = _series_strategy(offsets=int_offsets, leading_zeros=(0, 3))
 
 
 @given(a=_mul_operands, b=_mul_operands)
-@example(a=RationalSeries([0, 0, F(1, 59)], F(-23, 24), 3),
-         b=RationalSeries([F(7, 53), F(-1, 47)], F(1, 24), 2))
+@example(a=RationalSeries([0, 0, F(1, 59)], -3, 3),
+         b=RationalSeries([F(7, 53), F(-1, 47)], 1, 2))
 @settings(max_examples=150, deadline=None)
 def test_mul_matches_reference(a, b):
     _matches_reference(RationalSeries.__mul__, reference_mul, a, b)
 
 
-@given(a=_series_strategy(offsets=grid_offsets, leading_zeros=(0, 1)))
-@example(a=RationalSeries([F(-59, 7), F(1, 53), 0, F(3, 43)], F(-1, 24), 4))
+@given(a=_series_strategy(offsets=int_offsets, leading_zeros=(0, 1)))
+@example(a=RationalSeries([F(-59, 7), F(1, 53), 0, F(3, 43)], -1, 4))
 @settings(max_examples=150, deadline=None)
 def test_reciprocal_matches_reference(a):
     _matches_reference(RationalSeries.reciprocal, reference_reciprocal, a)
 
 
-@given(a=_series_strategy(orders=(1, 12), offsets=grid_offsets, leading_zeros=(0, 3)),
+@given(a=_series_strategy(orders=(1, 12), offsets=int_offsets, leading_zeros=(0, 3)),
        n=st.integers(-3, 8))
-@example(a=RationalSeries([F(-3, 7)], F(5, 24), 1), n=8)                # order 1
-@example(a=RationalSeries.zero(4, F(-1, 24)), n=5)                      # all-zero window
+@example(a=RationalSeries([F(-3, 7)], 2, 1), n=8)                       # order 1
+@example(a=RationalSeries.zero(4, -1), n=5)                             # all-zero window
 @example(a=RationalSeries([0, 0, 0, F(2, 59), F(-1, 53), 1], 1, 6), n=7)  # valuation 3
-@example(a=RationalSeries([F(1, 2), 0, F(-5, 9)], F(-23, 24), 3), n=-3)
+@example(a=RationalSeries([F(1, 2), 0, F(-5, 9)], -3, 3), n=-3)
+@example(a=RationalSeries([0, 1, 2], 0, 3), n=-1)                       # refused
+@example(a=RationalSeries((), 0, 0), n=-2)                              # refused
 @settings(max_examples=150, deadline=None)
 def test_pow_matches_reference(a, n):
     _matches_reference(RationalSeries.__pow__, reference_pow, a, n)
@@ -365,7 +412,7 @@ def test_revert_matches_reference(a, a1):
        keep_constant=st.sampled_from([False, False, False, True]))
 @example(a=RationalSeries([0, F(1, 59), 0, F(-7, 53), F(3, 43)], 0, 5), keep_constant=False)
 @example(a=RationalSeries([F(1, 2)], 0, 1), keep_constant=True)           # refused
-@example(a=RationalSeries([F(1, 2)], F(1, 2), 1), keep_constant=True)     # refused
+@example(a=RationalSeries([F(1, 2)], -1, 1), keep_constant=True)         # refused
 @settings(max_examples=150, deadline=None)
 def test_exp_matches_reference(a, keep_constant):
     # usually put a_0 = 0 in place; the draws that keep it exercise the refusal
@@ -456,12 +503,30 @@ def test_compose_takes_square_root_many_convolutions(monkeypatch):
         assert 0 < len(calls) <= 2 * (isqrt(top - 1) + 1) + 1
 
 
+def test_revert_takes_logarithmically_many_compositions(monkeypatch):
+    # Newton over compose: one composition per doubling round, and the
+    # order-70 frame of q(lambda) takes ceil(log2(70)) - 1 = 6 rounds
+    from mirrorperiods.periods import q_of_lambda_series
+    q = q_of_lambda_series(69)
+    calls = _counting(monkeypatch, RationalSeries, "compose")
+    q.revert()
+    assert len(calls) == (70 - 1).bit_length() - 1
+
+
+def test_pow_rational_takes_no_exp_or_log(monkeypatch):
+    z, one = RationalSeries.identity(68), RationalSeries.one(68)
+    calls = [_counting(monkeypatch, RationalSeries, name) for name in ("exp", "log")]
+    (one - z).pow_rational(F(-1, 4))
+    (one - z * F(1, 2)).pow_rational(F(-1, 2))
+    assert calls == [[], []]
+
+
 def test_pow_makes_no_products(monkeypatch):
     from mirrorperiods.periods import _pi0_q
     pi0 = _pi0_q(68)
     lam = RationalSeries([0, 16, -128, 704], 0, 4)
     unit = RationalSeries([1, F(-1, 2), 3], 0, 4)
-    eta = eta_product(1, 1, 68)
+    eta = euler_product(1, 68)
     calls = _counting(monkeypatch, RationalSeries, "__mul__")
     for base, n in ((pi0, 6), (eta, 24), (lam, 2), (lam, 1), (unit, -3)):
         base ** n
