@@ -176,7 +176,8 @@ def _run_fermat_count(args, frame_at_two) -> list[Entry]:
     entries = []
     for p in args.primes:
         chk = arith.fermat_decomposition_check(p, args.quartic_bound)
-        entries.append(Entry(f"p={p}", chk["match"] is not False, chk["match"] is None, data=chk))
+        entries.append(Entry(f"fermat-p={p}", chk["match"] is not False, chk["match"] is None,
+                             data=chk))
     return entries
 
 
@@ -190,7 +191,7 @@ def _run_bps(args, frame_at_two) -> list[Entry]:
         Entry("bps-coefficients", True, True, data={
             "offset": str(series.offset), "coefficients": [str(c) for c in series.coeffs]}),
         periods.check_identity("BPS", min(args.terms, periods.IDENTITIES["BPS"][1]),
-                               digits=args.digits),
+                               digits=args.digits)._replace(identity="bps-identity"),
     ]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import ceil, gcd, lcm, log
+from math import ceil, gcd, isqrt, lcm, log
 
 from mpmath import mp, mpc, mpf
 
@@ -197,6 +197,47 @@ def _to_fixed(x: mpf, shift: int) -> int:
 def _from_fixed(re: int, im: int, shift: int) -> mpc:
     """(re + i im) / 2^shift, rounded to the working precision."""
     return mpc(mpf((re, -shift)), mpf((im, -shift)))
+
+
+# Complex arithmetic on (re, im) int pairs: Gaussian integers, and the
+# 2^shift-scaled values of the fixed-point kernels, with no mpc made.
+
+
+def _gmul(x, y) -> tuple:
+    """The product of two Gaussian integers given as (re, im) int pairs."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _fmul(x, y, shift: int) -> tuple:
+    """x y / 2^shift, floored: the product of two numbers scaled by 2^shift."""
+    re, im = _gmul(x, y)
+    return re >> shift, im >> shift
+
+
+def _fdiv(x, y, shift: int) -> tuple:
+    """x 2^shift / y, floored, for y != 0: the quotient of two numbers
+    scaled by 2^shift."""
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) << shift) // n, ((b * c - a * d) << shift) // n
+
+
+def _fsqrt(x) -> tuple:
+    """The principal square root of x != 0, an int pair with |x| >= 4, to
+    within about one unit: sqrt(x 4^s) is sqrt(x) 2^s, so it serves any
+    scale.  The root's larger part comes from math.isqrt of (|x| +- Re x)/2
+    and the other from Im x over twice it; Re >= 0, and on the negative
+    real axis the root is +i sqrt|x|, as for the principal log."""
+    a, b = x
+    r = isqrt(a * a + b * b)
+    if a >= 0:
+        re = isqrt((r + a) >> 1)
+        return re, b // (2 * re)
+    im = isqrt((r - a) >> 1)
+    if b < 0:
+        im = -im
+    return b // (2 * im), im
 
 
 def half_nome(tau, digits: int = DEFAULT_DIGITS):

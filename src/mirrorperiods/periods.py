@@ -23,18 +23,23 @@ checkable is registered behind check_identity().  Every check of the
 package, here and in cli and deligne, reports through one record, Entry,
 and every numeric one through one pass rule and residual format, judged().
 
-Both numeric series (legendre_jet, dwork_periods) run their term
-recurrences on fixed-point Python integers carrying hyperfun.GUARD_BITS
-(80) bits beyond the working precision, in the style of mpmath's hypsum;
-mpmath only converts the argument in and combines the sums with log and pi.
+The mirror-map kernels (quad_map, legendre_jet, dwork_periods) run end to
+end on fixed-point Python integers carrying hyperfun.GUARD_BITS (80) bits
+beyond the working precision, in the style of mpmath's hypsum: the term
+recurrences and every combination after them, with hyperfun's fixed-point
+complex product, quotient and isqrt square root.  mpmath takes only one
+complex log per series (Log(lam/16) in the jet, log(4 psi) in the Dwork
+periods; quad_map takes none) and one conversion per returned value.
 legendre_jet multiplies by the Gaussian-integer numerator of lambda's
 exact point (hyperfun.exact_point) and divides by its denominator along
 with the term ratio's, and takes the weighted sums sum m x_m of its
-derivatives from running sums of partial sums, by additions.  dwork_periods
-takes its harmonic brackets, which do not depend on psi, from one table per
-fixed-point scale that every call shares (_harmonic_terms).  The term
-counts are those of `_series_terms` (plus 10 for the Dwork side), decided
-exactly on |x|^2 from the exact point of lambda or of the mpf |t|.
+derivatives from running sums of partial sums, by additions.  quad_map
+returns the exact t(lambda) beside psi, and dwork_periods runs on it, so
+u = t/256 is a Gaussian integer over one int; it takes its harmonic
+brackets, which do not depend on psi, from one table per fixed-point
+scale that every call shares (_harmonic_terms).  The term counts are
+those of `_series_terms` (plus 10 for the Dwork side), decided exactly on
+the exact |lambda|^2 or |t|^2, as are |lambda| <= 0.9 and |t| <= 1/1.2.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ from typing import NamedTuple, Optional
 from mpmath import mp, mpc, mpf
 
 from . import hyperfun
-from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _from_fixed, _gaussian,
-                       _to_fixed, as_mpc, decay_terms, eta_value, exact_point, frobenius_series,
-                       half_nome, hyp2f1_series, theta_const, waypoint_strings,
-                       working_precision)
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _fdiv, _fmul, _from_fixed,
+                       _fsqrt, _gaussian, _gmul, _to_fixed, as_mpc, decay_terms, eta_value,
+                       exact_point, frobenius_series, half_nome, hyp2f1_series, theta_const,
+                       waypoint_strings, working_precision)
 from .qseries import RationalSeries, SeriesError, eta_product
 
 _PAD = 8  # extra exact-series slots so residuals stay provable at the asked order
@@ -217,6 +222,21 @@ def _series_terms(abs2: Fraction, digits: int) -> int:
     return max(decay_terms(abs2, digits + hyperfun.GUARD_DIGITS + 5) + 10, 12)
 
 
+def _over_pi_i(x, pi: int, shift: int) -> tuple:
+    """x / (pi i) for x scaled by 2^shift, pi the fixed-point pi at that
+    scale: (Im x, -Re x) / pi, floored."""
+    return (x[1] << shift) // pi, (-x[0] << shift) // pi
+
+
+def _fixed_pi_and_log(z, prec: int) -> tuple:
+    """(pi, Log z) scaled by 2^prec: the kernels' one mpmath log, taken at
+    the working precision, and pi from mpmath's constant at prec bits."""
+    lg = mp.log(z)
+    with mp.workprec(prec):
+        pi = _to_fixed(+mp.pi, prec)
+    return pi, (_to_fixed(lg.real, prec), _to_fixed(lg.imag, prec))
+
+
 def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     """(varpi0, varpi0', varpi1, varpi1') at lam, for seeding continuation.
 
@@ -238,17 +258,23 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     exact point (hyperfun.exact_point), a Gaussian integer over its
     denominator, which joins the small divisor 4(m+1)^2, so each term costs
     O(P) bit operations at a short rational lam, and the sums are rounded
-    only by the floors of the divisions.  mpmath converts lam in and
-    applies the log/pi combination to the four sums.
+    only by the floors of the divisions.  The combination
+
+        varpi1 = (varpi0 lg + h) / (pi i),
+        varpi1' = (varpi0' lg + varpi0 / lam + h') / (pi i),
+
+    lg = Log(lam/16), runs on the same ints; mpmath takes only that log and
+    converts the four results out.  |lam| <= 0.9 is decided on the exact
+    |lam|^2.
     """
     re, im = exact_point(lam)
+    abs2 = re ** 2 + im ** 2
+    if abs2 == 0:
+        raise PrecisionError("legendre periods are singular at lambda = 0")
+    if abs2 > Fraction(81, 100):
+        raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
     with working_precision(digits):
-        lam = as_mpc((re, im))
-        if lam == 0:
-            raise PrecisionError("legendre periods are singular at lambda = 0")
-        if abs(lam) > mpf("0.9"):
-            raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
-        n = _series_terms(re ** 2 + im ** 2, digits)
+        n = _series_terms(abs2, digits)
         prec = mp.prec + GUARD_BITS
         lre, lim, ldiv = _gaussian((re, im))
         dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
@@ -276,37 +302,53 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
             kk = k * k
             dre = xre * kk // den
             dim = xim * kk // den
-        w0 = 1 + lam * _from_fixed(sdre, sdim, prec)
-        dw0 = _from_fixed(n * sdre - tdre, n * sdim - tdim, prec)
-        hval = lam * _from_fixed(sere, seim, prec)
-        dh = _from_fixed(n * sere - tere, n * seim - teim, prec)
-        pii = mp.pi * mp.mpc(0, 1)
-        lg = mp.log(lam) - mp.log(mpf(16))
-        w1 = (w0 * lg + hval) / pii
-        dw1 = (dw0 * lg + w0 / lam + dh) / pii
-        return LegendreJet(w0, dw0, w1, dw1)
+        pi, lg = _fixed_pi_and_log(as_mpc((re / 16, im / 16)), prec)
+        xre, xim = _gmul((lre, lim), (sdre, sdim))
+        w0 = (1 << prec) + xre // ldiv, xim // ldiv
+        dw0 = n * sdre - tdre, n * sdim - tdim
+        hre, him = _gmul((lre, lim), (sere, seim))
+        qre, qim = _fdiv((w0[0] * ldiv, w0[1] * ldiv), (lre, lim), 0)  # w0 / lam
+        xre, xim = _fmul(w0, lg, prec)
+        w1 = _over_pi_i((xre + hre // ldiv, xim + him // ldiv), pi, prec)
+        xre, xim = _fmul(dw0, lg, prec)
+        dw1 = _over_pi_i((xre + qre + n * sere - tere, xim + qim + n * seim - teim), pi, prec)
+        return LegendreJet(*(_from_fixed(*x, prec) for x in (w0, dw0, w1, dw1)))
 
 
 def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
     """(t, psi) from lam: t = lam^2(1-lam)(1-lam/2)^-4, psi = t^(-1/4) branch.
 
-    psi = lam^(-1/2) (1-lam)^(-1/4) (1-lam/2) with principal powers,
-    computed as (1-lam/2) / (sqrt(lam) sqrt(sqrt(1-lam))): Im(Log(z)/2) lies
-    in (-pi/2, pi/2], so sqrt(sqrt(z)) is exactly the principal z^(1/4) for
-    every lam other than 0 and 1, and no complex log is taken.
-    t*psi^4 = 1 identically.  lam = 2 is the pole of t and the zero of psi
-    and is returned tagged as (inf, 0) rather than raising.
+    t is exact, a Fraction pair: with lam = L/d, L a Gaussian integer and
+    d > 0, t = 16 d L^2 (d - L) / (2d - L)^4.  psi = lam^(-1/2)
+    (1-lam)^(-1/4) (1-lam/2) with principal powers is
+    d (2d - L) / (2 sqrt(L d) sqrt(sqrt((d - L) d^3))), computed on ints
+    scaled by 2^P, P = mp.prec + GUARD_BITS (hyperfun._fsqrt, _fmul,
+    _fdiv) and converted out once: a factor d > 0 leaves an argument's Arg
+    unchanged, and Im(Log(z)/2) lies in (-pi/2, pi/2], so sqrt(sqrt(z)) is
+    exactly the principal z^(1/4) for every lam other than 0 and 1.  No
+    mpmath complex function is called.  t psi^4 = 1 identically.  lam = 2
+    is the pole of t and the zero of psi and is returned tagged as
+    (inf, 0) rather than raising; lam = 0 gives (exact 0, inf).
     """
+    a, b, d = _gaussian(exact_point(lam))
+    if (a, b) == (2 * d, 0):
+        return QuadMapResult(mp.inf, mpc(0))
+    if (a, b) == (0, 0):
+        return QuadMapResult((Fraction(0), Fraction(0)), mp.inf)
+    num = _gmul((16 * d * (a * a - b * b), 32 * d * a * b), (d - a, -b))
+    den = (2 * d - a, -b)
+    den = _gmul(den, den)
+    den = _gmul(den, den)
+    den2 = den[0] ** 2 + den[1] ** 2  # t = num conj(den) / |den|^2
+    t = (Fraction(num[0] * den[0] + num[1] * den[1], den2),
+         Fraction(num[1] * den[0] - num[0] * den[1], den2))
     with working_precision(digits):
-        lam = as_mpc(lam)
-        if lam == 2:
-            return QuadMapResult(mp.inf, mpc(0))
-        if lam == 0:
-            return QuadMapResult(mpc(0), mp.inf)
-        one = mpf(1)
-        t = lam ** 2 * (one - lam) / (one - lam / 2) ** 4
-        psi = (one - lam / 2) / (mp.sqrt(lam) * mp.sqrt(mp.sqrt(one - lam)))
-        return QuadMapResult(t, psi)
+        prec = mp.prec + GUARD_BITS
+        root = _fsqrt((a * d << 2 * prec, b * d << 2 * prec))
+        quart = _fsqrt(_fsqrt(((d - a) * d ** 3 << 4 * prec, -b * d ** 3 << 4 * prec)))
+        psi = _fdiv((d * (2 * d - a) << (prec - 1), -d * b << (prec - 1)),
+                    _fmul(root, quart, prec), prec)
+        return QuadMapResult(t, _from_fixed(*psi, prec))
 
 
 # P -> (b, c, [H_4n, H_n, H2_4n, H2_n] at the last n) for _harmonic_terms
@@ -337,39 +379,42 @@ def _harmonic_terms(prec: int, nterms: int):
     return b, c
 
 
-def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
+def dwork_periods(t, psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
     """W0, W1, W2 from their series near psi = infinity; tau = W1/W0.
 
+    t = psi^-4 is given as its exact point (the exact t of quad_map), and
+    psi, which picks the branch of t^(-1/4), serves only log(4 psi).
     Polygamma brackets enter as harmonic sums: Psi(4n+1)-Psi(n+1) = H_4n-H_n
     and Psi'(4n+1) - Psi'(n+1)/4 = pi^2/8 - H2_4n + H2_n/4.  Convergence is
-    governed by |t| = |psi|^-4; we require |t| <= 1/1.2.
+    governed by |t|; we require |t| <= 1/1.2, decided on the exact |t|^2,
+    which also sets the term count.
 
     The `_series_terms` + 10 terms are summed on fixed-point Python
     integers scaled by 2^P, P = mp.prec + GUARD_BITS: the terms
     T_n = a_n u^n, u = t/256 = (4 psi)^-4, as (re, im) int pairs advanced by
-    T_(n+1) = T_n u (4n+1)(4n+2)(4n+3)(4n+4)/(n+1)^4, times the brackets
+    T_(n+1) = T_n u (4n+1)(4n+2)(4n+3)(4n+4)/(n+1)^4, with u the Gaussian
+    integer numerator of t over 256 times its denominator, so a term costs
+    short-by-P products and one floor per part; times the brackets
     b_n = H_4n - H_n and c_n = b_n^2 - H2_4n + H2_n/4 as real ints, and
     pi^2/8 as one fixed-point constant times sum T_n.  The brackets come
     from the table of _harmonic_terms, shared by every psi at this P and
     extended in place when a call needs more terms, so a run's calls at
-    one precision floor each 1/j and 1/j^2 once.  mpmath converts u in and
-    applies the log(4 psi) combination.
+    one precision floor each 1/j and 1/j^2 once.  With l = log(4 psi),
+    W1 = 2 (S1 - W0 l) / (pi i) and W2 = 4 (l (W0 l - 2 S1) + S2) / (pi i)^2
+    run on the same ints; mpmath takes only the log and converts each
+    returned field out.
     """
+    point = exact_point(t)
+    ure, uim, tden = _gaussian(point)
+    abs2 = Fraction(ure * ure + uim * uim, tden * tden)
+    if abs2 > Fraction(25, 36):
+        raise PrecisionError("dwork series requires |psi^4| >= 1.2")
     with working_precision(digits):
         psi = as_mpc(psi)
-        t = psi ** -4
-        at = abs(t)
-        if at > 1 / mpf("1.2"):
-            raise PrecisionError("dwork series requires |psi^4| >= 1.2")
-        u = t / 256
-        log4psi = mp.log(4 * psi)
-        nterms = _series_terms(exact_point(at)[0] ** 2, digits) + 10
+        nterms = _series_terms(abs2, digits) + 10
         prec = mp.prec + GUARD_BITS
-        one = 1 << prec
-        with mp.workprec(prec):
-            pi2_8 = _to_fixed(mp.pi ** 2 / 8, prec)
-        ure, uim = _to_fixed(u.real, prec), _to_fixed(u.imag, prec)
-        tre, tim = one, 0
+        udiv = 256 * tden
+        tre, tim = 1 << prec, 0
         w0re = w0im = s1re = s1im = s2re = s2im = 0
         for n, b, c in zip(range(nterms), *_harmonic_terms(prec, nterms)):
             w0re += tre
@@ -379,18 +424,19 @@ def dwork_periods(psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
             s2re += (tre * c) >> prec
             s2im += (tim * c) >> prec
             f = (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4)
-            g = (n + 1) ** 4
-            tre, tim = (((ure * tre - uim * tim) >> prec) * f // g,
-                        ((ure * tim + uim * tre) >> prec) * f // g)
+            g = udiv * (n + 1) ** 4
+            tre, tim = (ure * tre - uim * tim) * f // g, (ure * tim + uim * tre) * f // g
+        pi, lg = _fixed_pi_and_log(mpc(4 * psi.real, 4 * psi.imag), prec)
+        pi2_8 = (pi * pi) >> (prec + 3)
+        w0 = w0re, w0im
         s2re += (pi2_8 * w0re) >> prec
         s2im += (pi2_8 * w0im) >> prec
-        w0 = _from_fixed(w0re, w0im, prec)
-        s1 = _from_fixed(s1re, s1im, prec)
-        s2 = _from_fixed(s2re, s2im, prec)
-        twopii = 2 * mp.pi * mp.mpc(0, 1)
-        w1 = (-4 * w0 * log4psi + 4 * s1) / twopii
-        w2 = (16 * w0 * log4psi ** 2 - 32 * s1 * log4psi + 16 * s2) / twopii ** 2
-        return DworkPeriods(psi, t, w0, w1, w2, w1 / w0)
+        xre, xim = _fmul(w0, lg, prec)
+        w1 = _over_pi_i((2 * (s1re - xre), 2 * (s1im - xim)), pi, prec)
+        yre, yim = _fmul(lg, (xre - 2 * s1re, xim - 2 * s1im), prec)
+        w2 = _over_pi_i(_over_pi_i((4 * (yre + s2re), 4 * (yim + s2im)), pi, prec), pi, prec)
+        tau = _fdiv(w1, w0, prec)
+        return DworkPeriods(psi, as_mpc(point), *(_from_fixed(*x, prec) for x in (w0, w1, w2, tau)))
 
 
 def w_series_t(order: int):
@@ -429,7 +475,7 @@ def mirror_map_residuals(digits: int = DEFAULT_DIGITS, points=None):
     default), the two sides computed independently."""
     out = []
     for lam in MIRROR_GRID if points is None else points:
-        dw = dwork_periods(quad_map(lam, digits).psi, digits)
+        dw = dwork_periods(*quad_map(lam, digits), digits)
         jet = legendre_jet(lam, digits)
         with working_precision(digits):
             out.append((lam, abs(dw.tau - jet.varpi1 / jet.varpi0)))
@@ -634,7 +680,7 @@ def _w_pi_check(digits) -> Entry:
     worst = mpf(0)
     with working_precision(digits):
         for lam in W_PI_GRID:
-            dw = dwork_periods(quad_map(lam, digits).psi, digits)
+            dw = dwork_periods(*quad_map(lam, digits), digits)
             jet = legendre_jet(lam, digits)
             fac = 1 - as_mpc(lam) / 2
             pi0, pi1, pi2 = (fac * jet.varpi0 ** (2 - i) * jet.varpi1 ** i for i in range(3))

@@ -43,7 +43,8 @@ its path reaches in that disk from the start without meeting the cut
 (-inf, 0] of the principal log (an exact test on exact steps), takes the
 series frame there and runs the Taylor steps (_transport) on the rest of
 the path.  The canonical path to lambda = 2 takes 9 Taylor steps, the
-default path to 2 sqrt 2 - 2 two.
+default path to 2 sqrt 2 - 2 three: two to its waypoint, the target cut
+to 2^-20, and a short hop on to the exact binary target.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -61,8 +62,8 @@ from mpmath import mp, mpf
 
 from . import periods
 from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, GUARD_DIGITS, PrecisionError, _from_fixed,
-                       _gaussian, _to_fixed, as_mpc, decay_terms, exact_pair, exact_point,
-                       working_precision)
+                       _gaussian, _gmul, _to_fixed, as_mpc, decay_terms, exact_pair,
+                       exact_point, working_precision)
 
 # Significant binary digits kept in the parameter step dt of a segment
 # between exact waypoints (see _steps): few enough that the exact expansion
@@ -155,11 +156,6 @@ def _step_precision(h) -> int:
     GUARD_BITS, and log2(1/|h|) more for a short step, whose derivative is
     divided by h."""
     return mp.prec + GUARD_BITS + max(0, -mp.mag(h))
-
-
-def _gmul(a, b):
-    """Product of two Gaussian integers given as (re, im) int pairs."""
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def _recurrence(z, h):
@@ -420,17 +416,29 @@ CANONICAL_PATH_TO_TWO = ContinuationPath((
 ))
 
 
+# Binary digits after the point kept of a rounded target in default_path's
+# waypoint before it.
+WAYPOINT_BITS = 20
+
+
 def default_path(target) -> ContinuationPath | None:
     """The route tau_at takes to `target` when given no path: None inside
     the series disk 0 < |target| <= 1/2, where legendre_jet evaluates at
     the target itself; the canonical lower detour for lambda = 2; else the
-    straight path from the canonical base.  The choice is exact, made on
-    exact_point(target)."""
+    straight path from the canonical base.  A rounded target (not an
+    exact_pair, such as the mpf 2 sqrt 2 - 2) is reached through a
+    waypoint, the target cut toward zero to a multiple of 2^-WAYPOINT_BITS:
+    the seed and every step but the last, short hop then carry short
+    coefficients, where the exact binary target's denominator is about the
+    working precision.  The choice is exact, made on exact_point(target)."""
     point = exact_point(target)
     if 0 < point[0] ** 2 + point[1] ** 2 <= SERIES_RADIUS ** 2:
         return None
     if point == (2, 0):
         return CANONICAL_PATH_TO_TWO
+    near = tuple(Fraction(int(c * 2 ** WAYPOINT_BITS), 2 ** WAYPOINT_BITS) for c in point)
+    if exact_pair(target) is None and near != point:
+        return ContinuationPath((CANONICAL_BASE, near, point))
     return ContinuationPath((CANONICAL_BASE, point))
 
 

@@ -423,49 +423,6 @@ def reference_recurrence(op, z, h):
     return groups, divisor
 
 
-def reference_int_legendre_jet(lam, digits: int) -> LegendreJet:
-    """periods.legendre_jet with its term count from mpmath logs and
-    sum m x_m summed term by term: the same integer recurrences."""
-    re, im = exact_point(lam)
-    with working_precision(digits):
-        lam = as_mpc(lam)
-        n = reference_series_terms(abs(lam), digits)
-        prec = mp.prec + GUARD_BITS
-        ldiv = lcm(re.denominator, im.denominator)
-        lre, lim = int(re * ldiv), int(im * ldiv)
-        dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
-        ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
-        sdre = sdim = sddre = sddim = sere = seim = sdere = sdeim = 0
-        for m in range(1, n):
-            sdre += dre
-            sdim += dim
-            sddre += m * dre
-            sddim += m * dim
-            sere += ere
-            seim += eim
-            sdere += m * ere
-            sdeim += m * eim
-            k, m1 = 2 * m + 1, m + 1
-            den = 4 * m1 * m1 * ldiv
-            xre = lre * dre - lim * dim
-            xim = lre * dim + lim * dre
-            yre = lre * ere - lim * eim
-            yim = lre * eim + lim * ere
-            ere = (k * m1 * yre + 2 * xre) * k // (den * m1)
-            eim = (k * m1 * yim + 2 * xim) * k // (den * m1)
-            dre = xre * k * k // den
-            dim = xim * k * k // den
-        w0 = 1 + lam * _from_fixed(sdre, sdim, prec)
-        dw0 = _from_fixed(sddre, sddim, prec)
-        hval = lam * _from_fixed(sere, seim, prec)
-        dh = _from_fixed(sdere, sdeim, prec)
-        pii = mp.pi * mp.mpc(0, 1)
-        lg = mp.log(lam) - mp.log(mpf(16))
-        w1 = (w0 * lg + hval) / pii
-        dw1 = (dw0 * lg + w0 / lam + dh) / pii
-        return LegendreJet(w0, dw0, w1, dw1)
-
-
 # ---------------------------------------------------------------------------
 # mpmath references for the fixed-point period series
 #

@@ -195,6 +195,18 @@ def test_fermat_count_command(capsys):
     assert counts == {17: 600, 41: 2520}
 
 
+def test_all_entry_names_are_unique(capsys):
+    # each entry's name says which check it is; the mirror-vs-period
+    # entries share theirs and differ by their point
+    code, out = run_main(["all", "--digits", "40", "--pmax", "100"], capsys)
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    names = [e["name"] for e in entries if e["name"] != "mirror-vs-period"]
+    assert len(names) == len(set(names))
+    points = [tuple(e["point"]) for e in entries if e["name"] == "mirror-vs-period"]
+    assert len(points) == len(set(points)) == len(periods.MIRROR_GRID)
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run_main(["lambda-series", "--terms", "4", "--output", str(target)], capsys)
@@ -628,14 +640,16 @@ def test_path_ending_at_target_is_accepted(capsys):
 
 
 def test_replayed_2sqrt2m2_path_is_a_usage_error(capsys):
-    # the report prints the path's end to 30 digits, about 1e-31 off
-    # 2 sqrt 2 - 2: replayed, the path misses the target by more than
-    # tau_at's 10^-(digits-5), which is bad input (exit 2), not a failed check
+    # the default path goes through 2 sqrt 2 - 2 cut to 2^-20, and the
+    # report prints its end to 30 digits, about 1e-31 off 2 sqrt 2 - 2:
+    # replayed, the path misses the target by more than tau_at's
+    # 10^-(digits-5), which is bad input (exit 2), not a failed check
     code, out = run_main(["continue", "--target", "2sqrt2-2"], capsys)
     assert code == 0
     [entry] = json.loads(out)["entries"]
     printed = json.dumps(entry["path"])
-    assert printed == '[["0.1", "0.0"], ["0.828427124746190097603377448419", "0.0"]]'
+    assert printed == ('[["0.1", "0.0"], ["0.828426361083984375", "0.0"], '
+                       '["0.828427124746190097603377448419", "0.0"]]')
     with pytest.raises(SystemExit) as exc:
         cli.main(["continue", "--target", "2sqrt2-2", "--path", printed])
     assert exc.value.code == 2
@@ -727,9 +741,9 @@ def test_w_pi_grid_is_evaluated_once(monkeypatch, capsys):
     calls, jets = [], []
     dwork, jet = periods.dwork_periods, periods.legendre_jet
 
-    def counted(psi, digits):
+    def counted(t, psi, digits):
         calls.append(psi)
-        return dwork(psi, digits)
+        return dwork(t, psi, digits)
 
     def counted_jet(lam, digits):
         jets.append(lam)
@@ -748,8 +762,8 @@ def test_w_pi_fails_on_a_w2_mutant(monkeypatch, capsys):
     # the tolerance, is a FAIL entry whose residual is that offset
     dwork = periods.dwork_periods
 
-    def mutant(psi, digits):
-        dw = dwork(psi, digits)
+    def mutant(t, psi, digits):
+        dw = dwork(t, psi, digits)
         with working_precision(digits):
             return dw._replace(w2=dw.w2 + mpf(10) ** -(digits - 20))
 

@@ -78,10 +78,10 @@ ROWS = {
                           ["p=5", "ratio1-is-16", "ratio2-is-minus-64"]),
     "ap_legendre": (arith, "ap_legendre", _ap_legendre, True, ["p=97"]),
     "fermat_quartic_count": (arith, "fermat_quartic_count", _fermat_quartic_count, True,
-                             ["p=41"]),
+                             ["fermat-p=41"]),
     "compose": (RationalSeries, "compose", _compose, False,
                 ["QT1", "QT2", "QT3", "MIRROR-EXACT", "THETA-V", "THETA-24", "DLDTAU",
-                 "DELTA-LAMBDA", "BPS"]),
+                 "DELTA-LAMBDA", "BPS", "bps-identity"]),
 }
 
 

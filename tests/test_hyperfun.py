@@ -4,6 +4,7 @@ from pathlib import Path
 
 import mpmath
 import mpmath.libmp.libmpc as libmpc
+from mpmath import libmp
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -220,6 +221,54 @@ def test_kernels_take_no_complex_log(digits, mpc_log_calls):
     deligne.fricke_residual(F(3, 2), digits)
     assert periods.check_identity("DELTA-THETA", digits=digits).passed
     assert mpc_log_calls == []
+
+
+@pytest.fixture
+def mpc_calls(monkeypatch):
+    """A list of the mpmath complex functions (libmpc's mpc_*) called from
+    outside mpmath, by name: they are wrapped where mpc's operators and
+    mp's functions look them up, and calls they make in turn are not
+    listed."""
+    calls, depth = [], [0]
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    wrapped = {name: counting(name, f) for name, f in vars(libmpc).items()
+               if name.startswith("mpc_") and callable(f)}
+    for module in (libmpc, mpmath.libmp, mpmath.ctx_mp_python, mpmath.ctx_mp):
+        for name, f in wrapped.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, f)
+    monkeypatch.setattr(mp, "ln", mp._wrap_libmp_function(libmp.mpf_log, wrapped["mpc_log"]))
+    monkeypatch.setattr(mp, "sqrt", mp._wrap_libmp_function(libmp.mpf_sqrt, wrapped["mpc_sqrt"]))
+    return calls
+
+
+@pytest.mark.parametrize("digits", [120, 200])
+def test_mirror_map_kernels_take_one_complex_log(digits, mpc_calls):
+    # quad_map calls no mpmath complex function, and legendre_jet and
+    # dwork_periods only their one log, on every grid point
+    with working_precision(digits):
+        mpc("0.3", "0.2") * mpc("0.1", "0.5")  # the counter sees mpc products
+        mp.log(mpc("0.3", "0.2"))  # and complex logs
+    assert mpc_calls == ["mpc_mul", "mpc_log"]
+    for lam in periods.MIRROR_GRID + periods.W_PI_GRID:
+        mpc_calls.clear()
+        t, psi = periods.quad_map(lam, digits)
+        assert mpc_calls == []
+        periods.legendre_jet(lam, digits)
+        assert mpc_calls == ["mpc_log"]
+        periods.dwork_periods(t, psi, digits)
+        assert mpc_calls == ["mpc_log", "mpc_log"]
 
 
 def test_eta_and_theta_against_mpmath_at_200_digits():

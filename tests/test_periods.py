@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, is_provably_zero, lambda_from_t, pi0_series,
                      reference_dwork_periods, reference_frobenius_series,
-                     reference_int_legendre_jet, reference_legendre_jet,
-                     reference_series_terms, reference_w_series_t)
+                     reference_legendre_jet, reference_series_terms, reference_w_series_t)
 from mirrorperiods.hyperfun import (PrecisionError, as_mpc, exact_point, frobenius_series,
                                    working_precision)
 from mirrorperiods.qseries import RationalSeries, SeriesError
@@ -246,12 +247,12 @@ def test_legendre_periods_preconditions():
 
 def test_quad_map_values():
     r = periods.quad_map(0, DIGITS)
-    assert r.t == 0
+    assert r.t == (0, 0)
     with working_precision(DIGITS):
         lam = 2 * mp.sqrt(2) - 2
     r = periods.quad_map(lam, DIGITS)
     with working_precision(DIGITS):
-        assert abs(r.t - 1) < mpf(10) ** (-DIGITS + 8)
+        assert abs(as_mpc(r.t) - 1) < mpf(10) ** (-DIGITS + 8)
         assert abs(r.psi - 1) < mpf(10) ** (-DIGITS + 8)
     pole = periods.quad_map(2, DIGITS)
     assert mp.isinf(pole.t) and pole.psi == 0
@@ -265,21 +266,24 @@ def test_quad_map_product_relation():
             if abs(lam) < mpf("0.05"):
                 continue
             r = periods.quad_map(lam, DIGITS)
-            assert abs(r.t * r.psi ** 4 - 1) < mpf(10) ** (-DIGITS + 10)
+            assert abs(as_mpc(r.t) * r.psi ** 4 - 1) < mpf(10) ** (-DIGITS + 10)
 
 
 def test_quad_map_psi_is_the_principal_power():
     # psi = lam^(-1/2) (1-lam)^(-1/4) (1-lam/2) as mpmath's principal
-    # powers take it, on the grids and beside the negative real axis
+    # powers take it, on the grids, beside the negative real axis and on it,
+    # where lam^(-1/2) is -i |lam|^(-1/2); and t psi^4 = 1 with the exact t
     digits = 200
     with mp.workdps(digits + 30):
         points = [as_mpc(lam) for lam in periods.MIRROR_GRID + periods.W_PI_GRID]
         points += [r * mp.expjpi(sign * mpf("0.85")) for r in (mpf("0.05"), mpf("0.3"))
                    for sign in (1, -1)]
+        points += [mpc(-r) for r in (mpf("0.05"), mpf("0.3"), mpf(3))]
         for lam in points:
-            psi = periods.quad_map(lam, digits).psi
+            t, psi = periods.quad_map(lam, digits)
             ref = lam ** mpf("-0.5") * (1 - lam) ** mpf("-0.25") * (1 - lam / 2)
             assert abs(psi - ref) < mpf(10) ** -(digits + 5)
+            assert abs(as_mpc(t) * psi ** 4 - 1) < mpf(10) ** -(digits + 10)
 
 
 def test_lambda_from_t_small_branch():
@@ -291,15 +295,24 @@ def test_lambda_from_t_small_branch():
         assert abs(lam - lam0) < mpf(10) ** (-DIGITS + 8)
 
 
+def _dwork_at_psi(psi, digits):
+    """dwork_periods at an exact psi, with its exact t = psi^-4."""
+    re, im = exact_point(psi)
+    p2 = (re * re - im * im, 2 * re * im)
+    p4 = (p2[0] ** 2 - p2[1] ** 2, 2 * p2[0] * p2[1])
+    n = p4[0] ** 2 + p4[1] ** 2
+    return periods.dwork_periods((p4[0] / n, -p4[1] / n), psi, digits)
+
+
 def test_dwork_w0_is_square_of_2f1():
-    dw = periods.dwork_periods(3, DIGITS)
+    dw = _dwork_at_psi(3, DIGITS)
     with working_precision(DIGITS):
         pi0 = hyp2f1(F(1, 8), F(3, 8), F(1), mpf(3) ** -4, DIGITS)
         assert abs(dw.w0 - pi0 ** 2) < mpf(10) ** (-DIGITS + 8)
 
 
 def test_dwork_tau_equals_legendre_tau_at_psi_5():
-    dw = periods.dwork_periods(5, DIGITS)
+    dw = _dwork_at_psi(5, DIGITS)
     lam = lambda_from_t(dw.t, DIGITS)
     jet = periods.legendre_jet(lam, DIGITS)
     with working_precision(DIGITS):
@@ -341,16 +354,18 @@ def test_legendre_jet_at_exact_lambda_matches_mpc(lam, digits):
     # exact binary value, and the rounded mpc the exact lambda's jet
     with working_precision(digits):
         rounded = as_mpc(lam)
-    jet = periods.legendre_jet(rounded, digits)
-    assert jet == periods.legendre_jet(exact_point(rounded), digits)
-    _assert_relative(periods.legendre_jet(lam, digits), jet, digits)
+    jet = _jet_or_error(rounded, digits)
+    assert jet == _jet_or_error(exact_point(rounded), digits)
+    if not isinstance(jet, str):
+        _assert_relative(periods.legendre_jet(lam, digits), jet, digits)
     z = complex(float(lam[0]), float(lam[1]))
     for x in (z, z.real) if z.imag == 0 else (z,):
         assert _jet_or_error(x, digits) == _jet_or_error(exact_point(x), digits)
 
 
 def _jet_or_error(lam, digits):
-    # the float 0.9 lies above 9/10, so both of its jets raise
+    # |lambda| <= 0.9 is decided on the exact point: the float 0.9 and the
+    # mpf 0.9 at 40 and 200 digits lie above 9/10, so both of their jets raise
     try:
         return periods.legendre_jet(lam, digits)
     except PrecisionError as exc:
@@ -360,8 +375,38 @@ def _jet_or_error(lam, digits):
 @pytest.mark.parametrize("digits", [40, 200])
 @pytest.mark.parametrize("kind, point", DWORK_POINTS)
 def test_dwork_periods_matches_reference(kind, point, digits):
-    psi = periods.quad_map(point, digits).psi if kind == "lambda" else point
-    _assert_relative(periods.dwork_periods(psi, digits),
+    if kind == "lambda":
+        t, psi = periods.quad_map(point, digits)
+        dw = periods.dwork_periods(t, psi, digits)
+    else:
+        psi, dw = point, _dwork_at_psi(point, digits)
+    _assert_relative(dw, reference_dwork_periods(psi, digits), digits)
+
+
+# lambda as a short Gaussian rational with 0 < |lambda| <= 0.3, or as the
+# exact binary value of a random mpf point
+_short_lambda = st.tuples(st.fractions(F(-3, 10), F(3, 10), max_denominator=64),
+                          st.fractions(F(-3, 10), F(3, 10), max_denominator=64)).filter(
+                              lambda z: 0 < z[0] ** 2 + z[1] ** 2 <= F(9, 100))
+
+
+def _mpf_point(mantissas):
+    with mp.workprec(200):
+        return exact_point(mpc(*(mpf((m, -200)) for m in mantissas)))
+
+
+_mantissa = st.integers(-(3 << 200) // 10, (3 << 200) // 10)
+_binary_lambda = st.tuples(_mantissa, _mantissa).map(_mpf_point).filter(
+    lambda z: 0 < z[0] ** 2 + z[1] ** 2 <= F(9, 100))
+
+
+@given(lam=st.one_of(_short_lambda, _binary_lambda), digits=st.sampled_from([40, 120]))
+@settings(max_examples=30, deadline=None)
+def test_kernels_match_references_at_random_lambda(lam, digits):
+    _assert_relative(periods.legendre_jet(lam, digits),
+                     reference_legendre_jet(lam, digits), digits)
+    t, psi = periods.quad_map(lam, digits)
+    _assert_relative(periods.dwork_periods(t, psi, digits),
                      reference_dwork_periods(psi, digits), digits)
 
 
@@ -396,14 +441,6 @@ def test_series_terms_equal_mpmath_reference(lam, digits):
     assert fits(binary, m) and not fits(binary, m - 1) and abs(m - n) <= 1
 
 
-@pytest.mark.parametrize("digits", [60, 200])
-def test_legendre_jet_equals_int_reference(digits):
-    # the running sums of partial sums and the fused small factors change
-    # no integer: the jets are equal to the term-by-term loop's
-    for lam in periods.MIRROR_GRID + periods.W_PI_GRID:
-        assert periods.legendre_jet(lam, digits) == reference_int_legendre_jet(lam, digits)
-
-
 def _assert_doubling(lo, hi):
     with working_precision(400):
         for a, b in zip(lo, hi):
@@ -417,7 +454,7 @@ def test_legendre_jet_precision_doubling():
 
 def test_dwork_periods_precision_doubling():
     psi = (F(3, 4), F(3, 4))
-    _assert_doubling(periods.dwork_periods(psi, 200), periods.dwork_periods(psi, 400))
+    _assert_doubling(_dwork_at_psi(psi, 200), _dwork_at_psi(psi, 400))
 
 
 def test_dwork_periods_independent_of_the_harmonic_table(monkeypatch):
@@ -426,25 +463,47 @@ def test_dwork_periods_independent_of_the_harmonic_table(monkeypatch):
     # one first built at another precision
     near, far = (F(11, 10), F(1, 5)), 5  # many terms, few terms
     monkeypatch.setattr(periods, "_HARMONIC", {})
-    cold = [periods.dwork_periods(far, DIGITS)]
+    cold = [_dwork_at_psi(far, DIGITS)]
     [table] = periods._HARMONIC.values()
     built = len(table[0])
-    cold.append(periods.dwork_periods(near, DIGITS))
+    cold.append(_dwork_at_psi(near, DIGITS))
     [grown] = periods._HARMONIC.values()
     assert grown is table and len(table[0]) > built  # extended in place
     monkeypatch.setattr(periods, "_HARMONIC", {})
-    periods.dwork_periods(near, DIGITS)
-    longer = [periods.dwork_periods(far, DIGITS), periods.dwork_periods(near, DIGITS)]
+    _dwork_at_psi(near, DIGITS)
+    longer = [_dwork_at_psi(far, DIGITS), _dwork_at_psi(near, DIGITS)]
     monkeypatch.setattr(periods, "_HARMONIC", {})
-    periods.dwork_periods(near, 2 * DIGITS)
-    other = [periods.dwork_periods(far, DIGITS), periods.dwork_periods(near, DIGITS)]
+    _dwork_at_psi(near, 2 * DIGITS)
+    other = [_dwork_at_psi(far, DIGITS), _dwork_at_psi(near, DIGITS)]
     assert len(periods._HARMONIC) == 2
     assert cold == longer == other
 
 
+@pytest.mark.parametrize("digits", [40, 120])
+@pytest.mark.parametrize("psi", [5, (F(3, 4), F(3, 4)), (F(11, 10), F(1, 5))])
+def test_dwork_term_count_from_the_exact_t(psi, digits, monkeypatch):
+    # the series sums the least N with |t|^N <= 10^-(digits + 20) terms,
+    # plus 20, decided on the exact |t|^2: a cold harmonic table grows to
+    # exactly that count
+    monkeypatch.setattr(periods, "_HARMONIC", {})
+    dw = _dwork_at_psi(psi, digits)
+    [table] = periods._HARMONIC.values()
+    n = len(table[0]) - 20
+    re, im = exact_point(psi)
+    abs2 = 1 / (re * re + im * im) ** 4
+    with working_precision(digits):
+        assert abs(abs(dw.t) ** 2 - as_mpc(abs2)) < mpf(10) ** -digits
+    target = 10 ** (2 * digits + 40)
+
+    def fits(k):  # |t|^(2k) <= 10^-(2 digits + 40)
+        return abs2.numerator ** k * target <= abs2.denominator ** k
+
+    assert fits(n) and not fits(n - 1)
+
+
 def test_dwork_divergence_region_rejected():
     with pytest.raises(PrecisionError):
-        periods.dwork_periods(mpf("0.9"), DIGITS)
+        _dwork_at_psi(F(9, 10), DIGITS)
 
 
 def test_pi_product_structure_as_series():

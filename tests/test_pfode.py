@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import (LEGENDRE_OPERATOR, binary_cut, reference_int_transport, reference_recurrence,
-                     reference_shift_poly_exact, reference_step_terms, reference_steps,
-                     reference_taylor_transport)
+from helpers import (LEGENDRE_OPERATOR, agm, binary_cut, reference_int_transport,
+                     reference_recurrence, reference_shift_poly_exact, reference_step_terms,
+                     reference_steps, reference_taylor_transport)
 from mpmath import mp, mpc, mpf
 
 import mirrorperiods.hyperfun as hyperfun
@@ -496,6 +496,20 @@ def test_psi_one_point_varpi0_matches_theta(digits):
         assert abs(frame.columns[0][0] - th2) < mpf(10) ** (-(digits - 10))
 
 
+@pytest.mark.parametrize("digits", [40, 200])
+def test_psi_one_point_frame_matches_agm(digits):
+    # varpi0 = 1/AGM(1, sqrt(1 - lam)) and varpi1 = i/AGM(1, sqrt(lam)), and
+    # at lam = 2 sqrt 2 - 2, sqrt(1 - lam) = sqrt 2 - 1
+    lam = _psi_one_point(digits)
+    frame = pfode.continue_legendre(pfode.default_path(lam), digits)
+    with working_precision(digits):
+        varpi0 = 1 / agm(1, mp.sqrt(2) - 1, digits)
+        varpi1 = mp.mpc(0, 1) / agm(1, mp.sqrt(2 * mp.sqrt(2) - 2), digits)
+        tol = mpf(10) ** -(digits - 10)
+        assert abs(frame.columns[0][0] - varpi0) < tol
+        assert abs(frame.columns[1][0] - varpi1) < tol
+
+
 def test_tau_at_psi_one_point():
     lam = _psi_one_point(DIGITS)
     tau = pfode.tau_at(lam, digits=DIGITS)
@@ -591,11 +605,14 @@ def test_canonical_path_is_seeded(monkeypatch):
 @pytest.mark.parametrize("digits", [120, 200])
 def test_psi_one_point_path_is_seeded(monkeypatch, digits):
     # the default path to 2 sqrt 2 - 2 is seeded inside |lambda| <= 1/2 and
-    # takes 2 Taylor steps (6 from the first waypoint)
+    # takes 3 Taylor steps: 2 to its waypoint, the target cut to 2^-20, with
+    # short steps, and one short hop on to the exact binary target
     lam = _psi_one_point(digits)
     steps = _count_steps(monkeypatch)
     pfode.continue_legendre(pfode.default_path(lam), digits)
-    assert len(steps) <= 2
+    assert len(steps) <= 3
+    assert all(c.denominator < 2 ** 64 for h, _ in steps[:-1] for c in h)
+    assert steps[-1][0][0] < F(1, 2 ** 20)
 
 
 @pytest.mark.parametrize("digits", [120, 200])
@@ -627,11 +644,16 @@ def test_default_path_takes_the_series_on_the_disk_edge(point):
 def test_default_path_takes_the_canonical_path_only_at_two():
     assert pfode.default_path(mpf(2)) is pfode.CANONICAL_PATH_TO_TWO
     assert pfode.default_path(2.0) is pfode.CANONICAL_PATH_TO_TWO
-    # within 10^-25 of 2 but not 2: the straight path to that point
+    # within 10^-25 of 2 but not 2: the straight path to that point, through
+    # that point cut to 2^-20
     with working_precision(40):
         near_two = mpf(2) + mpf(2) ** -100
     assert pfode.default_path(near_two).waypoints == (
-        (F(1, 10), F(0)), (2 + F(1, 2 ** 100), F(0)))
+        (F(1, 10), F(0)), (F(2), F(0)), (2 + F(1, 2 ** 100), F(0)))
+    # an exact target, or a rounded one with no bits below 2^-20, is reached
+    # in one segment
+    assert pfode.default_path(F(3, 4)).waypoints == ((F(1, 10), F(0)), (F(3, 4), F(0)))
+    assert pfode.default_path(mpf("0.75")).waypoints == ((F(1, 10), F(0)), (F(3, 4), F(0)))
 
 
 def test_tau_at_exact_target_needs_the_exact_end():
