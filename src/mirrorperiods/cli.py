@@ -138,7 +138,7 @@ def _run_continue(args, frame_at_two) -> list[Entry]:
             expected = mp.mpc(-1, 1) / 2 if lam == 2 else None
             label = f"tau({target})"
     if path is None:
-        path = pfode.default_path(lam)  # None: the series at lam
+        path = pfode.default_path(lam)  # None: the jet at lam
     if path is pfode.CANONICAL_PATH_TO_TWO:
         tau = pfode.frame_tau(frame_at_two(), args.digits)
     else:

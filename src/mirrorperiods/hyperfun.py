@@ -2,8 +2,8 @@
 
 mpmath supplies the arbitrary-precision substrate: "PrecFloat/PrecComplex"
 values are plain ``mpf``/``mpc`` computed at a caller-chosen number of decimal
-digits (default 120, minimum 30) plus guard digits.  Everything here is a
-direct series evaluation with an explicit geometric tail bound, its powers
+digits (default 120, minimum 30) plus guard digits.  Everything here but
+the fixed-point AGM (_agm) is a series with an explicit tail bound, its powers
 taken by running products (the theta series, and eta by Euler's pentagonal
 series) rather than by mpc powers, which mpmath takes as exp(n log z) at
 high precision; analytic continuation beyond the convergence disks is
@@ -238,6 +238,28 @@ def _fsqrt(x) -> tuple:
     if b < 0:
         im = -im
     return b // (2 * im), im
+
+
+def _agm(b, prec: int) -> tuple:
+    """(M, S) for b an int pair scaled by 2^prec, Re b > 0 or b on the
+    positive imaginary axis: M = M(1, b), Gauss's arithmetic-geometric
+    mean, from a_0 = 1, b_0 = b, a_(n+1) = (a_n + b_n)/2 and b_(n+1) the
+    principal root of a_n b_n (_fsqrt), which keeps both in the right
+    half-plane, so that it is the right choice of root (Cox 1984); and
+    S = sum_(n>=1) 2^(n-1) c_n^2, c_n = (a_(n-1) - b_(n-1))/2, so that
+    E/K = 1 - c_0^2/2 - S in Legendre's relation for the modulus
+    c_0^2 = 1 - b^2.  It stops once a and b differ by at most 4 units in
+    each part, about log2(prec) steps after they agree to a few bits: the
+    next c is then below one unit, and M is the last a, within a few
+    units, or about 1/sqrt|b| units at a small b, whose first root
+    sqrt(b) carries the floors of a unit."""
+    a, s, k = (1 << prec, 0), (0, 0), 0
+    while abs(a[0] - b[0]) > 4 or abs(a[1] - b[1]) > 4:
+        cc = _gmul((a[0] - b[0], a[1] - b[1]), (a[0] - b[0], a[1] - b[1]))
+        s = s[0] + (cc[0] >> (prec + 2 - k)), s[1] + (cc[1] >> (prec + 2 - k))
+        a, b = ((a[0] + b[0]) >> 1, (a[1] + b[1]) >> 1), _fsqrt(_gmul(a, b))
+        k += 1
+    return a, s
 
 
 def half_nome(tau, digits: int = DEFAULT_DIGITS):

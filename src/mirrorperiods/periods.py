@@ -25,21 +25,19 @@ and every numeric one through one pass rule and residual format, judged().
 
 The mirror-map kernels (quad_map, legendre_jet, dwork_periods) run end to
 end on fixed-point Python integers carrying hyperfun.GUARD_BITS (80) bits
-beyond the working precision, in the style of mpmath's hypsum: the term
-recurrences and every combination after them, with hyperfun's fixed-point
-complex product, quotient and isqrt square root.  mpmath takes only one
-complex log per series (Log(lam/16) in the jet, log(4 psi) in the Dwork
-periods; quad_map takes none) and one conversion per returned value.
-legendre_jet multiplies by the Gaussian-integer numerator of lambda's
-exact point (hyperfun.exact_point) and divides by its denominator along
-with the term ratio's, and takes the weighted sums sum m x_m of its
-derivatives from running sums of partial sums, by additions.  quad_map
-returns the exact t(lambda) beside psi, and dwork_periods runs on it, so
-u = t/256 is a Gaussian integer over one int; it takes its harmonic
+beyond the working precision, with hyperfun's fixed-point complex
+product, quotient and isqrt square root, at the exact point of lambda
+(hyperfun.exact_point), a Gaussian integer over one int.  legendre_jet
+takes the AGM forms varpi0 = 1/M(1, sqrt(1-lam)), varpi1 = i/M(1, sqrt(lam))
+(hyperfun._agm) and its derivatives from Legendre's E/K relation, with
+no series and no log.  quad_map returns the exact t(lambda) beside psi,
+and dwork_periods sums its series on it in the style of mpmath's hypsum,
+so u = t/256 is a Gaussian integer over one int; it takes its harmonic
 brackets, which do not depend on psi, from one table per fixed-point
-scale that every call shares (_harmonic_terms).  The term counts are
-those of `_series_terms` (plus 10 for the Dwork side), decided exactly on
-the exact |lambda|^2 or |t|^2, as are |lambda| <= 0.9 and |t| <= 1/1.2.
+scale that every call shares (_harmonic_terms), and mpmath takes its one
+complex log, log(4 psi).  mpmath converts each returned value out.
+|lambda| <= 0.9 and |t| <= 1/1.2 and the Dwork term count are decided on
+the exact |lambda|^2 and |t|^2.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import NamedTuple, Optional
 from mpmath import mp, mpc, mpf
 
 from . import hyperfun
-from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _fdiv, _fmul, _from_fixed,
+from .hyperfun import (DEFAULT_DIGITS, GUARD_BITS, PrecisionError, _agm, _fdiv, _fmul, _from_fixed,
                        _fsqrt, _gaussian, _gmul, _to_fixed, as_mpc, decay_terms, eta_value,
                        exact_point, frobenius_series, half_nome, hyp2f1_series, theta_const,
                        waypoint_strings, working_precision)
@@ -216,7 +214,8 @@ def _series_terms(abs2: Fraction, digits: int) -> int:
     """Terms needed for a tail ~ |x|^N to drop below the guarded target,
     from the exact abs2 = |x|^2 of hyperfun.exact_point: the least N with
     |x|^N <= 10^-(digits + GUARD_DIGITS + 5), decided on integers
-    (hyperfun.decay_terms), plus 10, and at least 12."""
+    (hyperfun.decay_terms), plus 10, and at least 12.  dwork_periods sums
+    this many terms plus 10, with x = t."""
     if abs2 == 0:
         return 2
     return max(decay_terms(abs2, digits + hyperfun.GUARD_DIGITS + 5) + 10, 12)
@@ -228,44 +227,33 @@ def _over_pi_i(x, pi: int, shift: int) -> tuple:
     return (x[1] << shift) // pi, (-x[0] << shift) // pi
 
 
-def _fixed_pi_and_log(z, prec: int) -> tuple:
-    """(pi, Log z) scaled by 2^prec: the kernels' one mpmath log, taken at
-    the working precision, and pi from mpmath's constant at prec bits."""
-    lg = mp.log(z)
-    with mp.workprec(prec):
-        pi = _to_fixed(+mp.pi, prec)
-    return pi, (_to_fixed(lg.real, prec), _to_fixed(lg.imag, prec))
-
-
 def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     """(varpi0, varpi0', varpi1, varpi1') at lam, for seeding continuation.
 
-    Sums the varpi0 and h series over the first `_series_terms` coefficients
-    on Python integers: every term and sum is an (re, im) int pair scaled by
-    2^P, P = mp.prec + GUARD_BITS.  The terms carried are
-    d_m = c_m lam^(m-1) and e_m = h_m lam^(m-1), m >= 1, with c and h the
-    varpi0 and h coefficients; since R_m = c_m (2m+1)/(2(m+1)) in the
-    recurrence of h,
+    Gauss's arithmetic-geometric means (Borwein & Borwein, Pi and the AGM,
+    1987), with principal roots:
 
-        d_(m+1) = lam d_m (2m+1)^2 / (4(m+1)^2),
-        e_(m+1) = lam (2m+1) ((2m+1)(m+1) e_m + 2 d_m) / (4(m+1)^3),
+        varpi0 = 1 / M(1, sqrt(1 - lam)),    varpi1 = i / M(1, sqrt(lam)),
 
-    so the derivatives are sum m d_m and sum m e_m, and the values
-    1 + lam sum d_m and lam sum e_m need no division by lam (which would
-    cost |log2 lam| bits of the fixed-point sums).  With S_m the partial
-    sums and T the sum of S_1, ..., S_N, sum_(m<=N) m d_m = (N+1) S_N - T,
-    so the weighted sums cost one addition per term.  lam enters as its
-    exact point (hyperfun.exact_point), a Gaussian integer over its
-    denominator, which joins the small divisor 4(m+1)^2, so each term costs
-    O(P) bit operations at a short rational lam, and the sums are rounded
-    only by the floors of the divisions.  The combination
+    the periods 2K/pi and 2iK'/pi of the modulus k^2 = lam.  Legendre's
+    relation gives E/K = 1 - lam/2 - S0 and E'/K' = 1 - (1 - lam)/2 - S1,
+    with S0, S1 the sums of hyperfun._agm, and dK/dm = (E - (1-m) K) /
+    (2 m (1-m)) gives the derivatives
 
-        varpi1 = (varpi0 lg + h) / (pi i),
-        varpi1' = (varpi0' lg + varpi0 / lam + h') / (pi i),
+        varpi0' = varpi0 (lam/2 - S0) / (2 lam (1 - lam)),
+        varpi1' = -varpi1 ((1 - lam)/2 - S1) / (2 lam (1 - lam)).
 
-    lg = Log(lam/16), runs on the same ints; mpmath takes only that log and
-    converts the four results out.  |lam| <= 0.9 is decided on the exact
-    |lam|^2.
+    Both AGMs run on Python integers: every value is an (re, im) int pair
+    scaled by 2^P, P = mp.prec + GUARD_BITS + ceil(log2(1/|lam|)) + 2,
+    the last bits covering the division by lam, which multiplies the
+    fixed-point error of lam/2 - S0 by 1/|lam| (and the small first roots
+    of M(1, sqrt(lam)), which cost log2(1/|lam|)/4 bits).  Each AGM stops
+    within a few units, in 7 or 8 steps at 120 digits on the mirror grid,
+    so the jet has no truncation tail.  lam enters as its exact point
+    (hyperfun.exact_point), a Gaussian integer L over its denominator d:
+    the roots are sqrt((d - L) d)/d and sqrt(L d)/d, and 2 lam (1 - lam)
+    is the exact 2 L (d - L)/d^2.  mpmath only converts the four values
+    out.  |lam| <= 0.9 and the extra bits are decided on the exact |lam|^2.
     """
     re, im = exact_point(lam)
     abs2 = re ** 2 + im ** 2
@@ -274,45 +262,24 @@ def legendre_jet(lam, digits: int = DEFAULT_DIGITS) -> LegendreJet:
     if abs2 > Fraction(81, 100):
         raise PrecisionError("|lambda| > 0.9: evaluate via pfode continuation")
     with working_precision(digits):
-        n = _series_terms(abs2, digits)
-        prec = mp.prec + GUARD_BITS
-        lre, lim, ldiv = _gaussian((re, im))
-        dre, dim = 1 << (prec - 2), 0  # c_1 = 1/4
-        ere, eim = 1 << (prec - 1), 0  # h_1 = 1/2
-        # the partial sums S_m of d and e, and the running sums T of the S_m
-        sdre = sdim = tdre = tdim = sere = seim = tere = teim = 0
-        for m in range(1, n):
-            sdre += dre
-            sdim += dim
-            tdre += sdre
-            tdim += sdim
-            sere += ere
-            seim += eim
-            tere += sere
-            teim += seim
-            k, m1 = 2 * m + 1, m + 1
-            den = 4 * m1 * m1 * ldiv
-            xre = lre * dre - lim * dim
-            xim = lre * dim + lim * dre
-            yre = lre * ere - lim * eim
-            yim = lre * eim + lim * ere
-            kmk, k2 = k * m1 * k, 2 * k
-            ere = (kmk * yre + k2 * xre) // (den * m1)
-            eim = (kmk * yim + k2 * xim) // (den * m1)
-            kk = k * k
-            dre = xre * kk // den
-            dim = xim * kk // den
-        pi, lg = _fixed_pi_and_log(as_mpc((re / 16, im / 16)), prec)
-        xre, xim = _gmul((lre, lim), (sdre, sdim))
-        w0 = (1 << prec) + xre // ldiv, xim // ldiv
-        dw0 = n * sdre - tdre, n * sdim - tdim
-        hre, him = _gmul((lre, lim), (sere, seim))
-        qre, qim = _fdiv((w0[0] * ldiv, w0[1] * ldiv), (lre, lim), 0)  # w0 / lam
-        xre, xim = _fmul(w0, lg, prec)
-        w1 = _over_pi_i((xre + hre // ldiv, xim + him // ldiv), pi, prec)
-        xre, xim = _fmul(dw0, lg, prec)
-        dw1 = _over_pi_i((xre + qre + n * sere - tere, xim + qim + n * seim - teim), pi, prec)
-        return LegendreJet(*(_from_fixed(*x, prec) for x in (w0, dw0, w1, dw1)))
+        inv = 0  # ceil(log2(1/|lam|)): the least inv with 4^inv |lam|^2 >= 1
+        while abs2.numerator << 2 * inv < abs2.denominator:
+            inv += 1
+        prec = mp.prec + GUARD_BITS + inv + 2
+        lre, lim, d = _gaussian((re, im))
+        den = _gmul((2 * lre, 2 * lim), (d - lre, -lim))  # 2 lam (1 - lam) d^2
+        jet = []
+        # x = 1 - lam for varpi0 and x = lam for varpi1, each x = X/d
+        for (xre, xim), unit, sign in (((d - lre, -lim), (1 << prec, 0), 1),
+                                       ((lre, lim), (0, 1 << prec), -1)):
+            root = _fsqrt((xre * d << 2 * prec, xim * d << 2 * prec))
+            m, s = _agm(tuple(v // d for v in root), prec)
+            w = _fdiv(unit, m, prec)
+            # (1 - x)/2 - S, 1 - x = (d - X)/d
+            y = _fmul(w, (((d - xre) << prec) // (2 * d) - s[0], (-xim << prec) // (2 * d) - s[1]),
+                      prec)
+            jet += [w, _fdiv((sign * y[0] * d * d, sign * y[1] * d * d), den, 0)]
+        return LegendreJet(*(_from_fixed(*x, prec) for x in jet))
 
 
 def quad_map(lam, digits: int = DEFAULT_DIGITS) -> QuadMapResult:
@@ -426,7 +393,10 @@ def dwork_periods(t, psi, digits: int = DEFAULT_DIGITS) -> DworkPeriods:
             f = (4 * n + 1) * (4 * n + 2) * (4 * n + 3) * (4 * n + 4)
             g = udiv * (n + 1) ** 4
             tre, tim = (ure * tre - uim * tim) * f // g, (ure * tim + uim * tre) * f // g
-        pi, lg = _fixed_pi_and_log(mpc(4 * psi.real, 4 * psi.imag), prec)
+        lg = mp.log(mpc(4 * psi.real, 4 * psi.imag))  # at the working precision
+        lg = _to_fixed(lg.real, prec), _to_fixed(lg.imag, prec)
+        with mp.workprec(prec):
+            pi = _to_fixed(+mp.pi, prec)
         pi2_8 = (pi * pi) >> (prec + 3)
         w0 = w0re, w0im
         s2re += (pi2_8 * w0re) >> prec

@@ -36,15 +36,15 @@ of hypsum (Mezzarobba, arXiv:1607.01967).  The conversions
 period series of `periods`.
 
 The Legendre frame is not transported through the disk
-|lambda| <= SERIES_RADIUS (1/2), where periods.legendre_jet sums it
-directly with term ratio at most 1/2, so one series frame costs about one
-Taylor step.  continue_legendre seeds the transport at the last step point
-its path reaches in that disk from the start without meeting the cut
-(-inf, 0] of the principal log (an exact test on exact steps), takes the
-series frame there and runs the Taylor steps (_transport) on the rest of
-the path.  The canonical path to lambda = 2 takes 9 Taylor steps, the
-default path to 2 sqrt 2 - 2 three: two to its waypoint, the target cut
-to 2^-20, and a short hop on to the exact binary target.
+|lambda| <= SERIES_RADIUS (1/2), where periods.legendre_jet gives it
+directly by two AGMs, which cost less than one Taylor step.
+continue_legendre seeds the transport at the last step point its path
+reaches in that disk from the start without meeting the cut (-inf, 0] of
+the principal log (an exact test on exact steps), takes the jet's frame
+there and runs the Taylor steps (_transport) on the rest of the path.
+The canonical path to lambda = 2 takes 9 Taylor steps, the default path
+to 2 sqrt 2 - 2 three: two to its waypoint, the target cut to 2^-20, and
+a short hop on to the exact binary target.
 
 Paths can be given as JSON lists of complex waypoints (pairs of decimal
 strings), which is the only external data format of this module.
@@ -79,9 +79,9 @@ SINGULAR_POINTS = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 # Least distance a continuation path keeps from every singular point.
 CLEARANCE = 0.1
 # Radius of the disk |lambda| <= SERIES_RADIUS in which periods.legendre_jet
-# sums the Legendre frame directly, with term ratio at most 1/2: default_path
-# reads tau off the series there, and continue_legendre seeds its transport
-# at the last step point its path reaches inside it.
+# gives the Legendre frame directly (by two AGMs; it accepts |lambda| <= 0.9):
+# default_path reads tau off the jet there, and continue_legendre seeds its
+# transport at the last step point its path reaches inside it.
 SERIES_RADIUS = Fraction(1, 2)
 
 
@@ -365,7 +365,7 @@ def continue_solution(path: ContinuationPath, initial: SolutionFrame,
 
     The transport runs from the first waypoint, which must be the exact
     point of `initial.point`.  continue_legendre runs the same transport
-    from a later seed point, with the Legendre frame there from the series.
+    from a later seed point, with the Legendre frame there from the jet.
     """
     _check_clearance(path.waypoints)
     return _transport(path, initial, digits)
@@ -485,13 +485,13 @@ def continue_legendre(path: ContinuationPath, digits: int = DEFAULT_DIGITS) -> S
 
     The transport starts at the seed of _seed, the last Taylor step point
     the path reaches inside |lambda| <= SERIES_RADIUS without meeting the
-    cut (-inf, 0], and the frame there comes from the series
+    cut (-inf, 0], and the frame there comes from the jet
     (legendre_frame).  The slit disk is simply connected and legendre_jet
-    takes the principal log on it, so that frame is the one the steps
+    takes the principal log's branch on it, so that frame is the one the steps
     before the seed would have carried there; they are skipped, and
     continue_solution's transport runs on (seed, *remaining waypoints).
     Its segments lie on the path's, so the one clearance check of the whole
-    path covers them.  A path that ends inside the slit disk is the series
+    path covers them.  A path that ends inside the slit disk is the jet's
     frame at its end; one that starts outside it is transported from its
     first waypoint."""
     _check_clearance(path.waypoints)
@@ -523,7 +523,7 @@ def ends_at(path: ContinuationPath, target, digits: int = DEFAULT_DIGITS) -> boo
 def tau_at(lambda_target, path: ContinuationPath | None = None,
            digits: int = DEFAULT_DIGITS):
     """tau = varpi1/varpi0 at the target after continuation along the path,
-    by default along default_path(lambda_target), or from the series there
+    by default along default_path(lambda_target), or from the jet there
     when that is None.  A given path must end at the target (ends_at)."""
     if path is None:
         path = default_path(lambda_target)

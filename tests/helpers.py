@@ -426,9 +426,11 @@ def reference_recurrence(op, z, h):
 # ---------------------------------------------------------------------------
 # mpmath references for the fixed-point period series
 #
-# The term-by-term mpf/mpc summations that periods.legendre_jet and
-# periods.dwork_periods replaced, with the same term counts and
-# preconditions; they return the same tuples.
+# Term-by-term mpf/mpc summations with their own preconditions, returning
+# the kernels' tuples.  reference_legendre_jet sums the varpi0 and h series
+# that periods.legendre_jet replaced by two AGMs, so it is an independent
+# oracle for the jet; reference_dwork_periods sums the series that
+# periods.dwork_periods sums on ints, with the same term count.
 # ---------------------------------------------------------------------------
 
 

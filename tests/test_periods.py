@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction as F
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+import mirrorperiods.hyperfun as hyperfun
 import mirrorperiods.periods as periods
 from helpers import (agm, hyp2f1, is_provably_zero, lambda_from_t, pi0_series,
                      reference_dwork_periods, reference_frobenius_series,
                      reference_legendre_jet, reference_series_terms, reference_w_series_t)
-from mirrorperiods.hyperfun import (PrecisionError, as_mpc, exact_point, frobenius_series,
-                                   working_precision)
+from mirrorperiods.hyperfun import (PrecisionError, _from_fixed, _to_fixed, as_mpc, exact_point,
+                                   frobenius_series, working_precision)
 from mirrorperiods.qseries import RationalSeries, SeriesError
 
 DIGITS = 50
@@ -224,10 +226,12 @@ def test_bps_series_expansion():
 
 
 def test_varpi0_agm_oracle():
+    # the textbook AGM and mpmath's 2F1, which sums no AGM
     jet = periods.legendre_jet(F(1, 2), DIGITS)
     with working_precision(DIGITS):
         oracle = 1 / agm(1, mp.sqrt(mpf("0.5")), DIGITS)
         assert abs(jet.varpi0 - oracle) < mpf(10) ** (-DIGITS + 8)
+        assert abs(jet.varpi0 - mp.hyp2f1(0.5, 0.5, 1, 0.5)) < mpf(10) ** -(DIGITS + 12)
 
 
 def test_tau_special_value_inside_disk():
@@ -361,6 +365,97 @@ def test_legendre_jet_at_exact_lambda_matches_mpc(lam, digits):
     z = complex(float(lam[0]), float(lam[1]))
     for x in (z, z.real) if z.imag == 0 else (z,):
         assert _jet_or_error(x, digits) == _jet_or_error(exact_point(x), digits)
+
+
+# lambda on the cut (-inf, 0], beside it, at |lambda| = 9/10 on the four
+# axes, and tiny off both axes, where the jet carries 268 extra bits for 1/lam
+EDGE_POINTS = [(F(-1, 3), F(0)), (F(-1, 2), F(0)), (F(-9, 10), F(0)),
+               (F(-3, 10), F(1, 1000)), (F(-3, 10), F(-1, 1000)),
+               (F(9, 10), F(0)), (F(0), F(9, 10)), (F(0), F(-9, 10)),
+               (F(1, 10 ** 80), F(1, 10 ** 80))]
+
+
+def _hyp2f1_jet(lam, digits):
+    """The jet from mpmath's 2F1: varpi0 = 2F1(1/2, 1/2; 1; lam), varpi0' =
+    2F1(3/2, 3/2; 2; lam)/4, and varpi1 = i varpi0(1 - lam), which is
+    i K'(k)/K(k) varpi0, so varpi1' = -i varpi0'(1 - lam); mpmath's side of
+    its cut [1, inf) at 1 - lam > 1 is the limit from Im lam > 0, as for
+    the principal log and roots.  1 - lam keeps its digits at |lam| = 10^-80
+    with 80 more digits.  mpmath's 2F1 near its cut (its gamma-function
+    transformations at a = b) takes seconds at 1 - lam from 120 digits, and
+    at 9/10 and 400 digits it first tabulates gamma coefficients for
+    seconds, so the jet is cut short there: varpi0 and varpi0' at 120
+    digits, varpi0 at 400, and nothing at 9/10 and 400."""
+    abs2 = lam[0] ** 2 + lam[1] ** 2
+    count = {40: 4, 120: 2, 400: int(lam != (F(9, 10), F(0)))}[digits]
+    with mp.workdps(digits + 20 + (abs2.denominator // abs2.numerator).bit_length() // 6):
+        z = as_mpc(lam)
+        fields = (lambda: mp.hyp2f1(0.5, 0.5, 1, z), lambda: mp.hyp2f1(1.5, 1.5, 2, z) / 4,
+                  lambda: mpc(0, 1) * mp.hyp2f1(0.5, 0.5, 1, 1 - z),
+                  lambda: mpc(0, -1) * mp.hyp2f1(1.5, 1.5, 2, 1 - z) / 4)
+        return [f() for f in fields[:count]]
+
+
+@pytest.mark.parametrize("digits", [40, 120, 400])
+@pytest.mark.parametrize("lam", EDGE_POINTS)
+def test_legendre_jet_at_edge_points(lam, digits):
+    # against the mpmath series, mpmath's 2F1 and the Wronskian
+    # varpi0 varpi1' - varpi0' varpi1 = 1 / (pi i lam (1 - lam))
+    jet = periods.legendre_jet(lam, digits)
+    _assert_relative(jet, reference_legendre_jet(lam, digits), digits)
+    _assert_relative(jet, _hyp2f1_jet(lam, digits), digits)
+    with working_precision(digits):
+        z = as_mpc(lam)
+        wronskian = 1 / (mp.pi * mpc(0, 1) * z * (1 - z))
+        w0, dw0, w1, dw1 = jet
+        assert abs(w0 * dw1 - dw0 * w1 - wronskian) <= mpf(10) ** -(digits + 10) * abs(wronskian)
+
+
+@pytest.mark.parametrize("prec", [200, 1500])
+@pytest.mark.parametrize("lam", EDGE_POINTS)
+def test_agm_matches_mpmath(lam, prec):
+    # hyperfun._agm at the jet's b = sqrt(1 - lam) and b = sqrt(lam): M(1, b)
+    # against mpmath's agm, which also takes principal roots, and S against
+    # Legendre's relation E/K = 1 - c_0^2/2 - S with c_0^2 = 1 - b^2, to a
+    # few units at the fixed-point scale 2^prec, for b as _agm gets it.  A
+    # unit of the first root sqrt(b) is 1/sqrt|b| units of M, so a small b
+    # costs log2(1/|b|)/2 bits (legendre_jet's extra bits for 1/lam cover
+    # them); 1 - b^2 keeps its digits at |b|^2 ~ 2^-266 only with 300 more
+    with mp.workprec(prec + 340):
+        z = as_mpc(lam)
+        for root in (mp.sqrt(1 - z), mp.sqrt(z)):
+            b = (_to_fixed(root.real, prec), _to_fixed(root.imag, prec))
+            m, s = (_from_fixed(*x, prec) for x in hyperfun._agm(b, prec))
+            b = _from_fixed(*b, prec)
+            k2 = 1 - b * b
+            unit = mpf(2) ** -prec / mp.sqrt(min(abs(b), 1))
+            assert abs(m - mp.agm(1, b)) <= 16 * unit
+            assert abs(s - (1 - k2 / 2 - mp.ellipe(k2) / mp.ellipk(k2))) <= 32 * unit
+
+
+@pytest.mark.parametrize("digits", [40, 120, 400])
+def test_agm_ends_within_log2_precision_steps(digits, monkeypatch):
+    # each of the jet's two AGMs takes at most ceil(log2 P) + 4 steps, one
+    # root each, at its fixed-point precision P; a step beyond fails at once
+    steps = []
+
+    def counted_agm(b, prec):
+        steps.append([0, ceil(log2(prec)) + 4])
+        return agm_(b, prec)
+
+    def counted_sqrt(x):
+        if steps:
+            steps[-1][0] += 1
+            assert steps[-1][0] <= steps[-1][1], "the AGM ran past its step bound"
+        return fsqrt(x)
+
+    agm_, fsqrt = periods._agm, hyperfun._fsqrt
+    monkeypatch.setattr(periods, "_agm", counted_agm)
+    monkeypatch.setattr(hyperfun, "_fsqrt", counted_sqrt)
+    for lam in EDGE_POINTS + periods.MIRROR_GRID:
+        steps.clear()
+        periods.legendre_jet(lam, digits)
+        assert len(steps) == 2
 
 
 def _jet_or_error(lam, digits):
